@@ -1,13 +1,13 @@
 //! CLI subcommand implementations.
 
 use crate::args::{ArgError, Args};
-use crate::serve::{Daemon, ServeOptions, ServeSession};
+use crate::serve::{Daemon, ServeError, ServeOptions, ServeSession};
 use serde::Serialize;
 use webmon_core::engine::{MutationQueue, ScriptedMutations};
 use webmon_core::fault::{Backoff, FaultConfig};
 use webmon_core::obs::RunMetrics;
 use webmon_core::serve::{
-    Clock, FreeClock, ProbeExecutor, ReplayExecutor, TcpProbeExecutor, WallClock,
+    Clock, FreeClock, JournalError, ProbeExecutor, ReplayExecutor, TcpProbeExecutor, WallClock,
 };
 use webmon_sim::{
     ChurnSpec, Experiment, ExperimentConfig, FaultKind, FaultSpec, NoiseSpec, PolicyAggregate,
@@ -942,7 +942,13 @@ fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
         Ok(o) => o,
         Err(e) => {
             println!("{}", serve_error_json(&e.to_string()));
-            return Ok(1);
+            // A journal snapshot that does not fit the configured instance
+            // is bad input, like a malformed spec.
+            let bad_input = matches!(
+                e,
+                ServeError::Journal(JournalError::SnapshotMismatch { .. })
+            );
+            return Ok(if bad_input { 2 } else { 1 });
         }
     };
 
@@ -1630,6 +1636,53 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(code, 2);
+    }
+
+    #[test]
+    fn recover_refuses_a_snapshot_that_does_not_fit_with_exit_2() {
+        use webmon_core::serve::journal::{scan_journal, JOURNAL_FILE};
+        use webmon_core::serve::{FsyncPolicy, JournalWriter};
+        let dir =
+            std::env::temp_dir().join(format!("webmon-cli-bad-snapshot-{}", std::process::id()));
+        let dir_arg = dir.to_str().unwrap().to_string();
+        let serve = |extra: &[&str]| {
+            let mut argv = vec![
+                "serve",
+                "--listen",
+                "127.0.0.1:0",
+                "--chronon-ms",
+                "0",
+                "--resources",
+                "10",
+                "--horizon",
+                "30",
+                "--profiles",
+                "3",
+                "--reps",
+                "1",
+            ];
+            argv.extend_from_slice(extra);
+            cmd_serve(&parse(&argv)).unwrap()
+        };
+        assert_eq!(
+            serve(&["--journal-dir", &dir_arg, "--snapshot-every", "5"]),
+            0
+        );
+
+        // Same fingerprint and valid checksums, but the snapshot claims one
+        // CEI more than the instance has.
+        let path = dir.join(JOURNAL_FILE);
+        let scan = scan_journal(&path).unwrap();
+        let mut bad = scan.snapshots[0].clone();
+        bad.status.push(webmon_core::serve::CeiState::NotArrived);
+        let mut w = JournalWriter::create(&path, FsyncPolicy::Os, &scan.fingerprint).unwrap();
+        for f in scan.frames.iter().take_while(|f| f.t < bad.at) {
+            w.frame(f.t, f.drained_seq, &f.lines);
+        }
+        w.snapshot(&bad);
+        w.finish();
+        assert_eq!(serve(&["--recover", &dir_arg]), 2);
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -565,7 +565,15 @@ impl Daemon {
             (Some(jc), true) => {
                 let scan = scan_journal(&jc.path())?;
                 scan.verify_fingerprint(&fp)?;
-                Some(Recovery::plan(&scan)?)
+                let plan = Recovery::plan(&scan)?;
+                if let Some(snap) = &plan.resume {
+                    snap.validate(&session.instance, executor.fallible())
+                        .map_err(|detail| JournalError::SnapshotMismatch {
+                            at: snap.at,
+                            detail,
+                        })?;
+                }
+                Some(plan)
             }
             (None, true) => {
                 return Err(ServeError::Io(io::Error::new(

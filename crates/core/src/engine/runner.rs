@@ -6,13 +6,17 @@ use super::shard::{ShardMap, ShardSet};
 use crate::fault::{FaultConfig, FaultModel, NoFaults};
 use crate::model::{CaptureSet, CeiId, Chronon, Instance, ResourceId, Schedule};
 use crate::obs::{Event, NoopObserver, Observer};
-use crate::policy::{Candidate, CeiView, Policy, PolicyContext, ResourceStats};
+use crate::policy::{Candidate, CeiView, Policy, PolicyContext, ResourceStats, ScoreDynamics};
 use crate::serve::snapshot::{CeiState, EngineSnapshot, NoSnapshots, SnapshotSink};
 use crate::stats::{CeiOutcome, RunStats};
 
 /// Min-heap entries for the heap-based selectors:
 /// `Reverse((score, cei id, ei index))`.
 type ScoreHeap = std::collections::BinaryHeap<std::cmp::Reverse<(i64, u32, u16)>>;
+
+/// A [`KeyedQueue`] copy: `(score, cei id, ei index, capture count)`, the
+/// last being the parent CEI's capture count when the copy was scored.
+type KeyedCopy = (i64, u32, u16, u16);
 
 /// How `probeEIs` finds the minimum-score candidate each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -28,16 +32,26 @@ pub enum SelectionStrategy {
     /// the pre-refactor differential reference: it still allocates a fresh
     /// heap and CEI→entries map every phase.
     LazyHeap,
-    /// The lazy heap on engine-owned storage: one heap buffer is reused
-    /// across phases and chronons, seeding walks the incremental
-    /// per-resource candidate index instead of the flat pool, and sibling
-    /// refresh walks the touched CEI's own EIs through the index's
-    /// liveness flags. Bit-identical to
-    /// [`LazyHeap`](SelectionStrategy::LazyHeap)
-    /// — schedule, event stream, and pop
-    /// counts; a binary heap's popped-value sequence is a function of the
-    /// value multisets pushed between pops, which the two paths share —
-    /// with zero allocation on the hot path. The default.
+    /// The default; its data structure follows the policy's
+    /// [`ScoreDynamics`]:
+    ///
+    /// * `Reseeded` — the lazy heap on engine-owned storage: one heap
+    ///   buffer is reused across phases and chronons, seeding walks the
+    ///   incremental per-resource candidate index instead of the flat pool,
+    ///   and sibling refresh walks the touched CEI's own EIs through the
+    ///   index's liveness flags, with zero allocation on the hot path. It
+    ///   pops exactly what [`LazyHeap`](SelectionStrategy::LazyHeap) pops:
+    ///   a binary heap's popped-value sequence is a function of the value
+    ///   multisets pushed between pops, which the two paths share.
+    /// * `StateKeyed` — one persistent queue per selection group, kept
+    ///   across chronons: a chronon scores only the windows that open and
+    ///   the siblings of captured EIs, not the whole live pool. Queued
+    ///   copies whose entry died or whose score went stale are dropped on
+    ///   pop, and the queue is rebuilt from the pool once they outnumber
+    ///   the live entries, and on resume.
+    ///
+    /// Either way the schedule, event stream and `RunMetrics` are those of
+    /// [`Scan`](SelectionStrategy::Scan).
     #[default]
     Incremental,
 }
@@ -139,6 +153,12 @@ pub struct RunResult {
     pub stats: RunStats,
     /// Per-CEI outcome, indexed by [`CeiId`].
     pub outcomes: Vec<CeiOutcome>,
+    /// Telemetry: candidate-selection steps (heap pops, or one per argmin
+    /// scan under [`SelectionStrategy::Scan`]). A property of the selector's
+    /// data structure, not of the schedule: it differs between strategies
+    /// and between an uninterrupted run and a snapshot resume, so no
+    /// identity contract covers it and it never enters the event stream.
+    pub selection_steps: u64,
 }
 
 /// Lifecycle of a CEI inside the engine.
@@ -359,9 +379,10 @@ impl OnlineEngine {
     /// to [`run_driven`](Self::run_driven).
     ///
     /// # Panics
-    /// Panics if `resume` disagrees with `instance` on CEI count, resource
-    /// count, or horizon — a snapshot only resumes the run it was taken
-    /// from.
+    /// Panics if `resume` fails [`EngineSnapshot::validate`] against
+    /// `instance` — a snapshot only resumes the run it was taken from.
+    /// Callers holding an untrusted snapshot (the daemon's `--recover`)
+    /// validate it first and report the mismatch as an error.
     #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
     pub fn run_driven_resumable<F: FaultModel, M: MutationSource, O: Observer>(
         instance: &Instance,
@@ -389,6 +410,11 @@ impl OnlineEngine {
         } else {
             SelectionStrategy::Scan
         };
+        // State-keyed policies select through one persistent queue instead
+        // of a per-phase reseed (see `KeyedQueue`).
+        let mut keyed = (selection == SelectionStrategy::Incremental
+            && policy.score_dynamics() == ScoreDynamics::StateKeyed)
+            .then(|| KeyedQueue::new(if config.preemptive { 1 } else { 2 }));
 
         // Resource sharding (see `engine::shard`): `0` resolves through the
         // global knob, and any request clamps to `1..=|R|`. The shard count
@@ -469,7 +495,13 @@ impl OnlineEngine {
         let mut active_snapshot = vec![0u32; n_res];
         let mut has_update = vec![false; n_res];
         let mut probed_now = vec![false; n_res];
-        let mut started_snapshot = vec![false; n_ceis];
+        // Non-preemptive selection groups: `started[c]` says whether CEI `c`
+        // had a captured EI when the current chronon began (cands⁺). A first
+        // capture flips the flag at the end of its chronon — `captured_now`
+        // collects the CEIs captured this chronon — so the groups stay
+        // frozen while a chronon selects.
+        let mut started = vec![false; n_ceis];
+        let mut captured_now: Vec<CeiId> = Vec::new();
         let mut transitions: Vec<(CeiId, CeiOutcome)> = Vec::new();
         let mut touched: Vec<CeiId> = Vec::new();
         let mut capture_scratch: Vec<PoolEntry> = Vec::new();
@@ -483,6 +515,8 @@ impl OnlineEngine {
         // sequence is a function of the pushed-value multisets between
         // pops, so the buffered merge is bit-identical to direct pushes.
         let mut seed_bufs: Vec<Vec<(i64, u32, u16)>> = vec![Vec::new(); index.n_shards()];
+        // Telemetry for `RunResult::selection_steps`.
+        let mut selection_steps: u64 = 0;
 
         // Fault-injection state. `fault_blocked` is always allocated (the
         // selectors index it unconditionally); the rest is sized to zero
@@ -504,27 +538,16 @@ impl OnlineEngine {
         // rebuilt it.
         let resume_at: Chronon = match resume {
             Some(snap) => {
-                assert_eq!(snap.status.len(), n_ceis, "snapshot CEI count mismatch");
-                assert_eq!(snap.index.len(), n_res, "snapshot resource count mismatch");
-                assert_eq!(
-                    snap.schedule.horizon(),
-                    horizon,
-                    "snapshot horizon mismatch"
-                );
-                assert!(snap.at < horizon, "snapshot boundary beyond the epoch");
+                if let Err(detail) = snap.validate(instance, fault_on) {
+                    panic!("snapshot does not resume this run: {detail}");
+                }
                 for (i, state) in snap.status.iter().enumerate() {
                     status[i] = match state {
                         CeiState::NotArrived => Status::NotArrived,
                         CeiState::Active { captured, expired } => {
-                            assert_eq!(
-                                captured.len(),
-                                instance.ceis[i].size(),
-                                "snapshot capture flags disagree with CEI {i}'s size"
-                            );
-                            Status::Active(CaptureSet::from_flags(
-                                captured.clone(),
-                                expired.clone(),
-                            ))
+                            let cap = CaptureSet::from_flags(captured.clone(), expired.clone());
+                            started[i] = cap.is_started();
+                            Status::Active(cap)
                         }
                         CeiState::Captured => Status::Captured,
                         CeiState::Failed => Status::Failed,
@@ -554,6 +577,14 @@ impl OnlineEngine {
                             r,
                         );
                     }
+                }
+                // The keyed queue is not part of the snapshot: rebuild it
+                // from the restored pool. Its copies differ from the
+                // uninterrupted run's (which carries stale ones), but every
+                // live entry has its current copy, so selections agree.
+                if let Some(queue) = &mut keyed {
+                    let ctx = policy_context(snap.at, &active_snapshot, &has_update);
+                    queue.rebuild(instance, policy, &ctx, &index, &status, &started);
                 }
                 snap.at
             }
@@ -635,6 +666,12 @@ impl OnlineEngine {
                                 index.remove_cei(instance, id);
                             } else {
                                 status[id.index()] = Status::Active(cap);
+                                if let Some(queue) = &mut keyed {
+                                    let ctx = policy_context(t, &active_snapshot, &has_update);
+                                    queue.push_cei(
+                                        instance, policy, &ctx, &index, &status, &started, id,
+                                    );
+                                }
                             }
                         }
                         Mutation::Cancel { cei: id } => {
@@ -736,15 +773,16 @@ impl OnlineEngine {
             );
             let pool_size = index.live();
 
-            // Non-preemptive mode snapshots, before any probing this
-            // chronon, which CEIs already have a captured EI (cands⁺).
-            if !config.preemptive {
-                for r in 0..n_res {
-                    for e in index.entries(r) {
-                        if index.is_live(*e, r) {
-                            started_snapshot[e.cei.index()] = status[e.cei.index()]
-                                .capture_set()
-                                .is_some_and(CaptureSet::is_started);
+            // The keyed queue scores each window as it opens, and sheds its
+            // garbage once that outgrows the live pool.
+            if let Some(queue) = &mut keyed {
+                let ctx = policy_context(t, &active_snapshot, &has_update);
+                if queue.needs_rebuild(pool_size) {
+                    queue.rebuild(instance, policy, &ctx, &index, &status, &started);
+                } else {
+                    for bucket in &starts[t as usize] {
+                        for &e in bucket {
+                            queue.push_live(instance, policy, &ctx, &index, &status, &started, e);
                         }
                     }
                 }
@@ -754,7 +792,6 @@ impl OnlineEngine {
             // skipping resources blocked by outages, backoff, or quota.
             probed_now.fill(false);
             let mut used: u32 = 0;
-            let mut selection_steps: u32 = 0;
             let phases: &[Option<bool>] = if config.preemptive {
                 &[None]
             } else {
@@ -762,14 +799,11 @@ impl OnlineEngine {
             };
 
             for &phase in phases {
-                let ctx = PolicyContext {
-                    now: t,
-                    resources: ResourceStats {
-                        active_eis: &active_snapshot,
-                        has_update: &has_update,
-                    },
-                };
-                // Heap-based strategies seed once per phase with current
+                let ctx = policy_context(t, &active_snapshot, &has_update);
+                // The keyed queue's group for this phase: cands⁺ first.
+                let group = usize::from(phase == Some(false));
+                let snapshot = phase.map(|req| (req, started.as_slice()));
+                // Reseeded heap strategies seed once per phase with current
                 // scores; sibling captures can *lower* MRSF / M-EDF scores,
                 // and a lazily validated heap never re-prioritizes buried
                 // entries on its own, so captures refresh the touched CEIs
@@ -787,8 +821,7 @@ impl OnlineEngine {
                     }
                     _ => &mut phase_heap,
                 };
-                if selection != SelectionStrategy::Scan {
-                    let snapshot = phase.map(|req| (req, started_snapshot.as_slice()));
+                if selection != SelectionStrategy::Scan && keyed.is_none() {
                     let legacy = selection == SelectionStrategy::LazyHeap;
                     // Per-shard scoring (concurrent when sharded), then a
                     // serial merge in shard order — ascending resource
@@ -811,9 +844,24 @@ impl OnlineEngine {
 
                 while used < budget {
                     let remaining = budget - used;
-                    let snapshot = phase.map(|req| (req, started_snapshot.as_slice()));
-                    let best = match selection {
-                        SelectionStrategy::Scan => argmin_candidate(
+                    let mut picked: Option<KeyedCopy> = None;
+                    let best = if let Some(queue) = &mut keyed {
+                        picked = queue.pop(
+                            group,
+                            instance,
+                            &index,
+                            &status,
+                            &started,
+                            &fault_blocked,
+                            remaining,
+                            &mut selection_steps,
+                        );
+                        picked.map(|(_, cei, ei_idx, _)| PoolEntry {
+                            cei: CeiId(cei),
+                            ei_idx,
+                        })
+                    } else if selection == SelectionStrategy::Scan {
+                        argmin_candidate(
                             instance,
                             policy,
                             &ctx,
@@ -824,8 +872,9 @@ impl OnlineEngine {
                             remaining,
                             snapshot,
                             &mut selection_steps,
-                        ),
-                        _ => pop_valid(
+                        )
+                    } else {
+                        pop_valid(
                             instance,
                             policy,
                             &ctx,
@@ -836,7 +885,7 @@ impl OnlineEngine {
                             remaining,
                             snapshot,
                             &mut selection_steps,
-                        ),
+                        )
                     };
                     let Some(best) = best else {
                         break;
@@ -904,9 +953,12 @@ impl OnlineEngine {
                         if !succeeded {
                             // The heap consumed this entry on pop; re-seed it
                             // if its resource can still be selected, so every
-                            // strategy keeps the identical schedule.
-                            if selection != SelectionStrategy::Scan && !fault_blocked[ri] {
-                                let snapshot = phase.map(|req| (req, started_snapshot.as_slice()));
+                            // strategy keeps the identical schedule. The
+                            // keyed queue keeps a blocked one for next
+                            // chronon.
+                            if let (Some(queue), Some(copy)) = (&mut keyed, picked) {
+                                queue.put_back(group, copy, fault_blocked[ri]);
+                            } else if selection != SelectionStrategy::Scan && !fault_blocked[ri] {
                                 if let Some(score) =
                                     score_entry(instance, policy, &ctx, &status, best, snapshot)
                                 {
@@ -968,15 +1020,24 @@ impl OnlineEngine {
                         );
                         touched.push(best.cei);
                     }
+                    if !config.preemptive {
+                        captured_now.extend_from_slice(&touched);
+                    }
 
                     // Refresh heap priorities of CEIs whose capture state
                     // just changed: push their remaining live entries at
                     // their new (never higher) scores; stale copies are
-                    // skipped on pop.
+                    // skipped on pop. The keyed queue refreshes into each
+                    // CEI's own group, whatever phase is running.
+                    if let Some(queue) = &mut keyed {
+                        for &id in &touched {
+                            queue.push_cei(instance, policy, &ctx, &index, &status, &started, id);
+                        }
+                        continue;
+                    }
                     match selection {
                         SelectionStrategy::Scan => {}
                         SelectionStrategy::LazyHeap => {
-                            let snapshot = phase.map(|req| (req, started_snapshot.as_slice()));
                             for id in &touched {
                                 let Some(entries) = cei_entries.get(&id.0) else {
                                     continue;
@@ -1004,7 +1065,6 @@ impl OnlineEngine {
                             // value multiset as the legacy map walk: an
                             // entry scores now iff it was seeded this phase
                             // and still scores.
-                            let snapshot = phase.map(|req| (req, started_snapshot.as_slice()));
                             for id in &touched {
                                 let cei = instance.cei(*id);
                                 for (idx, ei) in cei.eis.iter().enumerate() {
@@ -1036,11 +1096,7 @@ impl OnlineEngine {
             // remained — is whatever is still live, O(1) from the index
             // instead of the legacy pool scan.
             if observer.enabled() {
-                observer.on_event(Event::CandidateSet {
-                    t,
-                    size: pool_size,
-                    heap_pops: selection_steps,
-                });
+                observer.on_event(Event::CandidateSet { t, size: pool_size });
                 let deferred = index.live();
                 if deferred > 0 {
                     observer.on_event(Event::BudgetExhausted { t, deferred });
@@ -1133,6 +1189,24 @@ impl OnlineEngine {
                 }
             }
 
+            // -- 7. Queue upkeep for the next chronon: copies the keyed queue
+            // skipped rejoin their heaps, and CEIs captured for the first
+            // time join cands⁺ (NP) — the keyed queue re-files their live
+            // entries there.
+            if let Some(queue) = &mut keyed {
+                queue.requeue_skipped(instance, &index, &status, &started);
+            }
+            for &id in &captured_now {
+                if std::mem::replace(&mut started[id.index()], true) {
+                    continue;
+                }
+                if let Some(queue) = &mut keyed {
+                    let ctx = policy_context(t, &active_snapshot, &has_update);
+                    queue.push_cei(instance, policy, &ctx, &index, &status, &started, id);
+                }
+            }
+            captured_now.clear();
+
             observer.on_event(Event::ChrononEnd {
                 t,
                 spent: used,
@@ -1155,7 +1229,24 @@ impl OnlineEngine {
             schedule,
             stats,
             outcomes,
+            selection_steps,
         }
+    }
+}
+
+/// The [`PolicyContext`] of chronon `now` over the engine's per-resource
+/// aggregates.
+fn policy_context<'a>(
+    now: Chronon,
+    active_eis: &'a [u32],
+    has_update: &'a [bool],
+) -> PolicyContext<'a> {
+    PolicyContext {
+        now,
+        resources: ResourceStats {
+            active_eis,
+            has_update,
+        },
     }
 }
 
@@ -1252,8 +1343,7 @@ fn score_entry(
 
 /// Scans the index for the minimum-score live candidate. Ties break by
 /// `(score, cei id, ei index)` so runs are deterministic regardless of
-/// iteration order. Each call counts as one selection step toward
-/// [`Event::CandidateSet`].
+/// iteration order. Each call counts as one selection step.
 #[allow(clippy::too_many_arguments)]
 fn argmin_candidate(
     instance: &Instance,
@@ -1265,7 +1355,7 @@ fn argmin_candidate(
     blocked: &[bool],
     remaining_budget: u32,
     phase: Option<(bool, &[bool])>,
-    steps: &mut u32,
+    steps: &mut u64,
 ) -> Option<PoolEntry> {
     *steps += 1;
     let mut best: Option<(i64, PoolEntry)> = None;
@@ -1301,7 +1391,7 @@ fn argmin_candidate(
 /// Pops the minimum-score live candidate from the lazy heap, re-pushing
 /// entries whose stored score went stale (a sibling capture this chronon
 /// changed it). Tie ordering matches [`argmin_candidate`]. Each pop counts
-/// as one selection step toward [`Event::CandidateSet`].
+/// as one selection step.
 #[allow(clippy::too_many_arguments)]
 fn pop_valid(
     instance: &Instance,
@@ -1313,7 +1403,7 @@ fn pop_valid(
     blocked: &[bool],
     remaining_budget: u32,
     phase: Option<(bool, &[bool])>,
-    steps: &mut u32,
+    steps: &mut u64,
 ) -> Option<PoolEntry> {
     while let Some(std::cmp::Reverse((stored, cei, ei_idx))) = heap.pop() {
         *steps += 1;
@@ -1341,6 +1431,247 @@ fn pop_valid(
         return Some(e);
     }
     None
+}
+
+/// The persistent candidate queue of [`ScoreDynamics::StateKeyed`] policies
+/// under [`SelectionStrategy::Incremental`].
+///
+/// A state-keyed score changes only when a sibling EI is captured, so the
+/// queue keeps one min-heap per selection group across chronons — `[pool]`
+/// in P mode; `[cands⁺, new]` in NP mode, in phase order — and scores an
+/// entry only when its score is new: its window opens (or a registration
+/// brings it in open), or a sibling capture re-scores the rest of its CEI
+/// into the CEI's own group, whatever phase is running. A CEI's first
+/// capture re-files its live entries into cands⁺ at the chronon's end, and
+/// a failed probe or an entry skipped this chronon (blocked or
+/// unaffordable) is pushed back. Every copy carries its CEI's capture count
+/// when scored, so a pop drops dead, stale and wrong-group copies without
+/// calling the policy.
+///
+/// **Invariant.** Every live entry has a copy whose key is its current
+/// `(score, cei, ei_idx)` in its group's heap — or, once popped and skipped
+/// this chronon, in `skipped`. The first current, selectable pop is
+/// therefore the [`argmin_candidate`] pick under the same tie-break, and
+/// schedules match `Scan`'s. The queue is not part of a snapshot: a resume
+/// rebuilds it from the restored pool, and so does a chronon whose heaps
+/// hold more garbage than the pool has live entries.
+struct KeyedQueue {
+    /// One min-heap per selection group.
+    heaps: Vec<std::collections::BinaryHeap<std::cmp::Reverse<KeyedCopy>>>,
+    /// Copies popped but skipped this chronon, with their group; they
+    /// rejoin the heaps at the chronon's end.
+    skipped: Vec<(usize, KeyedCopy)>,
+}
+
+impl KeyedQueue {
+    /// Heaps may hold this many copies beyond twice the live pool before
+    /// they are rebuilt.
+    const SLACK: usize = 4096;
+
+    fn new(groups: usize) -> Self {
+        KeyedQueue {
+            heaps: (0..groups)
+                .map(|_| std::collections::BinaryHeap::new())
+                .collect(),
+            skipped: Vec::new(),
+        }
+    }
+
+    /// The group of a CEI's entries: 0 in P mode; in NP mode 0 for cands⁺
+    /// and 1 for CEIs not started yet.
+    fn group(&self, started: &[bool], cei: CeiId) -> usize {
+        usize::from(self.heaps.len() > 1 && !started[cei.index()])
+    }
+
+    /// Whether `copy` in `group` still keys a live entry at its current
+    /// score: the entry is live, its CEI's capture count is unchanged since
+    /// the copy was scored, and the CEI has not moved groups.
+    fn is_current(
+        &self,
+        group: usize,
+        copy: KeyedCopy,
+        instance: &Instance,
+        index: &ShardSet,
+        status: &[Status],
+        started: &[bool],
+    ) -> bool {
+        let (_, cei, ei_idx, captured) = copy;
+        let e = PoolEntry {
+            cei: CeiId(cei),
+            ei_idx,
+        };
+        let r = instance.cei(e.cei).eis[ei_idx as usize].resource.index();
+        index.is_live(e, r)
+            && status[e.cei.index()]
+                .capture_set()
+                .is_some_and(|cap| cap.n_captured() == usize::from(captured))
+            && self.group(started, e.cei) == group
+    }
+
+    /// The copy of `e` at its current score, if `e` is live.
+    fn copy_of(
+        instance: &Instance,
+        policy: &dyn Policy,
+        ctx: &PolicyContext<'_>,
+        index: &ShardSet,
+        status: &[Status],
+        e: PoolEntry,
+    ) -> Option<KeyedCopy> {
+        let r = instance.cei(e.cei).eis[e.ei_idx as usize].resource.index();
+        if !index.is_live(e, r) {
+            return None;
+        }
+        let captured = status[e.cei.index()].capture_set()?.n_captured() as u16;
+        let score = score_entry(instance, policy, ctx, status, e, None)?;
+        Some((score, e.cei.0, e.ei_idx, captured))
+    }
+
+    /// Scores `e` into its group's heap if it is live.
+    #[allow(clippy::too_many_arguments)]
+    fn push_live(
+        &mut self,
+        instance: &Instance,
+        policy: &dyn Policy,
+        ctx: &PolicyContext<'_>,
+        index: &ShardSet,
+        status: &[Status],
+        started: &[bool],
+        e: PoolEntry,
+    ) {
+        if let Some(copy) = Self::copy_of(instance, policy, ctx, index, status, e) {
+            let group = self.group(started, e.cei);
+            self.heaps[group].push(std::cmp::Reverse(copy));
+        }
+    }
+
+    /// Scores every live entry of CEI `id` into its group's heap.
+    #[allow(clippy::too_many_arguments)]
+    fn push_cei(
+        &mut self,
+        instance: &Instance,
+        policy: &dyn Policy,
+        ctx: &PolicyContext<'_>,
+        index: &ShardSet,
+        status: &[Status],
+        started: &[bool],
+        id: CeiId,
+    ) {
+        for idx in 0..instance.cei(id).size() {
+            let e = PoolEntry {
+                cei: id,
+                ei_idx: idx as u16,
+            };
+            self.push_live(instance, policy, ctx, index, status, started, e);
+        }
+    }
+
+    /// Pops `group`'s minimum current copy whose resource is selectable
+    /// now, dropping dead, stale and wrong-group copies and setting aside
+    /// blocked or unaffordable ones until the chronon's end. Each pop
+    /// counts as one selection step.
+    #[allow(clippy::too_many_arguments)]
+    fn pop(
+        &mut self,
+        group: usize,
+        instance: &Instance,
+        index: &ShardSet,
+        status: &[Status],
+        started: &[bool],
+        blocked: &[bool],
+        remaining_budget: u32,
+        steps: &mut u64,
+    ) -> Option<KeyedCopy> {
+        while let Some(std::cmp::Reverse(copy)) = self.heaps[group].pop() {
+            *steps += 1;
+            if !self.is_current(group, copy, instance, index, status, started) {
+                continue;
+            }
+            let resource = instance.cei(CeiId(copy.1)).eis[copy.2 as usize].resource;
+            if blocked[resource.index()] || instance.costs.of(resource) > remaining_budget {
+                // Blocks and the remaining budget only tighten within a
+                // chronon, so the entry stays unselectable until its end.
+                self.skipped.push((group, copy));
+                continue;
+            }
+            return Some(copy);
+        }
+        None
+    }
+
+    /// Returns a selected copy whose probe failed: its entry is still live
+    /// at the same score, and selectable again this chronon unless its
+    /// resource is now `blocked`.
+    fn put_back(&mut self, group: usize, copy: KeyedCopy, blocked: bool) {
+        if blocked {
+            self.skipped.push((group, copy));
+        } else {
+            self.heaps[group].push(std::cmp::Reverse(copy));
+        }
+    }
+
+    /// End of chronon: skipped copies that are still current rejoin their
+    /// heaps.
+    fn requeue_skipped(
+        &mut self,
+        instance: &Instance,
+        index: &ShardSet,
+        status: &[Status],
+        started: &[bool],
+    ) {
+        let mut skipped = std::mem::take(&mut self.skipped);
+        for (group, copy) in skipped.drain(..) {
+            if self.is_current(group, copy, instance, index, status, started) {
+                self.heaps[group].push(std::cmp::Reverse(copy));
+            }
+        }
+        self.skipped = skipped;
+    }
+
+    /// Whether dead, stale and wrong-group copies have outgrown a pool of
+    /// `live` entries, so a [`rebuild`](Self::rebuild) pays for itself.
+    fn needs_rebuild(&self, live: u32) -> bool {
+        let copies: usize = self
+            .heaps
+            .iter()
+            .map(std::collections::BinaryHeap::len)
+            .sum();
+        copies > 2 * live as usize + Self::SLACK
+    }
+
+    /// Rebuilds every heap from the pool, one current copy per live entry,
+    /// reusing the heaps' storage. Runs on resume, and at a chronon
+    /// boundary (when `skipped` is empty) once garbage outgrows the pool.
+    #[allow(clippy::too_many_arguments)]
+    fn rebuild(
+        &mut self,
+        instance: &Instance,
+        policy: &dyn Policy,
+        ctx: &PolicyContext<'_>,
+        index: &ShardSet,
+        status: &[Status],
+        started: &[bool],
+    ) {
+        let mut groups: Vec<Vec<std::cmp::Reverse<KeyedCopy>>> = self
+            .heaps
+            .iter_mut()
+            .map(|heap| {
+                let mut copies = std::mem::take(heap).into_vec();
+                copies.clear();
+                copies
+            })
+            .collect();
+        for r in 0..instance.n_resources as usize {
+            for &e in index.entries(r) {
+                if let Some(copy) = Self::copy_of(instance, policy, ctx, index, status, e) {
+                    groups[self.group(started, e.cei)].push(std::cmp::Reverse(copy));
+                }
+            }
+        }
+        self.heaps = groups
+            .into_iter()
+            .map(std::collections::BinaryHeap::from)
+            .collect();
+    }
 }
 
 /// Marks every live pool EI on `resource` as captured by the probe at
@@ -1907,8 +2238,8 @@ mod tests {
         use crate::obs::JsonlTraceObserver;
         use crate::policy::MEdf;
         // The contract is stronger than schedule equality: the full event
-        // stream — including per-probe fan-outs, candidate-set sizes, and
-        // heap pop counts — must be byte-identical to the legacy heap's.
+        // stream — including per-probe fan-outs and candidate-set sizes —
+        // must be byte-identical to the legacy heap's.
         let inst = contended_instance();
         for policy in [&SEdf as &dyn Policy, &Mrsf, &MEdf] {
             for base in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
@@ -2323,6 +2654,266 @@ mod tests {
                 assert_eq!(inc.schedule, scan.schedule, "{}", policy.name());
                 assert_eq!(inc.stats, scan.stats, "{}", policy.name());
                 assert_eq!(inc.outcomes, scan.outcomes, "{}", policy.name());
+            }
+        }
+    }
+
+    /// Runs `policy` under `config` with the default selector and with
+    /// `Scan`, asserts the two agree, and returns the default run.
+    fn run_like_scan(
+        inst: &Instance,
+        policy: &dyn Policy,
+        config: EngineConfig,
+        faults: impl Fn() -> Box<dyn FaultModel>,
+        fault_config: FaultConfig,
+    ) -> RunResult {
+        let run = |config: EngineConfig| {
+            let mut model = faults();
+            OnlineEngine::run_faulted(
+                inst,
+                policy,
+                config,
+                &mut model.as_mut(),
+                fault_config,
+                &mut NoopObserver,
+            )
+        };
+        let (incr, scan) = (run(config), run(config.with_scan()));
+        assert_eq!(
+            incr.schedule,
+            scan.schedule,
+            "{}: schedules diverge",
+            policy.name()
+        );
+        assert_eq!(incr.stats, scan.stats);
+        assert_eq!(incr.outcomes, scan.outcomes);
+        incr
+    }
+
+    fn no_faults() -> Box<dyn FaultModel> {
+        Box::new(NoFaults)
+    }
+
+    #[test]
+    fn first_capture_without_open_siblings_joins_cands_plus_later() {
+        // CEI A's first capture lands at chronon 0, its only open window;
+        // its second window opens at 5, when CEI B (lower id, equal MRSF
+        // score) competes for the single probe. NP must serve A as a
+        // started CEI; putting A among the new CEIs would pick B instead.
+        let mut b = InstanceBuilder::new(3, 8, Budget::Uniform(1));
+        let pb = b.profile();
+        b.cei(pb, &[(2, 5, 5)]); // B: id 0, MRSF 1 - 0
+        let pa = b.profile();
+        b.cei(pa, &[(0, 0, 0), (1, 5, 6)]); // A: id 1, MRSF 2 - 1 at t = 5
+        let inst = b.build();
+        for policy in [&Mrsf as &dyn Policy, &crate::policy::MrsfExact] {
+            let r = run_like_scan(
+                &inst,
+                policy,
+                EngineConfig::non_preemptive(),
+                no_faults,
+                FaultConfig::default(),
+            );
+            assert_eq!(r.outcomes[1], CeiOutcome::Captured { at: 5 });
+            assert_eq!(r.outcomes[0], CeiOutcome::Failed { at: 5 });
+        }
+    }
+
+    /// Fails every probe at chronon `at`, succeeds otherwise.
+    struct FailAt(Chronon);
+
+    impl FaultModel for FailAt {
+        fn begin_chronon(&mut self, _t: Chronon) {}
+        fn down_until(&self, _resource: ResourceId) -> Option<Chronon> {
+            None
+        }
+        fn probe_succeeds(&mut self, t: Chronon, _resource: ResourceId, _attempt: u32) -> bool {
+            t != self.0
+        }
+    }
+
+    #[test]
+    fn skipped_entries_are_selectable_the_next_chronon() {
+        use crate::fault::Backoff;
+        use crate::model::ProbeCosts;
+        // Backing off: the chronon-0 probe fails and blocks r0 through
+        // chronon 1, so the entry is skipped there and probed at 2.
+        let mut b = InstanceBuilder::new(1, 6, Budget::Uniform(1));
+        let p = b.profile();
+        b.cei(p, &[(0, 0, 5)]);
+        let inst = b.build();
+        let backoff = FaultConfig::charged().with_backoff(Backoff::new(2, 8));
+        for config in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
+            let r = run_like_scan(&inst, &Mrsf, config, || Box::new(FailAt(0)), backoff);
+            assert_eq!(r.outcomes[0], CeiOutcome::Captured { at: 2 });
+        }
+
+        // Unaffordable: r0 costs 2 and chronon 0 has budget 1, so the entry
+        // is skipped at 0 and probed at 1.
+        let mut b = InstanceBuilder::new(2, 4, Budget::PerChronon(vec![1, 2, 2, 2]));
+        let p = b.profile();
+        b.cei(p, &[(0, 0, 3)]);
+        let inst = b.build().with_costs(ProbeCosts::per_resource(vec![2, 1]));
+        for config in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
+            let r = run_like_scan(&inst, &Mrsf, config, no_faults, FaultConfig::default());
+            assert_eq!(r.outcomes[0], CeiOutcome::Captured { at: 1 });
+        }
+    }
+
+    /// Forwards to `inner`, counting `score` calls; `score_dynamics` is
+    /// forwarded only when `forward` is set.
+    struct Counting<'a> {
+        inner: &'a dyn Policy,
+        forward: bool,
+        calls: std::sync::atomic::AtomicU64,
+    }
+
+    impl<'a> Counting<'a> {
+        fn new(inner: &'a dyn Policy, forward: bool) -> Self {
+            Counting {
+                inner,
+                forward,
+                calls: std::sync::atomic::AtomicU64::new(0),
+            }
+        }
+
+        fn calls(&self) -> u64 {
+            self.calls.load(std::sync::atomic::Ordering::Relaxed)
+        }
+    }
+
+    impl Policy for Counting<'_> {
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn score(&self, ctx: &PolicyContext<'_>, cand: &Candidate<'_>) -> i64 {
+            self.calls
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            self.inner.score(ctx, cand)
+        }
+        fn stable_scores(&self) -> bool {
+            self.inner.stable_scores()
+        }
+        fn score_dynamics(&self) -> ScoreDynamics {
+            if self.forward {
+                self.inner.score_dynamics()
+            } else {
+                ScoreDynamics::Reseeded
+            }
+        }
+    }
+
+    /// Deterministic multi-EI CEIs with long windows: the live pool is
+    /// many times the windows opening per chronon.
+    fn long_window_instance(n_ceis: u32, max_eis: u32, window: u32) -> Instance {
+        let (n_res, horizon) = (40u32, 120);
+        let mut b = InstanceBuilder::new(n_res, horizon, Budget::Uniform(1));
+        let p = b.profile();
+        let mut x: u64 = 0x9E37_79B9;
+        let mut next = |m: u32| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % u64::from(m)) as u32
+        };
+        for _ in 0..n_ceis {
+            let eis: Vec<(u32, Chronon, Chronon)> = (0..=next(max_eis))
+                .map(|_| {
+                    let start = next(horizon - 1);
+                    (next(n_res), start, (start + window).min(horizon - 1))
+                })
+                .collect();
+            b.cei(p, &eis);
+        }
+        b.build()
+    }
+
+    #[test]
+    fn state_keyed_policies_skip_the_per_phase_reseed() {
+        // A wrapper that hides the policy's dynamics falls back to the
+        // reseeded path: the keyed path must score under half as often,
+        // with the identical schedule.
+        let inst = long_window_instance(300, 3, 20);
+        for config in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
+            let keyed = Counting::new(&Mrsf, true);
+            let reseeded = Counting::new(&Mrsf, false);
+            let a = OnlineEngine::run(&inst, &keyed, config);
+            let b = OnlineEngine::run(&inst, &reseeded, config);
+            assert_eq!(a.schedule, b.schedule, "{config:?}");
+            assert_eq!(a.stats, b.stats, "{config:?}");
+            assert_eq!(a.outcomes, b.outcomes, "{config:?}");
+            assert!(
+                2 * keyed.calls() < reseeded.calls(),
+                "{config:?}: keyed {} vs reseeded {} score calls",
+                keyed.calls(),
+                reseeded.calls()
+            );
+        }
+    }
+
+    #[test]
+    fn keyed_queue_rebuilt_from_garbage_matches_scan() {
+        // Single-EI CEIs are never re-scored by a sibling capture, so every
+        // score call past one per window is a rebuild. Thousands of short
+        // windows expire unprobed and leave their copies behind as garbage.
+        let inst = long_window_instance(12_000, 1, 2);
+        for config in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
+            let counting = Counting::new(&Mrsf, true);
+            let r = OnlineEngine::run(&inst, &counting, config);
+            let scan = OnlineEngine::run(&inst, &Mrsf, config.with_scan());
+            assert_eq!(r.schedule, scan.schedule, "{config:?}");
+            assert_eq!(r.outcomes, scan.outcomes, "{config:?}");
+            assert!(
+                counting.calls() > inst.total_eis() as u64,
+                "{config:?}: the queue was never rebuilt"
+            );
+        }
+    }
+
+    #[test]
+    fn state_keyed_policies_ignore_the_policy_context() {
+        use crate::policy::test_util::{ei, score_of, CtxData};
+        use crate::policy::{
+            MEdfAbsoluteDeadline, MrsfExact, RandomPolicy, RoundRobin, UtilityWeighted, Wic,
+        };
+        let policies: Vec<Box<dyn Policy>> = vec![
+            Box::new(SEdf),
+            Box::new(Mrsf),
+            Box::new(MrsfExact),
+            Box::new(MEdf),
+            Box::new(MEdfAbsoluteDeadline),
+            Box::new(Wic::paper()),
+            Box::new(RoundRobin),
+            Box::new(RandomPolicy::new(7)),
+            Box::new(UtilityWeighted::new(Mrsf, "U-MRSF")),
+            Box::new(UtilityWeighted::new(MrsfExact, "U-MRSF-Exact")),
+            Box::new(UtilityWeighted::new(SEdf, "U-S-EDF")),
+        ];
+        let keyed: Vec<&dyn Policy> = policies
+            .iter()
+            .map(AsRef::as_ref)
+            .filter(|p| p.score_dynamics() == ScoreDynamics::StateKeyed)
+            .collect();
+        let names: Vec<&str> = keyed.iter().map(|p| p.name()).collect();
+        assert_eq!(names, ["MRSF", "MRSF-Exact", "U-MRSF", "U-MRSF-Exact"]);
+
+        let eis = vec![ei(0, 2, 9), ei(1, 4, 12), ei(2, 0, 20)];
+        let mut contexts = [CtxData::new(4, 3), CtxData::new(9, 3)];
+        contexts[1].active = vec![7, 0, 3];
+        contexts[1].updates = vec![true, false, true];
+        for policy in keyed {
+            for captured in [[false; 3], [true, false, false], [false, true, true]] {
+                for idx in (0..3).filter(|&i| !captured[i]) {
+                    let scores: Vec<i64> = contexts
+                        .iter()
+                        .map(|c| score_of(policy, &c.ctx(), &eis, &captured, idx, 4))
+                        .collect();
+                    assert!(
+                        scores.windows(2).all(|w| w[0] == w[1]),
+                        "{}: {scores:?}",
+                        policy.name()
+                    );
+                }
             }
         }
     }

@@ -137,8 +137,6 @@ pub struct RunMetrics {
     pub exhausted_chronons: u64,
     /// Live candidates left waiting, summed over exhausted chronons.
     pub deferred_candidates: u64,
-    /// Candidate-selection steps: lazy-heap pops or argmin pool scans.
-    pub selection_steps: u64,
     /// Live candidate-pool size, sampled once per chronon.
     pub candidate_set: Histogram,
     /// Capture latency (chronons from window open to capture) per EI.
@@ -211,7 +209,6 @@ impl Default for RunMetrics {
             ceis_expired: 0,
             exhausted_chronons: 0,
             deferred_candidates: 0,
-            selection_steps: 0,
             candidate_set: Histogram::pow2(4096),
             capture_latency: Histogram::pow2(256),
             probe_fanout: Histogram::pow2(32),
@@ -245,7 +242,6 @@ impl RunMetrics {
         self.ceis_expired += other.ceis_expired;
         self.exhausted_chronons += other.exhausted_chronons;
         self.deferred_candidates += other.deferred_candidates;
-        self.selection_steps += other.selection_steps;
         self.candidate_set.merge(&other.candidate_set);
         self.capture_latency.merge(&other.capture_latency);
         self.probe_fanout.merge(&other.probe_fanout);
@@ -370,11 +366,8 @@ impl Observer for MetricsObserver {
                 m.chronons += 1;
                 m.budget_available += u64::from(budget);
             }
-            Event::CandidateSet {
-                size, heap_pops, ..
-            } => {
+            Event::CandidateSet { size, .. } => {
                 m.candidate_set.observe(u64::from(size));
-                m.selection_steps += u64::from(heap_pops);
             }
             Event::ProbeIssued {
                 cost, shared_eis, ..
@@ -479,11 +472,7 @@ mod tests {
     fn observer_aggregates_an_event_stream() {
         let mut o = MetricsObserver::new();
         o.on_event(Event::ChrononStart { t: 0, budget: 2 });
-        o.on_event(Event::CandidateSet {
-            t: 0,
-            size: 3,
-            heap_pops: 4,
-        });
+        o.on_event(Event::CandidateSet { t: 0, size: 3 });
         o.on_event(Event::ProbeIssued {
             t: 0,
             resource: ResourceId(1),
@@ -518,7 +507,7 @@ mod tests {
         assert_eq!(m.ceis_completed, 1);
         assert_eq!(m.exhausted_chronons, 1);
         assert_eq!(m.deferred_candidates, 1);
-        assert_eq!(m.selection_steps, 4);
+        assert_eq!(m.candidate_set.sum, 3);
         assert_eq!(m.capture_latency.count, 2);
         assert_eq!(m.capture_latency.sum, 3);
         assert_eq!(m.probe_fanout.sum, 2);

@@ -41,8 +41,7 @@
 //!    one [`Event::ProbeFailed`] (the fault model rejected the probe;
 //!    failed probes never capture);
 //! 5. one [`Event::CandidateSet`] — the live candidate-EI pool the
-//!    chronon's `probeEIs` competed over, plus how many selection steps
-//!    (heap pops or full scans) it performed;
+//!    chronon's `probeEIs` competed over;
 //! 6. at most one [`Event::BudgetExhausted`] — live candidates were left
 //!    unserved when the budget ran out (or nothing affordable remained);
 //! 7. zero or more [`Event::CeiExpired`] — CEIs doomed by this chronon's
@@ -90,10 +89,6 @@ pub enum Event {
         t: Chronon,
         /// Live candidate EIs competing for this chronon's budget.
         size: u32,
-        /// Selection steps performed: lazy-heap pops under
-        /// [`SelectionStrategy::LazyHeap`](crate::engine::SelectionStrategy),
-        /// full-pool argmin scans under `Scan`.
-        heap_pops: u32,
     },
     /// The engine probed a resource.
     ProbeIssued {

@@ -116,6 +116,29 @@ pub trait Policy: Sync {
     fn stable_scores(&self) -> bool {
         true
     }
+
+    /// When this policy's scores change — what the default `Incremental`
+    /// selector may cache across chronons. [`ScoreDynamics::Reseeded`]
+    /// (the default) is always correct.
+    fn score_dynamics(&self) -> ScoreDynamics {
+        ScoreDynamics::Reseeded
+    }
+}
+
+/// How a policy's scores evolve, declared by [`Policy::score_dynamics`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScoreDynamics {
+    /// Scores may depend on anything a candidate or [`PolicyContext`]
+    /// exposes — the clock, resource occupancy, update flags — so the
+    /// selector re-scores every live candidate in every selection phase.
+    Reseeded,
+    /// The score reads only the candidate's static fields and its parent
+    /// CEI's capture state (`captured` / `n_captured`), never the
+    /// [`PolicyContext`]: a candidate's score changes only when a sibling
+    /// EI is captured. The selector then scores each candidate once when
+    /// its window opens and again after each sibling capture, and keeps
+    /// one persistent queue across chronons.
+    StateKeyed,
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! Minimal Residual Stub First (MRSF).
 
-use super::{Candidate, Policy, PolicyContext};
+use super::{Candidate, Policy, PolicyContext, ScoreDynamics};
 
 /// **MRSF** — the rank-level representative: prefer EIs whose parent CEI has
 /// the fewest EIs left to capture,
@@ -27,6 +27,10 @@ impl Policy for Mrsf {
     fn score(&self, _ctx: &PolicyContext<'_>, cand: &Candidate<'_>) -> i64 {
         i64::from(cand.cei.profile_rank) - i64::from(cand.cei.n_captured)
     }
+
+    fn score_dynamics(&self) -> ScoreDynamics {
+        ScoreDynamics::StateKeyed
+    }
 }
 
 /// Ablation variant of [`Mrsf`] scoring the *exact* residual
@@ -46,6 +50,10 @@ impl Policy for MrsfExact {
     #[inline]
     fn score(&self, _ctx: &PolicyContext<'_>, cand: &Candidate<'_>) -> i64 {
         i64::from(cand.cei.required) - i64::from(cand.cei.n_captured)
+    }
+
+    fn score_dynamics(&self) -> ScoreDynamics {
+        ScoreDynamics::StateKeyed
     }
 }
 

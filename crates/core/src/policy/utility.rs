@@ -2,7 +2,7 @@
 //! Section VII ("such utilities can further help to construct better
 //! prioritized policies").
 
-use super::{Candidate, Policy, PolicyContext};
+use super::{Candidate, Policy, PolicyContext, ScoreDynamics};
 
 /// Fixed-point scale applied before dividing by the weight, so fractional
 /// priorities survive the integer score.
@@ -12,6 +12,11 @@ const SCALE: f64 = 64.0;
 /// utility weight: a CEI worth `2×` is served as if its base priority were
 /// twice as urgent. With unit weights the wrapped policy's *ordering* is
 /// unchanged (scores are scaled by a constant).
+///
+/// The weight is a static CEI field, so the wrapper inherits the inner
+/// policy's contracts: [`stable_scores`](Policy::stable_scores),
+/// [`score_dynamics`](Policy::score_dynamics), and the parameters in
+/// [`spec`](Policy::spec).
 ///
 /// ```
 /// use webmon_core::policy::{Mrsf, UtilityWeighted};
@@ -35,9 +40,21 @@ impl<P: Policy> Policy for UtilityWeighted<P> {
         self.label
     }
 
+    fn spec(&self) -> String {
+        format!("{}({})", self.label, self.inner.spec())
+    }
+
     fn score(&self, ctx: &PolicyContext<'_>, cand: &Candidate<'_>) -> i64 {
         let base = self.inner.score(ctx, cand) as f64;
         (base * SCALE / f64::from(cand.cei.weight)).round() as i64
+    }
+
+    fn stable_scores(&self) -> bool {
+        self.inner.stable_scores()
+    }
+
+    fn score_dynamics(&self) -> ScoreDynamics {
+        self.inner.score_dynamics()
     }
 }
 
@@ -45,7 +62,7 @@ impl<P: Policy> Policy for UtilityWeighted<P> {
 mod tests {
     use super::*;
     use crate::policy::test_util::*;
-    use crate::policy::{CeiView, Mrsf, SEdf};
+    use crate::policy::{CeiView, Mrsf, RandomPolicy, SEdf};
 
     fn weighted_score(policy: &dyn Policy, eis: &[crate::model::Ei], weight: f32, now: u32) -> i64 {
         let captured = vec![false; eis.len()];
@@ -93,5 +110,26 @@ mod tests {
     fn label_is_reported() {
         let p = UtilityWeighted::new(SEdf, "U-S-EDF");
         assert_eq!(p.name(), "U-S-EDF");
+    }
+
+    #[test]
+    fn wrapper_forwards_the_inner_contracts() {
+        // An unstable inner policy must stay unstable behind the wrapper,
+        // or the heap selectors' stale re-push loop never terminates.
+        let random = UtilityWeighted::new(RandomPolicy::new(7), "U");
+        assert!(!random.stable_scores());
+        assert_eq!(random.score_dynamics(), ScoreDynamics::Reseeded);
+        // Differently seeded inner policies must not share a fingerprint.
+        assert_ne!(
+            random.spec(),
+            UtilityWeighted::new(RandomPolicy::new(8), "U").spec()
+        );
+        let mrsf = UtilityWeighted::new(Mrsf, "U-MRSF");
+        assert!(mrsf.stable_scores());
+        assert_eq!(mrsf.score_dynamics(), ScoreDynamics::StateKeyed);
+        assert_eq!(
+            UtilityWeighted::new(SEdf, "U-S-EDF").score_dynamics(),
+            ScoreDynamics::Reseeded
+        );
     }
 }

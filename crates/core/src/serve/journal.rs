@@ -60,7 +60,9 @@ use std::sync::{Arc, Mutex};
 use webmon_streams::record::{parse_record, write_record, RecordError};
 
 /// Journal format version; bumped on any incompatible record change.
-pub const JOURNAL_VERSION: u32 = 1;
+/// Version 2 dropped the selection-step count from `CandidateSet` frame
+/// lines.
+pub const JOURNAL_VERSION: u32 = 2;
 
 /// The journal file name inside a `--journal-dir`.
 pub const JOURNAL_FILE: &str = "run.journal";
@@ -164,6 +166,15 @@ pub enum JournalError {
     },
     /// The file has no (valid) header record.
     MissingHeader,
+    /// The snapshot recovery would restore does not fit the instance being
+    /// served ([`EngineSnapshot::validate`]): the journal passed its
+    /// checksums and fingerprint but describes another run's state.
+    SnapshotMismatch {
+        /// The snapshot's boundary chronon.
+        at: Chronon,
+        /// What disagrees.
+        detail: String,
+    },
     /// Replay consumed the journal differently than the recording — the
     /// engine attempted more (or fewer) probes in a replayed chronon than
     /// the frame recorded. The journal describes a different run; the
@@ -190,6 +201,10 @@ impl fmt::Display for JournalError {
                 "journal fingerprint '{found}' does not match the serve configuration '{expected}'"
             ),
             JournalError::MissingHeader => write!(f, "journal has no valid header record"),
+            JournalError::SnapshotMismatch { at, detail } => write!(
+                f,
+                "journal snapshot at chronon {at} does not fit the served instance: {detail}"
+            ),
             JournalError::ReplayDivergence { detail } => {
                 write!(f, "journal replay diverged from the recording: {detail}")
             }

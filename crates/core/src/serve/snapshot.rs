@@ -22,7 +22,7 @@
 //!
 //! [`Event::EiCaptured`]: crate::obs::Event::EiCaptured
 
-use crate::model::{Chronon, Schedule};
+use crate::model::{Chronon, Instance, Schedule};
 use crate::stats::{CeiOutcome, RunStats};
 use serde::{Deserialize, Serialize};
 
@@ -80,6 +80,105 @@ pub struct EngineSnapshot {
     /// Live candidate entries `(cei, ei_idx)` of every per-resource list,
     /// in exact list order — the order shared captures fire in.
     pub index: Vec<Vec<(u32, u16)>>,
+}
+
+impl EngineSnapshot {
+    /// Checks that this snapshot can resume a run over `instance` — every
+    /// length, index and flag the engine restores, so a mismatched or
+    /// hand-edited snapshot is an error here instead of a panic mid-run.
+    /// `faulted` says whether the resuming run has a fault model (its
+    /// per-resource fault bookkeeping is restored only then). Returns what
+    /// disagrees.
+    pub fn validate(&self, instance: &Instance, faulted: bool) -> Result<(), String> {
+        let n_ceis = instance.ceis.len();
+        let n_res = instance.n_resources as usize;
+        let horizon = instance.epoch.len();
+        let lengths = [
+            ("CEI states", self.status.len(), n_ceis),
+            ("CEI outcomes", self.outcomes.len(), n_ceis),
+            ("resource lists", self.index.len(), n_res),
+            (
+                "schedule resources",
+                self.schedule.n_resources() as usize,
+                n_res,
+            ),
+            (
+                "schedule chronons",
+                self.schedule.horizon() as usize,
+                horizon as usize,
+            ),
+        ];
+        for (what, found, expected) in lengths {
+            if found != expected {
+                return Err(format!("{found} {what}, the instance has {expected}"));
+            }
+        }
+        if self.at >= horizon {
+            return Err(format!(
+                "boundary {} is past the horizon {horizon}",
+                self.at
+            ));
+        }
+        if faulted {
+            for (what, found) in [
+                ("outage horizons", self.announced.len()),
+                ("failure streaks", self.consec_failures.len()),
+                ("backoff deadlines", self.next_attempt_at.len()),
+            ] {
+                if found != n_res {
+                    return Err(format!(
+                        "{found} {what}, the instance has {n_res} resources"
+                    ));
+                }
+            }
+        }
+        for (i, state) in self.status.iter().enumerate() {
+            if let CeiState::Active { captured, expired } = state {
+                let size = instance.ceis[i].size();
+                if captured.len() != size || expired.len() != size {
+                    return Err(format!("CEI {i} has {size} EIs but other flag counts"));
+                }
+                if captured.iter().zip(expired).any(|(&c, &e)| c && e) {
+                    return Err(format!("CEI {i} has an EI both captured and expired"));
+                }
+            }
+        }
+        // Every index entry must be a live candidate at the boundary: an
+        // open, uncaptured, unexpired EI of an active CEI, on its own
+        // resource's list, listed once.
+        let mut seen = std::collections::HashSet::new();
+        for (r, entries) in self.index.iter().enumerate() {
+            for &(cei, ei_idx) in entries {
+                let bad = |why: &str| {
+                    Err(format!(
+                        "index entry ({cei}, {ei_idx}) on resource {r} {why}"
+                    ))
+                };
+                let Some(c) = instance.ceis.get(cei as usize) else {
+                    return bad("names no CEI");
+                };
+                let Some(ei) = c.eis.get(usize::from(ei_idx)) else {
+                    return bad("names no EI");
+                };
+                if ei.resource.index() != r {
+                    return bad("is on another resource");
+                }
+                if !(ei.start < self.at && self.at <= ei.end) {
+                    return bad("is not open at the boundary");
+                }
+                let CeiState::Active { captured, expired } = &self.status[cei as usize] else {
+                    return bad("belongs to an inactive CEI");
+                };
+                if captured[usize::from(ei_idx)] || expired[usize::from(ei_idx)] {
+                    return bad("is already captured or expired");
+                }
+                if !seen.insert((cei, ei_idx)) {
+                    return bad("is listed twice");
+                }
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Receives engine snapshots at chronon boundaries.
@@ -180,5 +279,68 @@ mod tests {
         let json = serde_json::to_string(&snap).unwrap();
         let back: EngineSnapshot = serde_json::from_str(&json).unwrap();
         assert_eq!(back, snap);
+    }
+
+    #[test]
+    fn validate_accepts_a_real_snapshot_and_names_each_mismatch() {
+        use crate::engine::{EngineConfig, OnlineEngine, ScriptedMutations};
+        use crate::fault::{FaultConfig, NoFaults};
+        use crate::model::{Budget, InstanceBuilder};
+        use crate::obs::NoopObserver;
+        use crate::policy::Mrsf;
+
+        // CEI 0 takes both probes of chronons 0-1, so CEIs 1 and 2 are
+        // live at boundary 2, and CEI 3 has not arrived.
+        let mut b = InstanceBuilder::new(4, 10, Budget::Uniform(1));
+        let p = b.profile();
+        b.cei(p, &[(0, 0, 6), (1, 1, 8)]);
+        b.cei(p, &[(2, 0, 9)]);
+        b.cei(p, &[(3, 0, 9)]);
+        b.cei(p, &[(0, 2, 3)]);
+        let inst = b.build();
+        let mut sink = CaptureAt::new(vec![2]);
+        OnlineEngine::run_driven_resumable(
+            &inst,
+            &Mrsf,
+            EngineConfig::preemptive(),
+            &mut NoFaults,
+            FaultConfig::default(),
+            &mut ScriptedMutations::default(),
+            &mut NoopObserver,
+            None,
+            &mut sink,
+        );
+        let snap = sink.taken.pop().unwrap();
+        assert_eq!(snap.index, vec![vec![], vec![], vec![(1, 0)], vec![(2, 0)]]);
+        assert_eq!(snap.validate(&inst, false), Ok(()));
+
+        type Corruption = (&'static str, fn(&mut EngineSnapshot));
+        let broken: [Corruption; 9] = [
+            ("CEI states", |s| s.status.push(CeiState::NotArrived)),
+            ("resource lists", |s| s.index.push(Vec::new())),
+            ("past the horizon", |s| s.at = 10),
+            ("names no CEI", |s| s.index[0].push((99, 0))),
+            ("names no EI", |s| s.index[0].push((2, 7))),
+            ("another resource", |s| s.index[1].push((2, 0))),
+            ("listed twice", |s| s.index[2].push((1, 0))),
+            ("inactive CEI", |s| s.status[1] = CeiState::Failed),
+            ("both captured and expired", |s| {
+                for state in &mut s.status {
+                    if let CeiState::Active { captured, expired } = state {
+                        captured[0] = true;
+                        expired[0] = true;
+                    }
+                }
+            }),
+        ];
+        for (want, corrupt) in broken {
+            let mut bad = snap.clone();
+            corrupt(&mut bad);
+            let err = bad.validate(&inst, false).unwrap_err();
+            assert!(err.contains(want), "{want}: {err}");
+        }
+        // A faulted resume needs the per-resource fault bookkeeping.
+        let err = snap.validate(&inst, true).unwrap_err();
+        assert!(err.contains("outage horizons"), "{err}");
     }
 }

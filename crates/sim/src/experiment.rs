@@ -33,6 +33,11 @@ pub struct RepetitionOutcome {
     pub runtime: Duration,
     /// Total EIs in the instance (the paper's runtime normalizer).
     pub n_eis: usize,
+    /// Selection-step telemetry of the run
+    /// ([`RunResult::selection_steps`](webmon_core::RunResult::selection_steps);
+    /// 0 for offline baselines).
+    #[serde(default)]
+    pub selection_steps: u64,
 }
 
 impl RepetitionOutcome {
@@ -267,6 +272,7 @@ impl Experiment {
                 metrics: observer.finish(),
                 runtime,
                 n_eis: w.n_eis(),
+                selection_steps: result.selection_steps,
             }
         });
         PolicyAggregate::from_outcomes(spec.label(), outcomes)
@@ -307,6 +313,7 @@ impl Experiment {
                 metrics: observer.finish(),
                 runtime,
                 n_eis: w.n_eis(),
+                selection_steps: result.selection_steps,
             }
         });
         PolicyAggregate::from_outcomes(spec.label(), outcomes)
@@ -375,6 +382,7 @@ impl Experiment {
                 metrics: observer.finish(),
                 runtime,
                 n_eis: w.n_eis(),
+                selection_steps: result.selection_steps,
             }
         });
         PolicyAggregate::from_outcomes(spec.label(), outcomes)
@@ -574,6 +582,7 @@ impl Experiment {
                 metrics: RunMetrics::default(),
                 runtime,
                 n_eis: w.n_eis(),
+                selection_steps: 0,
             })
         });
         let mut outcomes = Vec::with_capacity(results.len());

@@ -30,7 +30,8 @@ use webmon_core::obs::{JsonlTraceObserver, MetricsObserver, RunMetrics, Tee};
 use webmon_core::policy::{MEdf, Mrsf, Policy, SEdf, Wic};
 use webmon_core::serve::journal::{scan_journal, JOURNAL_FILE};
 use webmon_core::serve::{
-    CaptureAt, FreeClock, FsyncPolicy, JournalConfig, NoSnapshots, ProbeExecutor, ReplayExecutor,
+    CaptureAt, CeiState, FreeClock, FsyncPolicy, JournalConfig, JournalWriter, NoSnapshots,
+    ProbeExecutor, ReplayExecutor,
 };
 use webmon_streams::{write_record, SimRng};
 use webmon_testkit::corpus::{conformance_cases, small_instance};
@@ -623,6 +624,57 @@ fn same_shape_different_content_is_refused_by_fingerprint() {
         EngineConfig::preemptive(),
     );
     refuse(&bytes, &unchurned, "churn script");
+}
+
+/// A CRC-valid, fingerprint-matching journal whose snapshot does not fit
+/// the instance — a wrong CEI count, or an index entry naming no CEI — is
+/// refused with a structured error before the engine starts, never a panic
+/// inside the restore.
+#[test]
+fn snapshot_that_does_not_fit_the_instance_is_a_structured_error() {
+    let case = simple_case(6);
+    let (_, scan) = completed_journal(&case);
+    let good = scan
+        .snapshots
+        .iter()
+        .find(|s| s.at == SNAPSHOT_EVERY)
+        .expect("horizon ≥ 4 crosses boundary 3");
+    let mut extra_cei = good.clone();
+    extra_cei.status.push(CeiState::NotArrived);
+    let mut out_of_range = good.clone();
+    out_of_range.index[0].push((u32::MAX, 0));
+    for (what, bad) in [
+        ("wrong CEI count", extra_cei),
+        ("out-of-range index entry", out_of_range),
+    ] {
+        let rdir = temp_dir("bad-snapshot");
+        let path = rdir.join(JOURNAL_FILE);
+        let mut w = JournalWriter::create(&path, FsyncPolicy::Os, &scan.fingerprint).unwrap();
+        for f in &scan.frames[..SNAPSHOT_EVERY as usize] {
+            w.frame(f.t, f.drained_seq, &f.lines);
+        }
+        w.snapshot(&bad);
+        w.finish();
+        assert!(w.errors().is_empty(), "{what}: {:?}", w.errors());
+        assert_eq!(scan_journal(&path).unwrap().snapshots, vec![bad]);
+
+        let opts = ServeOptions {
+            trace_out: None,
+            journal: Some(journal_config(&rdir)),
+            recover: true,
+            resync_executor: true,
+        };
+        let err = Daemon::bind("127.0.0.1:0")
+            .unwrap()
+            .run_with(case.session(), case.executor(), |_| FreeClock, opts)
+            .unwrap_err();
+        assert!(
+            err.to_string()
+                .contains("snapshot at chronon 3 does not fit"),
+            "{what}: {err}"
+        );
+        std::fs::remove_dir_all(&rdir).ok();
+    }
 }
 
 /// An empty journal file (zero bytes — creat() succeeded, nothing was

@@ -3,14 +3,15 @@
 //! The PR-5 engine refactor replaced the per-phase `BinaryHeap` +
 //! `HashMap<u32, Vec<PoolEntry>>` rebuilds of the `LazyHeap` selector with
 //! the engine-owned incremental candidate index
-//! ([`SelectionStrategy::Incremental`], the new default). The optimization
-//! must be *observationally invisible*: over the whole conformance corpus,
-//! in every policy × mode cell, `Incremental` must reproduce the
-//! pre-refactor `LazyHeap` output **bit for bit** — the schedule, the
-//! `RunStats`/outcomes, the merged `RunMetrics` (including `heap_pops`
-//! inside `CandidateSet` events), and the raw JSONL trace bytes — and the
-//! `Scan` reference must agree on everything except the selection-step
-//! accounting that heap selectors add to the trace.
+//! ([`SelectionStrategy::Incremental`], the default), and state-keyed
+//! policies (MRSF) now select through a persistent queue kept across
+//! chronons. The optimizations must be *observationally invisible*: over
+//! the whole conformance corpus, in every policy × mode cell,
+//! `Incremental` must reproduce both the pre-refactor `LazyHeap` output
+//! and the `Scan` reference **bit for bit** — the schedule, the
+//! `RunStats`/outcomes, the merged `RunMetrics`, and the raw JSONL trace
+//! bytes. Selection-step counts are per-strategy telemetry
+//! (`RunResult::selection_steps`) outside that contract.
 //!
 //! The identity is also pinned under parallel execution (jobs 1 vs 4) and
 //! under fault injection at a nonzero failure rate, so neither the worker
@@ -24,10 +25,10 @@
 //! an instance large enough to force the threaded shard dispatch path.
 
 use webmon_core::engine::{EngineConfig, MutationQueue, OnlineEngine, SelectionStrategy};
-use webmon_core::fault::{FaultConfig, IidFaults, NoFaults};
+use webmon_core::fault::{Backoff, FaultConfig, IidFaults, NoFaults};
 use webmon_core::model::{Budget, Chronon, Instance, InstanceBuilder};
 use webmon_core::obs::{JsonlTraceObserver, MetricsObserver, RunMetrics, Tee};
-use webmon_core::policy::{MEdf, Mrsf, Policy, SEdf, Wic};
+use webmon_core::policy::{MEdf, Mrsf, MrsfExact, Policy, SEdf, UtilityWeighted, Wic};
 use webmon_core::RunResult;
 use webmon_sim::parallel::par_map_with;
 use webmon_streams::SimRng;
@@ -78,19 +79,24 @@ fn observed_faulted(
     rate: f64,
     seed: u64,
 ) -> (RunResult, RunMetrics, Vec<u8>) {
+    observed_faulted_with(instance, policy, config, rate, seed, FaultConfig::charged())
+}
+
+/// Same, under an explicit fault configuration.
+fn observed_faulted_with(
+    instance: &Instance,
+    policy: &dyn Policy,
+    config: EngineConfig,
+    rate: f64,
+    seed: u64,
+    fault_config: FaultConfig,
+) -> (RunResult, RunMetrics, Vec<u8>) {
     let mut metrics = MetricsObserver::new();
     let mut trace = JsonlTraceObserver::new(Vec::new());
     let mut model = IidFaults::new(rate, seed);
     let result = {
         let mut tee = Tee(&mut metrics, &mut trace);
-        OnlineEngine::run_faulted(
-            instance,
-            policy,
-            config,
-            &mut model,
-            FaultConfig::charged(),
-            &mut tee,
-        )
+        OnlineEngine::run_faulted(instance, policy, config, &mut model, fault_config, &mut tee)
     };
     assert_eq!(trace.write_errors(), 0);
     let bytes = trace.finish().expect("Vec<u8> sink cannot fail");
@@ -129,25 +135,88 @@ fn incremental_is_bit_identical_to_lazy_heap_on_the_corpus() {
     }
 }
 
-/// The `Scan` reference agrees with `Incremental` on every semantic output
-/// (schedule, stats, outcomes). Trace bytes differ only in the selection
-/// accounting (`heap_pops`), so they are not compared here — the
-/// heap-selector trace identity is pinned against `LazyHeap` above.
+/// The `Scan` grid: the paper policies plus every state-keyed variant, so
+/// both `Incremental` data structures (per-phase reseed and the persistent
+/// keyed queue) face the reference.
+fn scan_grid() -> Vec<(&'static str, Box<dyn Policy>)> {
+    let mut grid: Vec<(&'static str, Box<dyn Policy>)> = policies().into_iter().collect();
+    grid.push(("MRSF-Exact", Box::new(MrsfExact)));
+    grid.push(("U-MRSF", Box::new(UtilityWeighted::new(Mrsf, "U-MRSF"))));
+    grid
+}
+
+/// The `Scan` reference and `Incremental` agree bit for bit: schedule,
+/// stats, outcomes, `RunMetrics`, and JSONL trace bytes.
 #[test]
 fn incremental_matches_scan_semantics_on_the_corpus() {
     for seed in 0..conformance_cases() {
         let instance = small_instance(seed, false);
-        for (name, policy) in &policies() {
+        for (name, policy) in &scan_grid() {
             for (scan, incr) in configs(SelectionStrategy::Scan)
                 .into_iter()
                 .zip(configs(SelectionStrategy::Incremental))
             {
-                let a = OnlineEngine::run(&instance, policy.as_ref(), scan);
-                let b = OnlineEngine::run(&instance, policy.as_ref(), incr);
-                let label = format!("seed {seed}: {name} {}", scan.label());
-                assert_eq!(a.schedule, b.schedule, "{label}: schedule");
-                assert_eq!(a.stats, b.stats, "{label}: stats");
-                assert_eq!(a.outcomes, b.outcomes, "{label}: outcomes");
+                let a = observed(&instance, policy.as_ref(), scan);
+                let b = observed(&instance, policy.as_ref(), incr);
+                assert_identical(&format!("seed {seed}: {name} {}", scan.label()), &a, &b);
+            }
+        }
+    }
+}
+
+/// The `Scan` identity under charged iid faults with backoff: failed
+/// probes are pushed back, and entries on backed-off resources are skipped
+/// for the chronon and must be selectable again once the backoff ends.
+#[test]
+fn incremental_matches_scan_under_faults_with_backoff() {
+    let fault_config = FaultConfig::charged().with_backoff(Backoff::new(1, 8));
+    for seed in 0..conformance_cases() {
+        let instance = small_instance(seed, false);
+        for (name, policy) in &scan_grid() {
+            for (scan, incr) in configs(SelectionStrategy::Scan)
+                .into_iter()
+                .zip(configs(SelectionStrategy::Incremental))
+            {
+                let run = |config| {
+                    observed_faulted_with(
+                        &instance,
+                        policy.as_ref(),
+                        config,
+                        0.3,
+                        seed,
+                        fault_config,
+                    )
+                };
+                assert_identical(
+                    &format!("seed {seed}: {name} {} rate 0.3 backoff", scan.label()),
+                    &run(scan),
+                    &run(incr),
+                );
+            }
+        }
+    }
+}
+
+/// The `Scan` identity under profile churn: registrations bring open
+/// windows into the pool mid-run, and cancellations kill queued entries.
+#[test]
+fn incremental_matches_scan_under_churn() {
+    let churn = ChurnConfig::new(0.5, 0.4)
+        .with_alpha(0.8)
+        .with_reconfigurations(1);
+    for seed in 0..conformance_cases() {
+        let instance = small_instance(seed, true);
+        let mutations = overlay(&instance, &churn, &SimRng::new(seed));
+        for (name, policy) in &scan_grid() {
+            for (scan, incr) in configs(SelectionStrategy::Scan)
+                .into_iter()
+                .zip(configs(SelectionStrategy::Incremental))
+            {
+                assert_identical(
+                    &format!("seed {seed}: {name} {} churned", scan.label()),
+                    &observed_churned(&instance, policy.as_ref(), scan, &mutations),
+                    &observed_churned(&instance, policy.as_ref(), incr, &mutations),
+                );
             }
         }
     }
@@ -180,33 +249,41 @@ fn incremental_matches_lazy_heap_under_faults() {
 }
 
 /// Digest of one strategy's output over a slice of the corpus, computed on
-/// a worker pool: per-case trace bytes and metrics, in case order.
-fn corpus_digest(strategy: SelectionStrategy, jobs: usize, cases: u64) -> Vec<(Vec<u8>, String)> {
+/// a worker pool: per-case trace bytes, metrics, and selection-step
+/// telemetry, in case order.
+fn corpus_digest(
+    strategy: SelectionStrategy,
+    jobs: usize,
+    cases: u64,
+) -> Vec<(Vec<u8>, String, u64)> {
     par_map_with(jobs, (0..cases).collect(), |_, seed| {
         let instance = small_instance(seed, false);
         let mut bytes = Vec::new();
         let mut summary = String::new();
+        let mut steps = 0;
         for (name, policy) in &policies() {
             for config in configs(strategy) {
                 let (result, metrics, trace) = observed(&instance, policy.as_ref(), config);
                 bytes.extend_from_slice(&trace);
+                steps += result.selection_steps;
                 summary.push_str(&format!(
-                    "{name}/{}: probes {} steps {} captured {} pool-max {}\n",
+                    "{name}/{}: probes {} captured {} pool-max {}\n",
                     config.label(),
                     metrics.probes_issued,
-                    metrics.selection_steps,
                     result.stats.ceis_captured,
                     metrics.candidate_set.max,
                 ));
             }
         }
-        (bytes, summary)
+        (bytes, summary, steps)
     })
 }
 
 /// The PR-1 determinism contract extends to the incremental path: the whole
-/// corpus digest (trace bytes + metric counters) is identical on 1 worker
-/// and on 4, and identical between `LazyHeap` and `Incremental`.
+/// corpus digest (trace bytes, metric counters, and selection steps) is
+/// identical on 1 worker and on 4, and the semantic digest is identical
+/// between `LazyHeap` and `Incremental` — selection steps are per-strategy
+/// telemetry.
 #[test]
 fn corpus_digest_is_jobs_invariant_and_strategy_invariant() {
     let cases = conformance_cases().min(60);
@@ -214,7 +291,17 @@ fn corpus_digest_is_jobs_invariant_and_strategy_invariant() {
     let incr_4 = corpus_digest(SelectionStrategy::Incremental, 4, cases);
     assert_eq!(incr_1, incr_4, "jobs 1 vs jobs 4 digests differ");
     let lazy_1 = corpus_digest(SelectionStrategy::LazyHeap, 1, cases);
-    assert_eq!(incr_1, lazy_1, "Incremental vs LazyHeap digests differ");
+    let semantic = |digest: &[(Vec<u8>, String, u64)]| -> Vec<(Vec<u8>, String)> {
+        digest
+            .iter()
+            .map(|(b, s, _)| (b.clone(), s.clone()))
+            .collect()
+    };
+    assert_eq!(
+        semantic(&incr_1),
+        semantic(&lazy_1),
+        "Incremental vs LazyHeap digests differ"
+    );
 }
 
 // ---------------------------------------------------------------------------
@@ -255,9 +342,8 @@ fn observed_churned(
 
 /// Tentpole identity: every sharded run reproduces the serial run bit for
 /// bit over the full corpus — 4 policies × P/NP × shards {2, 4, 7}, on the
-/// default `Incremental` strategy. Schedule, stats, outcomes, `RunMetrics`
-/// (including `heap_pops` inside `CandidateSet` events), and raw JSONL
-/// trace bytes must all match.
+/// default `Incremental` strategy. Schedule, stats, outcomes, `RunMetrics`,
+/// and raw JSONL trace bytes must all match.
 #[test]
 fn sharded_is_bit_identical_to_serial_on_the_corpus() {
     for seed in 0..conformance_cases() {
