@@ -7,8 +7,9 @@
 //! 3. Intra-resource probe sharing (`R_ids`) on vs off.
 //! 4. Offline Local-Ratio: pure scheme vs maximality completion vs
 //!    opportunistic leftover-budget spending.
-//! 5. Candidate selection: reference linear scan vs the lazy heap the
-//!    paper's Appendix B suggests.
+//! 5. Candidate selection: the reference linear scan vs the default
+//!    incremental selector (for MRSF, a persistent queue kept across
+//!    chronons).
 
 use crate::Scale;
 use webmon_core::engine::{EngineConfig, OnlineEngine};
@@ -142,17 +143,21 @@ pub fn run(scale: Scale) -> Vec<Table> {
     );
     out.push(t);
 
-    // 5: candidate selection — reference scan vs the Appendix-B lazy heap.
-    // Pinned to one worker: the µs/EI column is a wall-clock comparison.
+    // 5: candidate selection — reference scan vs the default incremental
+    // selector. Pinned to one worker: the µs/EI column is a wall-clock
+    // comparison.
     let t = serial(|| {
         let exp = Experiment::materialize(selection_config(scale));
         let mut t = Table::with_headers(
-            "Ablation — candidate selection: scan vs lazy heap (Appendix B), MRSF(P)",
+            "Ablation — candidate selection: reference scan vs incremental, MRSF(P)",
             &["strategy", "completeness", "µs/EI"],
         );
         for (label, cfg) in [
-            ("linear scan (reference)", EngineConfig::preemptive()),
-            ("lazy heap", EngineConfig::preemptive().with_lazy_heap()),
+            (
+                "linear scan (reference)",
+                EngineConfig::preemptive().with_scan(),
+            ),
+            ("incremental (default)", EngineConfig::preemptive()),
         ] {
             let mut completeness = Vec::new();
             let mut micros = Vec::new();
@@ -211,8 +216,11 @@ mod tests {
     fn selection_strategies_agree_on_completeness() {
         let tables = run(Scale::Quick);
         let scan: f64 = tables[3].rows[0][1].parse().unwrap();
-        let heap: f64 = tables[3].rows[1][1].parse().unwrap();
-        assert!((scan - heap).abs() < 1e-9, "scan {scan} vs heap {heap}");
+        let incremental: f64 = tables[3].rows[1][1].parse().unwrap();
+        assert!(
+            (scan - incremental).abs() < 1e-9,
+            "scan {scan} vs incremental {incremental}"
+        );
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The engine scaling benchmark: sweeps instance size × policies ×
-//! selection strategies, prints the throughput table, and (optionally)
-//! writes or checks the `BENCH_engine.json` perf baseline.
+//! selection strategies, prints the throughput tables and the policy-cost
+//! `τ(Φ)` table, and (optionally) writes or checks the `BENCH_engine.json`
+//! perf baseline.
 //!
 //! ```text
 //! exp_scale [--quick] [--out PATH] [--check PATH]
@@ -10,14 +11,14 @@
 //! * `--out PATH` — write the fresh report to `PATH` (re-baselining).
 //! * `--check PATH` — gate the fresh report against the baseline at `PATH`;
 //!   exits 1 listing the violations if deterministic counters drifted or an
-//!   incremental-over-lazy-heap speedup regressed by more than 20%.
+//!   incremental-over-scan speedup regressed by more than 20%.
 //! * `--profiles`/`--ranks`/`--horizons`/`--budgets` — override one grid
 //!   axis with an explicit comma-separated ladder; unlisted axes stay at
 //!   the default grid's base point. Using any override replaces the whole
 //!   default grid with the cross product of the given ladders.
 
 use std::process::ExitCode;
-use webmon_bench::scale::{grid, roster, BenchReport, CellDims};
+use webmon_bench::scale::{churn_grid, grid, policy_cost_table, roster, BenchReport, CellDims};
 use webmon_bench::Scale;
 
 fn ladder<T: std::str::FromStr + Copy>(args: &[String], key: &str, base: T) -> (Vec<T>, bool) {
@@ -80,39 +81,17 @@ fn main() -> ExitCode {
     } else {
         grid(scale)
     };
-    // Axis overrides replace the whole grid, so the default churn and
-    // sharded ladders would not match any baseline made from them — skip
-    // both.
-    let (churn_cells, shard_cells) = if overridden {
-        (Vec::new(), Vec::new())
+    // Axis overrides replace the whole grid, so the default churn ladder
+    // would not match any baseline made from them — skip it.
+    let churn_cells = if overridden {
+        Vec::new()
     } else {
-        (
-            webmon_bench::scale::churn_grid(scale),
-            webmon_bench::scale::shard_grid(scale),
-        )
+        churn_grid(scale)
     };
 
-    let report = webmon_bench::scale::collect_grid(
-        scale,
-        &cells,
-        &roster(scale),
-        &churn_cells,
-        &shard_cells,
-    );
+    let report = webmon_bench::scale::collect_grid(scale, &cells, &roster(scale), &churn_cells);
     webmon_bench::print_tables(&report.tables());
-
-    // The sharded ladder's cross-shard-count identity is a correctness
-    // property, not a perf baseline: gate it against the fresh report
-    // itself, so it holds even on --out-only (re-baselining) runs where
-    // no --check baseline is consulted.
-    let identity = report.violations_against(&report);
-    if !identity.is_empty() {
-        eprintln!("sharded-execution identity broken in this run:");
-        for v in &identity {
-            eprintln!("  - {v}");
-        }
-        return ExitCode::FAILURE;
-    }
+    webmon_bench::print_tables(&[policy_cost_table()]);
 
     if let Some(path) = path_arg(&args, "--out") {
         if let Err(e) = std::fs::write(&path, report.to_json()) {

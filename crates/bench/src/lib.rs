@@ -29,15 +29,13 @@
 //! [`scale`] is not a paper artifact either: it is the engine scaling
 //! benchmark (`exp_scale`), sweeping instance size × policies × selection
 //! strategies and emitting the `BENCH_engine.json` perf baseline that the
-//! CI `bench-smoke` job gates on.
+//! CI `bench-smoke` job gates on; it also prints the policy evaluation
+//! cost `τ(Φ)`.
 //!
 //! [`metrics`] is not a paper artifact: it is the CI metrics gate, running
 //! the roster under [`webmon_core::obs::MetricsObserver`] and
 //! cross-checking metrics, schedule feasibility, and wasted probes (the
 //! `metrics.json` artifact of `experiments --metrics`).
-//!
-//! Criterion microbenchmarks live in `benches/` (policy evaluation cost
-//! `τ(Φ)`, engine throughput, offline-vs-online cost).
 
 pub mod ablations;
 pub mod extensions;

@@ -8,7 +8,8 @@
 //! [`SelectionStrategy`](webmon_core::SelectionStrategy), and reports
 //! throughput (chronons/sec), wall time, selection steps, and peak pool
 //! size per cell from the [`RunMetrics`](webmon_core::obs::RunMetrics)
-//! machinery.
+//! machinery. It also prints the per-candidate policy cost `τ(Φ)`
+//! ([`policy_cost_table`]), a report-only wall-clock table.
 //!
 //! The committed artifact is `BENCH_engine.json` at the repo root (the
 //! [`BenchReport`] schema below, documented in EXPERIMENTS.md). The CI
@@ -17,16 +18,13 @@
 //! * any **deterministic** counter drifts (chronons, probes, selection
 //!   steps, peak pool size — these are machine-independent and must match
 //!   the baseline exactly), or
-//! * the `Incremental`-over-`LazyHeap` **speedup** of any cell regresses
-//!   by more than 20% relative to the baseline's speedup for that cell.
+//! * the `Incremental`-over-`Scan` **speedup** of any cell regresses by
+//!   more than 20% relative to the baseline's speedup for that cell.
 //!   Comparing the self-normalized ratio — both strategies measured in the
 //!   same process seconds apart — keeps the gate meaningful across
 //!   machines of different absolute speed, or
-//! * the **sharded ladder** ([`shard_grid`] at [`shard_counts`]) breaks:
-//!   a deterministic counter at any shard count diverging from the serial
-//!   row is a bit-identity break (gated against the fresh run itself), and
-//!   the max-shards-over-serial throughput ratio gets the same 20%
-//!   self-normalized tolerance as the strategy speedups.
+//! * the churn ladder's deterministic counters drift, or its
+//!   churned-over-static throughput ratio regresses by more than 20%.
 //!
 //! Re-baselining is deliberate: regenerate with
 //! `cargo run --release -p webmon-bench --bin exp_scale -- --quick --out BENCH_engine.json`
@@ -35,6 +33,12 @@
 
 use crate::Scale;
 use serde::{Deserialize, Serialize};
+use std::hint::black_box;
+use std::time::Instant;
+use webmon_core::model::{Ei, ResourceId};
+use webmon_core::policy::{
+    Candidate, CeiView, MEdf, Mrsf, Policy, PolicyContext, ResourceStats, SEdf, Wic,
+};
 use webmon_sim::parallel::serial;
 use webmon_sim::{
     ChurnSpec, Experiment, ExperimentConfig, PolicyKind, PolicySpec, Table, TraceSpec,
@@ -156,7 +160,7 @@ pub fn roster(scale: Scale) -> Vec<PolicySpec> {
 /// One (cell × policy × strategy) measurement.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StrategyMeasure {
-    /// `"scan"`, `"lazy-heap"`, or `"incremental"`.
+    /// `"scan"` or `"incremental"`.
     pub strategy: String,
     /// Engine wall time summed over repetitions, seconds.
     pub wall_secs: f64,
@@ -243,139 +247,6 @@ pub struct ChurnCellReport {
     pub overhead: f64,
 }
 
-/// Shard counts of the sharded ladder, ascending; the first entry is the
-/// serial baseline and the last is the headline parallel configuration.
-pub fn shard_counts() -> [u32; 3] {
-    [1, 2, 4]
-}
-
-/// The sharded ladder: one large cell (Quick: ~10⁵ CEIs; Paper adds a
-/// ~4×10⁵-CEI cell) rerun at each shard count. Sharding only pays above
-/// the engine's threaded-dispatch threshold, so the ladder uses a cell an
-/// order of magnitude beyond the main grid — the regime of the ROADMAP's
-/// production-scale north star.
-pub fn shard_grid(scale: Scale) -> Vec<CellDims> {
-    let base = CellDims {
-        profiles: 5500,
-        rank: 3,
-        horizon: 300,
-        budget: 2,
-    };
-    match scale {
-        Scale::Quick => vec![base],
-        Scale::Paper => vec![
-            base,
-            CellDims {
-                profiles: 22_000,
-                ..base
-            },
-        ],
-    }
-}
-
-/// One (cell × shard count) measurement of the sharded ladder.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardMeasure {
-    /// Shard count of this measurement (`1` = the serial engine).
-    pub shards: u32,
-    /// Engine wall time summed over repetitions, seconds.
-    pub wall_secs: f64,
-    /// Median per-repetition `chronons / runtime`.
-    pub chronons_per_sec: f64,
-    /// Deterministic: chronons summed over repetitions. Bit-identity makes
-    /// every deterministic counter equal across shard counts — the gate
-    /// checks that within each fresh report *and* against the baseline.
-    pub chronons: u64,
-    /// Deterministic: probes issued summed over repetitions.
-    pub probes_issued: u64,
-    /// Deterministic: selection steps summed over repetitions.
-    pub selection_steps: u64,
-    /// Deterministic: peak candidate-pool size over all repetitions.
-    pub peak_pool: u64,
-}
-
-/// One sharded-ladder cell: the same large instance at every shard count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ShardCellReport {
-    /// The swept dimensions.
-    pub dims: CellDims,
-    /// Roster label of the measured policy.
-    pub label: String,
-    /// Mean CEIs per repetition.
-    pub ceis: f64,
-    /// Mean EIs per repetition.
-    pub eis: f64,
-    /// One measurement per shard count, in [`shard_counts`] order.
-    pub shards: Vec<ShardMeasure>,
-    /// Median paired per-repetition ratio `throughput at max shards /
-    /// throughput at 1 shard` (repetition `i` of both runs the identical
-    /// workload moments apart, so drift cancels).
-    pub speedup: f64,
-}
-
-/// Measures one sharded-ladder cell: the same materialized workloads run
-/// at each shard count, passes interleaved so temporal drift cancels out
-/// of the paired speedup ratio. Repetitions are reduced relative to the
-/// main grid — the cell is an order of magnitude larger.
-fn measure_shards(scale: Scale, dims: CellDims) -> ShardCellReport {
-    let spec = PolicySpec::p(PolicyKind::Mrsf);
-    let mut cfg = dims.config(scale);
-    cfg.repetitions = match scale {
-        Scale::Quick => 2,
-        Scale::Paper => 3,
-    };
-    let exp = Experiment::materialize(cfg);
-    let (ceis, eis) = exp.mean_sizes();
-    let counts = shard_counts();
-    let mut rep_tp: Vec<Vec<f64>> = vec![Vec::new(); counts.len()];
-    let mut wall: Vec<f64> = vec![0.0; counts.len()];
-    let mut last: Vec<Option<(u64, webmon_core::obs::RunMetrics)>> = vec![None; counts.len()];
-    for _pass in 0..PASSES {
-        for (si, &n) in counts.iter().enumerate() {
-            let agg = exp.run_spec_configured(spec, spec.engine_config().with_shards(n));
-            for r in &agg.repetitions {
-                let secs = r.runtime.as_secs_f64();
-                wall[si] += secs;
-                rep_tp[si].push(if secs > 0.0 {
-                    r.metrics.chronons as f64 / secs
-                } else {
-                    f64::INFINITY
-                });
-            }
-            last[si] = Some((selection_steps(&agg), agg.metrics));
-        }
-    }
-    let shards: Vec<ShardMeasure> = counts
-        .iter()
-        .enumerate()
-        .map(|(si, &n)| {
-            let (steps, m) = last[si].take().expect("measured above");
-            ShardMeasure {
-                shards: n,
-                wall_secs: wall[si],
-                chronons_per_sec: median(&mut rep_tp[si].clone()),
-                chronons: m.chronons,
-                probes_issued: m.probes_issued,
-                selection_steps: steps,
-                peak_pool: m.candidate_set.max,
-            }
-        })
-        .collect();
-    let mut ratios: Vec<f64> = rep_tp[counts.len() - 1]
-        .iter()
-        .zip(&rep_tp[0])
-        .map(|(p, s)| p / s)
-        .collect();
-    ShardCellReport {
-        dims,
-        label: spec.label(),
-        ceis,
-        eis,
-        shards,
-        speedup: median(&mut ratios),
-    }
-}
-
 /// One grid cell: dimensions, workload size, and per-policy measurements.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct CellReport {
@@ -397,10 +268,8 @@ pub struct PolicyCell {
     /// One measurement per strategy, in [`strategies`] order.
     pub strategies: Vec<StrategyMeasure>,
     /// Median over repetitions of the paired per-repetition ratio
-    /// `incremental throughput / lazy-heap throughput` (repetition `i` of
-    /// both strategies runs the identical workload).
-    pub speedup_vs_lazy_heap: f64,
-    /// Median paired ratio `incremental throughput / scan throughput`.
+    /// `incremental throughput / scan throughput` (repetition `i` of both
+    /// strategies runs the identical workload).
     pub speedup_vs_scan: f64,
 }
 
@@ -419,10 +288,6 @@ pub struct BenchReport {
     /// order. `Option` so pre-churn baselines (no `churn` field) still
     /// parse — they fail the gate's shape check, prompting a re-baseline.
     pub churn: Option<Vec<ChurnCellReport>>,
-    /// The sharded ladder ([`shard_grid`] at [`shard_counts`]), in grid
-    /// order. `Option` so pre-shard baselines still parse — they fail the
-    /// gate's shape check, prompting a re-baseline.
-    pub shard: Option<Vec<ShardCellReport>>,
 }
 
 impl BenchReport {
@@ -430,21 +295,18 @@ impl BenchReport {
     pub fn churn_cells(&self) -> &[ChurnCellReport] {
         self.churn.as_deref().unwrap_or(&[])
     }
-
-    /// The sharded ladder, empty for pre-shard baselines.
-    pub fn shard_cells(&self) -> &[ShardCellReport] {
-        self.shard.as_deref().unwrap_or(&[])
-    }
 }
 
+/// The schema tag of [`BenchReport`]; a baseline with another tag fails
+/// the gate, prompting a re-baseline.
+pub const SCHEMA: &str = "webmon-bench-engine/v2";
+
 /// The benchmarked strategies, in report order. `Scan` is the O(|pool|)
-/// reference, `LazyHeap` the pre-refactor per-phase heap rebuild,
-/// `Incremental` the engine-owned index (the default).
-pub fn strategies() -> [(&'static str, webmon_core::SelectionStrategy); 3] {
+/// reference, `Incremental` the default.
+pub fn strategies() -> [(&'static str, webmon_core::SelectionStrategy); 2] {
     use webmon_core::SelectionStrategy;
     [
         ("scan", SelectionStrategy::Scan),
-        ("lazy-heap", SelectionStrategy::LazyHeap),
         ("incremental", SelectionStrategy::Incremental),
     ]
 }
@@ -467,13 +329,13 @@ fn median(values: &mut [f64]) -> f64 {
 
 /// Selection steps summed over an aggregate's repetitions — run telemetry
 /// ([`webmon_core::RunResult::selection_steps`]), deterministic for a given
-/// strategy, shard-count invariant, and different between strategies.
+/// strategy and different between strategies.
 fn selection_steps(agg: &webmon_sim::PolicyAggregate) -> u64 {
     agg.repetitions.iter().map(|r| r.selection_steps).sum()
 }
 
 /// Measurement passes per strategy. The passes interleave the strategies
-/// (scan, lazy-heap, incremental, scan, …) so slow temporal drift — CPU
+/// (scan, incremental, scan, …) so slow temporal drift — CPU
 /// frequency scaling, co-tenant load on shared runners — hits all
 /// strategies alike and cancels out of the paired speedup ratios.
 const PASSES: usize = 3;
@@ -518,19 +380,15 @@ fn measure(exp: &Experiment, spec: PolicySpec) -> PolicyCell {
             }
         })
         .collect();
-    let paired_speedup = |reference: usize| {
-        let inc = &rep_tp[2]; // strategies() order: scan, lazy-heap, incremental
-        let mut ratios: Vec<f64> = inc
-            .iter()
-            .zip(&rep_tp[reference])
-            .map(|(i, r)| i / r)
-            .collect();
-        median(&mut ratios)
-    };
+    // strategies() order: scan, incremental.
+    let mut ratios: Vec<f64> = rep_tp[1]
+        .iter()
+        .zip(&rep_tp[0])
+        .map(|(i, s)| i / s)
+        .collect();
     PolicyCell {
         label: spec.label(),
-        speedup_vs_lazy_heap: paired_speedup(1),
-        speedup_vs_scan: paired_speedup(0),
+        speedup_vs_scan: median(&mut ratios),
         strategies: measures,
     }
 }
@@ -586,30 +444,19 @@ fn measure_churn(scale: Scale, dims: CellDims) -> ChurnCellReport {
 }
 
 /// Runs the scaling grid. Wall-clock measurements, so the whole sweep is
-/// pinned to one worker ([`webmon_sim::parallel::serial`]). The sharded
-/// ladder still parallelizes *inside* the engine: shard dispatch rides
-/// [`webmon_sim::parallel::par_map_with`], which ignores `serial` scopes —
-/// repetitions stay serial while each run fans out per shard.
+/// pinned to one worker ([`webmon_sim::parallel::serial`]).
 pub fn collect(scale: Scale) -> BenchReport {
-    collect_grid(
-        scale,
-        &grid(scale),
-        &roster(scale),
-        &churn_grid(scale),
-        &shard_grid(scale),
-    )
+    collect_grid(scale, &grid(scale), &roster(scale), &churn_grid(scale))
 }
 
 /// Runs an explicit grid/roster (the `--profiles`/`--ranks`/… CLI
 /// overrides funnel through here). `churn_cells` is the churn ladder to
-/// append and `shard_cells` the sharded ladder (pass `&[]` to skip
-/// either section).
+/// append (pass `&[]` to skip it).
 pub fn collect_grid(
     scale: Scale,
     cells: &[CellDims],
     specs: &[PolicySpec],
     churn_cells: &[CellDims],
-    shard_cells: &[CellDims],
 ) -> BenchReport {
     serial(|| {
         let mut reports = Vec::with_capacity(cells.len());
@@ -632,19 +479,12 @@ pub fn collect_grid(
                 .map(|&dims| measure_churn(scale, dims))
                 .collect(),
         );
-        let shard = Some(
-            shard_cells
-                .iter()
-                .map(|&dims| measure_shards(scale, dims))
-                .collect(),
-        );
         BenchReport {
-            schema: "webmon-bench-engine/v1".to_string(),
+            schema: SCHEMA.to_string(),
             scale: format!("{scale:?}"),
             repetitions,
             cells: reports,
             churn,
-            shard,
         }
     })
 }
@@ -665,12 +505,19 @@ impl BenchReport {
 
     /// Gate violations of `self` (a fresh run) against `baseline` (the
     /// committed artifact): deterministic counters must match exactly;
-    /// per-cell `Incremental`-over-`LazyHeap` speedups may not regress more
-    /// than [`SPEEDUP_TOLERANCE`] relative to the baseline. Grid-shape
-    /// drift is reported rather than ignored, so a stale baseline fails
-    /// loudly instead of vacuously passing.
+    /// per-cell `Incremental`-over-`Scan` speedups may not regress more
+    /// than [`SPEEDUP_TOLERANCE`] relative to the baseline. Schema and
+    /// grid-shape drift are reported rather than ignored, so a stale
+    /// baseline fails loudly instead of vacuously passing.
     pub fn violations_against(&self, baseline: &BenchReport) -> Vec<String> {
         let mut out = Vec::new();
+        if self.schema != baseline.schema {
+            out.push(format!(
+                "schema changed: {} vs baseline {} — re-baseline BENCH_engine.json",
+                self.schema, baseline.schema
+            ));
+            return out;
+        }
         if self.cells.len() != baseline.cells.len() {
             out.push(format!(
                 "grid shape changed: {} cells vs baseline {} — re-baseline BENCH_engine.json",
@@ -712,12 +559,12 @@ impl BenchReport {
                         }
                     }
                 }
-                let floor = bp.speedup_vs_lazy_heap * (1.0 - SPEEDUP_TOLERANCE);
-                if p.speedup_vs_lazy_heap < floor {
+                let floor = bp.speedup_vs_scan * (1.0 - SPEEDUP_TOLERANCE);
+                if p.speedup_vs_scan < floor {
                     out.push(format!(
-                        "{where_} {}: incremental speedup over lazy-heap regressed: {:.2}x vs \
+                        "{where_} {}: incremental speedup over scan regressed: {:.2}x vs \
                          baseline {:.2}x (floor {:.2}x)",
-                        p.label, p.speedup_vs_lazy_heap, bp.speedup_vs_lazy_heap, floor
+                        p.label, p.speedup_vs_scan, bp.speedup_vs_scan, floor
                     ));
                 }
             }
@@ -769,82 +616,6 @@ impl BenchReport {
                 ));
             }
         }
-        if self.shard_cells().len() != baseline.shard_cells().len() {
-            out.push(format!(
-                "sharded ladder shape changed: {} cells vs baseline {} — re-baseline \
-                 BENCH_engine.json",
-                self.shard_cells().len(),
-                baseline.shard_cells().len()
-            ));
-            return out;
-        }
-        for (cell, base) in self.shard_cells().iter().zip(baseline.shard_cells()) {
-            let where_ = format!("shard {}", cell.dims.label());
-            if cell.dims != base.dims {
-                out.push(format!(
-                    "{where_}: dims differ from baseline shard {} — re-baseline",
-                    base.dims.label()
-                ));
-                continue;
-            }
-            // The sharded-vs-serial identity gate inside the bench: every
-            // deterministic counter must be identical at every shard count
-            // of the *fresh* run (serial is row 0), and identical to the
-            // committed baseline.
-            let serial_row = &cell.shards[0];
-            for m in &cell.shards {
-                let tag = format!("{where_} shards={}", m.shards);
-                for (name, got, want) in [
-                    ("chronons", m.chronons, serial_row.chronons),
-                    ("probes_issued", m.probes_issued, serial_row.probes_issued),
-                    (
-                        "selection_steps",
-                        m.selection_steps,
-                        serial_row.selection_steps,
-                    ),
-                    ("peak_pool", m.peak_pool, serial_row.peak_pool),
-                ] {
-                    if got != want {
-                        out.push(format!(
-                            "{tag}: deterministic counter {name} diverged from the serial run: \
-                             {got} vs {want} — sharded execution broke bit-identity"
-                        ));
-                    }
-                }
-            }
-            for (m, bm) in cell.shards.iter().zip(&base.shards) {
-                let tag = format!("{where_} shards={}", m.shards);
-                if m.shards != bm.shards {
-                    out.push(format!(
-                        "{tag}: shard-count ladder drift vs baseline shards={} — re-baseline",
-                        bm.shards
-                    ));
-                    continue;
-                }
-                for (name, got, want) in [
-                    ("chronons", m.chronons, bm.chronons),
-                    ("probes_issued", m.probes_issued, bm.probes_issued),
-                    ("selection_steps", m.selection_steps, bm.selection_steps),
-                    ("peak_pool", m.peak_pool, bm.peak_pool),
-                ] {
-                    if got != want {
-                        out.push(format!(
-                            "{tag}: deterministic counter {name} drifted: {got} vs baseline {want}"
-                        ));
-                    }
-                }
-            }
-            // Self-normalized scaling gate: the max-shards-over-serial
-            // throughput ratio may not fall more than the tolerance below
-            // the baseline's ratio for this cell.
-            let floor = base.speedup * (1.0 - SPEEDUP_TOLERANCE);
-            if cell.speedup < floor {
-                out.push(format!(
-                    "{where_}: shard speedup regressed: {:.2}x vs baseline {:.2}x (floor {:.2}x)",
-                    cell.speedup, base.speedup, floor
-                ));
-            }
-        }
         out
     }
 
@@ -854,15 +625,7 @@ impl BenchReport {
         let mut t = Table::with_headers(
             "exp_scale — engine throughput by instance size (chronons/sec; sweep pinned to one \
              worker)",
-            &[
-                "cell · policy",
-                "EIs",
-                "scan",
-                "lazy-heap",
-                "incremental",
-                "vs lazy-heap",
-                "vs scan",
-            ],
+            &["cell · policy", "EIs", "scan", "incremental", "vs scan"],
         );
         for cell in &self.cells {
             for p in &cell.policies {
@@ -874,14 +637,7 @@ impl BenchReport {
                 };
                 t.push_numeric_row(
                     format!("{} {}", cell.dims.label(), p.label),
-                    &[
-                        cell.eis,
-                        col("scan"),
-                        col("lazy-heap"),
-                        col("incremental"),
-                        p.speedup_vs_lazy_heap,
-                        p.speedup_vs_scan,
-                    ],
+                    &[cell.eis, col("scan"), col("incremental"), p.speedup_vs_scan],
                     2,
                 );
             }
@@ -914,34 +670,66 @@ impl BenchReport {
                 2,
             );
         }
-        if self.shard_cells().is_empty() {
-            return vec![t, c];
-        }
-        let mut s = Table::with_headers(
-            "exp_scale — sharded ladder (chronons/sec per shard count on one large cell; \
-             identical schedules and traces at every N)",
-            &["cell · policy", "CEIs", "shards", "chronons/sec", "speedup"],
-        );
-        for cell in self.shard_cells() {
-            for m in &cell.shards {
-                s.push_numeric_row(
-                    format!("{} {}", cell.dims.label(), cell.label),
-                    &[
-                        cell.ceis,
-                        f64::from(m.shards),
-                        m.chronons_per_sec,
-                        if m.shards == cell.shards.last().map_or(0, |l| l.shards) {
-                            cell.speedup
-                        } else {
-                            f64::NAN
-                        },
-                    ],
-                    2,
-                );
-            }
-        }
-        vec![t, c, s]
+        vec![t, c]
     }
+}
+
+/// Nanoseconds per [`Policy::score`] call on the first EI of a rank-`k`
+/// CEI with staggered windows: the median of five timed batches.
+fn ns_per_score(policy: &dyn Policy, k: usize) -> f64 {
+    const CALLS: u32 = 200_000;
+    let eis: Vec<Ei> = (0..k as u32)
+        .map(|i| Ei::new(ResourceId(i), 10 * i, 10 * i + 8))
+        .collect();
+    let captured = vec![false; k];
+    let active = vec![1u32; k];
+    let updates = vec![false; k];
+    let ctx = PolicyContext {
+        now: 3,
+        resources: ResourceStats {
+            active_eis: &active,
+            has_update: &updates,
+        },
+    };
+    let cand = Candidate {
+        ei: eis[0],
+        ei_index: 0,
+        cei: CeiView {
+            eis: &eis,
+            captured: &captured,
+            n_captured: 0,
+            required: k as u16,
+            weight: 1.0,
+            profile_rank: k as u16,
+        },
+    };
+    let mut batches: Vec<f64> = (0..5)
+        .map(|_| {
+            let start = Instant::now();
+            for _ in 0..CALLS {
+                black_box(policy.score(&ctx, black_box(&cand)));
+            }
+            start.elapsed().as_nanos() as f64 / f64::from(CALLS)
+        })
+        .collect();
+    median(&mut batches)
+}
+
+/// The per-candidate policy cost `τ(Φ)` of Appendix B (S-EDF and MRSF are
+/// `Θ(1)`, M-EDF is `O(k)` in the rank), in nanoseconds per score at rank
+/// 1, 5 and 20. Report-only: a wall-clock table, never gated and not part
+/// of `BENCH_engine.json`.
+pub fn policy_cost_table() -> Table {
+    let wic = Wic::paper();
+    let mut t = Table::with_headers(
+        "exp_scale — policy cost τ(Φ) (ns per score)",
+        &["policy", "k=1", "k=5", "k=20"],
+    );
+    for policy in [&SEdf as &dyn Policy, &Mrsf, &MEdf, &wic] {
+        let row: Vec<f64> = [1, 5, 20].map(|k| ns_per_score(policy, k)).to_vec();
+        t.push_numeric_row(policy.name(), &row, 1);
+    }
+    t
 }
 
 /// `experiments`-suite entry point: run the grid and render the table.
@@ -967,7 +755,6 @@ mod tests {
             &[dims],
             &[PolicySpec::p(PolicyKind::Mrsf)],
             &[dims],
-            &[dims],
         )
     }
 
@@ -977,16 +764,14 @@ mod tests {
         let json = report.to_json();
         let back = BenchReport::from_json(&json).unwrap();
         assert_eq!(back.cells.len(), 1);
+        assert_eq!(back.schema, SCHEMA);
         let p = &report.cells[0].policies[0];
-        assert_eq!(p.strategies.len(), 3);
+        assert_eq!(p.strategies.len(), 2);
         // Bit-identity makes every deterministic counter agree across
         // strategies except selection_steps, a property of each
         // strategy's data structure (one step per argmin call under Scan,
-        // one per pop under the heap selectors).
-        let (s, l, i) = (&p.strategies[0], &p.strategies[1], &p.strategies[2]);
-        assert_eq!(l.chronons, i.chronons);
-        assert_eq!(l.probes_issued, i.probes_issued);
-        assert_eq!(l.peak_pool, i.peak_pool);
+        // one per pop under the incremental queues).
+        let (s, i) = (&p.strategies[0], &p.strategies[1]);
         assert_eq!(s.chronons, i.chronons);
         assert_eq!(s.probes_issued, i.probes_issued);
         assert_eq!(s.peak_pool, i.peak_pool);
@@ -999,13 +784,13 @@ mod tests {
         assert_eq!(report.violations_against(&report), Vec::<String>::new());
 
         let mut drifted = report.clone();
-        drifted.cells[0].policies[0].strategies[2].selection_steps += 1;
+        drifted.cells[0].policies[0].strategies[1].selection_steps += 1;
         let v = report.violations_against(&drifted);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("selection_steps"), "{v:?}");
 
         let mut slower = report.clone();
-        slower.cells[0].policies[0].speedup_vs_lazy_heap /= 2.0;
+        slower.cells[0].policies[0].speedup_vs_scan /= 2.0;
         let v = slower.violations_against(&report);
         assert_eq!(v.len(), 1, "{v:?}");
         assert!(v[0].contains("regressed"), "{v:?}");
@@ -1014,6 +799,12 @@ mod tests {
         reshaped.cells.clear();
         let v = reshaped.violations_against(&report);
         assert!(v[0].contains("re-baseline"), "{v:?}");
+
+        let mut old = report.clone();
+        old.schema = "webmon-bench-engine/v1".to_string();
+        let v = report.violations_against(&old);
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(v[0].contains("schema changed"), "{v:?}");
     }
 
     #[test]
@@ -1049,71 +840,11 @@ mod tests {
         let report = tiny();
         let back = BenchReport::from_json(&report.to_json()).unwrap();
         assert_eq!(back.churn_cells().len(), 1);
-        assert_eq!(report.tables().len(), 3);
+        assert_eq!(report.tables().len(), 2);
         // Pre-churn baselines (no `churn` field) still parse.
         let pre =
             r#"{"schema":"webmon-bench-engine/v1","scale":"Quick","repetitions":1,"cells":[]}"#;
         let pre = BenchReport::from_json(pre).unwrap();
         assert!(pre.churn_cells().is_empty());
-        // Pre-shard baselines (no `shard` field) parse too, and fail the
-        // gate's shape check rather than vacuously passing.
-        assert!(pre.shard_cells().is_empty());
-    }
-
-    #[test]
-    fn shard_ladder_is_measured_and_counters_agree_across_counts() {
-        let report = tiny();
-        assert_eq!(report.shard_cells().len(), 1);
-        let c = &report.shard_cells()[0];
-        assert_eq!(c.shards.len(), shard_counts().len());
-        let serial_row = &c.shards[0];
-        assert_eq!(serial_row.shards, 1);
-        assert!(serial_row.chronons > 0 && serial_row.wall_secs > 0.0);
-        for m in &c.shards {
-            // Bit-identity: every deterministic counter equals the serial
-            // run's, at every shard count.
-            assert_eq!(m.chronons, serial_row.chronons, "shards={}", m.shards);
-            assert_eq!(
-                m.probes_issued, serial_row.probes_issued,
-                "shards={}",
-                m.shards
-            );
-            assert_eq!(
-                m.selection_steps, serial_row.selection_steps,
-                "shards={}",
-                m.shards
-            );
-            assert_eq!(m.peak_pool, serial_row.peak_pool, "shards={}", m.shards);
-        }
-        assert!(c.speedup.is_finite() && c.speedup > 0.0);
-    }
-
-    #[test]
-    fn shard_ladder_gate_catches_identity_breaks_and_regressions() {
-        let report = tiny();
-        assert_eq!(report.violations_against(&report), Vec::<String>::new());
-
-        // A pre-shard baseline (no shard section) fails the shape check.
-        let mut stale = report.clone();
-        stale.shard = None;
-        let v = report.violations_against(&stale);
-        assert!(
-            v.iter().any(|m| m.contains("sharded ladder shape")),
-            "{v:?}"
-        );
-
-        // A counter diverging from the serial row is an identity break —
-        // flagged against the fresh run itself, not just the baseline.
-        let mut broken = report.clone();
-        broken.shard.as_mut().unwrap()[0].shards[1].probes_issued += 1;
-        let v = broken.violations_against(&report);
-        assert!(v.iter().any(|m| m.contains("broke bit-identity")), "{v:?}");
-        assert!(v.iter().any(|m| m.contains("drifted")), "{v:?}");
-
-        // Scaling regressions beyond tolerance are gated.
-        let mut slower = report.clone();
-        slower.shard.as_mut().unwrap()[0].speedup *= 1.0 - SPEEDUP_TOLERANCE - 0.05;
-        let v = slower.violations_against(&report);
-        assert!(v.iter().any(|m| m.contains("shard speedup")), "{v:?}");
     }
 }

@@ -107,11 +107,8 @@ PARALLELISM (run / sweep / experiments):
     --jobs <N>                     worker threads (also: WEBMON_JOBS env var;
                                    default: all cores; results are identical
                                    for every N — timed experiments always
-                                   run single-worker)
-    --shards <N>                   engine shards per run (also: WEBMON_SHARDS
-                                   env var; default 1 = serial; clamped to
-                                   the resource count; schedules, metrics,
-                                   and traces are bit-identical for every N)
+                                   run single-worker; each engine run is
+                                   serial)
 
 OUTPUT:
     --json                         machine-readable JSON (run / sweep)
@@ -169,8 +166,6 @@ the monitored instance exactly like `run` repetition 0):
 pub fn dispatch(args: &Args) -> Result<i32, ArgError> {
     let jobs: usize = args.get_parsed("jobs", 0, "a worker count")?;
     webmon_sim::parallel::set_jobs(jobs);
-    let shards: usize = args.get_parsed("shards", 0, "a shard count")?;
-    webmon_sim::parallel::set_shards(shards);
     match args.command.as_deref() {
         Some("run") => cmd_run(args),
         Some("sweep") => cmd_sweep(args),
@@ -1097,34 +1092,16 @@ fn cmd_bench(args: &Args) -> Result<i32, ArgError> {
         scale::grid(scale)
     };
 
-    // Axis overrides replace the whole grid, so the default churn and
-    // sharded ladders would not match any baseline made from them — skip
-    // both.
-    let (churn_cells, shard_cells) = if p || r || h || b {
-        (Vec::new(), Vec::new())
+    // Axis overrides replace the whole grid, so the default churn ladder
+    // would not match any baseline made from them — skip it.
+    let churn_cells = if p || r || h || b {
+        Vec::new()
     } else {
-        (scale::churn_grid(scale), scale::shard_grid(scale))
+        scale::churn_grid(scale)
     };
-    let report = scale::collect_grid(
-        scale,
-        &cells,
-        &scale::roster(scale),
-        &churn_cells,
-        &shard_cells,
-    );
+    let report = scale::collect_grid(scale, &cells, &scale::roster(scale), &churn_cells);
     webmon_bench::print_tables(&report.tables());
-
-    // Cross-shard-count identity is gated against the fresh report itself
-    // (baseline-independent), so even --out-only runs cannot write an
-    // artifact from a run where sharded execution broke bit-identity.
-    let identity = report.violations_against(&report);
-    if !identity.is_empty() {
-        eprintln!("sharded-execution identity broken in this run:");
-        for v in &identity {
-            eprintln!("  - {v}");
-        }
-        return Ok(1);
-    }
+    webmon_bench::print_tables(&[scale::policy_cost_table()]);
 
     if let Some(path) = args.get("out") {
         if let Err(e) = std::fs::write(path, report.to_json()) {

@@ -63,7 +63,7 @@ pub struct ServeSession {
     pub instance: Instance,
     /// The scheduling policy.
     pub policy: Box<dyn Policy>,
-    /// Engine execution mode / selection / sharding.
+    /// Engine execution mode and selection.
     pub config: EngineConfig,
     /// Retry/backoff discipline for failed probes.
     pub fault_config: FaultConfig,

@@ -1833,7 +1833,7 @@ mod tests {
                 for config in [
                     EngineConfig::preemptive(),
                     EngineConfig::non_preemptive(),
-                    EngineConfig::preemptive().with_lazy_heap(),
+                    EngineConfig::preemptive().with_scan(),
                     EngineConfig::preemptive().without_probe_sharing(),
                     EngineConfig::non_preemptive().without_probe_sharing(),
                 ] {

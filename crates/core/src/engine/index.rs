@@ -60,30 +60,13 @@ pub(crate) struct CandidateIndex {
     live: u32,
     /// Live entries per resource.
     active_now: Vec<u32>,
-    /// The contiguous resource range this index owns. Every vector above is
-    /// full-length (absolute resource indexing keeps callers oblivious),
-    /// but only owned resources have capacity reserved, receive entries,
-    /// and are visited by [`Self::sweep`]. A serial engine owns
-    /// `0..n_resources`; a sharded engine gives each shard its own
-    /// sub-range (see `engine::shard`).
-    owned: std::ops::Range<usize>,
 }
 
 impl CandidateIndex {
     /// Builds the (empty) index for `instance`, reserving every list at its
     /// exact maximum occupancy so the run's hot path never reallocates.
     pub(crate) fn new(instance: &Instance) -> Self {
-        Self::new_scoped(instance, 0..instance.n_resources as usize)
-    }
-
-    /// Builds an index owning only the contiguous resource range `owned`:
-    /// capacity is reserved for owned resources alone, and maintenance
-    /// scans are scoped to them. Vectors stay full-length so every caller
-    /// keeps absolute resource indices; inserting an entry outside `owned`
-    /// is a contract violation (its list has no reserved capacity).
-    pub(crate) fn new_scoped(instance: &Instance, owned: std::ops::Range<usize>) -> Self {
         let n_res = instance.n_resources as usize;
-        debug_assert!(owned.start <= owned.end && owned.end <= n_res);
         let mut ei_base = Vec::with_capacity(instance.ceis.len());
         let mut per_resource = vec![0usize; n_res];
         let mut total = 0u32;
@@ -91,10 +74,7 @@ impl CandidateIndex {
             ei_base.push(total);
             total += cei.size() as u32;
             for ei in &cei.eis {
-                let r = ei.resource.index();
-                if owned.contains(&r) {
-                    per_resource[r] += 1;
-                }
+                per_resource[ei.resource.index()] += 1;
             }
         }
         CandidateIndex {
@@ -107,7 +87,6 @@ impl CandidateIndex {
             ei_base,
             live: 0,
             active_now: vec![0; n_res],
-            owned,
         }
     }
 
@@ -178,6 +157,17 @@ impl CandidateIndex {
         true
     }
 
+    /// Removes every still-live entry of a resolved CEI.
+    pub(crate) fn remove_cei(&mut self, instance: &Instance, id: CeiId) {
+        for (idx, ei) in instance.cei(id).eis.iter().enumerate() {
+            let e = PoolEntry {
+                cei: id,
+                ei_idx: idx as u16,
+            };
+            self.remove(e, ei.resource.index());
+        }
+    }
+
     /// Clears liveness accounting for an entry whose list is held swapped
     /// out during a shared-capture pass (the caller clears the list
     /// afterwards, so no tombstone is recorded).
@@ -205,7 +195,7 @@ impl CandidateIndex {
     /// swept at most once, so maintenance stays amortized O(1) per
     /// transition instead of the legacy O(|pool|) `retain` per chronon.
     pub(crate) fn sweep(&mut self) {
-        for r in self.owned.clone() {
+        for r in 0..self.by_resource.len() {
             let len = self.by_resource[r].len();
             if self.dead[r] as usize * 2 > len {
                 let in_pool = &self.in_pool;
@@ -292,24 +282,6 @@ mod tests {
         idx.sweep();
         let ids: Vec<u32> = idx.entries(0).iter().map(|e| e.cei.0).collect();
         assert_eq!(ids, vec![1, 3]);
-    }
-
-    #[test]
-    fn scoped_index_reserves_and_sweeps_only_its_range() {
-        let inst = two_resource_instance();
-        let mut idx = CandidateIndex::new_scoped(&inst, 1..2);
-        assert_eq!(idx.by_resource[0].capacity(), 0, "unowned: no reservation");
-        assert_eq!(idx.by_resource[1].capacity(), 1);
-        let e = PoolEntry {
-            cei: CeiId(0),
-            ei_idx: 1,
-        };
-        idx.insert(e, 1);
-        assert_eq!(idx.live(), 1);
-        assert_eq!(idx.live_on(1), 1);
-        assert!(idx.remove(e, 1));
-        idx.sweep();
-        assert!(idx.entries(1).is_empty(), "owned range is swept");
     }
 
     #[test]

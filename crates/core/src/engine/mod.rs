@@ -32,24 +32,17 @@
 //! opens and removed at the exact transition that kills them (capture,
 //! expiry, shed, parent resolution, cancellation), expiries visit only the
 //! windows closing at the current chronon, and the default
-//! [`SelectionStrategy::Incremental`] reuses one engine-owned heap buffer
-//! across phases and chronons. Per-chronon cost is proportional to the
-//! work actually done that chronon — insertions, probes, captures,
+//! [`SelectionStrategy::Incremental`] selects through engine-owned heaps
+//! kept across phases and chronons. Per-chronon cost is proportional to
+//! the work actually done that chronon — insertions, probes, captures,
 //! expiries — not to the size of the whole pool or profile.
+//! [`SelectionStrategy::Scan`], an O(pool) scan per probe, is the reference
+//! every identity test compares `Incremental` against.
 //!
-//! **Sharding.** [`EngineConfig::shards`] partitions the resources (and
-//! the candidate index, insertion buckets, and occupancy buffers keyed by
-//! them) into contiguous shards (`engine::shard`); per-chronon maintenance
-//! and selection *scoring* fan out on the scoped-thread pool
-//! ([`crate::parallel`]), while everything that orders the run — the
-//! mutation drain, the global selection heap and budget, probe issue,
-//! captures, expiry, shedding, and every observer event — stays serial in
-//! the canonical merge order. Intra-resource probe sharing never crosses a
-//! shard boundary, so `shards = N` is **bit-identical** to `shards = 1` on
-//! schedules, stats, `RunMetrics`, and JSONL trace bytes, for any policy ×
-//! execution mode × selection strategy, with or without faults and
-//! mutations — the observers in [`crate::obs`] and the checker in
-//! [`crate::check`] compose unchanged.
+//! **Parallelism.** The loop is serial: one run is one thread. Parallel
+//! speedup comes from running independent runs — repetitions, grid
+//! points, policies — on the [`crate::parallel`] worker pool, whose one
+//! knob is `--jobs`.
 //!
 //! **Mutation.** The profile set is *not* frozen at `run()`:
 //! [`OnlineEngine::run_mutated`] drains a [`MutationQueue`] at each chronon
@@ -64,7 +57,6 @@
 mod index;
 mod mutation;
 mod runner;
-mod shard;
 
 pub use mutation::{Mutation, MutationQueue, MutationSource, ScriptedMutations};
 pub use runner::{EngineConfig, OnlineEngine, RunResult, SelectionStrategy};

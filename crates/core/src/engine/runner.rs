@@ -1,8 +1,7 @@
 //! The run loop implementing Algorithm 1 (Online Complex Monitoring).
 
-use super::index::PoolEntry;
+use super::index::{CandidateIndex, PoolEntry};
 use super::mutation::{Mutation, MutationQueue, MutationSource, ScriptedMutations};
-use super::shard::{ShardMap, ShardSet};
 use crate::fault::{FaultConfig, FaultModel, NoFaults};
 use crate::model::{CaptureSet, CeiId, Chronon, Instance, ResourceId, Schedule};
 use crate::obs::{Event, NoopObserver, Observer};
@@ -10,7 +9,7 @@ use crate::policy::{Candidate, CeiView, Policy, PolicyContext, ResourceStats, Sc
 use crate::serve::snapshot::{CeiState, EngineSnapshot, NoSnapshots, SnapshotSink};
 use crate::stats::{CeiOutcome, RunStats};
 
-/// Min-heap entries for the heap-based selectors:
+/// Min-heap entries for the reseeded heap selector:
 /// `Reverse((score, cei id, ei index))`.
 type ScoreHeap = std::collections::BinaryHeap<std::cmp::Reverse<(i64, u32, u16)>>;
 
@@ -24,25 +23,16 @@ pub enum SelectionStrategy {
     /// Fresh linear scan per probe — the reference implementation; scores
     /// are always current.
     Scan,
-    /// A lazy binary heap per phase (the paper's Appendix-B suggestion):
-    /// candidates are pushed once with their scores; a popped entry whose
-    /// score changed (a sibling was captured this chronon) is re-pushed at
-    /// its current score. Produces the identical schedule — verified by
-    /// property test — at `O(log N)` per probe instead of `O(N)`. Kept as
-    /// the pre-refactor differential reference: it still allocates a fresh
-    /// heap and CEI→entries map every phase.
-    LazyHeap,
     /// The default; its data structure follows the policy's
     /// [`ScoreDynamics`]:
     ///
-    /// * `Reseeded` — the lazy heap on engine-owned storage: one heap
-    ///   buffer is reused across phases and chronons, seeding walks the
-    ///   incremental per-resource candidate index instead of the flat pool,
-    ///   and sibling refresh walks the touched CEI's own EIs through the
-    ///   index's liveness flags, with zero allocation on the hot path. It
-    ///   pops exactly what [`LazyHeap`](SelectionStrategy::LazyHeap) pops:
-    ///   a binary heap's popped-value sequence is a function of the value
-    ///   multisets pushed between pops, which the two paths share.
+    /// * `Reseeded` — a lazy binary heap per phase (the paper's Appendix-B
+    ///   suggestion) on engine-owned storage: each phase seeds one reused
+    ///   heap buffer from the candidate index at current scores, a popped
+    ///   entry whose score went stale is re-pushed at its current score,
+    ///   and a capture re-pushes the touched CEI's live siblings, with zero
+    ///   allocation on the hot path — `O(log N)` per probe instead of
+    ///   `O(N)`.
     /// * `StateKeyed` — one persistent queue per selection group, kept
     ///   across chronons: a chronon scores only the windows that open and
     ///   the siblings of captured EIs, not the whole live pool. Queued
@@ -71,13 +61,6 @@ pub struct EngineConfig {
     pub share_probes: bool,
     /// Candidate selection data structure.
     pub selection: SelectionStrategy,
-    /// Number of resource shards for intra-cell parallelism. `0` resolves
-    /// automatically ([`crate::parallel::effective_shards`]: the CLI's
-    /// `--shards N`, then `WEBMON_SHARDS`, then 1); any value is clamped to
-    /// `1..=|R|`. **Determinism contract:** every shard count produces the
-    /// bit-identical schedule, stats, `RunMetrics`, and JSONL trace bytes —
-    /// sharding changes wall-clock time only.
-    pub shards: u32,
 }
 
 impl EngineConfig {
@@ -87,7 +70,6 @@ impl EngineConfig {
             preemptive: true,
             share_probes: true,
             selection: SelectionStrategy::Incremental,
-            shards: 0,
         }
     }
 
@@ -97,7 +79,6 @@ impl EngineConfig {
             preemptive: false,
             share_probes: true,
             selection: SelectionStrategy::Incremental,
-            shards: 0,
         }
     }
 
@@ -114,23 +95,9 @@ impl EngineConfig {
         self
     }
 
-    /// Selects candidates through the per-phase lazy heap (Appendix B) —
-    /// the pre-refactor differential reference.
-    pub fn with_lazy_heap(mut self) -> Self {
-        self.selection = SelectionStrategy::LazyHeap;
-        self
-    }
-
     /// Sets the candidate selection data structure.
     pub fn with_selection(mut self, selection: SelectionStrategy) -> Self {
         self.selection = selection;
-        self
-    }
-
-    /// Sets the shard count for intra-cell parallelism (see
-    /// [`EngineConfig::shards`]). `0` restores automatic resolution.
-    pub fn with_shards(mut self, shards: u32) -> Self {
-        self.shards = shards;
         self
     }
 
@@ -410,30 +377,17 @@ impl OnlineEngine {
         } else {
             SelectionStrategy::Scan
         };
-        // State-keyed policies select through one persistent queue instead
-        // of a per-phase reseed (see `KeyedQueue`).
+        // Under `Incremental`, state-keyed policies select through one
+        // persistent queue (see `KeyedQueue`); every other policy reseeds a
+        // heap per phase.
         let mut keyed = (selection == SelectionStrategy::Incremental
             && policy.score_dynamics() == ScoreDynamics::StateKeyed)
             .then(|| KeyedQueue::new(if config.preemptive { 1 } else { 2 }));
-
-        // Resource sharding (see `engine::shard`): `0` resolves through the
-        // global knob, and any request clamps to `1..=|R|`. The shard count
-        // never affects output — only which thread performs per-shard
-        // maintenance and scoring.
-        let n_shards = ShardMap::resolve(
-            if config.shards == 0 {
-                crate::parallel::effective_shards()
-            } else {
-                config.shards as usize
-            },
-            n_res,
-        );
+        let reseeded = selection == SelectionStrategy::Incremental && keyed.is_none();
 
         // The candidate pool, grouped by resource with incremental removal
-        // and live counts, partitioned into per-shard scoped indexes (one
-        // shard is exactly the serial index). Allocated once and reused for
-        // the whole run.
-        let mut index = ShardSet::new(instance, n_shards);
+        // and live counts. Allocated once and reused for the whole run.
+        let mut index = CandidateIndex::new(instance);
 
         // Bucket EIs by start chronon so each enters the pool exactly when
         // its window opens, and by end chronon so the expiry pass visits
@@ -443,13 +397,8 @@ impl OnlineEngine {
         // ascending), and each ends bucket is stable-sorted by start on top
         // of it. A window ending at or past the horizon never expires
         // inside the epoch, exactly as the per-chronon `end == t` test
-        // behaved. Start buckets are additionally split by owning shard —
-        // `starts[t][s]` — so each shard inserts its own entries; within a
-        // shard the cei-major order is preserved, and shards cover
-        // contiguous ascending resource ranges, so the per-resource lists
-        // are filled exactly as a serial run fills them.
-        let mut starts: Vec<Vec<Vec<PoolEntry>>> =
-            vec![vec![Vec::new(); n_shards]; horizon as usize];
+        // behaved.
+        let mut starts: Vec<Vec<PoolEntry>> = vec![Vec::new(); horizon as usize];
         let mut ends: Vec<Vec<PoolEntry>> = vec![Vec::new(); horizon as usize];
         for cei in &instance.ceis {
             for (idx, ei) in cei.eis.iter().enumerate() {
@@ -457,8 +406,7 @@ impl OnlineEngine {
                     cei: cei.id,
                     ei_idx: idx as u16,
                 };
-                let shard = index.map().shard_of(ei.resource.index());
-                starts[ei.start as usize][shard].push(entry);
+                starts[ei.start as usize].push(entry);
                 if (ei.end as usize) < ends.len() {
                     ends[ei.end as usize].push(entry);
                 }
@@ -506,15 +454,9 @@ impl OnlineEngine {
         let mut touched: Vec<CeiId> = Vec::new();
         let mut capture_scratch: Vec<PoolEntry> = Vec::new();
         let mut shed_scratch: Vec<(Chronon, u32, u16)> = Vec::new();
-        // Engine-owned heap storage for `SelectionStrategy::Incremental`:
-        // cleared, never dropped, between phases.
-        let mut reused_heap: ScoreHeap = std::collections::BinaryHeap::new();
-        // Per-shard seeding buffers: each shard scores its live entries
-        // into its buffer (concurrently when sharded), and the buffers are
-        // merged serially into the one global heap. A heap's popped-value
-        // sequence is a function of the pushed-value multisets between
-        // pops, so the buffered merge is bit-identical to direct pushes.
-        let mut seed_bufs: Vec<Vec<(i64, u32, u16)>> = vec![Vec::new(); index.n_shards()];
+        // Heap storage of the reseeded selector: cleared, never dropped,
+        // between phases.
+        let mut heap: ScoreHeap = std::collections::BinaryHeap::new();
         // Telemetry for `RunResult::selection_steps`.
         let mut selection_steps: u64 = 0;
 
@@ -753,24 +695,24 @@ impl OnlineEngine {
                 }
             }
 
-            // -- 2–4. Fused per-shard maintenance, one task per shard
-            // (threaded on large sharded runs, inline otherwise — output is
-            // identical either way): amortized tombstone sweep, then EIs
-            // whose window opens now join cands(I) from the shard's
-            // `starts[t]` bucket (every entry there has `start == t`, so
-            // its resource gains a fresh update for the policy context),
-            // then the occupancy snapshot — scores must see the
-            // chronon-start occupancy even while captures land mid-probing,
-            // matching the legacy scan-once semantics. The live total is
-            // frozen after as the candidate-set size selection competes
-            // over.
-            index.begin_chronon(
-                instance,
-                &starts[t as usize],
-                &mut has_update,
-                &mut active_snapshot,
-                |cei| matches!(status[cei], Status::Active(_)),
-            );
+            // -- 2–4. Maintenance: amortized tombstone sweep, then EIs whose
+            // window opens now join cands(I) from the `starts[t]` bucket
+            // (every entry there has `start == t`, so its resource gains a
+            // fresh update for the policy context), then the occupancy
+            // snapshot — scores must see the chronon-start occupancy even
+            // while captures land mid-probing, matching the legacy
+            // scan-once semantics. The live total is frozen after as the
+            // candidate-set size selection competes over.
+            index.sweep();
+            has_update.fill(false);
+            for &e in &starts[t as usize] {
+                if matches!(status[e.cei.index()], Status::Active(_)) {
+                    let r = instance.cei(e.cei).eis[e.ei_idx as usize].resource.index();
+                    index.insert(e, r);
+                    has_update[r] = true;
+                }
+            }
+            active_snapshot.copy_from_slice(index.active_now());
             let pool_size = index.live();
 
             // The keyed queue scores each window as it opens, and sheds its
@@ -780,10 +722,8 @@ impl OnlineEngine {
                 if queue.needs_rebuild(pool_size) {
                     queue.rebuild(instance, policy, &ctx, &index, &status, &started);
                 } else {
-                    for bucket in &starts[t as usize] {
-                        for &e in bucket {
-                            queue.push_live(instance, policy, &ctx, &index, &status, &started, e);
-                        }
+                    for &e in &starts[t as usize] {
+                        queue.push_live(instance, policy, &ctx, &index, &status, &started, e);
                     }
                 }
             }
@@ -803,40 +743,22 @@ impl OnlineEngine {
                 // The keyed queue's group for this phase: cands⁺ first.
                 let group = usize::from(phase == Some(false));
                 let snapshot = phase.map(|req| (req, started.as_slice()));
-                // Reseeded heap strategies seed once per phase with current
+                // The reseeded heap seeds once per phase with current
                 // scores; sibling captures can *lower* MRSF / M-EDF scores,
                 // and a lazily validated heap never re-prioritizes buried
                 // entries on its own, so captures refresh the touched CEIs
-                // below. LazyHeap (the pre-refactor reference) allocates a
-                // fresh heap and CEI→entries map per phase; Incremental
-                // reuses the engine-owned heap buffer and refreshes through
-                // the index, allocating nothing.
-                let mut phase_heap: ScoreHeap = std::collections::BinaryHeap::new();
-                let mut cei_entries: std::collections::HashMap<u32, Vec<PoolEntry>> =
-                    std::collections::HashMap::new();
-                let heap: &mut ScoreHeap = match selection {
-                    SelectionStrategy::Incremental => {
-                        reused_heap.clear();
-                        &mut reused_heap
-                    }
-                    _ => &mut phase_heap,
-                };
-                if selection != SelectionStrategy::Scan && keyed.is_none() {
-                    let legacy = selection == SelectionStrategy::LazyHeap;
-                    // Per-shard scoring (concurrent when sharded), then a
-                    // serial merge in shard order — ascending resource
-                    // order, i.e. the exact serial seeding order.
-                    index.seed_scores(&mut seed_bufs, |e| {
-                        score_entry(instance, policy, &ctx, &status, e, snapshot)
-                    });
-                    for buf in &seed_bufs {
-                        for &(score, cei, ei_idx) in buf {
-                            heap.push(std::cmp::Reverse((score, cei, ei_idx)));
-                            if legacy {
-                                cei_entries.entry(cei).or_default().push(PoolEntry {
-                                    cei: CeiId(cei),
-                                    ei_idx,
-                                });
+                // below.
+                if reseeded {
+                    heap.clear();
+                    for r in 0..n_res {
+                        for &e in index.entries(r) {
+                            if !index.is_live(e) {
+                                continue;
+                            }
+                            if let Some(score) =
+                                score_entry(instance, policy, &ctx, &status, e, snapshot)
+                            {
+                                heap.push(std::cmp::Reverse((score, e.cei.0, e.ei_idx)));
                             }
                         }
                     }
@@ -878,7 +800,7 @@ impl OnlineEngine {
                             instance,
                             policy,
                             &ctx,
-                            heap,
+                            &mut heap,
                             &status,
                             &probed_now,
                             &fault_blocked,
@@ -952,13 +874,13 @@ impl OnlineEngine {
                         }
                         if !succeeded {
                             // The heap consumed this entry on pop; re-seed it
-                            // if its resource can still be selected, so every
-                            // strategy keeps the identical schedule. The
+                            // if its resource can still be selected, so both
+                            // selectors keep the identical schedule. The
                             // keyed queue keeps a blocked one for next
                             // chronon.
                             if let (Some(queue), Some(copy)) = (&mut keyed, picked) {
                                 queue.put_back(group, copy, fault_blocked[ri]);
-                            } else if selection != SelectionStrategy::Scan && !fault_blocked[ri] {
+                            } else if reseeded && !fault_blocked[ri] {
                                 if let Some(score) =
                                     score_entry(instance, policy, &ctx, &status, best, snapshot)
                                 {
@@ -1033,55 +955,25 @@ impl OnlineEngine {
                         for &id in &touched {
                             queue.push_cei(instance, policy, &ctx, &index, &status, &started, id);
                         }
-                        continue;
-                    }
-                    match selection {
-                        SelectionStrategy::Scan => {}
-                        SelectionStrategy::LazyHeap => {
-                            for id in &touched {
-                                let Some(entries) = cei_entries.get(&id.0) else {
-                                    continue;
+                    } else if reseeded {
+                        // Walk the touched CEI's own EIs; the liveness flag
+                        // restricts the refresh to entries actually in the
+                        // pool (an EI whose window has not opened yet must
+                        // not enter selection).
+                        for id in &touched {
+                            let cei = instance.cei(*id);
+                            for (idx, ei) in cei.eis.iter().enumerate() {
+                                let e = PoolEntry {
+                                    cei: *id,
+                                    ei_idx: idx as u16,
                                 };
-                                for e in entries {
-                                    if probed_now[instance.cei(e.cei).eis[e.ei_idx as usize]
-                                        .resource
-                                        .index()]
-                                    {
-                                        continue;
-                                    }
-                                    if let Some(score) =
-                                        score_entry(instance, policy, &ctx, &status, *e, snapshot)
-                                    {
-                                        heap.push(std::cmp::Reverse((score, e.cei.0, e.ei_idx)));
-                                    }
+                                if !index.is_live(e) || probed_now[ei.resource.index()] {
+                                    continue;
                                 }
-                            }
-                        }
-                        SelectionStrategy::Incremental => {
-                            // Walk the touched CEI's own EIs; the liveness
-                            // flag restricts the refresh to entries actually
-                            // in the pool (an EI whose window has not opened
-                            // yet must not enter selection). Pushes the same
-                            // value multiset as the legacy map walk: an
-                            // entry scores now iff it was seeded this phase
-                            // and still scores.
-                            for id in &touched {
-                                let cei = instance.cei(*id);
-                                for (idx, ei) in cei.eis.iter().enumerate() {
-                                    let e = PoolEntry {
-                                        cei: *id,
-                                        ei_idx: idx as u16,
-                                    };
-                                    if !index.is_live(e, ei.resource.index())
-                                        || probed_now[ei.resource.index()]
-                                    {
-                                        continue;
-                                    }
-                                    if let Some(score) =
-                                        score_entry(instance, policy, &ctx, &status, e, snapshot)
-                                    {
-                                        heap.push(std::cmp::Reverse((score, e.cei.0, e.ei_idx)));
-                                    }
+                                if let Some(score) =
+                                    score_entry(instance, policy, &ctx, &status, e, snapshot)
+                                {
+                                    heap.push(std::cmp::Reverse((score, e.cei.0, e.ei_idx)));
                                 }
                             }
                         }
@@ -1109,16 +1001,15 @@ impl OnlineEngine {
             // closing at t are visited — their bucket keeps pool order.
             transitions.clear();
             for e in &ends[t as usize] {
-                let cei = instance.cei(e.cei);
-                let r = cei.eis[e.ei_idx as usize].resource.index();
-                if !index.is_live(*e, r) {
+                if !index.is_live(*e) {
                     continue; // never entered, captured, or already removed
                 }
+                let cei = instance.cei(e.cei);
                 let Status::Active(cap) = &mut status[e.cei.index()] else {
                     continue;
                 };
                 if cap.mark_expired(e.ei_idx as usize) {
-                    index.remove(*e, r);
+                    index.remove(*e, cei.eis[e.ei_idx as usize].resource.index());
                     if cap.is_doomed(cei.required) {
                         transitions.push((e.cei, CeiOutcome::Failed { at: t }));
                     }
@@ -1148,7 +1039,7 @@ impl OnlineEngine {
                         continue;
                     };
                     for e in index.entries(r) {
-                        if !index.is_live(*e, r) {
+                        if !index.is_live(*e) {
                             continue;
                         }
                         let ei = instance.cei(e.cei).eis[e.ei_idx as usize];
@@ -1194,7 +1085,7 @@ impl OnlineEngine {
             // time join cands⁺ (NP) — the keyed queue re-files their live
             // entries there.
             if let Some(queue) = &mut keyed {
-                queue.requeue_skipped(instance, &index, &status, &started);
+                queue.requeue_skipped(&index, &status, &started);
             }
             for &id in &captured_now {
                 if std::mem::replace(&mut started[id.index()], true) {
@@ -1257,7 +1148,7 @@ fn policy_context<'a>(
 fn snapshot_state(
     t: Chronon,
     instance: &Instance,
-    index: &ShardSet,
+    index: &CandidateIndex,
     status: &[Status],
     outcomes: &[CeiOutcome],
     stats: &RunStats,
@@ -1273,7 +1164,7 @@ fn snapshot_state(
     for r in 0..n_res {
         let mut live = Vec::new();
         for e in index.entries(r) {
-            if index.is_live(*e, r) {
+            if index.is_live(*e) {
                 live.push((e.cei.0, e.ei_idx));
             }
         }
@@ -1349,7 +1240,7 @@ fn argmin_candidate(
     instance: &Instance,
     policy: &dyn Policy,
     ctx: &PolicyContext<'_>,
-    index: &ShardSet,
+    index: &CandidateIndex,
     status: &[Status],
     probed_now: &[bool],
     blocked: &[bool],
@@ -1370,7 +1261,7 @@ fn argmin_candidate(
             continue; // unaffordable this chronon (varying-costs extension)
         }
         for e in index.entries(r) {
-            if !index.is_live(*e, r) {
+            if !index.is_live(*e) {
                 continue;
             }
             let Some(score) = score_entry(instance, policy, ctx, status, *e, phase) else {
@@ -1490,8 +1381,7 @@ impl KeyedQueue {
         &self,
         group: usize,
         copy: KeyedCopy,
-        instance: &Instance,
-        index: &ShardSet,
+        index: &CandidateIndex,
         status: &[Status],
         started: &[bool],
     ) -> bool {
@@ -1500,8 +1390,7 @@ impl KeyedQueue {
             cei: CeiId(cei),
             ei_idx,
         };
-        let r = instance.cei(e.cei).eis[ei_idx as usize].resource.index();
-        index.is_live(e, r)
+        index.is_live(e)
             && status[e.cei.index()]
                 .capture_set()
                 .is_some_and(|cap| cap.n_captured() == usize::from(captured))
@@ -1513,12 +1402,11 @@ impl KeyedQueue {
         instance: &Instance,
         policy: &dyn Policy,
         ctx: &PolicyContext<'_>,
-        index: &ShardSet,
+        index: &CandidateIndex,
         status: &[Status],
         e: PoolEntry,
     ) -> Option<KeyedCopy> {
-        let r = instance.cei(e.cei).eis[e.ei_idx as usize].resource.index();
-        if !index.is_live(e, r) {
+        if !index.is_live(e) {
             return None;
         }
         let captured = status[e.cei.index()].capture_set()?.n_captured() as u16;
@@ -1533,7 +1421,7 @@ impl KeyedQueue {
         instance: &Instance,
         policy: &dyn Policy,
         ctx: &PolicyContext<'_>,
-        index: &ShardSet,
+        index: &CandidateIndex,
         status: &[Status],
         started: &[bool],
         e: PoolEntry,
@@ -1551,7 +1439,7 @@ impl KeyedQueue {
         instance: &Instance,
         policy: &dyn Policy,
         ctx: &PolicyContext<'_>,
-        index: &ShardSet,
+        index: &CandidateIndex,
         status: &[Status],
         started: &[bool],
         id: CeiId,
@@ -1574,7 +1462,7 @@ impl KeyedQueue {
         &mut self,
         group: usize,
         instance: &Instance,
-        index: &ShardSet,
+        index: &CandidateIndex,
         status: &[Status],
         started: &[bool],
         blocked: &[bool],
@@ -1583,7 +1471,7 @@ impl KeyedQueue {
     ) -> Option<KeyedCopy> {
         while let Some(std::cmp::Reverse(copy)) = self.heaps[group].pop() {
             *steps += 1;
-            if !self.is_current(group, copy, instance, index, status, started) {
+            if !self.is_current(group, copy, index, status, started) {
                 continue;
             }
             let resource = instance.cei(CeiId(copy.1)).eis[copy.2 as usize].resource;
@@ -1611,16 +1499,10 @@ impl KeyedQueue {
 
     /// End of chronon: skipped copies that are still current rejoin their
     /// heaps.
-    fn requeue_skipped(
-        &mut self,
-        instance: &Instance,
-        index: &ShardSet,
-        status: &[Status],
-        started: &[bool],
-    ) {
+    fn requeue_skipped(&mut self, index: &CandidateIndex, status: &[Status], started: &[bool]) {
         let mut skipped = std::mem::take(&mut self.skipped);
         for (group, copy) in skipped.drain(..) {
-            if self.is_current(group, copy, instance, index, status, started) {
+            if self.is_current(group, copy, index, status, started) {
                 self.heaps[group].push(std::cmp::Reverse(copy));
             }
         }
@@ -1647,7 +1529,7 @@ impl KeyedQueue {
         instance: &Instance,
         policy: &dyn Policy,
         ctx: &PolicyContext<'_>,
-        index: &ShardSet,
+        index: &CandidateIndex,
         status: &[Status],
         started: &[bool],
     ) {
@@ -1683,7 +1565,7 @@ impl KeyedQueue {
 #[allow(clippy::too_many_arguments)]
 fn capture_resource<O: Observer>(
     instance: &Instance,
-    index: &mut ShardSet,
+    index: &mut CandidateIndex,
     scratch: &mut Vec<PoolEntry>,
     status: &mut [Status],
     resource: usize,
@@ -1695,9 +1577,9 @@ fn capture_resource<O: Observer>(
     observer: &mut O,
 ) {
     completed.clear();
-    std::mem::swap(scratch, index.list_mut(resource));
+    std::mem::swap(scratch, &mut index.by_resource[resource]);
     for e in scratch.iter() {
-        if !index.is_live(*e, resource) {
+        if !index.is_live(*e) {
             continue; // tombstone awaiting a sweep
         }
         let Status::Active(cap) = &mut status[e.cei.index()] else {
@@ -1726,7 +1608,7 @@ fn capture_resource<O: Observer>(
         }
     }
     scratch.clear();
-    std::mem::swap(scratch, index.list_mut(resource));
+    std::mem::swap(scratch, &mut index.by_resource[resource]);
     index.reset_cleared(resource);
     for &(id, outcome) in completed.iter() {
         status[id.index()] = Status::Captured;
@@ -1743,7 +1625,7 @@ fn capture_resource<O: Observer>(
 #[allow(clippy::too_many_arguments)]
 fn capture_single<O: Observer>(
     instance: &Instance,
-    index: &mut ShardSet,
+    index: &mut CandidateIndex,
     entry: PoolEntry,
     status: &mut [Status],
     t: Chronon,
@@ -2153,47 +2035,21 @@ mod tests {
     }
 
     #[test]
-    fn lazy_heap_matches_scan_on_structured_instances() {
-        use crate::policy::{MEdf, Wic};
-        // Budget 3 with many overlapping multi-EI CEIs: intra-chronon
-        // captures shift MRSF / M-EDF sibling scores, exercising the heap's
-        // refresh path (a lazily validated heap without refresh diverges
-        // here — regression for the buried-priority bug).
-        let inst = contended_instance();
-        for policy in [&SEdf as &dyn Policy, &Mrsf, &MEdf, &Wic::paper()] {
-            for base in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
-                let scan = OnlineEngine::run(&inst, policy, base.with_scan());
-                let heap = OnlineEngine::run(&inst, policy, base.with_lazy_heap());
-                assert_eq!(
-                    scan.schedule,
-                    heap.schedule,
-                    "{} {:?}: schedules diverge",
-                    policy.name(),
-                    base
-                );
-                assert_eq!(scan.stats, heap.stats);
-            }
-        }
-    }
-
-    #[test]
     fn unstable_scores_fall_back_to_scan_selection() {
         use crate::policy::RandomPolicy;
         // Regression: `RandomPolicy` re-scores the same candidate to a new
-        // value on every call, so the heap selectors' stale-entry re-push
+        // value on every call, so the heap selector's stale-entry re-push
         // loop never terminated (the selection-step counter overflowed).
         // The engine must pin unstable-score policies to `Scan`: the run
-        // completes, and every strategy produces the `Scan` result bit for
-        // bit (same RNG draw sequence ⇒ same schedule).
+        // completes, and the default selector produces the `Scan` result
+        // bit for bit (same RNG draw sequence ⇒ same schedule).
         let inst = contended_instance();
         for base in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
             let scan = OnlineEngine::run(&inst, &RandomPolicy::new(7), base.with_scan());
-            for config in [base, base.with_lazy_heap()] {
-                let run = OnlineEngine::run(&inst, &RandomPolicy::new(7), config);
-                assert_eq!(scan.schedule, run.schedule, "{config:?}: schedules diverge");
-                assert_eq!(scan.stats, run.stats);
-                assert_eq!(scan.outcomes, run.outcomes);
-            }
+            let run = OnlineEngine::run(&inst, &RandomPolicy::new(7), base);
+            assert_eq!(scan.schedule, run.schedule, "{base:?}: schedules diverge");
+            assert_eq!(scan.stats, run.stats);
+            assert_eq!(scan.outcomes, run.outcomes);
         }
     }
 
@@ -2234,21 +2090,21 @@ mod tests {
     }
 
     #[test]
-    fn incremental_matches_lazy_heap_trace_bytes() {
+    fn incremental_matches_scan_trace_bytes() {
         use crate::obs::JsonlTraceObserver;
         use crate::policy::MEdf;
         // The contract is stronger than schedule equality: the full event
         // stream — including per-probe fan-outs and candidate-set sizes —
-        // must be byte-identical to the legacy heap's.
+        // must be byte-identical to the reference scan's.
         let inst = contended_instance();
         for policy in [&SEdf as &dyn Policy, &Mrsf, &MEdf] {
             for base in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
-                let mut legacy = JsonlTraceObserver::new(Vec::<u8>::new());
-                OnlineEngine::run_observed(&inst, policy, base.with_lazy_heap(), &mut legacy);
+                let mut scan = JsonlTraceObserver::new(Vec::<u8>::new());
+                OnlineEngine::run_observed(&inst, policy, base.with_scan(), &mut scan);
                 let mut incremental = JsonlTraceObserver::new(Vec::<u8>::new());
                 OnlineEngine::run_observed(&inst, policy, base, &mut incremental);
                 assert_eq!(
-                    legacy.finish().expect("in-memory write"),
+                    scan.finish().expect("in-memory write"),
                     incremental.finish().expect("in-memory write"),
                     "{} {:?}: trace bytes diverge",
                     policy.name(),

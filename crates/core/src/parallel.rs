@@ -1,6 +1,6 @@
 //! Dependency-free parallel execution for embarrassingly parallel work:
-//! experiment stages (repetitions, grid points) and the engine's
-//! intra-cell resource shards.
+//! experiment stages (repetitions, grid points, policies). The engine loop
+//! itself is serial.
 //!
 //! The workspace forbids external crates, so this is a minimal scoped-thread
 //! work queue built on [`std::thread::scope`]. The one primitive is
@@ -11,13 +11,8 @@
 //! wall-clock *measurements* taken inside the mapped closure, which is why
 //! the timed experiments pin themselves to one worker with [`serial`]).
 //!
-//! Two independent knobs resolve here: **jobs** (experiment-level workers,
-//! [`effective_jobs`]) and **shards** (engine-level resource partitions,
-//! [`effective_shards`]). They compose: each experiment worker may run a
-//! sharded engine, whose scoped shard threads are short-lived and bounded
-//! by the shard count.
-//!
-//! Worker count resolution, highest priority first:
+//! One knob resolves here: **jobs**, the worker count ([`effective_jobs`]).
+//! Resolution, highest priority first:
 //! 1. a [`serial`] scope on the calling thread (timed runs),
 //! 2. [`set_jobs`] (the CLI's `--jobs N`),
 //! 3. the `WEBMON_JOBS` environment variable,
@@ -34,10 +29,6 @@ use std::time::Instant;
 
 /// Explicit worker-count override; 0 means "not set, resolve automatically".
 static JOBS: AtomicUsize = AtomicUsize::new(0);
-
-/// Explicit engine shard-count override; 0 means "not set, resolve
-/// automatically" (`WEBMON_SHARDS`, then 1 — intra-cell sharding is opt-in).
-static SHARDS: AtomicUsize = AtomicUsize::new(0);
 
 /// Cumulative busy time (nanoseconds) spent inside mapped closures, across
 /// all workers. `busy / wall` is the achieved speedup of a run.
@@ -72,36 +63,6 @@ pub fn effective_jobs() -> usize {
         return n;
     }
     std::thread::available_parallelism().map_or(1, |n| n.get())
-}
-
-/// Sets the engine shard count for subsequent runs whose
-/// [`EngineConfig::shards`](crate::engine::EngineConfig::shards) is `0`
-/// (= "resolve automatically"). `0` restores the automatic resolution
-/// (`WEBMON_SHARDS`, then 1).
-pub fn set_shards(n: usize) {
-    SHARDS.store(n, Ordering::Relaxed);
-}
-
-/// The shard count an engine run with `shards = 0` resolves to right now.
-///
-/// Resolution, highest priority first: [`set_shards`] (the CLI's
-/// `--shards N`), the `WEBMON_SHARDS` environment variable, then `1`.
-/// Unlike [`effective_jobs`], the default is *serial*: intra-cell sharding
-/// is opt-in, and — unlike experiment-level `par_map` — a sharded engine
-/// spawns its scoped workers even inside a [`serial`] scope (the sharded
-/// bench ladder pins repetitions serial while measuring the engine's own
-/// parallelism). Determinism does not depend on the choice: any shard
-/// count is bit-identical to `shards = 1` on all engine output.
-pub fn effective_shards() -> usize {
-    let set = SHARDS.load(Ordering::Relaxed);
-    if set > 0 {
-        return set;
-    }
-    std::env::var("WEBMON_SHARDS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or(1)
 }
 
 /// Runs `f` with parallelism pinned to one worker on this thread — every
@@ -290,16 +251,6 @@ mod tests {
             });
             assert_eq!(out, (0..8).map(|x| 2 * x).collect::<Vec<_>>());
         });
-    }
-
-    #[test]
-    fn shard_resolution_prefers_explicit_setting() {
-        // No other test touches the global shard count, so the round-trip
-        // is safe under the concurrent harness.
-        set_shards(5);
-        assert_eq!(effective_shards(), 5);
-        set_shards(0);
-        assert!(effective_shards() >= 1);
     }
 
     #[test]

@@ -183,67 +183,20 @@ fn feasibility_is_inclusive_at_the_budget() {
     assert!(!late.is_feasible(&Budget::PerChronon(vec![1, 1, 1])));
 }
 
-/// Shard-routing endpoints: with 5 resources and 2 shards the contiguous
-/// partition is `[0, 3)` / `[3, 5)`, so resources 2 and 3 sit on either
-/// side of the shard boundary. A CEI straddling that boundary (EIs on both
-/// resources) must still capture through cross-shard sibling refresh, and
-/// the sharded run must equal the serial run exactly.
+/// Adjacent resources: one CEI on each of resources 2 and 3, then one CEI
+/// straddling both at later chronons. Budget 1 serves each in turn, so all
+/// three capture.
 #[test]
-fn shard_boundary_resources_route_and_capture() {
+fn straddling_cei_on_adjacent_resources_captures() {
     let mut b = InstanceBuilder::new(5, 12, Budget::Uniform(1));
     let p = b.profile();
-    // One CEI per boundary-adjacent resource, plus one straddling the
-    // boundary itself.
     b.cei(p, &[(2, 1, 5)]);
     b.cei(p, &[(3, 1, 5)]);
     b.cei(p, &[(2, 6, 10), (3, 6, 10)]);
     let inst = b.build();
     assert_engine_invariants(&inst);
-    let serial = conformant_run(&inst, &Mrsf, EngineConfig::preemptive().with_shards(1));
-    let sharded = conformant_run(&inst, &Mrsf, EngineConfig::preemptive().with_shards(2));
-    assert_eq!(serial.schedule, sharded.schedule);
-    assert_eq!(serial.stats, sharded.stats);
-    assert_eq!(serial.outcomes, sharded.outcomes);
-    assert_eq!(sharded.stats.ceis_captured, 3, "boundary CEIs must capture");
-}
-
-/// The single-shard degenerate run: `with_shards(1)` is the serial engine,
-/// and must be indistinguishable from the default (`shards = 0`, auto)
-/// configuration on the same instance.
-#[test]
-fn single_shard_run_equals_the_default_configuration() {
-    let inst = one_ei_instance(3, 7);
-    let auto = conformant_run(&inst, &Mrsf, EngineConfig::preemptive());
-    let one = conformant_run(&inst, &Mrsf, EngineConfig::preemptive().with_shards(1));
-    assert_eq!(auto.schedule, one.schedule);
-    assert_eq!(auto.stats, one.stats);
-    assert_eq!(auto.outcomes, one.outcomes);
-}
-
-/// `shards > |R|` clamps to one shard per resource instead of leaving empty
-/// shards in the partition: a single-resource instance under `shards = 4`
-/// (and a 3-resource instance under `shards = 64`) runs identically to
-/// serial and still captures.
-#[test]
-fn shard_count_above_resource_count_clamps() {
-    let single = one_ei_instance(3, 7);
-    let serial = conformant_run(&single, &Mrsf, EngineConfig::preemptive().with_shards(1));
-    let clamped = conformant_run(&single, &Mrsf, EngineConfig::preemptive().with_shards(4));
-    assert_eq!(serial.schedule, clamped.schedule);
-    assert_eq!(serial.stats, clamped.stats);
-    assert_eq!(clamped.stats.ceis_captured, 1);
-
-    let mut b = InstanceBuilder::new(3, 12, Budget::Uniform(2));
-    let p = b.profile();
-    b.cei(p, &[(0, 0, 4)]);
-    b.cei(p, &[(1, 2, 6)]);
-    b.cei(p, &[(2, 4, 8)]);
-    let inst = b.build();
-    let serial = conformant_run(&inst, &Mrsf, EngineConfig::non_preemptive().with_shards(1));
-    let clamped = conformant_run(&inst, &Mrsf, EngineConfig::non_preemptive().with_shards(64));
-    assert_eq!(serial.schedule, clamped.schedule);
-    assert_eq!(serial.stats, clamped.stats);
-    assert_eq!(serial.outcomes, clamped.outcomes);
+    let run = conformant_run(&inst, &Mrsf, EngineConfig::preemptive());
+    assert_eq!(run.stats.ceis_captured, 3, "all three CEIs must capture");
 }
 
 /// Diagnostics at the endpoints: probes at `T_s` and `T_f` of the same

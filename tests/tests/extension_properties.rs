@@ -29,22 +29,23 @@ proptest! {
         assert_extension_invariants(&instance);
     }
 
-    /// Lazy-heap equivalence holds under the extension semantics too.
+    /// Incremental-vs-scan equivalence holds under the extension semantics
+    /// too.
     #[test]
-    fn lazy_heap_equals_scan_under_extensions(
+    fn incremental_equals_scan_under_extensions(
         specs in prop::collection::vec(extension_cei_strategy(), 1..=8),
         costs in any::<bool>(),
     ) {
         let instance = extension_instance(&specs, 2, costs);
         for policy in [&Mrsf as &dyn Policy, &MEdf] {
-            let scan = OnlineEngine::run(&instance, policy, EngineConfig::preemptive());
-            let heap = OnlineEngine::run(
+            let scan = OnlineEngine::run(
                 &instance,
                 policy,
-                EngineConfig::preemptive().with_lazy_heap(),
+                EngineConfig::preemptive().with_scan(),
             );
-            prop_assert_eq!(&scan.schedule, &heap.schedule);
-            prop_assert_eq!(scan.stats, heap.stats);
+            let incremental = OnlineEngine::run(&instance, policy, EngineConfig::preemptive());
+            prop_assert_eq!(&scan.schedule, &incremental.schedule);
+            prop_assert_eq!(scan.stats, incremental.stats);
         }
     }
 

@@ -132,15 +132,15 @@ fn parallel_local_ratio_matches_serial() {
 }
 
 #[test]
-fn lazy_heap_and_scan_runs_are_identical_under_the_pool() {
+fn incremental_and_scan_runs_are_identical_under_the_pool() {
     // Drive raw engine runs (both selection strategies, both modes) through
     // an explicit 4-worker pool and compare against a sequential map.
     let exp = serial(|| Experiment::materialize(config()));
     for engine_cfg in [
         EngineConfig::preemptive(),
         EngineConfig::non_preemptive(),
-        EngineConfig::preemptive().with_lazy_heap(),
-        EngineConfig::non_preemptive().with_lazy_heap(),
+        EngineConfig::preemptive().with_scan(),
+        EngineConfig::non_preemptive().with_scan(),
     ] {
         let sequential: Vec<_> = exp
             .workloads()

@@ -78,16 +78,16 @@ proptest! {
         }
     }
 
-    /// The lazy-heap selection strategy (Appendix B) is decision-for-
-    /// decision equivalent to the reference scan on arbitrary instances.
+    /// The default incremental selector is decision-for-decision
+    /// equivalent to the reference scan on arbitrary instances.
     #[test]
-    fn lazy_heap_equals_scan(instance in core_instance_strategy()) {
+    fn incremental_equals_scan(instance in core_instance_strategy()) {
         for policy in [&SEdf as &dyn Policy, &Mrsf, &MEdf, &Wic::paper()] {
             for base in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
-                let scan = OnlineEngine::run(&instance, policy, base);
-                let heap = OnlineEngine::run(&instance, policy, base.with_lazy_heap());
-                prop_assert_eq!(&scan.schedule, &heap.schedule);
-                prop_assert_eq!(scan.stats, heap.stats);
+                let scan = OnlineEngine::run(&instance, policy, base.with_scan());
+                let incremental = OnlineEngine::run(&instance, policy, base);
+                prop_assert_eq!(&scan.schedule, &incremental.schedule);
+                prop_assert_eq!(scan.stats, incremental.stats);
             }
         }
     }

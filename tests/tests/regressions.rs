@@ -39,15 +39,15 @@ fn shrunk_rank2_simultaneous_deadline_instance() {
     for budget in [1, 2] {
         assert_engine_invariants(&properties_shrunk_instance(budget));
     }
-    // Scan and lazy-heap must take the same tie-break when both EIs carry
-    // identical scores at chronon 3.
+    // Scan and the default incremental selector must take the same
+    // tie-break when both EIs carry identical scores at chronon 3.
     let instance = properties_shrunk_instance(1);
     for policy in [&SEdf as &dyn Policy, &Mrsf, &MEdf, &Wic::paper()] {
         for base in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
-            let scan = OnlineEngine::run(&instance, policy, base);
-            let heap = OnlineEngine::run(&instance, policy, base.with_lazy_heap());
-            assert_eq!(scan.schedule, heap.schedule);
-            assert_eq!(scan.stats, heap.stats);
+            let scan = OnlineEngine::run(&instance, policy, base.with_scan());
+            let incremental = OnlineEngine::run(&instance, policy, base);
+            assert_eq!(scan.schedule, incremental.schedule);
+            assert_eq!(scan.stats, incremental.stats);
         }
     }
     // Budget 1 cannot satisfy two simultaneous single-chronon windows;
@@ -146,7 +146,7 @@ fn engine_outcomes_match_reevaluation_on_clean_runs() {
             for config in [
                 EngineConfig::preemptive(),
                 EngineConfig::non_preemptive(),
-                EngineConfig::preemptive().with_lazy_heap(),
+                EngineConfig::preemptive().with_scan(),
             ] {
                 let run = OnlineEngine::run(instance, policy, config);
                 let reeval = evaluate_outcomes(instance, &run.schedule);

@@ -1,28 +1,19 @@
-//! Bit-identity of the incremental selection path.
+//! Bit-identity of the default `Incremental` selector with the `Scan`
+//! reference.
 //!
-//! The PR-5 engine refactor replaced the per-phase `BinaryHeap` +
-//! `HashMap<u32, Vec<PoolEntry>>` rebuilds of the `LazyHeap` selector with
-//! the engine-owned incremental candidate index
-//! ([`SelectionStrategy::Incremental`], the default), and state-keyed
-//! policies (MRSF) now select through a persistent queue kept across
-//! chronons. The optimizations must be *observationally invisible*: over
-//! the whole conformance corpus, in every policy × mode cell,
-//! `Incremental` must reproduce both the pre-refactor `LazyHeap` output
-//! and the `Scan` reference **bit for bit** — the schedule, the
-//! `RunStats`/outcomes, the merged `RunMetrics`, and the raw JSONL trace
-//! bytes. Selection-step counts are per-strategy telemetry
-//! (`RunResult::selection_steps`) outside that contract.
+//! `Incremental` (the default) selects through a per-phase heap on
+//! engine-owned storage, and state-keyed policies (MRSF) through a
+//! persistent queue kept across chronons. Both must be *observationally
+//! invisible*: over the whole conformance corpus, in every policy × mode
+//! cell, `Incremental` must reproduce the `Scan` reference **bit for bit**
+//! — the schedule, the `RunStats`/outcomes, the merged `RunMetrics`, and
+//! the raw JSONL trace bytes. Selection-step counts are per-selector
+//! telemetry (`RunResult::selection_steps`) outside that contract.
 //!
-//! The identity is also pinned under parallel execution (jobs 1 vs 4) and
-//! under fault injection at a nonzero failure rate, so neither the worker
-//! pool nor the fault paths can reorder the incremental bookkeeping.
-//!
-//! The PR-7 sharded engine extends the same contract to intra-cell
-//! parallelism: `shards = N` must be bit-identical to `shards = 1` —
-//! schedule, stats, outcomes, `RunMetrics`, and JSONL trace bytes — for
-//! every shard count in the suite grid, across policies × P/NP × selection
-//! strategies, with and without fault injection and profile churn, and on
-//! an instance large enough to force the threaded shard dispatch path.
+//! The identity is also pinned under fault injection (charged failures
+//! with and without backoff), under profile churn, on an instance two
+//! orders of magnitude above corpus size, and under parallel execution
+//! (jobs 1 vs 4).
 
 use webmon_core::engine::{EngineConfig, MutationQueue, OnlineEngine, SelectionStrategy};
 use webmon_core::fault::{Backoff, FaultConfig, IidFaults, NoFaults};
@@ -78,17 +69,6 @@ fn observed_faulted(
     config: EngineConfig,
     rate: f64,
     seed: u64,
-) -> (RunResult, RunMetrics, Vec<u8>) {
-    observed_faulted_with(instance, policy, config, rate, seed, FaultConfig::charged())
-}
-
-/// Same, under an explicit fault configuration.
-fn observed_faulted_with(
-    instance: &Instance,
-    policy: &dyn Policy,
-    config: EngineConfig,
-    rate: f64,
-    seed: u64,
     fault_config: FaultConfig,
 ) -> (RunResult, RunMetrics, Vec<u8>) {
     let mut metrics = MetricsObserver::new();
@@ -113,26 +93,6 @@ fn assert_identical(
     assert_eq!(a.0.outcomes, b.0.outcomes, "{label}: outcomes");
     assert_eq!(a.1, b.1, "{label}: RunMetrics");
     assert_eq!(a.2, b.2, "{label}: JSONL trace bytes");
-}
-
-/// Tentpole identity: `Incremental` vs the pre-refactor `LazyHeap` over the
-/// full corpus, 4 policies × P/NP — schedule, stats, outcomes, metrics, and
-/// trace bytes all byte-identical.
-#[test]
-fn incremental_is_bit_identical_to_lazy_heap_on_the_corpus() {
-    for seed in 0..conformance_cases() {
-        let instance = small_instance(seed, false);
-        for (name, policy) in &policies() {
-            for (lazy, incr) in configs(SelectionStrategy::LazyHeap)
-                .into_iter()
-                .zip(configs(SelectionStrategy::Incremental))
-            {
-                let a = observed(&instance, policy.as_ref(), lazy);
-                let b = observed(&instance, policy.as_ref(), incr);
-                assert_identical(&format!("seed {seed}: {name} {}", lazy.label()), &a, &b);
-            }
-        }
-    }
 }
 
 /// The `Scan` grid: the paper policies plus every state-keyed variant, so
@@ -164,12 +124,20 @@ fn incremental_matches_scan_semantics_on_the_corpus() {
     }
 }
 
-/// The `Scan` identity under charged iid faults with backoff: failed
-/// probes are pushed back, and entries on backed-off resources are skipped
-/// for the chronon and must be selectable again once the backoff ends.
+/// The `Scan` identity under charged iid faults, with and without
+/// backoff. Without backoff a failed probe's entry goes back into the
+/// selector and can be selected again in the same chronon; with backoff,
+/// entries on backed-off resources are skipped for the chronon and must be
+/// selectable again once the backoff ends.
 #[test]
 fn incremental_matches_scan_under_faults_with_backoff() {
-    let fault_config = FaultConfig::charged().with_backoff(Backoff::new(1, 8));
+    let fault_configs = [
+        ("charged", FaultConfig::charged()),
+        (
+            "backoff",
+            FaultConfig::charged().with_backoff(Backoff::new(1, 8)),
+        ),
+    ];
     for seed in 0..conformance_cases() {
         let instance = small_instance(seed, false);
         for (name, policy) in &scan_grid() {
@@ -177,21 +145,23 @@ fn incremental_matches_scan_under_faults_with_backoff() {
                 .into_iter()
                 .zip(configs(SelectionStrategy::Incremental))
             {
-                let run = |config| {
-                    observed_faulted_with(
-                        &instance,
-                        policy.as_ref(),
-                        config,
-                        0.3,
-                        seed,
-                        fault_config,
-                    )
-                };
-                assert_identical(
-                    &format!("seed {seed}: {name} {} rate 0.3 backoff", scan.label()),
-                    &run(scan),
-                    &run(incr),
-                );
+                for (faults, fault_config) in fault_configs {
+                    let run = |config| {
+                        observed_faulted(
+                            &instance,
+                            policy.as_ref(),
+                            config,
+                            0.3,
+                            seed,
+                            fault_config,
+                        )
+                    };
+                    assert_identical(
+                        &format!("seed {seed}: {name} {} rate 0.3 {faults}", scan.label()),
+                        &run(scan),
+                        &run(incr),
+                    );
+                }
             }
         }
     }
@@ -216,32 +186,6 @@ fn incremental_matches_scan_under_churn() {
                     &format!("seed {seed}: {name} {} churned", scan.label()),
                     &observed_churned(&instance, policy.as_ref(), scan, &mutations),
                     &observed_churned(&instance, policy.as_ref(), incr, &mutations),
-                );
-            }
-        }
-    }
-}
-
-/// The identity survives fault injection at a nonzero rate: failed probes,
-/// retries, outages, and shedding all drive the incremental index through
-/// its removal paths, and the output must still match `LazyHeap` bit for
-/// bit.
-#[test]
-fn incremental_matches_lazy_heap_under_faults() {
-    let cases = conformance_cases().min(120);
-    for seed in 0..cases {
-        let instance = small_instance(seed, false);
-        for (name, policy) in &policies() {
-            for (lazy, incr) in configs(SelectionStrategy::LazyHeap)
-                .into_iter()
-                .zip(configs(SelectionStrategy::Incremental))
-            {
-                let a = observed_faulted(&instance, policy.as_ref(), lazy, 0.3, seed);
-                let b = observed_faulted(&instance, policy.as_ref(), incr, 0.3, seed);
-                assert_identical(
-                    &format!("seed {seed}: {name} {} rate 0.3", lazy.label()),
-                    &a,
-                    &b,
                 );
             }
         }
@@ -279,10 +223,10 @@ fn corpus_digest(
     })
 }
 
-/// The PR-1 determinism contract extends to the incremental path: the whole
+/// The determinism contract extends to the incremental path: the whole
 /// corpus digest (trace bytes, metric counters, and selection steps) is
 /// identical on 1 worker and on 4, and the semantic digest is identical
-/// between `LazyHeap` and `Incremental` — selection steps are per-strategy
+/// between `Scan` and `Incremental` — selection steps are per-selector
 /// telemetry.
 #[test]
 fn corpus_digest_is_jobs_invariant_and_strategy_invariant() {
@@ -290,7 +234,7 @@ fn corpus_digest_is_jobs_invariant_and_strategy_invariant() {
     let incr_1 = corpus_digest(SelectionStrategy::Incremental, 1, cases);
     let incr_4 = corpus_digest(SelectionStrategy::Incremental, 4, cases);
     assert_eq!(incr_1, incr_4, "jobs 1 vs jobs 4 digests differ");
-    let lazy_1 = corpus_digest(SelectionStrategy::LazyHeap, 1, cases);
+    let scan_1 = corpus_digest(SelectionStrategy::Scan, 1, cases);
     let semantic = |digest: &[(Vec<u8>, String, u64)]| -> Vec<(Vec<u8>, String)> {
         digest
             .iter()
@@ -299,20 +243,10 @@ fn corpus_digest_is_jobs_invariant_and_strategy_invariant() {
     };
     assert_eq!(
         semantic(&incr_1),
-        semantic(&lazy_1),
-        "Incremental vs LazyHeap digests differ"
+        semantic(&scan_1),
+        "Incremental vs Scan digests differ"
     );
 }
-
-// ---------------------------------------------------------------------------
-// Sharded vs serial identity (PR-7).
-// ---------------------------------------------------------------------------
-
-/// Shard counts exercised against the `shards = 1` baseline. The corpus
-/// instances have 1–3 resources, so 2 lands on a real partition, while 4
-/// and 7 also pin the `shards > |R|` clamp (a requested count above the
-/// resource count resolves to one shard per resource).
-const SHARD_COUNTS: [u32; 3] = [2, 4, 7];
 
 /// Same, through the mutation-drain entry point with a churn overlay.
 fn observed_churned(
@@ -340,140 +274,8 @@ fn observed_churned(
     (result, metrics.finish(), bytes)
 }
 
-/// Tentpole identity: every sharded run reproduces the serial run bit for
-/// bit over the full corpus — 4 policies × P/NP × shards {2, 4, 7}, on the
-/// default `Incremental` strategy. Schedule, stats, outcomes, `RunMetrics`,
-/// and raw JSONL trace bytes must all match.
-#[test]
-fn sharded_is_bit_identical_to_serial_on_the_corpus() {
-    for seed in 0..conformance_cases() {
-        let instance = small_instance(seed, false);
-        for (name, policy) in &policies() {
-            for config in configs(SelectionStrategy::Incremental) {
-                let serial = observed(&instance, policy.as_ref(), config.with_shards(1));
-                for shards in SHARD_COUNTS {
-                    let sharded = observed(&instance, policy.as_ref(), config.with_shards(shards));
-                    assert_identical(
-                        &format!("seed {seed}: {name} {} shards {shards}", config.label()),
-                        &serial,
-                        &sharded,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// The shard identity is strategy-independent: `Scan`, `LazyHeap`, and
-/// `Incremental` each reproduce their own serial output bit for bit under
-/// sharding (each strategy is compared against itself, so the selection-step
-/// accounting differences between strategies never enter the comparison).
-#[test]
-fn sharded_identity_holds_for_every_selection_strategy() {
-    let cases = conformance_cases().min(120);
-    for seed in 0..cases {
-        let instance = small_instance(seed, false);
-        for strategy in [
-            SelectionStrategy::Scan,
-            SelectionStrategy::LazyHeap,
-            SelectionStrategy::Incremental,
-        ] {
-            for config in configs(strategy) {
-                let serial = observed(&instance, &Mrsf, config.with_shards(1));
-                for shards in SHARD_COUNTS {
-                    let sharded = observed(&instance, &Mrsf, config.with_shards(shards));
-                    assert_identical(
-                        &format!(
-                            "seed {seed}: {strategy:?} {} shards {shards}",
-                            config.label()
-                        ),
-                        &serial,
-                        &sharded,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Sharding composes with fault injection: failed probes, retries, and
-/// shedding drive the per-shard indices through their removal paths, and
-/// the faulted sharded run still matches the faulted serial run bit for
-/// bit.
-#[test]
-fn sharded_identity_survives_fault_injection() {
-    let cases = conformance_cases().min(120);
-    for seed in 0..cases {
-        let instance = small_instance(seed, false);
-        for (name, policy) in &policies() {
-            for config in configs(SelectionStrategy::Incremental) {
-                let serial =
-                    observed_faulted(&instance, policy.as_ref(), config.with_shards(1), 0.3, seed);
-                for shards in [2, 7] {
-                    let sharded = observed_faulted(
-                        &instance,
-                        policy.as_ref(),
-                        config.with_shards(shards),
-                        0.3,
-                        seed,
-                    );
-                    assert_identical(
-                        &format!(
-                            "seed {seed}: {name} {} shards {shards} rate 0.3",
-                            config.label()
-                        ),
-                        &serial,
-                        &sharded,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// Sharding composes with profile churn: mid-run registrations insert into
-/// the owning shard's index, cancellations route per-EI, and the churned
-/// sharded run matches the churned serial run bit for bit.
-#[test]
-fn sharded_identity_survives_profile_churn() {
-    let cases = conformance_cases().min(120);
-    let churn = ChurnConfig::new(0.5, 0.4)
-        .with_alpha(0.8)
-        .with_reconfigurations(1);
-    for seed in 0..cases {
-        let instance = small_instance(seed, true);
-        let mutations = overlay(&instance, &churn, &SimRng::new(seed));
-        for (name, policy) in &policies() {
-            for config in configs(SelectionStrategy::Incremental) {
-                let serial = observed_churned(
-                    &instance,
-                    policy.as_ref(),
-                    config.with_shards(1),
-                    &mutations,
-                );
-                for shards in [2, 7] {
-                    let sharded = observed_churned(
-                        &instance,
-                        policy.as_ref(),
-                        config.with_shards(shards),
-                        &mutations,
-                    );
-                    assert_identical(
-                        &format!(
-                            "seed {seed}: {name} {} shards {shards} churned",
-                            config.label()
-                        ),
-                        &serial,
-                        &sharded,
-                    );
-                }
-            }
-        }
-    }
-}
-
-/// A deterministic instance big enough (> 4096 EIs) that multi-shard runs
-/// take the *threaded* shard dispatch path rather than the inline loop.
+/// A deterministic instance two orders of magnitude above corpus size
+/// (> 4096 EIs over 48 resources).
 fn large_instance(seed: u64) -> Instance {
     let n_resources = 48u32;
     let horizon: Chronon = 80;
@@ -495,29 +297,28 @@ fn large_instance(seed: u64) -> Instance {
     b.build()
 }
 
-/// The identity holds on the threaded dispatch path: an instance with
-/// thousands of EIs spread over 48 resources, where `shards > 1` actually
-/// fans the per-chronon maintenance and scoring out on the scoped-thread
-/// pool, still reproduces the serial trace byte for byte.
+/// The identity holds far above corpus size: an instance with thousands
+/// of EIs spread over 48 resources, for MRSF (the persistent keyed queue)
+/// and W-IC (the per-phase reseeded heap), reproduces the `Scan` trace
+/// byte for byte.
 #[test]
-fn sharded_identity_holds_on_the_threaded_dispatch_path() {
+fn incremental_matches_scan_on_a_large_instance() {
     let instance = large_instance(0x5AAD);
     assert!(
         instance.total_eis() > 4096,
-        "fixture too small to force threaded dispatch: {} EIs",
+        "fixture too small: {} EIs",
         instance.total_eis()
     );
     for policy in [&Mrsf as &dyn Policy, &Wic::paper()] {
-        for config in configs(SelectionStrategy::Incremental) {
-            let serial = observed(&instance, policy, config.with_shards(1));
-            for shards in SHARD_COUNTS {
-                let sharded = observed(&instance, policy, config.with_shards(shards));
-                assert_identical(
-                    &format!("{} {} shards {shards}", policy.name(), config.label()),
-                    &serial,
-                    &sharded,
-                );
-            }
+        for (scan, incr) in configs(SelectionStrategy::Scan)
+            .into_iter()
+            .zip(configs(SelectionStrategy::Incremental))
+        {
+            assert_identical(
+                &format!("{} {}", policy.name(), scan.label()),
+                &observed(&instance, policy, scan),
+                &observed(&instance, policy, incr),
+            );
         }
     }
 }
