@@ -12,7 +12,7 @@
 
 use crate::Scale;
 use webmon_core::fault::{Backoff, FaultConfig};
-use webmon_sim::{Experiment, ExperimentConfig, FaultSpec, PolicySpec, Table, TraceSpec};
+use webmon_sim::{CellSpec, Experiment, ExperimentConfig, FaultSpec, PolicySpec, Table, TraceSpec};
 use webmon_workload::{EiLength, RankSpec, WorkloadConfig};
 
 /// Master fault seed of the robustness experiment.
@@ -109,7 +109,7 @@ pub fn run(scale: Scale) -> Vec<Table> {
             },
         ),
     ];
-    let probe_specs = [PolicySpec::p(webmon_sim::PolicyKind::Mrsf)];
+    let probe_spec = PolicySpec::p(webmon_sim::PolicyKind::Mrsf);
     let mut detail = Table::with_headers(
         "Robustness — recovery disciplines at 30% loss (MRSF(P))",
         &[
@@ -123,7 +123,10 @@ pub fn run(scale: Scale) -> Vec<Table> {
         ],
     );
     for (label, spec) in scenarios {
-        let agg = &exp.run_roster_faulted(&probe_specs, spec)[0];
+        let agg = exp.run_cell(CellSpec {
+            faults: Some(spec),
+            ..CellSpec::new(probe_spec)
+        });
         detail.push_numeric_row(
             label.to_string(),
             &[

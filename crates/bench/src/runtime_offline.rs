@@ -122,33 +122,21 @@ mod tests {
 
     #[test]
     fn medf_costs_at_least_as_much_as_sedf_under_scan() {
-        // τ(Φ): S-EDF and MRSF are O(1) per candidate; M-EDF is O(k). The
-        // per-candidate scoring cost only shows when every candidate is
-        // re-scored per probe, i.e. under the reference Scan selector — the
-        // default incremental heap evaluates far fewer scores — so the
-        // selection strategy is held at Scan for both columns. Both columns
-        // also run preemptively: the headline table pairs S-EDF with NP and
-        // M-EDF with P, and non-preemption's extra per-chronon selection
-        // phase is an engine-mode cost that would confound the pure
-        // scoring-cost ordering this test pins.
-        let sedf_spec = PolicySpec::p(PolicyKind::SEdf);
-        let medf_spec = PolicySpec::p(PolicyKind::MEdf);
-        let (sedf, medf) = webmon_sim::parallel::serial(|| {
-            let exp = Experiment::materialize(config(100, Scale::Quick));
-            let sedf = exp
-                .run_spec_configured(sedf_spec, sedf_spec.engine_config().with_scan())
-                .micros_per_ei
-                .mean;
-            let medf = exp
-                .run_spec_configured(medf_spec, medf_spec.engine_config().with_scan())
-                .micros_per_ei
-                .mean;
-            (sedf, medf)
-        });
+        // τ(Φ): S-EDF and MRSF are O(1) per candidate; M-EDF is O(k). Under
+        // the reference Scan selector both policies score the same
+        // candidates, so τ(Φ) is all that separates their per-EI cost, and
+        // no engine counter measures it. Whole runs timed while other tests
+        // share the cores let the ratio dip below the floor at random, so
+        // only the score is timed: the median of five batches the τ(Φ)
+        // table uses, at this experiment's rank 5.
+        use crate::scale::ns_per_score;
+        use webmon_core::policy::{MEdf, SEdf};
+        let sedf = ns_per_score(&SEdf, 5);
+        let medf = ns_per_score(&MEdf, 5);
         assert!(
             medf >= sedf * 0.8,
-            "M-EDF ({medf}) should not be materially cheaper than S-EDF ({sedf}) \
-             in the same (preemptive, Scan) configuration"
+            "M-EDF ({medf} ns per score) should not be materially cheaper than \
+             S-EDF ({sedf} ns per score)"
         );
     }
 }

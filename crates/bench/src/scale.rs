@@ -41,7 +41,7 @@ use webmon_core::policy::{
 };
 use webmon_sim::parallel::serial;
 use webmon_sim::{
-    ChurnSpec, Experiment, ExperimentConfig, PolicyKind, PolicySpec, Table, TraceSpec,
+    CellSpec, ChurnSpec, Experiment, ExperimentConfig, PolicyKind, PolicySpec, Table, TraceSpec,
 };
 use webmon_workload::{ChurnConfig, EiLength, RankSpec, WorkloadConfig};
 
@@ -351,7 +351,10 @@ fn measure(exp: &Experiment, spec: PolicySpec) -> PolicyCell {
     let mut last: Vec<Option<(u64, webmon_core::obs::RunMetrics)>> = vec![None; strats.len()];
     for _pass in 0..PASSES {
         for (si, &(_, strategy)) in strats.iter().enumerate() {
-            let agg = exp.run_spec_configured(spec, spec.engine_config().with_selection(strategy));
+            let agg = exp.run_cell(CellSpec {
+                engine: spec.engine_config().with_selection(strategy),
+                ..CellSpec::new(spec)
+            });
             for r in &agg.repetitions {
                 let secs = r.runtime.as_secs_f64();
                 wall[si] += secs;
@@ -404,7 +407,10 @@ fn measure_churn(scale: Scale, dims: CellDims) -> ChurnCellReport {
     let mut static_tp: Vec<f64> = Vec::new();
     let mut churned_metrics = None;
     for _pass in 0..PASSES {
-        let churned = exp.run_spec_churned(spec, churn);
+        let churned = exp.run_cell(CellSpec {
+            churn: Some(churn),
+            ..CellSpec::new(spec)
+        });
         let stat = exp.run_spec(spec);
         for r in &churned.repetitions {
             let secs = r.runtime.as_secs_f64();
@@ -676,7 +682,7 @@ impl BenchReport {
 
 /// Nanoseconds per [`Policy::score`] call on the first EI of a rank-`k`
 /// CEI with staggered windows: the median of five timed batches.
-fn ns_per_score(policy: &dyn Policy, k: usize) -> f64 {
+pub(crate) fn ns_per_score(policy: &dyn Policy, k: usize) -> f64 {
     const CALLS: u32 = 200_000;
     let eis: Vec<Ei> = (0..k as u32)
         .map(|i| Ei::new(ResourceId(i), 10 * i, 10 * i + 8))

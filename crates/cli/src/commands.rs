@@ -10,8 +10,8 @@ use webmon_core::serve::{
     Clock, FreeClock, JournalError, ProbeExecutor, ReplayExecutor, TcpProbeExecutor, WallClock,
 };
 use webmon_sim::{
-    ChurnSpec, Experiment, ExperimentConfig, FaultKind, FaultSpec, NoiseSpec, PolicyAggregate,
-    PolicyKind, PolicySpec, Report, Table, TraceSpec,
+    CellSpec, ChurnSpec, Experiment, ExperimentConfig, FaultKind, FaultSpec, NoiseSpec,
+    PolicyAggregate, PolicyKind, PolicySpec, Report, Table, TraceSpec,
 };
 use webmon_streams::auction::AuctionTraceConfig;
 use webmon_streams::fpn::FpnModel;
@@ -463,11 +463,12 @@ fn write_trace(
     let mut writer = std::io::BufWriter::new(std::fs::File::create(path)?);
     let mut total = 0;
     for &spec in roster {
-        let (w, events) = match (churn, fault) {
-            (Some(c), f) => exp.trace_spec_churned(spec, c, f, 0, writer)?,
-            (None, Some(f)) => exp.trace_spec_faulted(spec, f, 0, writer)?,
-            (None, None) => exp.trace_spec(spec, 0, writer)?,
+        let cell = CellSpec {
+            faults: fault,
+            churn,
+            ..CellSpec::new(spec)
         };
+        let (w, events) = exp.trace_cell(cell, 0, writer)?;
         writer = w;
         total += events;
     }
@@ -498,11 +499,13 @@ fn cmd_run(args: &Args) -> Result<i32, ArgError> {
         None => Experiment::materialize(config_from(args)?),
     };
     let roster = PolicySpec::paper_roster();
-    let mut aggregates = match (churn, fault) {
-        (Some(c), f) => exp.run_roster_churned(&roster, c, f),
-        (None, Some(f)) => exp.run_roster_faulted(&roster, f),
-        (None, None) => exp.run_roster(&roster),
-    };
+    let mut aggregates = webmon_sim::parallel::par_map(roster.clone(), |_, spec| {
+        exp.run_cell(CellSpec {
+            faults: fault,
+            churn,
+            ..CellSpec::new(spec)
+        })
+    });
     if args.flag("offline-lr") {
         use webmon_core::offline::LocalRatioConfig;
         match exp.try_run_local_ratio(LocalRatioConfig::default()) {
@@ -953,10 +956,13 @@ fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
         let exp = exp.expect("checked: --sim-trace-out excludes --replay-feed");
         let sim = std::fs::File::create(path)
             .map(std::io::BufWriter::new)
-            .and_then(|w| match (churn, fault) {
-                (Some(c), f) => exp.trace_spec_churned(spec, c, f, 0, w),
-                (None, Some(f)) => exp.trace_spec_faulted(spec, f, 0, w),
-                (None, None) => exp.trace_spec(spec, 0, w),
+            .and_then(|w| {
+                let cell = CellSpec {
+                    faults: fault,
+                    churn,
+                    ..CellSpec::new(spec)
+                };
+                exp.trace_cell(cell, 0, w)
             });
         match sim {
             Ok((_, events)) => eprintln!("sim trace: wrote {events} events to {path}"),
@@ -1730,9 +1736,11 @@ mod tests {
     #[test]
     fn faulted_run_metrics_stay_consistent() {
         let exp = tiny_experiment();
-        let roster = [PolicySpec::p(PolicyKind::MEdf)];
-        let aggregates = exp.run_roster_faulted(&roster, FaultSpec::iid(0.4, 99));
-        let doc = metrics_doc(&exp, &aggregates);
+        let cell = CellSpec {
+            faults: Some(FaultSpec::iid(0.4, 99)),
+            ..CellSpec::new(PolicySpec::p(PolicyKind::MEdf))
+        };
+        let doc = metrics_doc(&exp, &[exp.run_cell(cell)]);
         assert!(
             doc.policies[0].consistency_errors.is_empty(),
             "faulted metrics drifted from stats: {:?}",

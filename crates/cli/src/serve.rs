@@ -20,7 +20,7 @@
 //! `{"err":{"reason":...,"input":...}}` line and the connection stays
 //! open. Registration commands feed the engine's live
 //! [`LiveMutationQueue`], drained at each chronon start with exactly the
-//! `run_mutated` semantics.
+//! mutation semantics of `OnlineEngine::run_driven`.
 //!
 //! **Byte identity.** The daemon's event hub writes every event as
 //! `serde_json::to_string(&event)` plus `\n` — the same bytes
@@ -47,8 +47,8 @@ use webmon_core::serve::journal::{
     scan_journal, JournalObserver, JournalSink, JournalWriter, SharedJournal,
 };
 use webmon_core::serve::{
-    drive_resumable, Clock, ClockRelease, DaemonSource, JournalConfig, JournalError,
-    LiveMutationQueue, NoSnapshots, ProbeExecutor, Recovery, SnapshotSink,
+    drive, Clock, ClockRelease, DaemonSource, JournalConfig, JournalError, LiveMutationQueue,
+    NoSnapshots, ProbeExecutor, Recovery, SnapshotSink,
 };
 use webmon_streams::{crc32, write_all_tagged};
 
@@ -566,12 +566,11 @@ impl Daemon {
                 let scan = scan_journal(&jc.path())?;
                 scan.verify_fingerprint(&fp)?;
                 let plan = Recovery::plan(&scan)?;
+                // Checked before any file or thread is touched; the engine
+                // refuses the same mismatch with the same error.
                 if let Some(snap) = &plan.resume {
                     snap.validate(&session.instance, executor.fallible())
-                        .map_err(|detail| JournalError::SnapshotMismatch {
-                            at: snap.at,
-                            detail,
-                        })?;
+                        .map_err(JournalError::from)?;
                 }
                 Some(plan)
             }
@@ -685,7 +684,7 @@ impl Daemon {
                     rec.executor(executor, session.instance.n_resources, opts.resync_executor);
                 divergence = Some(journal_exec.divergence());
                 let mut source = rec.mutations(DaemonSource::new(session.script, live));
-                drive_resumable(
+                drive(
                     &session.instance,
                     session.policy.as_ref(),
                     session.config,
@@ -700,7 +699,7 @@ impl Daemon {
             }
             None => {
                 let mut source = DaemonSource::new(session.script, live);
-                drive_resumable(
+                drive(
                     &session.instance,
                     session.policy.as_ref(),
                     session.config,
@@ -744,7 +743,7 @@ impl Daemon {
             }
         }
         Ok(DaemonOutcome {
-            result,
+            result: result.map_err(JournalError::from)?,
             metrics: metrics.metrics().clone(),
             events_written: hub.events_written,
             write_errors: hub.write_errors,

@@ -1796,7 +1796,7 @@ impl Observer for InvariantObserver<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::OnlineEngine;
+    use crate::engine::{OnlineEngine, ScriptedMutations};
     use crate::fault::{Backoff, GilbertElliott, IidFaults, NoFaults, RateLimit};
     use crate::model::{Budget, InstanceBuilder, ProbeCosts};
     use crate::policy::{MEdf, Mrsf, Policy, SEdf, Wic};
@@ -2194,12 +2194,13 @@ mod tests {
                 ] {
                     let mut faults = IidFaults::new(rate, 0xF00D);
                     let mut obs = InvariantObserver::new(&instance, config).with_faults(fc);
-                    let run = OnlineEngine::run_faulted(
+                    let run = OnlineEngine::run_driven(
                         &instance,
                         &Mrsf,
                         config,
                         &mut faults,
                         fc,
+                        &mut ScriptedMutations::default(),
                         &mut obs,
                     );
                     let report = obs.finish_with(&run);
@@ -2219,12 +2220,28 @@ mod tests {
         for config in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
             let mut ge = GilbertElliott::new(0.3, 0.4, 0xBEEF, n_res);
             let mut obs = InvariantObserver::new(&instance, config).with_faults(fc);
-            let run = OnlineEngine::run_faulted(&instance, &Mrsf, config, &mut ge, fc, &mut obs);
+            let run = OnlineEngine::run_driven(
+                &instance,
+                &Mrsf,
+                config,
+                &mut ge,
+                fc,
+                &mut ScriptedMutations::default(),
+                &mut obs,
+            );
             obs.finish_with(&run).assert_clean();
 
             let mut rl = RateLimit::new(6, 1, n_res);
             let mut obs = InvariantObserver::new(&instance, config).with_faults(fc);
-            let run = OnlineEngine::run_faulted(&instance, &Mrsf, config, &mut rl, fc, &mut obs);
+            let run = OnlineEngine::run_driven(
+                &instance,
+                &Mrsf,
+                config,
+                &mut rl,
+                fc,
+                &mut ScriptedMutations::default(),
+                &mut obs,
+            );
             obs.finish_with(&run).assert_clean();
         }
     }
@@ -2473,13 +2490,17 @@ mod tests {
                     EngineConfig::preemptive().without_probe_sharing(),
                 ] {
                     let mut obs = InvariantObserver::new(&instance, config).with_mutations(&q);
-                    let run = OnlineEngine::run_mutated(
+                    let run = OnlineEngine::run_driven(
                         &instance,
                         policy,
                         config,
                         &mut NoFaults,
                         FaultConfig::default(),
-                        &q,
+                        &mut ScriptedMutations::compile(
+                            &q,
+                            instance.epoch.len(),
+                            instance.ceis.len(),
+                        ),
                         &mut obs,
                     );
                     obs.finish_with(&run).assert_clean();
@@ -2504,13 +2525,13 @@ mod tests {
                 let mut obs = InvariantObserver::new(&instance, config)
                     .with_faults(fc)
                     .with_mutations(&q);
-                let run = OnlineEngine::run_mutated(
+                let run = OnlineEngine::run_driven(
                     &instance,
                     &Mrsf,
                     config,
                     &mut faults,
                     fc,
-                    &q,
+                    &mut ScriptedMutations::compile(&q, instance.epoch.len(), instance.ceis.len()),
                     &mut obs,
                 );
                 obs.finish_with(&run).assert_clean();
@@ -2519,7 +2540,7 @@ mod tests {
     }
 
     /// Like [`mutated_report`], for a churned run: the true stream of
-    /// `run_mutated` under `queue` is tampered with and re-checked.
+    /// `run_driven` under `queue` is tampered with and re-checked.
     fn churned_mutated_report(
         instance: &Instance,
         queue: &MutationQueue,
@@ -2533,13 +2554,13 @@ mod tests {
         }
         let config = EngineConfig::preemptive();
         let mut rec = Rec(Vec::new());
-        OnlineEngine::run_mutated(
+        OnlineEngine::run_driven(
             instance,
             &Mrsf,
             config,
             &mut NoFaults,
             FaultConfig::default(),
-            queue,
+            &mut ScriptedMutations::compile(queue, instance.epoch.len(), instance.ceis.len()),
             &mut rec,
         );
         let events = mutate(rec.0);

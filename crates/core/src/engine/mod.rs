@@ -27,6 +27,13 @@
 //! [`OnlineEngine::run`] uses [`crate::obs::NoopObserver`], which
 //! monomorphizes to the unobserved loop at zero cost.
 //!
+//! **Entry points.** [`OnlineEngine::run`], [`OnlineEngine::run_observed`]
+//! and [`OnlineEngine::run_driven`] differ only in which inputs they
+//! default: no faults, no mutations, no observer. Each builds one run
+//! state and runs it to the horizon, so all of them execute the same loop.
+//! [`OnlineEngine::run_driven_resumable`] adds the crash-recovery hooks:
+//! boundary snapshots out, and a resume from one in.
+//!
 //! **Cost model.** The candidate pool lives in an incremental per-resource
 //! index (`engine::index`): entries are inserted once when their window
 //! opens and removed at the exact transition that kills them (capture,
@@ -45,18 +52,20 @@
 //! knob is `--jobs`.
 //!
 //! **Mutation.** The profile set is *not* frozen at `run()`:
-//! [`OnlineEngine::run_mutated`] drains a [`MutationQueue`] at each chronon
+//! [`OnlineEngine::run_driven`] drains a [`MutationSource`] at each chronon
 //! start — mid-run CEI registration (release chronon = now), cancellation
 //! of live CEIs, and budget reconfiguration — emitting typed
 //! [`crate::obs::Event`]s for each drained mutation so churned runs stay
-//! replayable byte-for-byte. An empty queue is bit-identical to
-//! [`OnlineEngine::run_faulted`]; registration costs O(own EIs) because
-//! open windows insert directly into the per-resource index and future
-//! windows ride the prebuilt `starts[t]` buckets.
+//! replayable byte-for-byte. A prerecorded [`MutationQueue`] drives it
+//! through [`ScriptedMutations::compile`]; an empty queue compiles to an
+//! inactive source, bit-identical to a run without mutations. Registration
+//! costs O(own EIs) because open windows insert directly into the
+//! per-resource index and future windows ride the prebuilt `starts[t]`
+//! buckets.
 
 mod index;
 mod mutation;
 mod runner;
 
 pub use mutation::{Mutation, MutationQueue, MutationSource, ScriptedMutations};
-pub use runner::{EngineConfig, OnlineEngine, RunResult, SelectionStrategy};
+pub use runner::{EngineConfig, OnlineEngine, RunInputs, RunResult, SelectionStrategy};

@@ -194,11 +194,10 @@ pub trait MutationSource {
 }
 
 /// A [`MutationQueue`] compiled for one run: per-chronon drain buckets plus
-/// the dynamic-CEI flags, exactly the state
-/// [`OnlineEngine::run_mutated`](crate::engine::OnlineEngine::run_mutated)
-/// used to build inline. Draining a compiled script is bit-identical to the
-/// pre-refactor queue handling by construction: the buckets preserve queue
-/// order and an empty queue compiles to an inactive source.
+/// the dynamic-CEI flags — how a prerecorded queue drives
+/// [`OnlineEngine::run_driven`](crate::engine::OnlineEngine::run_driven).
+/// The buckets preserve queue order, and an empty queue (like
+/// [`ScriptedMutations::default`]) compiles to an inactive source.
 /// `Serialize` exists so the serve journal's configuration fingerprint can
 /// hash the compiled script's content — recovery under a different churn
 /// script must be refused up front.

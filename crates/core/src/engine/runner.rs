@@ -1,17 +1,27 @@
 //! The run loop implementing Algorithm 1 (Online Complex Monitoring).
+//!
+//! Every [`OnlineEngine`] entry point builds one `EngineState` — the run's
+//! cross-chronon state — and runs it to the horizon. A chronon is a fixed
+//! sequence of phase methods on that state (`EngineState::chronon`), and
+//! the phases select candidates through one `Selector`, chosen when the
+//! state is built.
 
 use super::index::{CandidateIndex, PoolEntry};
-use super::mutation::{Mutation, MutationQueue, MutationSource, ScriptedMutations};
+use super::mutation::{Mutation, MutationSource, ScriptedMutations};
 use crate::fault::{FaultConfig, FaultModel, NoFaults};
 use crate::model::{CaptureSet, CeiId, Chronon, Instance, ResourceId, Schedule};
 use crate::obs::{Event, NoopObserver, Observer};
 use crate::policy::{Candidate, CeiView, Policy, PolicyContext, ResourceStats, ScoreDynamics};
-use crate::serve::snapshot::{CeiState, EngineSnapshot, NoSnapshots, SnapshotSink};
+use crate::serve::snapshot::{
+    CeiState, EngineSnapshot, NoSnapshots, SnapshotMismatch, SnapshotSink,
+};
 use crate::stats::{CeiOutcome, RunStats};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Min-heap entries for the reseeded heap selector:
 /// `Reverse((score, cei id, ei index))`.
-type ScoreHeap = std::collections::BinaryHeap<std::cmp::Reverse<(i64, u32, u16)>>;
+type ScoreHeap = BinaryHeap<Reverse<(i64, u32, u16)>>;
 
 /// A [`KeyedQueue`] copy: `(score, cei id, ei index, capture count)`, the
 /// last being the parent CEI's capture count when the copy was scored.
@@ -128,6 +138,28 @@ pub struct RunResult {
     pub selection_steps: u64,
 }
 
+/// Everything one engine run consumes: the instance and policy, the
+/// execution mode, the fault model with the engine's reaction to it, the
+/// mutation source, and the observer the event stream goes to — the
+/// arguments of [`OnlineEngine::run_driven`], bundled for
+/// [`OnlineEngine::run_driven_resumable`].
+pub struct RunInputs<'a, F, M, O> {
+    /// The instance to monitor.
+    pub instance: &'a Instance,
+    /// The policy that scores candidates.
+    pub policy: &'a dyn Policy,
+    /// Preemption, probe sharing and the selection strategy.
+    pub config: EngineConfig,
+    /// Decides every probe attempt and every outage.
+    pub faults: &'a mut F,
+    /// Charging, backoff and retry quota for failed probes.
+    pub fault_config: FaultConfig,
+    /// Mid-run registrations, cancellations and budget changes.
+    pub mutations: &'a mut M,
+    /// Receives the event stream.
+    pub observer: &'a mut O,
+}
+
 /// Lifecycle of a CEI inside the engine.
 enum Status {
     /// Release chronon not reached yet.
@@ -151,6 +183,19 @@ impl Status {
     }
 }
 
+/// How a live CEI resolves: its terminal status, outcome and event.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Resolution {
+    /// A capture met its threshold ([`Event::CeiCompleted`]).
+    Completed,
+    /// A window closed uncaptured and doomed it ([`Event::CeiExpired`]).
+    Expired,
+    /// Committed outages doomed it ([`Event::CeiShed`]).
+    Shed,
+    /// A drained [`Mutation::Cancel`] ([`Event::CeiCancelled`]).
+    Cancelled,
+}
+
 /// The online complex-monitoring engine. See the [module docs](crate::engine)
 /// for the per-chronon procedure.
 pub struct OnlineEngine;
@@ -159,11 +204,21 @@ impl OnlineEngine {
     /// Runs `policy` over `instance` in the given mode and returns the
     /// schedule, statistics, and per-CEI outcomes.
     ///
-    /// Equivalent to [`run_observed`](Self::run_observed) with a
-    /// [`NoopObserver`] — the observer monomorphizes away, so this path
-    /// costs exactly what it did before observability existed.
+    /// [`run_driven`](Self::run_driven) with no faults, no mutations and a
+    /// [`NoopObserver`]: all three monomorphize away, so this path costs
+    /// exactly what it did before observability, fault injection and churn
+    /// existed.
     pub fn run(instance: &Instance, policy: &dyn Policy, config: EngineConfig) -> RunResult {
-        Self::run_observed(instance, policy, config, &mut NoopObserver)
+        EngineState::new(RunInputs {
+            instance,
+            policy,
+            config,
+            faults: &mut NoFaults,
+            fault_config: FaultConfig::default(),
+            mutations: &mut ScriptedMutations::default(),
+            observer: &mut NoopObserver,
+        })
+        .run(&mut NoSnapshots)
     }
 
     /// Runs `policy` over `instance`, streaming typed [`Event`]s to
@@ -171,29 +226,32 @@ impl OnlineEngine {
     /// ordering guarantees). The event stream is deterministic: a pure
     /// function of `(instance, policy, config)`.
     ///
-    /// Equivalent to [`run_faulted`](Self::run_faulted) with [`NoFaults`] —
-    /// the disabled fault model monomorphizes every fault branch away, so
-    /// this path costs exactly what it did before fault injection existed.
+    /// [`run_driven`](Self::run_driven) with no faults and no mutations;
+    /// both monomorphize away.
     pub fn run_observed<O: Observer>(
         instance: &Instance,
         policy: &dyn Policy,
         config: EngineConfig,
         observer: &mut O,
     ) -> RunResult {
-        Self::run_faulted(
+        EngineState::new(RunInputs {
             instance,
             policy,
             config,
-            &mut NoFaults,
-            FaultConfig::default(),
+            faults: &mut NoFaults,
+            fault_config: FaultConfig::default(),
+            mutations: &mut ScriptedMutations::default(),
             observer,
-        )
+        })
+        .run(&mut NoSnapshots)
     }
 
-    /// Runs `policy` over `instance` under a deterministic fault model.
+    /// The general run: `policy` over `instance` under a deterministic
+    /// fault model and a source of mid-run mutations — the profile set is
+    /// not frozen at the start.
     ///
-    /// Per chronon, the engine first advances `faults`, snapshots each
-    /// resource's committed outage horizon, and announces
+    /// **Faults.** Per chronon, the engine first advances `faults`,
+    /// snapshots each resource's committed outage horizon, and announces
     /// [`Event::ResourceDown`] / [`Event::ResourceUp`] transitions. Down
     /// and backed-off resources are excluded from candidate selection. A
     /// selected probe is then submitted to the model: on failure the engine
@@ -207,50 +265,25 @@ impl OnlineEngine {
     /// engine sheds CEIs whose remaining uncaptured windows fall entirely
     /// within committed outages ([`Event::CeiShed`]) — under AND/threshold
     /// semantics they are provably doomed, so burning further probes on
-    /// them would only starve feasible CEIs.
+    /// them would only starve feasible CEIs. A disabled model
+    /// ([`NoFaults`]) monomorphizes every fault branch away.
     ///
-    /// Determinism: every shipped [`FaultModel`] is a pure function of its
-    /// seed and parameters, so the faulted run — schedule, event stream,
-    /// stats — is a pure function of
-    /// `(instance, policy, config, model, fault_config)`.
-    ///
-    /// Equivalent to [`run_mutated`](Self::run_mutated) with an empty
-    /// [`MutationQueue`] — bit-identical schedule, event stream, and stats.
-    pub fn run_faulted<F: FaultModel, O: Observer>(
-        instance: &Instance,
-        policy: &dyn Policy,
-        config: EngineConfig,
-        faults: &mut F,
-        fault_config: FaultConfig,
-        observer: &mut O,
-    ) -> RunResult {
-        Self::run_mutated(
-            instance,
-            policy,
-            config,
-            faults,
-            fault_config,
-            &MutationQueue::new(),
-            observer,
-        )
-    }
-
-    /// The most general entry point: runs `policy` over `instance` under a
-    /// fault model *and* a mid-run [`MutationQueue`] — the profile set is
-    /// no longer frozen at `run()`.
-    ///
-    /// At each chronon start (immediately after [`Event::ChrononStart`],
-    /// before fault announcements, arrivals, and probing) the engine drains
-    /// the queue's mutations for that chronon, in queue order:
+    /// **Mutations.** The engine samples [`MutationSource::active`] once at
+    /// run start; an inactive source (such as
+    /// [`ScriptedMutations::default`], or a compiled empty
+    /// [`MutationQueue`](super::MutationQueue)) costs one branch per
+    /// chronon. An active source is drained once per chronon, immediately
+    /// after [`Event::ChrononStart`] and before fault announcements,
+    /// arrivals, and probing, and its mutations apply in drain order:
     ///
     /// * [`Mutation::Register`] — the CEI activates with release chronon
     ///   `= now` ([`Event::CeiRegistered`]). Windows already closed are
     ///   expired on the spot (if that alone dooms the CEI it fails
     ///   immediately, [`Event::CeiExpired`]); currently-open windows join
     ///   the candidate pool now; future windows ride the prebuilt
-    ///   `starts[t]` buckets. Cost is O(own EIs), never O(pool). A CEI
-    ///   named by any `Register` in the queue is *dynamic*: its natural
-    ///   release from the instance trace is suppressed.
+    ///   `starts[t]` buckets. Cost is O(own EIs), never O(pool). A CEI for
+    ///   which [`MutationSource::suppresses_release`] holds is *dynamic*:
+    ///   its natural release from the instance trace is suppressed.
     /// * [`Mutation::Cancel`] — a live (or not-yet-released) CEI resolves
     ///   as [`CeiOutcome::Cancelled`] ([`Event::CeiCancelled`]); its
     ///   windows leave the pool through the same incremental-removal path
@@ -263,53 +296,14 @@ impl OnlineEngine {
     ///   ([`Event::BudgetReconfigured`]); the current chronon keeps the
     ///   budget its `ChrononStart` announced.
     ///
-    /// Determinism: the churned run — schedule, event stream, stats — is a
-    /// pure function of
-    /// `(instance, policy, config, model, fault_config, mutations)`; an
-    /// empty queue is bit-identical to [`run_faulted`](Self::run_faulted).
-    pub fn run_mutated<F: FaultModel, O: Observer>(
-        instance: &Instance,
-        policy: &dyn Policy,
-        config: EngineConfig,
-        faults: &mut F,
-        fault_config: FaultConfig,
-        mutations: &MutationQueue,
-        observer: &mut O,
-    ) -> RunResult {
-        let mut source =
-            ScriptedMutations::compile(mutations, instance.epoch.len(), instance.ceis.len());
-        Self::run_driven(
-            instance,
-            policy,
-            config,
-            faults,
-            fault_config,
-            &mut source,
-            observer,
-        )
-    }
-
-    /// Runs `policy` over `instance` drawing mid-run mutations from an
-    /// arbitrary [`MutationSource`] instead of a prerecorded
-    /// [`MutationQueue`] — the entry point the `webmon serve` daemon uses
-    /// to splice live registration-API traffic into the engine loop.
-    ///
-    /// The engine samples [`MutationSource::active`] once at run start: an
-    /// inactive source takes the exact mutation-free fast path
-    /// [`run_faulted`](Self::run_faulted) compiles to. An active source is
-    /// drained once per chronon (immediately after [`Event::ChrononStart`],
-    /// before fault announcements and arrivals) and its drained mutations
-    /// apply with precisely the semantics documented on
-    /// [`run_mutated`](Self::run_mutated); natural releases are suppressed
-    /// per-CEI via [`MutationSource::suppresses_release`].
-    ///
-    /// Equivalence: driving with
-    /// [`ScriptedMutations::compile`]`(queue, ..)` is bit-identical —
-    /// schedule, event stream, stats — to
-    /// [`run_mutated`](Self::run_mutated) with `queue`; an always-active
-    /// source that never drains anything and never suppresses is
-    /// bit-identical to an inactive one (activity only gates a per-chronon
-    /// drain that applies no mutations).
+    /// **Determinism.** Every shipped [`FaultModel`] is a pure function of
+    /// its seed and parameters, so the run — schedule, event stream, stats
+    /// — is a pure function of `(instance, policy, config, model,
+    /// fault_config, mutations)`. Driving with
+    /// [`ScriptedMutations::compile`]`(queue, ..)` replays the prerecorded
+    /// `queue`; an always-active source that never drains anything and
+    /// never suppresses is bit-identical to an inactive one, and a
+    /// zero-rate fault model is bit-identical to [`NoFaults`].
     pub fn run_driven<F: FaultModel, M: MutationSource, O: Observer>(
         instance: &Instance,
         policy: &dyn Policy,
@@ -319,7 +313,7 @@ impl OnlineEngine {
         mutations: &mut M,
         observer: &mut O,
     ) -> RunResult {
-        Self::run_driven_resumable(
+        EngineState::new(RunInputs {
             instance,
             policy,
             config,
@@ -327,9 +321,8 @@ impl OnlineEngine {
             fault_config,
             mutations,
             observer,
-            None,
-            &mut NoSnapshots,
-        )
+        })
+        .run(&mut NoSnapshots)
     }
 
     /// [`run_driven`](Self::run_driven) with crash-recovery hooks: the
@@ -345,978 +338,363 @@ impl OnlineEngine {
     /// stream suffix. A declining sink and `resume = None` are bit-identical
     /// to [`run_driven`](Self::run_driven).
     ///
-    /// # Panics
-    /// Panics if `resume` fails [`EngineSnapshot::validate`] against
-    /// `instance` — a snapshot only resumes the run it was taken from.
-    /// Callers holding an untrusted snapshot (the daemon's `--recover`)
-    /// validate it first and report the mismatch as an error.
-    #[allow(clippy::too_many_lines, clippy::too_many_arguments)]
+    /// # Errors
+    /// A `resume` snapshot that fails [`EngineSnapshot::validate`] against
+    /// the inputs — a snapshot only resumes the run it was taken from — is
+    /// returned as the [`SnapshotMismatch`] naming what disagrees, before
+    /// any event is emitted.
     pub fn run_driven_resumable<F: FaultModel, M: MutationSource, O: Observer>(
-        instance: &Instance,
-        policy: &dyn Policy,
-        config: EngineConfig,
-        faults: &mut F,
-        fault_config: FaultConfig,
-        mutations: &mut M,
-        observer: &mut O,
+        inputs: RunInputs<'_, F, M, O>,
         resume: Option<&EngineSnapshot>,
         snapshots: &mut dyn SnapshotSink,
-    ) -> RunResult {
-        let n_ceis = instance.ceis.len();
-        let n_res = instance.n_resources as usize;
-        let horizon = instance.epoch.len();
+    ) -> Result<RunResult, SnapshotMismatch> {
+        let state = match resume {
+            Some(snapshot) => EngineState::restore(inputs, snapshot)?,
+            None => EngineState::new(inputs),
+        };
+        Ok(state.run(snapshots))
+    }
+}
 
+/// The NP selection group a phase serves.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Phase {
+    /// Preemptive: every candidate competes.
+    All,
+    /// Non-preemptive, first: CEIs started before this chronon (cands⁺).
+    Started,
+    /// Non-preemptive, second: CEIs not started yet, for leftover budget.
+    New,
+}
+
+impl Phase {
+    /// The [`KeyedQueue`] group this phase pops from: cands⁺ first.
+    fn group(self) -> usize {
+        usize::from(self == Phase::New)
+    }
+}
+
+/// The part of the run state selection reads: the candidate pool, the CEI
+/// lifecycle, and the per-chronon view the policy scores candidates under.
+/// The [`Selector`] borrows it while the rest of [`EngineState`] changes.
+struct Pool<'a> {
+    instance: &'a Instance,
+    policy: &'a dyn Policy,
+    /// The candidate pool, grouped by resource with incremental removal
+    /// and live counts. Allocated once and reused for the whole run.
+    index: CandidateIndex,
+    status: Vec<Status>,
+    /// Non-preemptive selection groups: `started[c]` says whether CEI `c`
+    /// had a captured EI when the current chronon began (cands⁺). A first
+    /// capture flips the flag at the end of its chronon, so the groups stay
+    /// frozen while a chronon selects.
+    started: Vec<bool>,
+    /// The chronon being run.
+    now: Chronon,
+    /// Live entries per resource at chronon start: scores see the
+    /// chronon-start occupancy even while captures land mid-probing.
+    active_eis: Vec<u32>,
+    /// Whether a window opened on each resource this chronon.
+    has_update: Vec<bool>,
+    /// Resources an earlier probe this chronon already captured.
+    probed_now: Vec<bool>,
+    /// Resources down, backing off, or out of retry quota this chronon.
+    /// Always allocated: every selector reads it.
+    blocked: Vec<bool>,
+}
+
+impl Pool<'_> {
+    /// The [`PolicyContext`] of the current chronon.
+    fn ctx(&self) -> PolicyContext<'_> {
+        PolicyContext {
+            now: self.now,
+            resources: ResourceStats {
+                active_eis: &self.active_eis,
+                has_update: &self.has_update,
+            },
+        }
+    }
+
+    /// The resource entry `e` watches.
+    fn resource(&self, e: PoolEntry) -> ResourceId {
+        self.instance.cei(e.cei).eis[e.ei_idx as usize].resource
+    }
+
+    /// Scores one pool entry if its parent is active, the EI is uncaptured
+    /// and unexpired, and the parent belongs to `phase`'s group. Returns
+    /// `None` otherwise.
+    fn score(&self, e: PoolEntry, phase: Phase) -> Option<i64> {
+        let cap = self.status[e.cei.index()].capture_set()?;
+        if cap.is_captured(e.ei_idx as usize) || cap.is_expired(e.ei_idx as usize) {
+            return None;
+        }
+        if phase != Phase::All && self.started[e.cei.index()] != (phase == Phase::Started) {
+            return None;
+        }
+        let cei = self.instance.cei(e.cei);
+        let cand = Candidate {
+            ei: cei.eis[e.ei_idx as usize],
+            ei_index: e.ei_idx as usize,
+            cei: CeiView {
+                eis: &cei.eis,
+                captured: cap.flags(),
+                n_captured: cap.n_captured() as u16,
+                required: cei.required,
+                weight: cei.weight,
+                profile_rank: self.instance.profiles[cei.profile.index()].rank,
+            },
+        };
+        Some(self.policy.score(&self.ctx(), &cand))
+    }
+
+    /// Scans the pool for the minimum-score selectable candidate of
+    /// `phase`. Ties break by `(score, cei id, ei index)` so runs are
+    /// deterministic regardless of iteration order.
+    fn argmin(&self, phase: Phase, remaining_budget: u32) -> Option<PoolEntry> {
+        let mut best: Option<(i64, PoolEntry)> = None;
+        for r in 0..self.probed_now.len() {
+            if self.probed_now[r] {
+                continue; // already captured by an earlier probe this chronon
+            }
+            if self.blocked[r] {
+                continue; // down, backing off, or out of retry quota
+            }
+            if self.instance.costs.of(ResourceId(r as u32)) > remaining_budget {
+                continue; // unaffordable this chronon (varying-costs extension)
+            }
+            for &e in self.index.entries(r) {
+                if !self.index.is_live(e) {
+                    continue;
+                }
+                let Some(score) = self.score(e, phase) else {
+                    continue;
+                };
+                let better = match &best {
+                    None => true,
+                    Some((s, b)) => (score, e.cei.0, e.ei_idx) < (*s, b.cei.0, b.ei_idx),
+                };
+                if better {
+                    best = Some((score, e));
+                }
+            }
+        }
+        best.map(|(_, e)| e)
+    }
+}
+
+/// How `probeEIs` finds the minimum-score candidate. Chosen once per run
+/// from the configured [`SelectionStrategy`] and the policy's
+/// [`ScoreDynamics`]; the phases drive it through a fixed set of hooks.
+struct Selector {
+    kind: SelectorKind,
+    /// The phase being selected; `None` between phases.
+    phase: Option<Phase>,
+    /// Selection steps so far ([`RunResult::selection_steps`]).
+    steps: u64,
+}
+
+enum SelectorKind {
+    /// [`SelectionStrategy::Scan`]: a fresh argmin per pick.
+    Scan,
+    /// A lazy heap reseeded at every phase
+    /// ([`ScoreDynamics::Reseeded`] under `Incremental`).
+    Reseeded(ScoreHeap),
+    /// The persistent queue of [`ScoreDynamics::StateKeyed`] policies under
+    /// `Incremental`, and the copy it last picked.
+    Keyed(KeyedQueue, KeyedCopy),
+}
+
+impl Selector {
+    fn new(config: EngineConfig, policy: &dyn Policy) -> Self {
         // The heap selectors re-score a popped entry and re-push it when the
         // stored score went stale; that loop only terminates for policies
         // whose score is a pure function of the visible state. A policy with
         // hidden mutable state ([`Policy::stable_scores`] `== false`, e.g.
         // the `Random` baseline) is pinned to the always-correct `Scan`
         // selector instead.
-        let selection = if policy.stable_scores() {
-            config.selection
-        } else {
-            SelectionStrategy::Scan
-        };
-        // Under `Incremental`, state-keyed policies select through one
-        // persistent queue (see `KeyedQueue`); every other policy reseeds a
-        // heap per phase.
-        let mut keyed = (selection == SelectionStrategy::Incremental
-            && policy.score_dynamics() == ScoreDynamics::StateKeyed)
-            .then(|| KeyedQueue::new(if config.preemptive { 1 } else { 2 }));
-        let reseeded = selection == SelectionStrategy::Incremental && keyed.is_none();
-
-        // The candidate pool, grouped by resource with incremental removal
-        // and live counts. Allocated once and reused for the whole run.
-        let mut index = CandidateIndex::new(instance);
-
-        // Bucket EIs by start chronon so each enters the pool exactly when
-        // its window opens, and by end chronon so the expiry pass visits
-        // only the windows closing now instead of scanning the whole pool.
-        // Both buckets hold entries in the legacy pool order
-        // `(start, cei, ei_idx)`: the fill order is cei-major (dense ids,
-        // ascending), and each ends bucket is stable-sorted by start on top
-        // of it. A window ending at or past the horizon never expires
-        // inside the epoch, exactly as the per-chronon `end == t` test
-        // behaved.
-        let mut starts: Vec<Vec<PoolEntry>> = vec![Vec::new(); horizon as usize];
-        let mut ends: Vec<Vec<PoolEntry>> = vec![Vec::new(); horizon as usize];
-        for cei in &instance.ceis {
-            for (idx, ei) in cei.eis.iter().enumerate() {
-                let entry = PoolEntry {
-                    cei: cei.id,
-                    ei_idx: idx as u16,
-                };
-                starts[ei.start as usize].push(entry);
-                if (ei.end as usize) < ends.len() {
-                    ends[ei.end as usize].push(entry);
-                }
+        let kind = match (config.selection, policy.score_dynamics()) {
+            _ if !policy.stable_scores() => SelectorKind::Scan,
+            (SelectionStrategy::Scan, _) => SelectorKind::Scan,
+            (SelectionStrategy::Incremental, ScoreDynamics::StateKeyed) => SelectorKind::Keyed(
+                KeyedQueue::new(if config.preemptive { 1 } else { 2 }),
+                (0, 0, 0, 0),
+            ),
+            (SelectionStrategy::Incremental, ScoreDynamics::Reseeded) => {
+                SelectorKind::Reseeded(BinaryHeap::new())
             }
+        };
+        Selector {
+            kind,
+            phase: None,
+            steps: 0,
         }
-        for bucket in &mut ends {
-            bucket.sort_by_key(|e| instance.cei(e.cei).eis[e.ei_idx as usize].start);
-        }
+    }
 
-        let mut status: Vec<Status> = (0..n_ceis).map(|_| Status::NotArrived).collect();
-        let mut outcomes = vec![CeiOutcome::Pending; n_ceis];
-        let mut schedule = Schedule::new(instance.n_resources, instance.epoch);
-        // `probes_available` accumulates the effective per-chronon budget
-        // inside the loop: equal to `budget.total_over(horizon)` on
-        // unmutated runs, and correct under mid-run `SetBudget`.
-        let mut stats = RunStats {
-            n_ceis: n_ceis as u64,
-            n_eis: instance.total_eis() as u64,
-            ..Default::default()
-        };
-
-        // Mutation state: sampled once so an inactive source keeps the
-        // mutation-free paths at one branch per chronon and nothing else.
-        // `drained` is the reusable per-chronon drain buffer.
-        let mutations_on = mutations.active();
-        let mut drained: Vec<Mutation> = Vec::new();
-        // A drained `SetBudget` parks here and becomes the override at the
-        // next chronon boundary — reconfiguration never applies mid-chronon.
-        let mut budget_override: Option<u32> = None;
-        let mut pending_budget: Option<u32> = None;
-
-        // Every buffer below is allocated once here and reused for the
-        // whole run.
-        let mut active_snapshot = vec![0u32; n_res];
-        let mut has_update = vec![false; n_res];
-        let mut probed_now = vec![false; n_res];
-        // Non-preemptive selection groups: `started[c]` says whether CEI `c`
-        // had a captured EI when the current chronon began (cands⁺). A first
-        // capture flips the flag at the end of its chronon — `captured_now`
-        // collects the CEIs captured this chronon — so the groups stay
-        // frozen while a chronon selects.
-        let mut started = vec![false; n_ceis];
-        let mut captured_now: Vec<CeiId> = Vec::new();
-        let mut transitions: Vec<(CeiId, CeiOutcome)> = Vec::new();
-        let mut touched: Vec<CeiId> = Vec::new();
-        let mut capture_scratch: Vec<PoolEntry> = Vec::new();
-        let mut shed_scratch: Vec<(Chronon, u32, u16)> = Vec::new();
-        // Heap storage of the reseeded selector: cleared, never dropped,
-        // between phases.
-        let mut heap: ScoreHeap = std::collections::BinaryHeap::new();
-        // Telemetry for `RunResult::selection_steps`.
-        let mut selection_steps: u64 = 0;
-
-        // Fault-injection state. `fault_blocked` is always allocated (the
-        // selectors index it unconditionally); the rest is sized to zero
-        // for a disabled model so NoFaults pays nothing.
-        let fault_on = faults.enabled();
-        let n_track = if fault_on { n_res } else { 0 };
-        // Committed outage horizon per resource, frozen at chronon start so
-        // shedding and the event-driven checker see the same state.
-        let mut down_snapshot: Vec<Option<Chronon>> = vec![None; n_track];
-        // Last horizon announced via ResourceDown (None while up).
-        let mut announced: Vec<Option<Chronon>> = vec![None; n_track];
-        let mut consec_failures: Vec<u32> = vec![0; n_track];
-        let mut next_attempt_at: Vec<Chronon> = vec![0; n_track];
-        let mut fault_blocked: Vec<bool> = vec![false; n_res];
-
-        // Restoring a snapshot replaces every piece of cross-chronon state
-        // with the captured boundary's; per-chronon scratch stays freshly
-        // allocated and is rebuilt by the loop exactly as the original run
-        // rebuilt it.
-        let resume_at: Chronon = match resume {
-            Some(snap) => {
-                if let Err(detail) = snap.validate(instance, fault_on) {
-                    panic!("snapshot does not resume this run: {detail}");
-                }
-                for (i, state) in snap.status.iter().enumerate() {
-                    status[i] = match state {
-                        CeiState::NotArrived => Status::NotArrived,
-                        CeiState::Active { captured, expired } => {
-                            let cap = CaptureSet::from_flags(captured.clone(), expired.clone());
-                            started[i] = cap.is_started();
-                            Status::Active(cap)
-                        }
-                        CeiState::Captured => Status::Captured,
-                        CeiState::Failed => Status::Failed,
-                        CeiState::Cancelled => Status::Cancelled,
-                    };
-                }
-                outcomes.copy_from_slice(&snap.outcomes);
-                stats = snap.stats.clone();
-                schedule = snap.schedule.clone();
-                budget_override = snap.budget_override;
-                pending_budget = snap.pending_budget;
-                if fault_on {
-                    announced.copy_from_slice(&snap.announced);
-                    consec_failures.copy_from_slice(&snap.consec_failures);
-                    next_attempt_at.copy_from_slice(&snap.next_attempt_at);
-                }
-                // Refill the per-resource candidate lists in recorded order:
-                // shared captures fire in list order, so insertion order is
-                // part of the observable state.
-                for (r, entries) in snap.index.iter().enumerate() {
-                    for &(cei, ei_idx) in entries {
-                        index.insert(
-                            PoolEntry {
-                                cei: CeiId(cei),
-                                ei_idx,
-                            },
-                            r,
-                        );
-                    }
-                }
-                // The keyed queue is not part of the snapshot: rebuild it
-                // from the restored pool. Its copies differ from the
-                // uninterrupted run's (which carries stale ones), but every
-                // live entry has its current copy, so selections agree.
-                if let Some(queue) = &mut keyed {
-                    let ctx = policy_context(snap.at, &active_snapshot, &has_update);
-                    queue.rebuild(instance, policy, &ctx, &index, &status, &started);
-                }
-                snap.at
-            }
-            None => 0,
-        };
-
-        for t in resume_at..horizon {
-            // Offer the boundary state before any of chronon t's work —
-            // including the pending-budget promotion just below, which is
-            // chronon t's first action and must replay after a restore.
-            if snapshots.wants(t) {
-                snapshots.accept(snapshot_state(
-                    t,
-                    instance,
-                    &index,
-                    &status,
-                    &outcomes,
-                    &stats,
-                    &schedule,
-                    budget_override,
-                    pending_budget,
-                    &announced,
-                    &consec_failures,
-                    &next_attempt_at,
-                ));
-            }
-            // A budget reconfiguration drained last chronon takes effect
-            // exactly now — at the first chronon boundary after its drain.
-            if let Some(b) = pending_budget.take() {
-                budget_override = Some(b);
-            }
-            let budget = budget_override.unwrap_or_else(|| instance.budget.at(t));
-            stats.probes_available += u64::from(budget);
-            observer.on_event(Event::ChrononStart { t, budget });
-            let mut retries_used: u32 = 0;
-
-            // -- 0. Drain this chronon's mutations, in queue order, before
-            // fault announcements and arrivals so a registration's windows
-            // and a cancellation's retry-state cleanup are visible to the
-            // whole chronon.
-            if mutations_on {
-                drained.clear();
-                mutations.drain_at(t, &mut drained);
-                for &m in &drained {
-                    match m {
-                        Mutation::Register { cei: id } => {
-                            if !matches!(status[id.index()], Status::NotArrived) {
-                                continue; // already live, resolved, or cancelled
-                            }
-                            let cei = instance.cei(id);
-                            let mut cap = CaptureSet::new(cei.size());
-                            // Windows already closed expire on the spot;
-                            // open windows (strictly `start < t` — the
-                            // `starts[t]` bucket below owns `start == t`)
-                            // enter the pool now; future windows ride the
-                            // prebuilt buckets. O(own EIs) throughout.
-                            for (idx, ei) in cei.eis.iter().enumerate() {
-                                if ei.end < t {
-                                    cap.mark_expired(idx);
-                                } else if ei.start < t {
-                                    index.insert(
-                                        PoolEntry {
-                                            cei: id,
-                                            ei_idx: idx as u16,
-                                        },
-                                        ei.resource.index(),
-                                    );
-                                }
-                            }
-                            observer.on_event(Event::CeiRegistered { cei: id, at: t });
-                            if cap.is_doomed(cei.required) {
-                                // Registered too late: the already-closed
-                                // windows alone make `required` unreachable.
-                                let outcome = CeiOutcome::Failed { at: t };
-                                status[id.index()] = Status::Failed;
-                                outcomes[id.index()] = outcome;
-                                stats.record_outcome_of(cei, outcome);
-                                observer.on_event(Event::CeiExpired { cei: id, at: t });
-                                index.remove_cei(instance, id);
-                            } else {
-                                status[id.index()] = Status::Active(cap);
-                                if let Some(queue) = &mut keyed {
-                                    let ctx = policy_context(t, &active_snapshot, &has_update);
-                                    queue.push_cei(
-                                        instance, policy, &ctx, &index, &status, &started, id,
-                                    );
-                                }
-                            }
-                        }
-                        Mutation::Cancel { cei: id } => {
-                            if !matches!(status[id.index()], Status::NotArrived | Status::Active(_))
-                            {
-                                continue; // already resolved or cancelled
-                            }
-                            let outcome = CeiOutcome::Cancelled { at: t };
-                            status[id.index()] = Status::Cancelled;
-                            outcomes[id.index()] = outcome;
-                            stats.record_outcome_of(instance.cei(id), outcome);
-                            observer.on_event(Event::CeiCancelled { cei: id, at: t });
-                            index.remove_cei(instance, id);
-                            // Drop pending retry state on resources the
-                            // cancellation emptied: the streak belonged to a
-                            // profile nobody wants anymore, and keeping it
-                            // would burn backoff delays and the per-chronon
-                            // retry quota on dead candidates.
-                            if fault_on {
-                                for ei in &instance.cei(id).eis {
-                                    let r = ei.resource.index();
-                                    if index.live_on(r) == 0 && consec_failures[r] > 0 {
-                                        consec_failures[r] = 0;
-                                        next_attempt_at[r] = 0;
-                                    }
-                                }
-                            }
-                        }
-                        Mutation::SetBudget { budget } => {
-                            pending_budget = Some(budget);
-                            observer.on_event(Event::BudgetReconfigured { t, budget });
-                        }
-                    }
-                }
-            }
-
-            if fault_on {
-                faults.begin_chronon(t);
-                for r in 0..n_res {
-                    let id = ResourceId(r as u32);
-                    let d = faults.down_until(id);
-                    down_snapshot[r] = d;
-                    match d {
-                        Some(until) => {
-                            // Announce new outages and extensions of the
-                            // committed horizon; a steady commitment stays
-                            // silent.
-                            if announced[r] != Some(until) {
-                                observer.on_event(Event::ResourceDown {
-                                    t,
-                                    resource: id,
-                                    until,
-                                });
-                                announced[r] = Some(until);
-                            }
-                        }
-                        None => {
-                            if announced[r].take().is_some() {
-                                observer.on_event(Event::ResourceUp { t, resource: id });
-                            }
-                        }
-                    }
-                    fault_blocked[r] = d.is_some()
-                        || t < next_attempt_at[r]
-                        || (consec_failures[r] > 0 && fault_config.retry_quota == Some(0));
-                }
-            }
-
-            // -- 1. Arrivals: η(j) joins cands(η). Dynamic CEIs (named by a
-            // `Register` anywhere in the queue) skip their natural release —
-            // their registration drain is their release — and a CEI
-            // cancelled before its release stays cancelled.
-            for &id in instance.released_at(t) {
-                if mutations_on && mutations.suppresses_release(id) {
-                    continue;
-                }
-                if matches!(status[id.index()], Status::NotArrived) {
-                    status[id.index()] = Status::Active(CaptureSet::new(instance.cei(id).size()));
-                }
-            }
-
-            // -- 2–4. Maintenance: amortized tombstone sweep, then EIs whose
-            // window opens now join cands(I) from the `starts[t]` bucket
-            // (every entry there has `start == t`, so its resource gains a
-            // fresh update for the policy context), then the occupancy
-            // snapshot — scores must see the chronon-start occupancy even
-            // while captures land mid-probing, matching the legacy
-            // scan-once semantics. The live total is frozen after as the
-            // candidate-set size selection competes over.
-            index.sweep();
-            has_update.fill(false);
-            for &e in &starts[t as usize] {
-                if matches!(status[e.cei.index()], Status::Active(_)) {
-                    let r = instance.cei(e.cei).eis[e.ei_idx as usize].resource.index();
-                    index.insert(e, r);
-                    has_update[r] = true;
-                }
-            }
-            active_snapshot.copy_from_slice(index.active_now());
-            let pool_size = index.live();
-
-            // The keyed queue scores each window as it opens, and sheds its
-            // garbage once that outgrows the live pool.
-            if let Some(queue) = &mut keyed {
-                let ctx = policy_context(t, &active_snapshot, &has_update);
-                if queue.needs_rebuild(pool_size) {
-                    queue.rebuild(instance, policy, &ctx, &index, &status, &started);
-                } else {
-                    for &e in &starts[t as usize] {
-                        queue.push_live(instance, policy, &ctx, &index, &status, &started, e);
-                    }
-                }
-            }
-
-            // -- 5. probeEIs: select up to C_j resources by repeated argmin,
-            // skipping resources blocked by outages, backoff, or quota.
-            probed_now.fill(false);
-            let mut used: u32 = 0;
-            let phases: &[Option<bool>] = if config.preemptive {
-                &[None]
+    /// The windows in `opened` just joined the pool: the keyed queue scores
+    /// each, unless its garbage outgrew the pool and it rebuilds instead.
+    fn windows_opened(&mut self, pool: &Pool<'_>, opened: &[PoolEntry]) {
+        if let SelectorKind::Keyed(queue, _) = &mut self.kind {
+            if queue.needs_rebuild(pool.index.live()) {
+                queue.rebuild(pool);
             } else {
-                &[Some(true), Some(false)]
-            };
-
-            for &phase in phases {
-                let ctx = policy_context(t, &active_snapshot, &has_update);
-                // The keyed queue's group for this phase: cands⁺ first.
-                let group = usize::from(phase == Some(false));
-                let snapshot = phase.map(|req| (req, started.as_slice()));
-                // The reseeded heap seeds once per phase with current
-                // scores; sibling captures can *lower* MRSF / M-EDF scores,
-                // and a lazily validated heap never re-prioritizes buried
-                // entries on its own, so captures refresh the touched CEIs
-                // below.
-                if reseeded {
-                    heap.clear();
-                    for r in 0..n_res {
-                        for &e in index.entries(r) {
-                            if !index.is_live(e) {
-                                continue;
-                            }
-                            if let Some(score) =
-                                score_entry(instance, policy, &ctx, &status, e, snapshot)
-                            {
-                                heap.push(std::cmp::Reverse((score, e.cei.0, e.ei_idx)));
-                            }
-                        }
-                    }
-                }
-
-                while used < budget {
-                    let remaining = budget - used;
-                    let mut picked: Option<KeyedCopy> = None;
-                    let best = if let Some(queue) = &mut keyed {
-                        picked = queue.pop(
-                            group,
-                            instance,
-                            &index,
-                            &status,
-                            &started,
-                            &fault_blocked,
-                            remaining,
-                            &mut selection_steps,
-                        );
-                        picked.map(|(_, cei, ei_idx, _)| PoolEntry {
-                            cei: CeiId(cei),
-                            ei_idx,
-                        })
-                    } else if selection == SelectionStrategy::Scan {
-                        argmin_candidate(
-                            instance,
-                            policy,
-                            &ctx,
-                            &index,
-                            &status,
-                            &probed_now,
-                            &fault_blocked,
-                            remaining,
-                            snapshot,
-                            &mut selection_steps,
-                        )
-                    } else {
-                        pop_valid(
-                            instance,
-                            policy,
-                            &ctx,
-                            &mut heap,
-                            &status,
-                            &probed_now,
-                            &fault_blocked,
-                            remaining,
-                            snapshot,
-                            &mut selection_steps,
-                        )
-                    };
-                    let Some(best) = best else {
-                        break;
-                    };
-
-                    // Probe the selected EI's resource; with sharing on, the
-                    // probe captures every active candidate EI on that
-                    // resource (R_ids).
-                    let resource = instance.cei(best.cei).eis[best.ei_idx as usize].resource;
-                    let cost = instance.costs.of(resource);
-
-                    // Submit the attempt to the fault model before touching
-                    // the schedule: a failed probe never captures and is
-                    // never recorded as issued.
-                    if fault_on {
-                        let ri = resource.index();
-                        let attempt = consec_failures[ri];
-                        if attempt > 0 {
-                            observer.on_event(Event::ProbeRetried {
-                                t,
-                                resource,
-                                attempt,
-                            });
-                            retries_used += 1;
-                        }
-                        let succeeded = faults.probe_succeeds(t, resource, attempt);
-                        if succeeded {
-                            consec_failures[ri] = 0;
-                        } else {
-                            consec_failures[ri] = attempt + 1;
-                            stats.probes_failed += 1;
-                            let charged = fault_config.failures_cost;
-                            if charged {
-                                used += cost;
-                                stats.budget_lost += u64::from(cost);
-                            }
-                            if !charged || cost == 0 {
-                                // A failure that consumes no budget must not
-                                // re-enter selection this chronon, or the
-                                // loop would spin on the same candidate.
-                                fault_blocked[ri] = true;
-                            }
-                            if let Some(backoff) = fault_config.backoff {
-                                next_attempt_at[ri] = t.saturating_add(backoff.delay(attempt + 1));
-                                fault_blocked[ri] = true;
-                            }
-                            observer.on_event(Event::ProbeFailed {
-                                t,
-                                resource,
-                                cost,
-                                attempt,
-                                charged,
-                            });
-                        }
-                        // Once the retry quota is spent, every resource with
-                        // a failure streak leaves selection for the chronon.
-                        if fault_config.retry_quota.is_some_and(|q| retries_used >= q) {
-                            for (blocked, &streak) in fault_blocked.iter_mut().zip(&consec_failures)
-                            {
-                                if streak > 0 {
-                                    *blocked = true;
-                                }
-                            }
-                        }
-                        if !succeeded {
-                            // The heap consumed this entry on pop; re-seed it
-                            // if its resource can still be selected, so both
-                            // selectors keep the identical schedule. The
-                            // keyed queue keeps a blocked one for next
-                            // chronon.
-                            if let (Some(queue), Some(copy)) = (&mut keyed, picked) {
-                                queue.put_back(group, copy, fault_blocked[ri]);
-                            } else if reseeded && !fault_blocked[ri] {
-                                if let Some(score) =
-                                    score_entry(instance, policy, &ctx, &status, best, snapshot)
-                                {
-                                    heap.push(std::cmp::Reverse((score, best.cei.0, best.ei_idx)));
-                                }
-                            }
-                            continue;
-                        }
-                    }
-
-                    schedule.probe(resource, t);
-                    used += cost;
-                    stats.probes_used += 1;
-                    stats.budget_spent += u64::from(cost);
-
-                    // Announce the probe with its sharing fan-out before the
-                    // per-EI capture events. The fan-out is the resource's
-                    // live count — every live entry there is capturable.
-                    if observer.enabled() {
-                        let shared_eis = if config.share_probes {
-                            index.live_on(resource.index())
-                        } else {
-                            1
-                        };
-                        observer.on_event(Event::ProbeIssued {
-                            t,
-                            resource,
-                            cost,
-                            shared_eis,
-                        });
-                    }
-
-                    touched.clear();
-                    if config.share_probes {
-                        probed_now[resource.index()] = true;
-                        capture_resource(
-                            instance,
-                            &mut index,
-                            &mut capture_scratch,
-                            &mut status,
-                            resource.index(),
-                            t,
-                            &mut stats,
-                            &mut outcomes,
-                            &mut transitions,
-                            &mut touched,
-                            observer,
-                        );
-                    } else {
-                        capture_single(
-                            instance,
-                            &mut index,
-                            best,
-                            &mut status,
-                            t,
-                            &mut stats,
-                            &mut outcomes,
-                            observer,
-                        );
-                        touched.push(best.cei);
-                    }
-                    if !config.preemptive {
-                        captured_now.extend_from_slice(&touched);
-                    }
-
-                    // Refresh heap priorities of CEIs whose capture state
-                    // just changed: push their remaining live entries at
-                    // their new (never higher) scores; stale copies are
-                    // skipped on pop. The keyed queue refreshes into each
-                    // CEI's own group, whatever phase is running.
-                    if let Some(queue) = &mut keyed {
-                        for &id in &touched {
-                            queue.push_cei(instance, policy, &ctx, &index, &status, &started, id);
-                        }
-                    } else if reseeded {
-                        // Walk the touched CEI's own EIs; the liveness flag
-                        // restricts the refresh to entries actually in the
-                        // pool (an EI whose window has not opened yet must
-                        // not enter selection).
-                        for id in &touched {
-                            let cei = instance.cei(*id);
-                            for (idx, ei) in cei.eis.iter().enumerate() {
-                                let e = PoolEntry {
-                                    cei: *id,
-                                    ei_idx: idx as u16,
-                                };
-                                if !index.is_live(e) || probed_now[ei.resource.index()] {
-                                    continue;
-                                }
-                                if let Some(score) =
-                                    score_entry(instance, policy, &ctx, &status, e, snapshot)
-                                {
-                                    heap.push(std::cmp::Reverse((score, e.cei.0, e.ei_idx)));
-                                }
-                            }
-                        }
-                    }
+                for &e in opened {
+                    queue.push_live(pool, e);
                 }
             }
+        }
+    }
 
-            // Post-probing snapshot events. `pool_size` froze the live
-            // count the chronon's selection competed over (captures now
-            // remove entries as they land); the deferred count — live EIs
-            // left unserved once the budget ran out or nothing affordable
-            // remained — is whatever is still live, O(1) from the index
-            // instead of the legacy pool scan.
-            if observer.enabled() {
-                observer.on_event(Event::CandidateSet { t, size: pool_size });
-                let deferred = index.live();
-                if deferred > 0 {
-                    observer.on_event(Event::BudgetExhausted { t, deferred });
-                }
-            }
-
-            // -- 6. Expiry: EIs closing uncaptured at t doom their CEI once
-            // fewer than `required` EIs can still be captured (with the
-            // paper's AND semantics: on the first expiry). Only the windows
-            // closing at t are visited — their bucket keeps pool order.
-            transitions.clear();
-            for e in &ends[t as usize] {
-                if !index.is_live(*e) {
-                    continue; // never entered, captured, or already removed
-                }
-                let cei = instance.cei(e.cei);
-                let Status::Active(cap) = &mut status[e.cei.index()] else {
-                    continue;
+    /// CEI `id`'s scores or group changed — a capture, a registration, or
+    /// a first capture filing it into cands⁺ — so its live entries need
+    /// copies at their current (never higher) scores; stale copies are
+    /// skipped on pop. The keyed queue files them into the CEI's own group
+    /// whatever phase is running. The reseeded heap refreshes only during a
+    /// phase, and only entries on resources not yet probed: the next phase
+    /// reseeds it anyway.
+    fn cei_touched(&mut self, pool: &Pool<'_>, id: CeiId) {
+        match &mut self.kind {
+            SelectorKind::Scan => {}
+            SelectorKind::Reseeded(heap) => {
+                let Some(phase) = self.phase else {
+                    return;
                 };
-                if cap.mark_expired(e.ei_idx as usize) {
-                    index.remove(*e, cei.eis[e.ei_idx as usize].resource.index());
-                    if cap.is_doomed(cei.required) {
-                        transitions.push((e.cei, CeiOutcome::Failed { at: t }));
-                    }
-                }
-            }
-            for &(id, outcome) in &transitions {
-                if matches!(status[id.index()], Status::Active(_)) {
-                    status[id.index()] = Status::Failed;
-                    outcomes[id.index()] = outcome;
-                    stats.record_outcome_of(instance.cei(id), outcome);
-                    observer.on_event(Event::CeiExpired { cei: id, at: t });
-                    index.remove_cei(instance, id);
-                }
-            }
-
-            // -- 6b. Graceful degradation: an uncaptured EI whose whole
-            // remaining window sits inside a committed outage is
-            // unreachable; marking it expired sheds CEIs that can no longer
-            // meet their threshold, after the natural pass so a CEI doomed
-            // by a real window close always reports CeiExpired, not CeiShed.
-            if fault_on {
-                // Collect candidates from the down resources' lists, then
-                // restore the legacy pool order before the stateful pass.
-                shed_scratch.clear();
-                for (r, d) in down_snapshot.iter().enumerate() {
-                    let Some(until) = *d else {
-                        continue;
-                    };
-                    for e in index.entries(r) {
-                        if !index.is_live(*e) {
-                            continue;
-                        }
-                        let ei = instance.cei(e.cei).eis[e.ei_idx as usize];
-                        // `end <= t`: the natural expiry pass owns closed
-                        // windows (a live entry's window is open anyway).
-                        if ei.end > t && until >= ei.end {
-                            shed_scratch.push((ei.start, e.cei.0, e.ei_idx));
-                        }
-                    }
-                }
-                shed_scratch.sort_unstable();
-                transitions.clear();
-                for &(_, cei_id, ei_idx) in shed_scratch.iter() {
+                // Walk the CEI's own EIs; the liveness flag restricts the
+                // refresh to entries actually in the pool (an EI whose
+                // window has not opened yet must not enter selection).
+                for (idx, ei) in pool.instance.cei(id).eis.iter().enumerate() {
                     let e = PoolEntry {
-                        cei: CeiId(cei_id),
-                        ei_idx,
+                        cei: id,
+                        ei_idx: idx as u16,
                     };
-                    let Status::Active(cap) = &mut status[e.cei.index()] else {
+                    if !pool.index.is_live(e) || pool.probed_now[ei.resource.index()] {
                         continue;
-                    };
-                    let cei = instance.cei(e.cei);
-                    if cap.mark_expired(ei_idx as usize) {
-                        index.remove(e, cei.eis[ei_idx as usize].resource.index());
-                        if cap.is_doomed(cei.required) {
-                            transitions.push((e.cei, CeiOutcome::Failed { at: t }));
-                        }
                     }
-                }
-                for &(id, outcome) in &transitions {
-                    if matches!(status[id.index()], Status::Active(_)) {
-                        status[id.index()] = Status::Failed;
-                        outcomes[id.index()] = outcome;
-                        stats.record_outcome_of(instance.cei(id), outcome);
-                        stats.ceis_shed += 1;
-                        observer.on_event(Event::CeiShed { cei: id, at: t });
-                        index.remove_cei(instance, id);
+                    if let Some(score) = pool.score(e, phase) {
+                        heap.push(Reverse((score, e.cei.0, e.ei_idx)));
                     }
                 }
             }
+            SelectorKind::Keyed(queue, _) => queue.push_cei(pool, id),
+        }
+    }
 
-            // -- 7. Queue upkeep for the next chronon: copies the keyed queue
-            // skipped rejoin their heaps, and CEIs captured for the first
-            // time join cands⁺ (NP) — the keyed queue re-files their live
-            // entries there.
-            if let Some(queue) = &mut keyed {
-                queue.requeue_skipped(&index, &status, &started);
-            }
-            for &id in &captured_now {
-                if std::mem::replace(&mut started[id.index()], true) {
-                    continue;
+    /// Starts selecting for `phase`. The reseeded heap seeds once per phase
+    /// with current scores: sibling captures can *lower* MRSF / M-EDF
+    /// scores, and a lazily validated heap never re-prioritizes buried
+    /// entries on its own, so captures refresh the touched CEIs.
+    fn begin_phase(&mut self, pool: &Pool<'_>, phase: Phase) {
+        self.phase = Some(phase);
+        if let SelectorKind::Reseeded(heap) = &mut self.kind {
+            heap.clear();
+            for r in 0..pool.instance.n_resources as usize {
+                for &e in pool.index.entries(r) {
+                    if !pool.index.is_live(e) {
+                        continue;
+                    }
+                    if let Some(score) = pool.score(e, phase) {
+                        heap.push(Reverse((score, e.cei.0, e.ei_idx)));
+                    }
                 }
-                if let Some(queue) = &mut keyed {
-                    let ctx = policy_context(t, &active_snapshot, &has_update);
-                    queue.push_cei(instance, policy, &ctx, &index, &status, &started, id);
+            }
+        }
+    }
+
+    /// The current phase's minimum-score candidate that is selectable now
+    /// and costs at most `remaining_budget`; every selector picks what
+    /// [`Pool::argmin`] would.
+    fn pick(&mut self, pool: &Pool<'_>, remaining_budget: u32) -> Option<PoolEntry> {
+        let phase = self.phase?;
+        match &mut self.kind {
+            SelectorKind::Scan => {
+                self.steps += 1;
+                pool.argmin(phase, remaining_budget)
+            }
+            SelectorKind::Reseeded(heap) => {
+                pop_current(heap, pool, phase, remaining_budget, &mut self.steps)
+            }
+            SelectorKind::Keyed(queue, picked) => {
+                *picked = queue.pop(pool, phase.group(), remaining_budget, &mut self.steps)?;
+                Some(PoolEntry {
+                    cei: CeiId(picked.1),
+                    ei_idx: picked.2,
+                })
+            }
+        }
+    }
+
+    /// Returns the last pick `e`, whose probe failed: it is still live at
+    /// the same score. Both heaps consumed it on pop, so each re-queues it
+    /// — for this chronon if its resource is still selectable, so every
+    /// selector keeps `Scan`'s schedule; the keyed queue keeps a
+    /// `blocked` one for the next.
+    fn put_back(&mut self, pool: &Pool<'_>, e: PoolEntry, blocked: bool) {
+        let Some(phase) = self.phase else {
+            return;
+        };
+        match &mut self.kind {
+            SelectorKind::Scan => {}
+            SelectorKind::Reseeded(heap) => {
+                if blocked {
+                    return;
+                }
+                if let Some(score) = pool.score(e, phase) {
+                    heap.push(Reverse((score, e.cei.0, e.ei_idx)));
                 }
             }
-            captured_now.clear();
-
-            observer.on_event(Event::ChrononEnd {
-                t,
-                spent: used,
-                budget,
-            });
+            SelectorKind::Keyed(queue, picked) => queue.put_back(phase.group(), *picked, blocked),
         }
+    }
 
-        // Any CEI still unresolved at epoch end is recorded as pending so
-        // the size histogram sums to n_ceis. This is reached by CEIs the
-        // trace never releases inside the epoch (`NotArrived`) and by CEIs
-        // whose unreleased-at-expiry EIs never joined the pool, so no
-        // expiry event ever doomed them (`Active`).
-        for (i, s) in status.iter().enumerate() {
-            if matches!(s, Status::Active(_) | Status::NotArrived) {
-                stats.record_outcome_of(&instance.ceis[i], CeiOutcome::Pending);
-            }
+    /// Ends the chronon's selection: copies the keyed queue skipped rejoin
+    /// their heaps.
+    fn end_chronon(&mut self, pool: &Pool<'_>) {
+        self.phase = None;
+        if let SelectorKind::Keyed(queue, _) = &mut self.kind {
+            queue.requeue_skipped(pool);
         }
+    }
 
-        RunResult {
-            schedule,
-            stats,
-            outcomes,
-            selection_steps,
+    /// Rebuilds the keyed queue from the pool (on resume: the queue is not
+    /// part of a snapshot).
+    fn rebuild(&mut self, pool: &Pool<'_>) {
+        if let SelectorKind::Keyed(queue, _) = &mut self.kind {
+            queue.rebuild(pool);
         }
     }
 }
 
-/// The [`PolicyContext`] of chronon `now` over the engine's per-resource
-/// aggregates.
-fn policy_context<'a>(
-    now: Chronon,
-    active_eis: &'a [u32],
-    has_update: &'a [bool],
-) -> PolicyContext<'a> {
-    PolicyContext {
-        now,
-        resources: ResourceStats {
-            active_eis,
-            has_update,
-        },
-    }
-}
-
-/// Builds the [`EngineSnapshot`] of the boundary of chronon `t`: every
-/// piece of cross-chronon state, with the candidate index recorded as live
-/// entries in per-resource list order (the order shared captures fire in).
-#[allow(clippy::too_many_arguments)]
-fn snapshot_state(
-    t: Chronon,
-    instance: &Instance,
-    index: &CandidateIndex,
-    status: &[Status],
-    outcomes: &[CeiOutcome],
-    stats: &RunStats,
-    schedule: &Schedule,
-    budget_override: Option<u32>,
-    pending_budget: Option<u32>,
-    announced: &[Option<Chronon>],
-    consec_failures: &[u32],
-    next_attempt_at: &[Chronon],
-) -> EngineSnapshot {
-    let n_res = instance.n_resources as usize;
-    let mut per_resource: Vec<Vec<(u32, u16)>> = Vec::with_capacity(n_res);
-    for r in 0..n_res {
-        let mut live = Vec::new();
-        for e in index.entries(r) {
-            if index.is_live(*e) {
-                live.push((e.cei.0, e.ei_idx));
-            }
-        }
-        per_resource.push(live);
-    }
-    EngineSnapshot {
-        at: t,
-        status: status
-            .iter()
-            .map(|s| match s {
-                Status::NotArrived => CeiState::NotArrived,
-                Status::Active(cap) => CeiState::Active {
-                    captured: cap.flags().to_vec(),
-                    expired: cap.expired_flags().to_vec(),
-                },
-                Status::Captured => CeiState::Captured,
-                Status::Failed => CeiState::Failed,
-                Status::Cancelled => CeiState::Cancelled,
-            })
-            .collect(),
-        outcomes: outcomes.to_vec(),
-        stats: stats.clone(),
-        schedule: schedule.clone(),
-        budget_override,
-        pending_budget,
-        announced: announced.to_vec(),
-        consec_failures: consec_failures.to_vec(),
-        next_attempt_at: next_attempt_at.to_vec(),
-        index: per_resource,
-    }
-}
-
-/// Scores one pool entry if it is live and phase-eligible: parent active,
-/// EI uncaptured and unexpired. Returns `None` otherwise.
-fn score_entry(
-    instance: &Instance,
-    policy: &dyn Policy,
-    ctx: &PolicyContext<'_>,
-    status: &[Status],
-    e: PoolEntry,
-    phase: Option<(bool, &[bool])>,
-) -> Option<i64> {
-    let cap = status[e.cei.index()].capture_set()?;
-    if cap.is_captured(e.ei_idx as usize) || cap.is_expired(e.ei_idx as usize) {
-        return None;
-    }
-    if let Some((required, snapshot)) = phase {
-        if snapshot[e.cei.index()] != required {
-            return None;
-        }
-    }
-    let cei = instance.cei(e.cei);
-    let cand = Candidate {
-        ei: cei.eis[e.ei_idx as usize],
-        ei_index: e.ei_idx as usize,
-        cei: CeiView {
-            eis: &cei.eis,
-            captured: cap.flags(),
-            n_captured: cap.n_captured() as u16,
-            required: cei.required,
-            weight: cei.weight,
-            profile_rank: instance.profiles[cei.profile.index()].rank,
-        },
-    };
-    Some(policy.score(ctx, &cand))
-}
-
-/// Scans the index for the minimum-score live candidate. Ties break by
-/// `(score, cei id, ei index)` so runs are deterministic regardless of
-/// iteration order. Each call counts as one selection step.
-#[allow(clippy::too_many_arguments)]
-fn argmin_candidate(
-    instance: &Instance,
-    policy: &dyn Policy,
-    ctx: &PolicyContext<'_>,
-    index: &CandidateIndex,
-    status: &[Status],
-    probed_now: &[bool],
-    blocked: &[bool],
-    remaining_budget: u32,
-    phase: Option<(bool, &[bool])>,
-    steps: &mut u64,
-) -> Option<PoolEntry> {
-    *steps += 1;
-    let mut best: Option<(i64, PoolEntry)> = None;
-    for r in 0..probed_now.len() {
-        if probed_now[r] {
-            continue; // already captured by an earlier probe this chronon
-        }
-        if blocked[r] {
-            continue; // down, backing off, or out of retry quota
-        }
-        if instance.costs.of(ResourceId(r as u32)) > remaining_budget {
-            continue; // unaffordable this chronon (varying-costs extension)
-        }
-        for e in index.entries(r) {
-            if !index.is_live(*e) {
-                continue;
-            }
-            let Some(score) = score_entry(instance, policy, ctx, status, *e, phase) else {
-                continue;
-            };
-            let better = match &best {
-                None => true,
-                Some((s, b)) => (score, e.cei.0, e.ei_idx) < (*s, b.cei.0, b.ei_idx),
-            };
-            if better {
-                best = Some((score, *e));
-            }
-        }
-    }
-    best.map(|(_, e)| e)
-}
-
-/// Pops the minimum-score live candidate from the lazy heap, re-pushing
-/// entries whose stored score went stale (a sibling capture this chronon
-/// changed it). Tie ordering matches [`argmin_candidate`]. Each pop counts
-/// as one selection step.
-#[allow(clippy::too_many_arguments)]
-fn pop_valid(
-    instance: &Instance,
-    policy: &dyn Policy,
-    ctx: &PolicyContext<'_>,
+/// Pops the minimum-score selectable candidate from the reseeded heap,
+/// re-pushing entries whose stored score went stale (a sibling capture this
+/// chronon changed it). Tie ordering matches [`Pool::argmin`]. Each pop
+/// counts as one selection step.
+fn pop_current(
     heap: &mut ScoreHeap,
-    status: &[Status],
-    probed_now: &[bool],
-    blocked: &[bool],
+    pool: &Pool<'_>,
+    phase: Phase,
     remaining_budget: u32,
-    phase: Option<(bool, &[bool])>,
     steps: &mut u64,
 ) -> Option<PoolEntry> {
-    while let Some(std::cmp::Reverse((stored, cei, ei_idx))) = heap.pop() {
+    while let Some(Reverse((stored, cei, ei_idx))) = heap.pop() {
         *steps += 1;
         let e = PoolEntry {
             cei: CeiId(cei),
             ei_idx,
         };
-        let resource = instance.cei(e.cei).eis[e.ei_idx as usize].resource;
-        if probed_now[resource.index()] {
+        let resource = pool.resource(e);
+        if pool.probed_now[resource.index()] {
             continue; // captured earlier this chronon
         }
-        if blocked[resource.index()] {
+        if pool.blocked[resource.index()] {
             continue; // down, backing off, or out of retry quota
         }
-        let Some(current) = score_entry(instance, policy, ctx, status, e, phase) else {
+        let Some(current) = pool.score(e, phase) else {
             continue; // no longer live
         };
         if current != stored {
-            heap.push(std::cmp::Reverse((current, cei, ei_idx)));
+            heap.push(Reverse((current, cei, ei_idx)));
             continue; // stale score: reinsert at its true priority
         }
-        if instance.costs.of(resource) > remaining_budget {
+        if pool.instance.costs.of(resource) > remaining_budget {
             continue; // unaffordable for the rest of this chronon
         }
         return Some(e);
@@ -1342,13 +720,13 @@ fn pop_valid(
 /// **Invariant.** Every live entry has a copy whose key is its current
 /// `(score, cei, ei_idx)` in its group's heap — or, once popped and skipped
 /// this chronon, in `skipped`. The first current, selectable pop is
-/// therefore the [`argmin_candidate`] pick under the same tie-break, and
+/// therefore the [`Pool::argmin`] pick under the same tie-break, and
 /// schedules match `Scan`'s. The queue is not part of a snapshot: a resume
 /// rebuilds it from the restored pool, and so does a chronon whose heaps
 /// hold more garbage than the pool has live entries.
 struct KeyedQueue {
     /// One min-heap per selection group.
-    heaps: Vec<std::collections::BinaryHeap<std::cmp::Reverse<KeyedCopy>>>,
+    heaps: Vec<BinaryHeap<Reverse<KeyedCopy>>>,
     /// Copies popped but skipped this chronon, with their group; they
     /// rejoin the heaps at the chronon's end.
     skipped: Vec<(usize, KeyedCopy)>,
@@ -1361,95 +739,59 @@ impl KeyedQueue {
 
     fn new(groups: usize) -> Self {
         KeyedQueue {
-            heaps: (0..groups)
-                .map(|_| std::collections::BinaryHeap::new())
-                .collect(),
+            heaps: (0..groups).map(|_| BinaryHeap::new()).collect(),
             skipped: Vec::new(),
         }
     }
 
     /// The group of a CEI's entries: 0 in P mode; in NP mode 0 for cands⁺
     /// and 1 for CEIs not started yet.
-    fn group(&self, started: &[bool], cei: CeiId) -> usize {
-        usize::from(self.heaps.len() > 1 && !started[cei.index()])
+    fn group(&self, pool: &Pool<'_>, cei: CeiId) -> usize {
+        usize::from(self.heaps.len() > 1 && !pool.started[cei.index()])
     }
 
     /// Whether `copy` in `group` still keys a live entry at its current
     /// score: the entry is live, its CEI's capture count is unchanged since
     /// the copy was scored, and the CEI has not moved groups.
-    fn is_current(
-        &self,
-        group: usize,
-        copy: KeyedCopy,
-        index: &CandidateIndex,
-        status: &[Status],
-        started: &[bool],
-    ) -> bool {
+    fn is_current(&self, pool: &Pool<'_>, group: usize, copy: KeyedCopy) -> bool {
         let (_, cei, ei_idx, captured) = copy;
         let e = PoolEntry {
             cei: CeiId(cei),
             ei_idx,
         };
-        index.is_live(e)
-            && status[e.cei.index()]
+        pool.index.is_live(e)
+            && pool.status[e.cei.index()]
                 .capture_set()
                 .is_some_and(|cap| cap.n_captured() == usize::from(captured))
-            && self.group(started, e.cei) == group
+            && self.group(pool, e.cei) == group
     }
 
     /// The copy of `e` at its current score, if `e` is live.
-    fn copy_of(
-        instance: &Instance,
-        policy: &dyn Policy,
-        ctx: &PolicyContext<'_>,
-        index: &CandidateIndex,
-        status: &[Status],
-        e: PoolEntry,
-    ) -> Option<KeyedCopy> {
-        if !index.is_live(e) {
+    fn copy_of(pool: &Pool<'_>, e: PoolEntry) -> Option<KeyedCopy> {
+        if !pool.index.is_live(e) {
             return None;
         }
-        let captured = status[e.cei.index()].capture_set()?.n_captured() as u16;
-        let score = score_entry(instance, policy, ctx, status, e, None)?;
+        let captured = pool.status[e.cei.index()].capture_set()?.n_captured() as u16;
+        let score = pool.score(e, Phase::All)?;
         Some((score, e.cei.0, e.ei_idx, captured))
     }
 
     /// Scores `e` into its group's heap if it is live.
-    #[allow(clippy::too_many_arguments)]
-    fn push_live(
-        &mut self,
-        instance: &Instance,
-        policy: &dyn Policy,
-        ctx: &PolicyContext<'_>,
-        index: &CandidateIndex,
-        status: &[Status],
-        started: &[bool],
-        e: PoolEntry,
-    ) {
-        if let Some(copy) = Self::copy_of(instance, policy, ctx, index, status, e) {
-            let group = self.group(started, e.cei);
-            self.heaps[group].push(std::cmp::Reverse(copy));
+    fn push_live(&mut self, pool: &Pool<'_>, e: PoolEntry) {
+        if let Some(copy) = Self::copy_of(pool, e) {
+            let group = self.group(pool, e.cei);
+            self.heaps[group].push(Reverse(copy));
         }
     }
 
     /// Scores every live entry of CEI `id` into its group's heap.
-    #[allow(clippy::too_many_arguments)]
-    fn push_cei(
-        &mut self,
-        instance: &Instance,
-        policy: &dyn Policy,
-        ctx: &PolicyContext<'_>,
-        index: &CandidateIndex,
-        status: &[Status],
-        started: &[bool],
-        id: CeiId,
-    ) {
-        for idx in 0..instance.cei(id).size() {
+    fn push_cei(&mut self, pool: &Pool<'_>, id: CeiId) {
+        for idx in 0..pool.instance.cei(id).size() {
             let e = PoolEntry {
                 cei: id,
                 ei_idx: idx as u16,
             };
-            self.push_live(instance, policy, ctx, index, status, started, e);
+            self.push_live(pool, e);
         }
     }
 
@@ -1457,25 +799,21 @@ impl KeyedQueue {
     /// now, dropping dead, stale and wrong-group copies and setting aside
     /// blocked or unaffordable ones until the chronon's end. Each pop
     /// counts as one selection step.
-    #[allow(clippy::too_many_arguments)]
     fn pop(
         &mut self,
+        pool: &Pool<'_>,
         group: usize,
-        instance: &Instance,
-        index: &CandidateIndex,
-        status: &[Status],
-        started: &[bool],
-        blocked: &[bool],
         remaining_budget: u32,
         steps: &mut u64,
     ) -> Option<KeyedCopy> {
-        while let Some(std::cmp::Reverse(copy)) = self.heaps[group].pop() {
+        while let Some(Reverse(copy)) = self.heaps[group].pop() {
             *steps += 1;
-            if !self.is_current(group, copy, index, status, started) {
+            if !self.is_current(pool, group, copy) {
                 continue;
             }
-            let resource = instance.cei(CeiId(copy.1)).eis[copy.2 as usize].resource;
-            if blocked[resource.index()] || instance.costs.of(resource) > remaining_budget {
+            let resource = pool.instance.cei(CeiId(copy.1)).eis[copy.2 as usize].resource;
+            if pool.blocked[resource.index()] || pool.instance.costs.of(resource) > remaining_budget
+            {
                 // Blocks and the remaining budget only tighten within a
                 // chronon, so the entry stays unselectable until its end.
                 self.skipped.push((group, copy));
@@ -1493,17 +831,17 @@ impl KeyedQueue {
         if blocked {
             self.skipped.push((group, copy));
         } else {
-            self.heaps[group].push(std::cmp::Reverse(copy));
+            self.heaps[group].push(Reverse(copy));
         }
     }
 
     /// End of chronon: skipped copies that are still current rejoin their
     /// heaps.
-    fn requeue_skipped(&mut self, index: &CandidateIndex, status: &[Status], started: &[bool]) {
+    fn requeue_skipped(&mut self, pool: &Pool<'_>) {
         let mut skipped = std::mem::take(&mut self.skipped);
         for (group, copy) in skipped.drain(..) {
-            if self.is_current(group, copy, index, status, started) {
-                self.heaps[group].push(std::cmp::Reverse(copy));
+            if self.is_current(pool, group, copy) {
+                self.heaps[group].push(Reverse(copy));
             }
         }
         self.skipped = skipped;
@@ -1512,28 +850,15 @@ impl KeyedQueue {
     /// Whether dead, stale and wrong-group copies have outgrown a pool of
     /// `live` entries, so a [`rebuild`](Self::rebuild) pays for itself.
     fn needs_rebuild(&self, live: u32) -> bool {
-        let copies: usize = self
-            .heaps
-            .iter()
-            .map(std::collections::BinaryHeap::len)
-            .sum();
+        let copies: usize = self.heaps.iter().map(BinaryHeap::len).sum();
         copies > 2 * live as usize + Self::SLACK
     }
 
     /// Rebuilds every heap from the pool, one current copy per live entry,
     /// reusing the heaps' storage. Runs on resume, and at a chronon
     /// boundary (when `skipped` is empty) once garbage outgrows the pool.
-    #[allow(clippy::too_many_arguments)]
-    fn rebuild(
-        &mut self,
-        instance: &Instance,
-        policy: &dyn Policy,
-        ctx: &PolicyContext<'_>,
-        index: &CandidateIndex,
-        status: &[Status],
-        started: &[bool],
-    ) {
-        let mut groups: Vec<Vec<std::cmp::Reverse<KeyedCopy>>> = self
+    fn rebuild(&mut self, pool: &Pool<'_>) {
+        let mut groups: Vec<Vec<Reverse<KeyedCopy>>> = self
             .heaps
             .iter_mut()
             .map(|heap| {
@@ -1542,119 +867,825 @@ impl KeyedQueue {
                 copies
             })
             .collect();
-        for r in 0..instance.n_resources as usize {
-            for &e in index.entries(r) {
-                if let Some(copy) = Self::copy_of(instance, policy, ctx, index, status, e) {
-                    groups[self.group(started, e.cei)].push(std::cmp::Reverse(copy));
+        for r in 0..pool.instance.n_resources as usize {
+            for &e in pool.index.entries(r) {
+                if let Some(copy) = Self::copy_of(pool, e) {
+                    groups[self.group(pool, e.cei)].push(Reverse(copy));
                 }
             }
         }
-        self.heaps = groups
-            .into_iter()
-            .map(std::collections::BinaryHeap::from)
-            .collect();
+        self.heaps = groups.into_iter().map(BinaryHeap::from).collect();
     }
 }
 
-/// Marks every live pool EI on `resource` as captured by the probe at
-/// chronon `t`, completing CEIs whose last required EI this was. Liveness
-/// implies an active window and an `Active` parent (see `engine::index`),
-/// so every live entry on the probed resource is captured and the list
-/// empties wholesale: it is swapped out for iteration, cleared with its
-/// capacity kept, and swapped back.
-#[allow(clippy::too_many_arguments)]
-fn capture_resource<O: Observer>(
-    instance: &Instance,
-    index: &mut CandidateIndex,
-    scratch: &mut Vec<PoolEntry>,
-    status: &mut [Status],
-    resource: usize,
-    t: Chronon,
-    stats: &mut RunStats,
-    outcomes: &mut [CeiOutcome],
-    completed: &mut Vec<(CeiId, CeiOutcome)>,
-    touched: &mut Vec<CeiId>,
-    observer: &mut O,
-) {
-    completed.clear();
-    std::mem::swap(scratch, &mut index.by_resource[resource]);
-    for e in scratch.iter() {
-        if !index.is_live(*e) {
-            continue; // tombstone awaiting a sweep
+/// Algorithm 1's run state: everything that crosses a chronon boundary,
+/// plus the scratch a chronon reuses. Built fresh ([`new`](Self::new)) or
+/// from a boundary snapshot ([`restore`](Self::restore), the inverse of
+/// [`snapshot`](Self::snapshot)); [`chronon`](Self::chronon) runs one
+/// chronon as a fixed sequence of phase methods.
+struct EngineState<'a, F, M, O> {
+    /// What selection reads.
+    pool: Pool<'a>,
+    /// How `probeEIs` picks from `pool`.
+    selector: Selector,
+    config: EngineConfig,
+    fault_config: FaultConfig,
+    faults: &'a mut F,
+    mutations: &'a mut M,
+    observer: &'a mut O,
+    /// `faults.enabled()` and `mutations.active()`, sampled once: a
+    /// disabled model or an inactive source costs one branch per chronon
+    /// and nothing else.
+    fault_on: bool,
+    mutations_on: bool,
+    /// EIs bucketed by the chronon their window opens, so each enters the
+    /// pool exactly then, and by the chronon it closes, so the expiry pass
+    /// visits only the windows closing now. Both hold entries in the pool
+    /// order `(start, cei, ei_idx)`; a window ending at or past the horizon
+    /// never expires inside the epoch.
+    starts: Vec<Vec<PoolEntry>>,
+    ends: Vec<Vec<PoolEntry>>,
+    outcomes: Vec<CeiOutcome>,
+    schedule: Schedule,
+    /// `probes_available` accumulates the effective per-chronon budget:
+    /// equal to `budget.total_over(horizon)` on unmutated runs, and
+    /// correct under mid-run `SetBudget`.
+    stats: RunStats,
+    budget_override: Option<u32>,
+    /// A drained `SetBudget` parks here and becomes the override at the
+    /// next chronon boundary — reconfiguration never applies mid-chronon.
+    pending_budget: Option<u32>,
+    /// Fault bookkeeping per resource, sized zero when faultless: the
+    /// committed outage horizon frozen at chronon start (so shedding and
+    /// the event-driven checker see the same state), the last horizon
+    /// announced via `ResourceDown` (`None` while up), failure streaks and
+    /// backoff deadlines.
+    down: Vec<Option<Chronon>>,
+    announced: Vec<Option<Chronon>>,
+    consec_failures: Vec<u32>,
+    next_attempt_at: Vec<Chronon>,
+    /// Retry attempts this chronon, against `FaultConfig::retry_quota`.
+    retries_used: u32,
+    /// Per-chronon scratch, allocated once and reused: the drained
+    /// mutations, the CEIs captured this chronon (NP: they join cands⁺ at
+    /// its end), the CEIs the current probe touched, the CEIs a pass
+    /// resolves, and the entries the shed pass walks.
+    drained: Vec<Mutation>,
+    captured_now: Vec<CeiId>,
+    touched: Vec<CeiId>,
+    resolved: Vec<CeiId>,
+    walk: Vec<PoolEntry>,
+}
+
+impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O> {
+    /// The state at chronon 0: nothing released, an empty pool.
+    fn new(inputs: RunInputs<'a, F, M, O>) -> Self {
+        let RunInputs {
+            instance,
+            policy,
+            config,
+            faults,
+            fault_config,
+            mutations,
+            observer,
+        } = inputs;
+        let n_ceis = instance.ceis.len();
+        let n_res = instance.n_resources as usize;
+        let horizon = instance.epoch.len() as usize;
+
+        // The fill order is cei-major (dense ids, ascending), and each ends
+        // bucket is stable-sorted by start on top of it.
+        let mut starts: Vec<Vec<PoolEntry>> = vec![Vec::new(); horizon];
+        let mut ends: Vec<Vec<PoolEntry>> = vec![Vec::new(); horizon];
+        for cei in &instance.ceis {
+            for (idx, ei) in cei.eis.iter().enumerate() {
+                let entry = PoolEntry {
+                    cei: cei.id,
+                    ei_idx: idx as u16,
+                };
+                starts[ei.start as usize].push(entry);
+                if (ei.end as usize) < horizon {
+                    ends[ei.end as usize].push(entry);
+                }
+            }
         }
-        let Status::Active(cap) = &mut status[e.cei.index()] else {
-            debug_assert!(false, "live entry with a resolved parent");
-            continue;
+        for bucket in &mut ends {
+            bucket.sort_by_key(|e| instance.cei(e.cei).eis[e.ei_idx as usize].start);
+        }
+
+        let fault_on = faults.enabled();
+        let n_track = if fault_on { n_res } else { 0 };
+        EngineState {
+            pool: Pool {
+                instance,
+                policy,
+                index: CandidateIndex::new(instance),
+                status: (0..n_ceis).map(|_| Status::NotArrived).collect(),
+                started: vec![false; n_ceis],
+                now: 0,
+                active_eis: vec![0; n_res],
+                has_update: vec![false; n_res],
+                probed_now: vec![false; n_res],
+                blocked: vec![false; n_res],
+            },
+            selector: Selector::new(config, policy),
+            config,
+            fault_config,
+            fault_on,
+            mutations_on: mutations.active(),
+            faults,
+            mutations,
+            observer,
+            starts,
+            ends,
+            outcomes: vec![CeiOutcome::Pending; n_ceis],
+            schedule: Schedule::new(instance.n_resources, instance.epoch),
+            stats: RunStats {
+                n_ceis: n_ceis as u64,
+                n_eis: instance.total_eis() as u64,
+                ..Default::default()
+            },
+            budget_override: None,
+            pending_budget: None,
+            down: vec![None; n_track],
+            announced: vec![None; n_track],
+            consec_failures: vec![0; n_track],
+            next_attempt_at: vec![0; n_track],
+            retries_used: 0,
+            drained: Vec::new(),
+            captured_now: Vec::new(),
+            touched: Vec::new(),
+            resolved: Vec::new(),
+            walk: Vec::new(),
+        }
+    }
+
+    /// The state at `snapshot`'s boundary: every piece of cross-chronon
+    /// state is the captured one; per-chronon scratch starts fresh and is
+    /// rebuilt by the loop exactly as the original run rebuilt it.
+    fn restore(
+        inputs: RunInputs<'a, F, M, O>,
+        snapshot: &EngineSnapshot,
+    ) -> Result<Self, SnapshotMismatch> {
+        snapshot.validate(inputs.instance, inputs.faults.enabled())?;
+        let mut state = Self::new(inputs);
+        let pool = &mut state.pool;
+        for (i, s) in snapshot.status.iter().enumerate() {
+            pool.status[i] = match s {
+                CeiState::NotArrived => Status::NotArrived,
+                CeiState::Active { captured, expired } => {
+                    let cap = CaptureSet::from_flags(captured.clone(), expired.clone());
+                    pool.started[i] = cap.is_started();
+                    Status::Active(cap)
+                }
+                CeiState::Captured => Status::Captured,
+                CeiState::Failed => Status::Failed,
+                CeiState::Cancelled => Status::Cancelled,
+            };
+        }
+        // Refill the per-resource candidate lists in recorded order: shared
+        // captures fire in list order, so insertion order is part of the
+        // observable state.
+        for (r, entries) in snapshot.index.iter().enumerate() {
+            for &(cei, ei_idx) in entries {
+                let e = PoolEntry {
+                    cei: CeiId(cei),
+                    ei_idx,
+                };
+                pool.index.insert(e, r);
+            }
+        }
+        pool.now = snapshot.at;
+        state.outcomes.copy_from_slice(&snapshot.outcomes);
+        state.stats = snapshot.stats.clone();
+        state.schedule = snapshot.schedule.clone();
+        state.budget_override = snapshot.budget_override;
+        state.pending_budget = snapshot.pending_budget;
+        if state.fault_on {
+            state.announced.copy_from_slice(&snapshot.announced);
+            state
+                .consec_failures
+                .copy_from_slice(&snapshot.consec_failures);
+            state
+                .next_attempt_at
+                .copy_from_slice(&snapshot.next_attempt_at);
+        }
+        // The keyed queue's copies differ from the uninterrupted run's
+        // (which carries stale ones), but every live entry has its current
+        // copy, so selections agree.
+        state.selector.rebuild(&state.pool);
+        Ok(state)
+    }
+
+    /// The boundary state of chronon `at`, with the candidate index
+    /// recorded as live entries in per-resource list order (the order
+    /// shared captures fire in).
+    fn snapshot(&self, at: Chronon) -> EngineSnapshot {
+        let index = &self.pool.index;
+        EngineSnapshot {
+            at,
+            status: self
+                .pool
+                .status
+                .iter()
+                .map(|s| match s {
+                    Status::NotArrived => CeiState::NotArrived,
+                    Status::Active(cap) => CeiState::Active {
+                        captured: cap.flags().to_vec(),
+                        expired: cap.expired_flags().to_vec(),
+                    },
+                    Status::Captured => CeiState::Captured,
+                    Status::Failed => CeiState::Failed,
+                    Status::Cancelled => CeiState::Cancelled,
+                })
+                .collect(),
+            outcomes: self.outcomes.clone(),
+            stats: self.stats.clone(),
+            schedule: self.schedule.clone(),
+            budget_override: self.budget_override,
+            pending_budget: self.pending_budget,
+            announced: self.announced.clone(),
+            consec_failures: self.consec_failures.clone(),
+            next_attempt_at: self.next_attempt_at.clone(),
+            index: (0..self.pool.instance.n_resources as usize)
+                .map(|r| {
+                    index
+                        .entries(r)
+                        .iter()
+                        .filter(|e| index.is_live(**e))
+                        .map(|e| (e.cei.0, e.ei_idx))
+                        .collect()
+                })
+                .collect(),
+        }
+    }
+
+    /// Runs every remaining chronon, offering `snapshots` each boundary,
+    /// and returns the run's result.
+    fn run(mut self, snapshots: &mut dyn SnapshotSink) -> RunResult {
+        for t in self.pool.now..self.pool.instance.epoch.len() {
+            // Offer the boundary state before any of chronon t's work —
+            // including the pending-budget promotion, which is chronon t's
+            // first action and must replay after a restore.
+            if snapshots.wants(t) {
+                snapshots.accept(self.snapshot(t));
+            }
+            self.chronon(t);
+        }
+        self.finish()
+    }
+
+    /// One chronon of Algorithm 1. Each call is one phase.
+    fn chronon(&mut self, t: Chronon) {
+        let budget = self.begin_chronon(t);
+        if self.mutations_on {
+            self.drain_mutations();
+        }
+        if self.fault_on {
+            self.announce_faults();
+        }
+        let pool_size = self.open_windows();
+        let spent = self.probe_eis(budget, pool_size);
+        self.expire(Resolution::Expired);
+        if self.fault_on {
+            self.expire(Resolution::Shed);
+        }
+        self.end_chronon(spent, budget);
+    }
+
+    /// Opens chronon `t`: a budget reconfiguration drained last chronon
+    /// takes effect exactly now, and [`Event::ChrononStart`] announces the
+    /// budget. Returns it.
+    fn begin_chronon(&mut self, t: Chronon) -> u32 {
+        self.pool.now = t;
+        if let Some(b) = self.pending_budget.take() {
+            self.budget_override = Some(b);
+        }
+        let budget = self
+            .budget_override
+            .unwrap_or_else(|| self.pool.instance.budget.at(t));
+        self.stats.probes_available += u64::from(budget);
+        self.retries_used = 0;
+        self.observer.on_event(Event::ChrononStart { t, budget });
+        budget
+    }
+
+    /// Phase 0: this chronon's mutations, in drain order, before fault
+    /// announcements and arrivals so a registration's windows and a
+    /// cancellation's retry-state cleanup are visible to the whole chronon.
+    fn drain_mutations(&mut self) {
+        let t = self.pool.now;
+        let mut drained = std::mem::take(&mut self.drained);
+        drained.clear();
+        self.mutations.drain_at(t, &mut drained);
+        for &m in &drained {
+            match m {
+                Mutation::Register { cei } => self.register(cei),
+                Mutation::Cancel { cei } => self.cancel(cei),
+                Mutation::SetBudget { budget } => {
+                    self.pending_budget = Some(budget);
+                    self.observer
+                        .on_event(Event::BudgetReconfigured { t, budget });
+                }
+            }
+        }
+        self.drained = drained;
+    }
+
+    /// Releases CEI `id` now. Windows already closed expire on the spot;
+    /// open windows (strictly `start < t` — the `starts[t]` bucket owns
+    /// `start == t`) enter the pool now; future windows ride the prebuilt
+    /// buckets. O(own EIs) throughout.
+    fn register(&mut self, id: CeiId) {
+        if !matches!(self.pool.status[id.index()], Status::NotArrived) {
+            return; // already live, resolved, or cancelled
+        }
+        let t = self.pool.now;
+        let cei = self.pool.instance.cei(id);
+        let mut cap = CaptureSet::new(cei.size());
+        for (idx, ei) in cei.eis.iter().enumerate() {
+            if ei.end < t {
+                cap.mark_expired(idx);
+            } else if ei.start < t {
+                let e = PoolEntry {
+                    cei: id,
+                    ei_idx: idx as u16,
+                };
+                self.pool.index.insert(e, ei.resource.index());
+            }
+        }
+        self.observer
+            .on_event(Event::CeiRegistered { cei: id, at: t });
+        if cap.is_doomed(cei.required) {
+            // Registered too late: the already-closed windows alone make
+            // `required` unreachable.
+            self.resolve(id, Resolution::Expired);
+        } else {
+            self.pool.status[id.index()] = Status::Active(cap);
+            self.selector.cei_touched(&self.pool, id);
+        }
+    }
+
+    /// Cancels CEI `id` unless it already resolved, then drops pending
+    /// retry state on resources the cancellation emptied: the streak
+    /// belonged to a profile nobody wants anymore, and keeping it would
+    /// burn backoff delays and the per-chronon retry quota on dead
+    /// candidates.
+    fn cancel(&mut self, id: CeiId) {
+        if !matches!(
+            self.pool.status[id.index()],
+            Status::NotArrived | Status::Active(_)
+        ) {
+            return; // already resolved or cancelled
+        }
+        self.resolve(id, Resolution::Cancelled);
+        if self.fault_on {
+            for ei in &self.pool.instance.cei(id).eis {
+                let r = ei.resource.index();
+                if self.pool.index.live_on(r) == 0 && self.consec_failures[r] > 0 {
+                    self.consec_failures[r] = 0;
+                    self.next_attempt_at[r] = 0;
+                }
+            }
+        }
+    }
+
+    /// Advances the fault model, freezes each resource's committed outage
+    /// horizon, announces new outages and extensions of the committed
+    /// horizon (a steady commitment stays silent) and recoveries, and
+    /// blocks down, backing-off and out-of-quota resources for the chronon.
+    fn announce_faults(&mut self) {
+        let t = self.pool.now;
+        self.faults.begin_chronon(t);
+        for r in 0..self.pool.instance.n_resources as usize {
+            let resource = ResourceId(r as u32);
+            let down = self.faults.down_until(resource);
+            self.down[r] = down;
+            match down {
+                Some(until) => {
+                    if self.announced[r] != Some(until) {
+                        self.observer
+                            .on_event(Event::ResourceDown { t, resource, until });
+                        self.announced[r] = Some(until);
+                    }
+                }
+                None => {
+                    if self.announced[r].take().is_some() {
+                        self.observer.on_event(Event::ResourceUp { t, resource });
+                    }
+                }
+            }
+            self.pool.blocked[r] = down.is_some()
+                || t < self.next_attempt_at[r]
+                || (self.consec_failures[r] > 0 && self.fault_config.retry_quota == Some(0));
+        }
+    }
+
+    /// Phases 1–4: η(t) joins cands(η) — dynamic CEIs skip their natural
+    /// release (their registration is their release), and a CEI cancelled
+    /// before its release stays cancelled — then an amortized tombstone
+    /// sweep, then the EIs whose window opens now join cands(I) (each gives
+    /// its resource a fresh update for the policy context), then the
+    /// occupancy snapshot. Returns the live total: the candidate-set size
+    /// selection competes over.
+    fn open_windows(&mut self) -> u32 {
+        let t = self.pool.now;
+        let instance = self.pool.instance;
+        for &id in instance.released_at(t) {
+            if self.mutations_on && self.mutations.suppresses_release(id) {
+                continue;
+            }
+            if matches!(self.pool.status[id.index()], Status::NotArrived) {
+                self.pool.status[id.index()] =
+                    Status::Active(CaptureSet::new(instance.cei(id).size()));
+            }
+        }
+        let pool = &mut self.pool;
+        let opened = &self.starts[t as usize];
+        pool.index.sweep();
+        pool.has_update.fill(false);
+        for &e in opened {
+            if matches!(pool.status[e.cei.index()], Status::Active(_)) {
+                let r = pool.resource(e).index();
+                pool.index.insert(e, r);
+                pool.has_update[r] = true;
+            }
+        }
+        pool.active_eis.copy_from_slice(pool.index.active_now());
+        self.selector.windows_opened(&self.pool, opened);
+        self.pool.index.live()
+    }
+
+    /// Phase 5, `probeEIs`: per selection phase (cands⁺ first in NP mode),
+    /// probe the minimum-score selectable candidate until the budget runs
+    /// out or nothing affordable remains. Then report the candidate set
+    /// `pool_size` froze, and the live EIs left unserved. Returns the
+    /// budget spent.
+    fn probe_eis(&mut self, budget: u32, pool_size: u32) -> u32 {
+        self.pool.probed_now.fill(false);
+        let phases: &[Phase] = if self.config.preemptive {
+            &[Phase::All]
+        } else {
+            &[Phase::Started, Phase::New]
         };
-        let ei = instance.cei(e.cei).eis[e.ei_idx as usize];
-        debug_assert!(ei.resource.index() == resource && ei.is_active(t));
-        if cap.capture(e.ei_idx as usize) {
-            index.mark_captured(*e, resource);
-            stats.eis_captured += 1;
-            observer.on_event(Event::EiCaptured {
+        let mut used: u32 = 0;
+        for &phase in phases {
+            self.selector.begin_phase(&self.pool, phase);
+            while used < budget {
+                let Some(best) = self.selector.pick(&self.pool, budget - used) else {
+                    break;
+                };
+                let resource = self.pool.resource(best);
+                let cost = self.pool.instance.costs.of(resource);
+                // Submit the attempt to the fault model before touching the
+                // schedule: a failed probe never captures and is never
+                // recorded as issued.
+                if self.fault_on && !self.attempt(resource, cost, &mut used) {
+                    let blocked = self.pool.blocked[resource.index()];
+                    self.selector.put_back(&self.pool, best, blocked);
+                    continue;
+                }
+                self.probe(best, resource, cost);
+                used += cost;
+            }
+        }
+
+        // Captures removed entries as they landed, so whatever is still
+        // live was deferred: the budget ran out or nothing affordable
+        // remained.
+        if self.observer.enabled() {
+            let t = self.pool.now;
+            self.observer
+                .on_event(Event::CandidateSet { t, size: pool_size });
+            let deferred = self.pool.index.live();
+            if deferred > 0 {
+                self.observer
+                    .on_event(Event::BudgetExhausted { t, deferred });
+            }
+        }
+        used
+    }
+
+    /// Submits a probe attempt on `resource` to the fault model. A failure
+    /// charges `cost` to `used` iff failures cost, extends the resource's
+    /// streak and backoff, and blocks it for the chronon when it consumed
+    /// no budget (or the loop would spin on it); once the retry quota is
+    /// spent, every resource with a streak leaves selection. Returns
+    /// whether the probe succeeded.
+    fn attempt(&mut self, resource: ResourceId, cost: u32, used: &mut u32) -> bool {
+        let t = self.pool.now;
+        let r = resource.index();
+        let attempt = self.consec_failures[r];
+        if attempt > 0 {
+            self.observer.on_event(Event::ProbeRetried {
                 t,
-                cei: e.cei,
+                resource,
+                attempt,
+            });
+            self.retries_used += 1;
+        }
+        let succeeded = self.faults.probe_succeeds(t, resource, attempt);
+        if succeeded {
+            self.consec_failures[r] = 0;
+        } else {
+            self.consec_failures[r] = attempt + 1;
+            self.stats.probes_failed += 1;
+            let charged = self.fault_config.failures_cost;
+            if charged {
+                *used += cost;
+                self.stats.budget_lost += u64::from(cost);
+            }
+            if !charged || cost == 0 {
+                self.pool.blocked[r] = true;
+            }
+            if let Some(backoff) = self.fault_config.backoff {
+                self.next_attempt_at[r] = t.saturating_add(backoff.delay(attempt + 1));
+                self.pool.blocked[r] = true;
+            }
+            self.observer.on_event(Event::ProbeFailed {
+                t,
+                resource,
+                cost,
+                attempt,
+                charged,
+            });
+        }
+        if self
+            .fault_config
+            .retry_quota
+            .is_some_and(|q| self.retries_used >= q)
+        {
+            for (blocked, &streak) in self.pool.blocked.iter_mut().zip(&self.consec_failures) {
+                if streak > 0 {
+                    *blocked = true;
+                }
+            }
+        }
+        succeeded
+    }
+
+    /// Issues the probe of `resource` selected for `best`: records it,
+    /// announces it with its sharing fan-out (the resource's live count —
+    /// every live entry there is capturable) before the per-EI capture
+    /// events, captures, and refreshes the selector for the CEIs it
+    /// touched.
+    fn probe(&mut self, best: PoolEntry, resource: ResourceId, cost: u32) {
+        let t = self.pool.now;
+        self.schedule.probe(resource, t);
+        self.stats.probes_used += 1;
+        self.stats.budget_spent += u64::from(cost);
+        if self.observer.enabled() {
+            let shared_eis = if self.config.share_probes {
+                self.pool.index.live_on(resource.index())
+            } else {
+                1
+            };
+            self.observer.on_event(Event::ProbeIssued {
+                t,
+                resource,
+                cost,
+                shared_eis,
+            });
+        }
+        self.touched.clear();
+        if self.config.share_probes {
+            self.pool.probed_now[resource.index()] = true;
+            self.capture_resource(resource.index());
+        } else {
+            self.capture_single(best);
+            self.touched.push(best.cei);
+        }
+        if !self.config.preemptive {
+            self.captured_now.extend_from_slice(&self.touched);
+        }
+        for &id in &self.touched {
+            self.selector.cei_touched(&self.pool, id);
+        }
+    }
+
+    /// Marks every live pool EI on `resource` as captured by this
+    /// chronon's probe, completing CEIs whose last required EI this was.
+    /// Liveness implies an active window and an `Active` parent (see
+    /// `engine::index`), so every live entry on the probed resource is
+    /// captured and the list empties wholesale: it is taken out for
+    /// iteration, cleared with its capacity kept, and put back.
+    fn capture_resource(&mut self, resource: usize) {
+        let t = self.pool.now;
+        let instance = self.pool.instance;
+        self.resolved.clear();
+        let mut list = std::mem::take(&mut self.pool.index.by_resource[resource]);
+        for &e in &list {
+            if !self.pool.index.is_live(e) {
+                continue; // tombstone awaiting a sweep
+            }
+            let Status::Active(cap) = &mut self.pool.status[e.cei.index()] else {
+                debug_assert!(false, "live entry with a resolved parent");
+                continue;
+            };
+            let ei = instance.cei(e.cei).eis[e.ei_idx as usize];
+            debug_assert!(ei.resource.index() == resource && ei.is_active(t));
+            if cap.capture(e.ei_idx as usize) {
+                self.pool.index.mark_captured(e, resource);
+                self.stats.eis_captured += 1;
+                self.observer.on_event(Event::EiCaptured {
+                    t,
+                    cei: e.cei,
+                    latency: t - ei.start,
+                });
+                if !self.touched.contains(&e.cei) {
+                    self.touched.push(e.cei);
+                }
+                // Record completion exactly once: when this capture crosses
+                // the threshold (under threshold semantics `meets` stays
+                // true for every further capture in the same probe).
+                if cap.n_captured() == usize::from(instance.cei(e.cei).required) {
+                    self.resolved.push(e.cei);
+                }
+            }
+        }
+        list.clear();
+        self.pool.index.by_resource[resource] = list;
+        self.pool.index.reset_cleared(resource);
+        // The completed CEIs' entries on other resources leave the pool.
+        self.resolve_all(Resolution::Completed);
+    }
+
+    /// Ablation path (`share_probes = false`): a probe captures only the EI
+    /// it was issued for.
+    fn capture_single(&mut self, entry: PoolEntry) {
+        let t = self.pool.now;
+        let instance = self.pool.instance;
+        let Status::Active(cap) = &mut self.pool.status[entry.cei.index()] else {
+            return;
+        };
+        if cap.capture(entry.ei_idx as usize) {
+            let ei = instance.cei(entry.cei).eis[entry.ei_idx as usize];
+            self.pool.index.remove(entry, ei.resource.index());
+            self.stats.eis_captured += 1;
+            self.observer.on_event(Event::EiCaptured {
+                t,
+                cei: entry.cei,
                 latency: t - ei.start,
             });
-            if !touched.contains(&e.cei) {
-                touched.push(e.cei);
-            }
-            // Record completion exactly once: when this capture crosses the
-            // threshold (under threshold semantics `meets` stays true for
-            // every further capture in the same probe).
-            if cap.n_captured() == usize::from(instance.cei(e.cei).required) {
-                completed.push((e.cei, CeiOutcome::Captured { at: t }));
+            if cap.n_captured() == usize::from(instance.cei(entry.cei).required) {
+                self.resolve(entry.cei, Resolution::Completed);
             }
         }
     }
-    scratch.clear();
-    std::mem::swap(scratch, &mut index.by_resource[resource]);
-    index.reset_cleared(resource);
-    for &(id, outcome) in completed.iter() {
-        status[id.index()] = Status::Captured;
-        outcomes[id.index()] = outcome;
-        stats.record_outcome_of(instance.cei(id), outcome);
-        observer.on_event(Event::CeiCompleted { cei: id, at: t });
-        // The completed CEI's entries on other resources leave the pool now.
-        index.remove_cei(instance, id);
-    }
-}
 
-/// Ablation path (`share_probes = false`): a probe captures only the EI it
-/// was issued for.
-#[allow(clippy::too_many_arguments)]
-fn capture_single<O: Observer>(
-    instance: &Instance,
-    index: &mut CandidateIndex,
-    entry: PoolEntry,
-    status: &mut [Status],
-    t: Chronon,
-    stats: &mut RunStats,
-    outcomes: &mut [CeiOutcome],
-    observer: &mut O,
-) {
-    let Status::Active(cap) = &mut status[entry.cei.index()] else {
-        return;
-    };
-    if cap.capture(entry.ei_idx as usize) {
-        let ei = instance.cei(entry.cei).eis[entry.ei_idx as usize];
-        index.remove(entry, ei.resource.index());
-        stats.eis_captured += 1;
-        observer.on_event(Event::EiCaptured {
-            t,
-            cei: entry.cei,
-            latency: t - ei.start,
-        });
-        if cap.n_captured() == usize::from(instance.cei(entry.cei).required) {
-            let outcome = CeiOutcome::Captured { at: t };
-            status[entry.cei.index()] = Status::Captured;
-            outcomes[entry.cei.index()] = outcome;
-            stats.record_outcome_of(instance.cei(entry.cei), outcome);
-            observer.on_event(Event::CeiCompleted {
-                cei: entry.cei,
-                at: t,
+    /// Phase 6, expiry: marks EIs expired and resolves the CEIs that leaves
+    /// fewer than `required` capturable EIs (with the paper's AND
+    /// semantics, on the first expiry) as `how`:
+    ///
+    /// * [`Resolution::Expired`] — the windows closing uncaptured now, from
+    ///   their bucket in pool order;
+    /// * [`Resolution::Shed`] — graceful degradation, after the natural
+    ///   pass so a CEI doomed by a real window close always reports
+    ///   `CeiExpired`: an uncaptured EI whose whole remaining window sits
+    ///   inside a committed outage is unreachable.
+    fn expire(&mut self, how: Resolution) {
+        let t = self.pool.now;
+        let instance = self.pool.instance;
+        let walk = if how == Resolution::Shed {
+            // The live entries of the down resources' lists whose window
+            // ends inside the outage, in pool order. `end <= t` windows
+            // belong to the natural pass (a live entry's window is open).
+            let mut walk = std::mem::take(&mut self.walk);
+            walk.clear();
+            for (r, down) in self.down.iter().enumerate() {
+                let Some(until) = *down else {
+                    continue;
+                };
+                for &e in self.pool.index.entries(r) {
+                    if !self.pool.index.is_live(e) {
+                        continue;
+                    }
+                    let end = instance.cei(e.cei).eis[e.ei_idx as usize].end;
+                    if end > t && until >= end {
+                        walk.push(e);
+                    }
+                }
+            }
+            walk.sort_unstable_by_key(|e| {
+                let start = instance.cei(e.cei).eis[e.ei_idx as usize].start;
+                (start, e.cei.0, e.ei_idx)
             });
-            index.remove_cei(instance, entry.cei);
+            walk
+        } else {
+            std::mem::take(&mut self.ends[t as usize])
+        };
+
+        self.resolved.clear();
+        for &e in &walk {
+            if !self.pool.index.is_live(e) {
+                continue; // never entered, captured, or already removed
+            }
+            let Status::Active(cap) = &mut self.pool.status[e.cei.index()] else {
+                continue;
+            };
+            let cei = instance.cei(e.cei);
+            if cap.mark_expired(e.ei_idx as usize) {
+                self.pool
+                    .index
+                    .remove(e, cei.eis[e.ei_idx as usize].resource.index());
+                if cap.is_doomed(cei.required) {
+                    self.resolved.push(e.cei);
+                }
+            }
+        }
+        self.resolve_all(how);
+
+        if how == Resolution::Shed {
+            self.walk = walk;
+        } else {
+            self.ends[t as usize] = walk;
+        }
+    }
+
+    /// Phase 7, upkeep for the next chronon: copies the keyed queue skipped
+    /// rejoin it, and CEIs captured for the first time join cands⁺ (NP) —
+    /// the keyed queue re-files their live entries there. Then
+    /// [`Event::ChrononEnd`].
+    fn end_chronon(&mut self, spent: u32, budget: u32) {
+        self.selector.end_chronon(&self.pool);
+        for &id in &self.captured_now {
+            if !std::mem::replace(&mut self.pool.started[id.index()], true) {
+                self.selector.cei_touched(&self.pool, id);
+            }
+        }
+        self.captured_now.clear();
+        self.observer.on_event(Event::ChrononEnd {
+            t: self.pool.now,
+            spent,
+            budget,
+        });
+    }
+
+    /// Resolves every CEI in `resolved` that is still live, as `how`.
+    fn resolve_all(&mut self, how: Resolution) {
+        let resolved = std::mem::take(&mut self.resolved);
+        for &id in &resolved {
+            if matches!(self.pool.status[id.index()], Status::Active(_)) {
+                self.resolve(id, how);
+            }
+        }
+        self.resolved = resolved;
+    }
+
+    /// Resolves CEI `id` now, as `how`: its terminal status and outcome,
+    /// the stats, the announcing event, and the removal of its remaining
+    /// entries from the pool.
+    fn resolve(&mut self, id: CeiId, how: Resolution) {
+        let (cei, at) = (id, self.pool.now);
+        let (status, outcome, event) = match how {
+            Resolution::Completed => (
+                Status::Captured,
+                CeiOutcome::Captured { at },
+                Event::CeiCompleted { cei, at },
+            ),
+            Resolution::Expired => (
+                Status::Failed,
+                CeiOutcome::Failed { at },
+                Event::CeiExpired { cei, at },
+            ),
+            Resolution::Shed => (
+                Status::Failed,
+                CeiOutcome::Failed { at },
+                Event::CeiShed { cei, at },
+            ),
+            Resolution::Cancelled => (
+                Status::Cancelled,
+                CeiOutcome::Cancelled { at },
+                Event::CeiCancelled { cei, at },
+            ),
+        };
+        self.pool.status[id.index()] = status;
+        self.outcomes[id.index()] = outcome;
+        self.stats
+            .record_outcome_of(self.pool.instance.cei(id), outcome);
+        if how == Resolution::Shed {
+            self.stats.ceis_shed += 1;
+        }
+        self.observer.on_event(event);
+        self.pool.index.remove_cei(self.pool.instance, id);
+    }
+
+    /// Ends the run. Any CEI still unresolved at epoch end is recorded as
+    /// pending so the size histogram sums to `n_ceis`: CEIs the trace never
+    /// releases inside the epoch (`NotArrived`), and CEIs whose
+    /// unreleased-at-expiry EIs never joined the pool, so no expiry ever
+    /// doomed them (`Active`).
+    fn finish(mut self) -> RunResult {
+        for (cei, s) in self.pool.instance.ceis.iter().zip(&self.pool.status) {
+            if matches!(s, Status::Active(_) | Status::NotArrived) {
+                self.stats.record_outcome_of(cei, CeiOutcome::Pending);
+            }
+        }
+        RunResult {
+            schedule: self.schedule,
+            stats: self.stats,
+            outcomes: self.outcomes,
+            selection_steps: self.selector.steps,
         }
     }
 }
@@ -1662,6 +1693,7 @@ fn capture_single<O: Observer>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::MutationQueue;
     use crate::model::{Budget, CeiId, InstanceBuilder};
     use crate::policy::{MEdf, Mrsf, SEdf};
     use crate::stats::CeiOutcome;
@@ -2272,13 +2304,13 @@ mod tests {
         q: &MutationQueue,
         observer: &mut impl Observer,
     ) -> RunResult {
-        OnlineEngine::run_mutated(
+        OnlineEngine::run_driven(
             inst,
             policy,
             config,
             &mut NoFaults,
             FaultConfig::default(),
-            q,
+            &mut ScriptedMutations::compile(q, inst.epoch.len(), inst.ceis.len()),
             observer,
         )
     }
@@ -2457,13 +2489,13 @@ mod tests {
             q.cancel(2, CeiId(0));
             let mut faults = IidFaults::new(1.0, 0xBAD);
             let mut rec = EventRecorder::default();
-            let r = OnlineEngine::run_mutated(
+            let r = OnlineEngine::run_driven(
                 &inst,
                 &Mrsf,
                 EngineConfig::preemptive(),
                 &mut faults,
                 fc,
-                &q,
+                &mut ScriptedMutations::compile(&q, inst.epoch.len(), inst.ceis.len()),
                 &mut rec,
             );
             assert_eq!(r.outcomes[0], CeiOutcome::Cancelled { at: 2 });
@@ -2525,12 +2557,13 @@ mod tests {
     ) -> RunResult {
         let run = |config: EngineConfig| {
             let mut model = faults();
-            OnlineEngine::run_faulted(
+            OnlineEngine::run_driven(
                 inst,
                 policy,
                 config,
                 &mut model.as_mut(),
                 fault_config,
+                &mut ScriptedMutations::default(),
                 &mut NoopObserver,
             )
         };

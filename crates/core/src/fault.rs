@@ -10,8 +10,8 @@
 //! # Models
 //!
 //! * [`NoFaults`] — the zero-cost default. Its [`FaultModel::enabled`] hook
-//!   returns `false`, so `run_faulted::<NoFaults, _>` monomorphizes to the
-//!   exact instruction stream of `run_observed` (the same trick
+//!   returns `false`, so an engine run monomorphized over it skips every
+//!   fault branch (the same trick
 //!   [`NoopObserver`](crate::obs::NoopObserver) plays for events).
 //! * [`IidFaults`] — independent per-probe failure with probability `rate`.
 //!   Each attempt draws a Bernoulli variable from a hash of
@@ -151,7 +151,8 @@ impl<F: FaultModel + ?Sized> FaultModel for &mut F {
 ///
 /// [`enabled`](FaultModel::enabled) is `false` and every method is
 /// `#[inline(always)]`, so monomorphized fault branches fold away entirely —
-/// `run_observed` routes through `run_faulted::<NoFaults, _>` at zero cost.
+/// `OnlineEngine::run` and `run_observed` run the engine over it at zero
+/// cost.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct NoFaults;
 

@@ -44,7 +44,7 @@
 //!   divergence from the model's invariants as structured violations.
 //! * [`fault`] — seeded, deterministic fault injection: i.i.d. probe
 //!   failures, Gilbert–Elliott bursty outages, and rate-limit windows,
-//!   threaded through [`engine::OnlineEngine::run_faulted`] with retry /
+//!   threaded through [`engine::OnlineEngine::run_driven`] with retry /
 //!   backoff handling and graceful shedding of provably-doomed CEIs.
 //! * [`serve`] — serving-mode adapters: clocks mapping chronons onto wall
 //!   (or test-controlled) time, pluggable probe executors (live TCP and

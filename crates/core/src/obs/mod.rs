@@ -6,9 +6,11 @@
 //!
 //! ## Zero cost when disabled
 //!
-//! [`OnlineEngine::run_observed`](crate::engine::OnlineEngine::run_observed)
-//! is generic over `O: Observer`, so the observer is monomorphized into the
-//! hot loop. The default [`NoopObserver`] has an empty `on_event` and
+//! The engine's entry points
+//! ([`OnlineEngine::run_observed`](crate::engine::OnlineEngine::run_observed),
+//! [`OnlineEngine::run_driven`](crate::engine::OnlineEngine::run_driven))
+//! are generic over `O: Observer`, so the observer is monomorphized into
+//! the hot loop. The default [`NoopObserver`] has an empty `on_event` and
 //! reports `enabled() == false`; the compiler eliminates both the event
 //! construction and the `enabled()`-guarded accounting, leaving the plain
 //! engine loop byte-for-byte equivalent to the pre-observability code path.

@@ -2,7 +2,7 @@
 //! [`ProbeExecutor`], and a live mutation feed.
 //!
 //! [`drive`] is the daemon's engine entry point. It composes three adapters
-//! around [`OnlineEngine::run_driven`]:
+//! around [`OnlineEngine::run_driven_resumable`]:
 //!
 //! * [`Paced`] wraps the observer and blocks on every
 //!   [`Event::ChrononStart`] until the clock admits that chronon — pacing
@@ -16,9 +16,9 @@
 
 use super::clock::Clock;
 use super::executor::{ExecutorModel, ProbeExecutor};
-use super::snapshot::{EngineSnapshot, NoSnapshots, SnapshotSink};
+use super::snapshot::{EngineSnapshot, SnapshotMismatch, SnapshotSink};
 use crate::engine::{
-    EngineConfig, Mutation, MutationSource, OnlineEngine, RunResult, ScriptedMutations,
+    EngineConfig, Mutation, MutationSource, OnlineEngine, RunInputs, RunResult, ScriptedMutations,
 };
 use crate::fault::FaultConfig;
 use crate::model::{CeiId, Chronon, Instance};
@@ -209,18 +209,26 @@ impl MutationSource for DaemonSource {
 }
 
 /// Runs `policy` over `instance` against a clock and a probe executor —
-/// the daemon's engine entry point.
+/// the daemon's engine entry point, with the crash-recovery hooks of
+/// [`OnlineEngine::run_driven_resumable`]: boundary snapshots stream to
+/// `snapshots`, and `resume` restarts the engine mid-run from a restored
+/// [`EngineSnapshot`] (the daemon's `--recover`).
 ///
 /// Equivalence contract: for any clock, `drive` with
-/// [`ReplayExecutor::faultless`] and an empty [`DaemonSource`] is
-/// byte-identical (schedule, stats, event stream) to
-/// [`OnlineEngine::run_observed`]; with
-/// [`ReplayExecutor::scripted`]`(model)` it matches
-/// [`OnlineEngine::run_faulted`] on the same model; adding a compiled
-/// churn script matches [`OnlineEngine::run_mutated`].
+/// [`ReplayExecutor::faultless`] and `resume = None` is byte-identical
+/// (schedule, stats, event stream) to [`OnlineEngine::run_driven`] with
+/// [`NoFaults`] and the same mutation source; with
+/// [`ReplayExecutor::scripted`]`(model)` it matches `run_driven` on the
+/// same model. An empty [`DaemonSource`] matches a run without mutations,
+/// and one carrying a compiled churn script matches that script.
+///
+/// # Errors
+/// A `resume` snapshot that does not fit the run, as
+/// [`OnlineEngine::run_driven_resumable`] reports it.
 ///
 /// [`ReplayExecutor::faultless`]: super::ReplayExecutor::faultless
 /// [`ReplayExecutor::scripted`]: super::ReplayExecutor::scripted
+/// [`NoFaults`]: crate::fault::NoFaults
 #[allow(clippy::too_many_arguments)]
 pub fn drive<E, M, C, O>(
     instance: &Instance,
@@ -231,63 +239,25 @@ pub fn drive<E, M, C, O>(
     mutations: &mut M,
     clock: C,
     observer: O,
-) -> RunResult
-where
-    E: ProbeExecutor,
-    M: MutationSource,
-    C: Clock,
-    O: Observer,
-{
-    drive_resumable(
-        instance,
-        policy,
-        config,
-        executor,
-        fault_config,
-        mutations,
-        clock,
-        observer,
-        None,
-        &mut NoSnapshots,
-    )
-}
-
-/// [`drive`] with crash-recovery hooks: boundary snapshots stream to
-/// `snapshots`, and `resume` restarts the engine mid-run from a restored
-/// [`EngineSnapshot`] — the daemon's `--recover` entry point. With
-/// `resume = None` and a declining sink this is bit-identical to [`drive`].
-#[allow(clippy::too_many_arguments)]
-pub fn drive_resumable<E, M, C, O>(
-    instance: &Instance,
-    policy: &dyn Policy,
-    config: EngineConfig,
-    executor: E,
-    fault_config: FaultConfig,
-    mutations: &mut M,
-    clock: C,
-    observer: O,
     resume: Option<&EngineSnapshot>,
     snapshots: &mut dyn SnapshotSink,
-) -> RunResult
+) -> Result<RunResult, SnapshotMismatch>
 where
     E: ProbeExecutor,
     M: MutationSource,
     C: Clock,
     O: Observer,
 {
-    let mut model = ExecutorModel::new(executor);
-    let mut paced = Paced::new(clock, observer);
-    OnlineEngine::run_driven_resumable(
+    let inputs = RunInputs {
         instance,
         policy,
         config,
-        &mut model,
+        faults: &mut ExecutorModel::new(executor),
         fault_config,
         mutations,
-        &mut paced,
-        resume,
-        snapshots,
-    )
+        observer: &mut Paced::new(clock, observer),
+    };
+    OnlineEngine::run_driven_resumable(inputs, resume, snapshots)
 }
 
 #[cfg(test)]
@@ -297,7 +267,7 @@ mod tests {
     use crate::model::{Budget, InstanceBuilder};
     use crate::obs::MetricsObserver;
     use crate::policy::MEdf;
-    use crate::serve::{FreeClock, ManualClock, ReplayExecutor};
+    use crate::serve::{FreeClock, ManualClock, NoSnapshots, ReplayExecutor};
 
     fn tiny_instance() -> Instance {
         let mut b = InstanceBuilder::new(2, 10, Budget::Uniform(1));
@@ -325,7 +295,10 @@ mod tests {
             &mut source,
             FreeClock,
             &mut served,
-        );
+            None,
+            &mut NoSnapshots,
+        )
+        .unwrap();
         assert_eq!(expected.schedule, got.schedule);
         assert_eq!(expected.stats, got.stats);
         assert_eq!(expected.outcomes, got.outcomes);
@@ -347,7 +320,10 @@ mod tests {
             &mut source,
             clock,
             &mut crate::obs::NoopObserver,
-        );
+            None,
+            &mut NoSnapshots,
+        )
+        .unwrap();
         let expected = OnlineEngine::run(&instance, &MEdf, EngineConfig::preemptive());
         assert_eq!(expected.schedule, got.schedule);
     }
@@ -355,7 +331,7 @@ mod tests {
     #[test]
     fn live_queue_drains_at_next_chronon_start() {
         // A live SetBudget submitted before the run starts drains at
-        // chronon 0 and (per run_mutated semantics) applies from chronon 1.
+        // chronon 0 and (per run_driven semantics) applies from chronon 1.
         let instance = tiny_instance();
         let live = LiveMutationQueue::new();
         live.submit(Mutation::SetBudget { budget: 0 });
@@ -370,7 +346,10 @@ mod tests {
             &mut source,
             FreeClock,
             &mut crate::obs::NoopObserver,
-        );
+            None,
+            &mut NoSnapshots,
+        )
+        .unwrap();
         assert_eq!(live.pending(), 0);
         // Budget zeroed from chronon 1 on: nothing captures.
         assert_eq!(got.stats.ceis_captured, 0);
@@ -378,13 +357,13 @@ mod tests {
         // The same mutation prerecorded at chronon 0 is bit-identical.
         let mut queue = MutationQueue::new();
         queue.set_budget(0, 0);
-        let expected = OnlineEngine::run_mutated(
+        let expected = OnlineEngine::run_driven(
             &instance,
             &MEdf,
             EngineConfig::preemptive(),
             &mut crate::fault::NoFaults,
             FaultConfig::default(),
-            &queue,
+            &mut ScriptedMutations::compile(&queue, instance.epoch.len(), instance.ceis.len()),
             &mut crate::obs::NoopObserver,
         );
         assert_eq!(expected.schedule, got.schedule);

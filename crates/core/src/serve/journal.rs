@@ -46,7 +46,7 @@
 
 use super::driver::LiveMutationQueue;
 use super::executor::ProbeExecutor;
-use super::snapshot::{EngineSnapshot, SnapshotSink};
+use super::snapshot::{EngineSnapshot, SnapshotMismatch, SnapshotSink};
 use crate::engine::{Mutation, MutationSource};
 use crate::model::{CeiId, Chronon, ResourceId};
 use crate::obs::{replay_events, Event, Observer};
@@ -213,6 +213,15 @@ impl fmt::Display for JournalError {
 }
 
 impl std::error::Error for JournalError {}
+
+impl From<SnapshotMismatch> for JournalError {
+    fn from(e: SnapshotMismatch) -> Self {
+        JournalError::SnapshotMismatch {
+            at: e.at,
+            detail: e.detail,
+        }
+    }
+}
 
 impl From<RecordError> for JournalError {
     fn from(e: RecordError) -> Self {

@@ -17,12 +17,13 @@
 //! * [`drive`] composes both with a [`MutationSource`] merging scripted
 //!   churn and live registration traffic ([`DaemonSource`],
 //!   [`LiveMutationQueue`]) and calls
-//!   [`OnlineEngine::run_driven`](crate::engine::OnlineEngine::run_driven).
+//!   [`OnlineEngine::run_driven_resumable`](crate::engine::OnlineEngine::run_driven_resumable).
 //!
 //! **Equivalence contract.** A daemon run with [`ReplayExecutor`] under
 //! any clock is byte-identical — schedule, stats, `RunMetrics`, JSONL
-//! trace bytes — to the corresponding simulator entry point
-//! (`run_observed` / `run_faulted` / `run_mutated`). Every invariant the
+//! trace bytes — to the simulator's
+//! [`OnlineEngine::run_driven`](crate::engine::OnlineEngine::run_driven)
+//! on the same fault model and churn script. Every invariant the
 //! conformance harness checks therefore transfers to serving mode for
 //! free; `tests/tests/serve.rs` and CI's `serve-smoke` job enforce it.
 //!
@@ -43,10 +44,12 @@ pub mod journal;
 pub mod snapshot;
 
 pub use clock::{Clock, ClockRelease, FreeClock, ManualClock, ManualHandle, WallClock};
-pub use driver::{drive, drive_resumable, DaemonSource, LiveMutationQueue, Paced};
+pub use driver::{drive, DaemonSource, LiveMutationQueue, Paced};
 pub use executor::{ExecutorModel, ProbeExecutor, ReplayExecutor, TcpProbeExecutor};
 pub use journal::{
     FsyncPolicy, JournalConfig, JournalError, JournalExecutor, JournalMutations, JournalObserver,
     JournalWriter, Recovery,
 };
-pub use snapshot::{CaptureAt, CeiState, EngineSnapshot, NoSnapshots, SnapshotSink};
+pub use snapshot::{
+    CaptureAt, CeiState, EngineSnapshot, NoSnapshots, SnapshotMismatch, SnapshotSink,
+};

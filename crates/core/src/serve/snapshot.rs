@@ -25,6 +25,7 @@
 use crate::model::{Chronon, Instance, Schedule};
 use crate::stats::{CeiOutcome, RunStats};
 use serde::{Deserialize, Serialize};
+use std::fmt;
 
 /// One CEI's lifecycle state inside a snapshot, mirroring the engine's
 /// private status enum. `Active` carries the per-EI captured/expired flags
@@ -82,14 +83,44 @@ pub struct EngineSnapshot {
     pub index: Vec<Vec<(u32, u16)>>,
 }
 
+/// A snapshot that cannot resume the run it was offered to — the error of
+/// [`EngineSnapshot::validate`], and of a resume from such a snapshot.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SnapshotMismatch {
+    /// The snapshot's boundary chronon.
+    pub at: Chronon,
+    /// What disagrees.
+    pub detail: String,
+}
+
+impl fmt::Display for SnapshotMismatch {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "snapshot at chronon {} does not fit this run: {}",
+            self.at, self.detail
+        )
+    }
+}
+
+impl std::error::Error for SnapshotMismatch {}
+
 impl EngineSnapshot {
     /// Checks that this snapshot can resume a run over `instance` — every
     /// length, index and flag the engine restores, so a mismatched or
     /// hand-edited snapshot is an error here instead of a panic mid-run.
     /// `faulted` says whether the resuming run has a fault model (its
-    /// per-resource fault bookkeeping is restored only then). Returns what
-    /// disagrees.
-    pub fn validate(&self, instance: &Instance, faulted: bool) -> Result<(), String> {
+    /// per-resource fault bookkeeping is restored only then). The error
+    /// names what disagrees.
+    pub fn validate(&self, instance: &Instance, faulted: bool) -> Result<(), SnapshotMismatch> {
+        self.check(instance, faulted)
+            .map_err(|detail| SnapshotMismatch {
+                at: self.at,
+                detail,
+            })
+    }
+
+    fn check(&self, instance: &Instance, faulted: bool) -> Result<(), String> {
         let n_ceis = instance.ceis.len();
         let n_res = instance.n_resources as usize;
         let horizon = instance.epoch.len();
@@ -283,8 +314,8 @@ mod tests {
 
     #[test]
     fn validate_accepts_a_real_snapshot_and_names_each_mismatch() {
-        use crate::engine::{EngineConfig, OnlineEngine, ScriptedMutations};
-        use crate::fault::{FaultConfig, NoFaults};
+        use crate::engine::{EngineConfig, OnlineEngine, RunInputs, ScriptedMutations};
+        use crate::fault::{FaultConfig, FaultModel, IidFaults, NoFaults};
         use crate::model::{Budget, InstanceBuilder};
         use crate::obs::NoopObserver;
         use crate::policy::Mrsf;
@@ -298,21 +329,32 @@ mod tests {
         b.cei(p, &[(3, 0, 9)]);
         b.cei(p, &[(0, 2, 3)]);
         let inst = b.build();
+        fn run(
+            inst: &Instance,
+            faults: &mut impl FaultModel,
+            resume: Option<&EngineSnapshot>,
+            snapshots: &mut dyn SnapshotSink,
+        ) -> Result<(), SnapshotMismatch> {
+            let inputs = RunInputs {
+                instance: inst,
+                policy: &Mrsf,
+                config: EngineConfig::preemptive(),
+                faults,
+                fault_config: FaultConfig::default(),
+                mutations: &mut ScriptedMutations::default(),
+                observer: &mut NoopObserver,
+            };
+            OnlineEngine::run_driven_resumable(inputs, resume, snapshots).map(drop)
+        }
         let mut sink = CaptureAt::new(vec![2]);
-        OnlineEngine::run_driven_resumable(
-            &inst,
-            &Mrsf,
-            EngineConfig::preemptive(),
-            &mut NoFaults,
-            FaultConfig::default(),
-            &mut ScriptedMutations::default(),
-            &mut NoopObserver,
-            None,
-            &mut sink,
-        );
+        run(&inst, &mut NoFaults, None, &mut sink).unwrap();
         let snap = sink.taken.pop().unwrap();
         assert_eq!(snap.index, vec![vec![], vec![], vec![(1, 0)], vec![(2, 0)]]);
         assert_eq!(snap.validate(&inst, false), Ok(()));
+        assert_eq!(
+            run(&inst, &mut NoFaults, Some(&snap), &mut NoSnapshots),
+            Ok(())
+        );
 
         type Corruption = (&'static str, fn(&mut EngineSnapshot));
         let broken: [Corruption; 9] = [
@@ -337,10 +379,16 @@ mod tests {
             let mut bad = snap.clone();
             corrupt(&mut bad);
             let err = bad.validate(&inst, false).unwrap_err();
-            assert!(err.contains(want), "{want}: {err}");
+            assert!(err.detail.contains(want), "{want}: {err}");
+            assert_eq!(err.at, bad.at);
+            // The engine refuses to resume from it with the same error.
+            let resumed = run(&inst, &mut NoFaults, Some(&bad), &mut NoSnapshots);
+            assert_eq!(resumed, Err(err), "{want}");
         }
         // A faulted resume needs the per-resource fault bookkeeping.
         let err = snap.validate(&inst, true).unwrap_err();
-        assert!(err.contains("outage horizons"), "{err}");
+        assert!(err.detail.contains("outage horizons"), "{err}");
+        let faults = &mut IidFaults::new(0.0, 1);
+        assert_eq!(run(&inst, faults, Some(&snap), &mut NoSnapshots), Err(err));
     }
 }

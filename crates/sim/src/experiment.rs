@@ -9,9 +9,10 @@ use crate::summary::Summary;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
-use webmon_core::engine::OnlineEngine;
+use webmon_core::engine::{EngineConfig, OnlineEngine, RunResult, ScriptedMutations};
+use webmon_core::fault::{FaultConfig, NoFaults};
 use webmon_core::model::{evaluate_schedule, Budget, Cei, CeiId, Instance, Profile, ProfileId};
-use webmon_core::obs::{JsonlTraceObserver, MetricsObserver, RunMetrics};
+use webmon_core::obs::{JsonlTraceObserver, MetricsObserver, Observer, RunMetrics};
 use webmon_core::offline::{local_ratio_schedule, ExpansionError, LocalRatioConfig};
 use webmon_core::policy::SEdf;
 use webmon_core::stats::RunStats;
@@ -121,6 +122,41 @@ fn collect(outcomes: &[RepetitionOutcome], f: impl Fn(&RepetitionOutcome) -> f64
     outcomes.iter().map(f).collect()
 }
 
+/// One experiment cell: a policy column, the engine configuration it runs
+/// under, and optional fault and churn scenarios overlaid on every
+/// repetition. [`Experiment::run_cell`] scores it and
+/// [`Experiment::trace_cell`] traces one repetition of it.
+#[derive(Debug, Clone, Copy)]
+pub struct CellSpec {
+    /// The policy column: kind, P/NP mode, and label.
+    pub policy: PolicySpec,
+    /// The engine configuration — the hook the scaling bench and the
+    /// selection ablations use to pin a [`SelectionStrategy`] (or toggle
+    /// probe sharing) while keeping the column's labeling and seeding. Its
+    /// `preemptive` flag should agree with `policy`'s: the engine runs
+    /// whatever this says, but the column label comes from `policy`.
+    ///
+    /// [`SelectionStrategy`]: webmon_core::SelectionStrategy
+    pub engine: EngineConfig,
+    /// A fault scenario, instantiated per repetition.
+    pub faults: Option<FaultSpec>,
+    /// A churn overlay, instantiated per repetition.
+    pub churn: Option<ChurnSpec>,
+}
+
+impl CellSpec {
+    /// The plain cell of `policy`: its own engine configuration
+    /// ([`PolicySpec::engine_config`]), no faults, no churn.
+    pub fn new(policy: PolicySpec) -> Self {
+        CellSpec {
+            policy,
+            engine: policy.engine_config(),
+            faults: None,
+            churn: None,
+        }
+    }
+}
+
 /// A materialized experiment: the same seeded problem instances are reused
 /// for every policy and for the offline baseline, exactly as the paper runs
 /// online and offline "on the same problem instances".
@@ -219,49 +255,25 @@ impl Experiment {
         (ceis as f64 / n, eis as f64 / n)
     }
 
-    /// Runs one policy spec over every repetition (in parallel; see
+    /// Runs `cell` over every repetition (in parallel; see
     /// [`crate::parallel`]).
     ///
-    /// Each repetition gets a *fresh* policy seeded by repetition index.
-    /// A shared policy would be fine for the stateless paper policies, but
-    /// `Random` draws from internal state, so sharing one instance across
-    /// repetitions would make each repetition's draws depend on how many
-    /// draws its predecessors made — and, under parallelism, on worker
-    /// interleaving. Per-repetition seeding makes every repetition's result
-    /// a pure function of `(config, spec, rep)`, so `--jobs N` is
-    /// bit-identical to `--jobs 1`.
-    pub fn run_spec(&self, spec: PolicySpec) -> PolicyAggregate {
-        self.run_spec_configured(spec, spec.engine_config())
-    }
-
-    /// Like [`Self::run_spec`] with an explicit [`EngineConfig`] instead of
-    /// the spec's default — the hook the scaling bench and the selection
-    /// ablations use to pin a [`SelectionStrategy`] (or toggle probe
-    /// sharing) while keeping the P/NP mode, labeling, and per-repetition
-    /// policy seeding of the spec.
-    ///
-    /// `config.preemptive` should agree with `spec.preemptive`; the engine
-    /// runs whatever `config` says, but the column label comes from `spec`.
-    ///
-    /// [`EngineConfig`]: webmon_core::EngineConfig
-    /// [`SelectionStrategy`]: webmon_core::SelectionStrategy
-    pub fn run_spec_configured(
-        &self,
-        spec: PolicySpec,
-        engine_config: webmon_core::EngineConfig,
-    ) -> PolicyAggregate {
+    /// Each repetition gets a *fresh* policy seeded by repetition index,
+    /// and a fresh fault model and churn script whose seeds fork by
+    /// repetition index. A shared policy would be fine for the stateless
+    /// paper policies, but `Random` draws from internal state, so sharing
+    /// one instance across repetitions would make each repetition's draws
+    /// depend on how many draws its predecessors made — and, under
+    /// parallelism, on worker interleaving. Per-repetition seeding makes
+    /// every repetition's result a pure function of `(config, cell, rep)`,
+    /// so `--jobs N` is bit-identical to `--jobs 1`. A fault model that
+    /// never fails, or a quiescent churn overlay (both rates zero, no
+    /// reconfigurations), reproduces the plain cell exactly.
+    pub fn run_cell(&self, cell: CellSpec) -> PolicyAggregate {
         let noisy = self.config.noise.is_some();
         let outcomes = par_map(self.workloads.iter().collect(), |rep, w| {
-            let policy = spec.kind.build(self.config.seed.wrapping_add(rep as u64));
             let mut observer = MetricsObserver::new();
-            let start = Instant::now();
-            let result = OnlineEngine::run_observed(
-                &w.instance,
-                policy.as_ref(),
-                engine_config,
-                &mut observer,
-            );
-            let runtime = start.elapsed();
+            let (result, runtime) = self.run_repetition(cell, rep, &mut observer);
             let stats = if noisy {
                 evaluate_schedule(&w.truth, &result.schedule)
             } else {
@@ -275,139 +287,83 @@ impl Experiment {
                 selection_steps: result.selection_steps,
             }
         });
-        PolicyAggregate::from_outcomes(spec.label(), outcomes)
+        PolicyAggregate::from_outcomes(cell.policy.label(), outcomes)
     }
 
-    /// Like [`Self::run_spec`], under an injected fault scenario: each
-    /// repetition builds a fresh fault model from `fault` (seed forked by
-    /// repetition index) and drives
-    /// [`OnlineEngine::run_faulted`] instead of the fault-free path.
+    /// Re-runs repetition `rep` of `cell` with a [`JsonlTraceObserver`],
+    /// streaming the engine's full event stream — fault and churn records
+    /// included — to `writer` as JSONL. Returns the flushed writer and the
+    /// number of events written. The replay is the exact run
+    /// [`Self::run_cell`] scores, so the trace explains the reported
+    /// numbers and replays byte-for-byte through
+    /// [`webmon_core::obs::replay_metrics`].
     ///
-    /// Determinism carries over: the outcome is a pure function of
-    /// `(config, spec, fault, rep)`, so `--jobs N` stays bit-identical to
-    /// `--jobs 1`, and a spec whose model never fails reproduces
-    /// [`Self::run_spec`] exactly.
-    pub fn run_spec_faulted(&self, spec: PolicySpec, fault: FaultSpec) -> PolicyAggregate {
-        let noisy = self.config.noise.is_some();
-        let outcomes = par_map(self.workloads.iter().collect(), |rep, w| {
-            let policy = spec.kind.build(self.config.seed.wrapping_add(rep as u64));
-            let mut model = fault.build(rep as u64, w.instance.n_resources as usize);
-            let mut observer = MetricsObserver::new();
-            let start = Instant::now();
-            let result = OnlineEngine::run_faulted(
-                &w.instance,
+    /// # Panics
+    /// Panics if `rep` is out of range.
+    pub fn trace_cell<W: std::io::Write>(
+        &self,
+        cell: CellSpec,
+        rep: usize,
+        writer: W,
+    ) -> std::io::Result<(W, u64)> {
+        let mut observer = JsonlTraceObserver::new(writer);
+        self.run_repetition(cell, rep, &mut observer);
+        let events = observer.events_written();
+        Ok((observer.finish()?, events))
+    }
+
+    /// Runs repetition `rep` of `cell` into `observer`; returns the result
+    /// and the wall-clock runtime of the engine run. A fault-free cell runs
+    /// the monomorphized [`NoFaults`] engine path.
+    fn run_repetition<O: Observer>(
+        &self,
+        cell: CellSpec,
+        rep: usize,
+        observer: &mut O,
+    ) -> (RunResult, Duration) {
+        let instance = &self.workloads[rep].instance;
+        let policy = cell
+            .policy
+            .kind
+            .build(self.config.seed.wrapping_add(rep as u64));
+        let queue = cell
+            .churn
+            .map(|churn| churn.build(rep as u64, instance))
+            .unwrap_or_default();
+        let faults = cell.faults.map(|f| {
+            let model = f.build(rep as u64, instance.n_resources as usize);
+            (model, f.config)
+        });
+        let start = Instant::now();
+        let mutations =
+            &mut ScriptedMutations::compile(&queue, instance.epoch.len(), instance.ceis.len());
+        let result = match faults {
+            Some((mut model, fault_config)) => OnlineEngine::run_driven(
+                instance,
                 policy.as_ref(),
-                spec.engine_config(),
+                cell.engine,
                 &mut model,
-                fault.config,
-                &mut observer,
-            );
-            let runtime = start.elapsed();
-            let stats = if noisy {
-                evaluate_schedule(&w.truth, &result.schedule)
-            } else {
-                result.stats
-            };
-            RepetitionOutcome {
-                stats,
-                metrics: observer.finish(),
-                runtime,
-                n_eis: w.n_eis(),
-                selection_steps: result.selection_steps,
-            }
-        });
-        PolicyAggregate::from_outcomes(spec.label(), outcomes)
+                fault_config,
+                mutations,
+                observer,
+            ),
+            None => OnlineEngine::run_driven(
+                instance,
+                policy.as_ref(),
+                cell.engine,
+                &mut NoFaults,
+                FaultConfig::default(),
+                mutations,
+                observer,
+            ),
+        };
+        (result, start.elapsed())
     }
 
-    /// Like [`Self::run_spec`], under a churn scenario: each repetition
-    /// builds a fresh [`MutationQueue`](webmon_core::engine::MutationQueue)
-    /// from `churn` (seed forked by repetition index) and drives
-    /// [`OnlineEngine::run_mutated`] — mid-run registrations, cancellations,
-    /// and budget reconfigurations — instead of the static-profile path.
-    ///
-    /// Determinism carries over: the outcome is a pure function of
-    /// `(config, spec, churn, rep)`, so `--jobs N` stays bit-identical to
-    /// `--jobs 1`, and a quiescent spec (both rates zero, no
-    /// reconfigurations) reproduces [`Self::run_spec`] exactly.
-    pub fn run_spec_churned(&self, spec: PolicySpec, churn: ChurnSpec) -> PolicyAggregate {
-        self.run_spec_churned_faulted(spec, churn, None)
-    }
-
-    /// The fully general online run: churn overlay plus an optional fault
-    /// scenario on the same materialized repetitions. `fault: None` is the
-    /// fault-free churned run of [`Self::run_spec_churned`].
-    pub fn run_spec_churned_faulted(
-        &self,
-        spec: PolicySpec,
-        churn: ChurnSpec,
-        fault: Option<FaultSpec>,
-    ) -> PolicyAggregate {
-        let noisy = self.config.noise.is_some();
-        let outcomes = par_map(self.workloads.iter().collect(), |rep, w| {
-            let policy = spec.kind.build(self.config.seed.wrapping_add(rep as u64));
-            let mutations = churn.build(rep as u64, &w.instance);
-            let mut observer = MetricsObserver::new();
-            let start = Instant::now();
-            let result = match fault {
-                Some(f) => {
-                    let mut model = f.build(rep as u64, w.instance.n_resources as usize);
-                    OnlineEngine::run_mutated(
-                        &w.instance,
-                        policy.as_ref(),
-                        spec.engine_config(),
-                        &mut model,
-                        f.config,
-                        &mutations,
-                        &mut observer,
-                    )
-                }
-                None => OnlineEngine::run_mutated(
-                    &w.instance,
-                    policy.as_ref(),
-                    spec.engine_config(),
-                    &mut webmon_core::fault::NoFaults,
-                    webmon_core::fault::FaultConfig::default(),
-                    &mutations,
-                    &mut observer,
-                ),
-            };
-            let runtime = start.elapsed();
-            let stats = if noisy {
-                evaluate_schedule(&w.truth, &result.schedule)
-            } else {
-                result.stats
-            };
-            RepetitionOutcome {
-                stats,
-                metrics: observer.finish(),
-                runtime,
-                n_eis: w.n_eis(),
-                selection_steps: result.selection_steps,
-            }
-        });
-        PolicyAggregate::from_outcomes(spec.label(), outcomes)
-    }
-
-    /// Runs a roster of policy specs under one churn scenario (and an
-    /// optional fault scenario).
-    pub fn run_roster_churned(
-        &self,
-        specs: &[PolicySpec],
-        churn: ChurnSpec,
-        fault: Option<FaultSpec>,
-    ) -> Vec<PolicyAggregate> {
-        par_map(specs.to_vec(), |_, s| {
-            self.run_spec_churned_faulted(s, churn, fault)
-        })
-    }
-
-    /// Runs a roster of policy specs under one fault scenario.
-    pub fn run_roster_faulted(
-        &self,
-        specs: &[PolicySpec],
-        fault: FaultSpec,
-    ) -> Vec<PolicyAggregate> {
-        par_map(specs.to_vec(), |_, s| self.run_spec_faulted(s, fault))
+    /// [`Self::run_cell`] for the plain cell of `spec`: no faults, no
+    /// churn, the spec's own engine configuration.
+    pub fn run_spec(&self, spec: PolicySpec) -> PolicyAggregate {
+        self.run_cell(CellSpec::new(spec))
     }
 
     /// The robustness sweep: reruns `specs` at every i.i.d. failure rate in
@@ -423,102 +379,21 @@ impl Experiment {
         specs: &[PolicySpec],
         rates: &[f64],
         fault_seed: u64,
-        config: webmon_core::fault::FaultConfig,
+        config: FaultConfig,
     ) -> Vec<(f64, Vec<PolicyAggregate>)> {
         par_map(rates.to_vec(), |_, rate| {
-            let fault = FaultSpec::iid(rate, fault_seed).with_config(config);
-            (rate, self.run_roster_faulted(specs, fault))
+            let faults = Some(FaultSpec::iid(rate, fault_seed).with_config(config));
+            let roster = par_map(specs.to_vec(), |_, spec| {
+                self.run_cell(CellSpec {
+                    faults,
+                    ..CellSpec::new(spec)
+                })
+            });
+            (rate, roster)
         })
     }
 
-    /// Re-runs one materialized repetition of `spec` under `fault` with a
-    /// [`JsonlTraceObserver`], streaming the faulted event stream to
-    /// `writer` as JSONL — the trace twin of [`Self::run_spec_faulted`],
-    /// byte-replayable through
-    /// [`webmon_core::obs::replay_metrics`].
-    ///
-    /// # Panics
-    /// Panics if `rep` is out of range.
-    pub fn trace_spec_faulted<W: std::io::Write>(
-        &self,
-        spec: PolicySpec,
-        fault: FaultSpec,
-        rep: usize,
-        writer: W,
-    ) -> std::io::Result<(W, u64)> {
-        let w = &self.workloads[rep];
-        let policy = spec.kind.build(self.config.seed.wrapping_add(rep as u64));
-        let mut model = fault.build(rep as u64, w.instance.n_resources as usize);
-        let mut observer = JsonlTraceObserver::new(writer);
-        OnlineEngine::run_faulted(
-            &w.instance,
-            policy.as_ref(),
-            spec.engine_config(),
-            &mut model,
-            fault.config,
-            &mut observer,
-        );
-        let events = observer.events_written();
-        Ok((observer.finish()?, events))
-    }
-
-    /// Re-runs one materialized repetition of `spec` under the `churn`
-    /// overlay (and an optional fault scenario) with a
-    /// [`JsonlTraceObserver`], streaming the churned event stream —
-    /// including `cei_registered` / `cei_cancelled` / `budget_reconfigured`
-    /// records — to `writer` as JSONL. The trace twin of
-    /// [`Self::run_spec_churned_faulted`]: the exact run it scores, so
-    /// churned traces replay byte-for-byte.
-    ///
-    /// # Panics
-    /// Panics if `rep` is out of range.
-    pub fn trace_spec_churned<W: std::io::Write>(
-        &self,
-        spec: PolicySpec,
-        churn: ChurnSpec,
-        fault: Option<FaultSpec>,
-        rep: usize,
-        writer: W,
-    ) -> std::io::Result<(W, u64)> {
-        let w = &self.workloads[rep];
-        let policy = spec.kind.build(self.config.seed.wrapping_add(rep as u64));
-        let mutations = churn.build(rep as u64, &w.instance);
-        let mut observer = JsonlTraceObserver::new(writer);
-        match fault {
-            Some(f) => {
-                let mut model = f.build(rep as u64, w.instance.n_resources as usize);
-                OnlineEngine::run_mutated(
-                    &w.instance,
-                    policy.as_ref(),
-                    spec.engine_config(),
-                    &mut model,
-                    f.config,
-                    &mutations,
-                    &mut observer,
-                );
-            }
-            None => {
-                OnlineEngine::run_mutated(
-                    &w.instance,
-                    policy.as_ref(),
-                    spec.engine_config(),
-                    &mut webmon_core::fault::NoFaults,
-                    webmon_core::fault::FaultConfig::default(),
-                    &mutations,
-                    &mut observer,
-                );
-            }
-        }
-        let events = observer.events_written();
-        Ok((observer.finish()?, events))
-    }
-
-    /// Re-runs one materialized repetition of `spec` with a
-    /// [`JsonlTraceObserver`], streaming the engine's full event stream to
-    /// `writer` as JSONL. Returns the flushed writer and the number of
-    /// events written. The replay is the exact run [`Self::run_spec`]
-    /// scores — same workload, same per-repetition policy seed — so the
-    /// trace explains the reported numbers.
+    /// [`Self::trace_cell`] for the plain cell of `spec`.
     ///
     /// # Panics
     /// Panics if `rep` is out of range.
@@ -528,17 +403,7 @@ impl Experiment {
         rep: usize,
         writer: W,
     ) -> std::io::Result<(W, u64)> {
-        let w = &self.workloads[rep];
-        let policy = spec.kind.build(self.config.seed.wrapping_add(rep as u64));
-        let mut observer = JsonlTraceObserver::new(writer);
-        OnlineEngine::run_observed(
-            &w.instance,
-            policy.as_ref(),
-            spec.engine_config(),
-            &mut observer,
-        );
-        let events = observer.events_written();
-        Ok((observer.finish()?, events))
+        self.trace_cell(CellSpec::new(spec), rep, writer)
     }
 
     /// Runs a roster of policy specs (columns of an experiment table), specs
@@ -607,7 +472,7 @@ impl Experiment {
     pub fn ei_upper_bounds(&self) -> Vec<f64> {
         par_map(self.workloads.iter().collect(), |_, w| {
             let split = split_to_rank1(&w.instance);
-            let result = OnlineEngine::run(&split, &SEdf, webmon_core::EngineConfig::preemptive());
+            let result = OnlineEngine::run(&split, &SEdf, EngineConfig::preemptive());
             let captured_eis = result.stats.ceis_captured as f64;
             let n_ceis = w.instance.ceis.len().max(1) as f64;
             let mean_size = w.n_eis() as f64 / n_ceis;
@@ -876,7 +741,10 @@ mod tests {
         let exp = Experiment::materialize(tiny_config());
         let spec = PolicySpec::p(PolicyKind::Mrsf);
         let base = exp.run_spec(spec);
-        let faulted = exp.run_spec_faulted(spec, FaultSpec::iid(0.0, 77));
+        let faulted = exp.run_cell(CellSpec {
+            faults: Some(FaultSpec::iid(0.0, 77)),
+            ..CellSpec::new(spec)
+        });
         for (a, b) in base.repetitions.iter().zip(&faulted.repetitions) {
             assert_eq!(a.stats, b.stats);
             assert_eq!(a.metrics, b.metrics);
@@ -886,7 +754,10 @@ mod tests {
     #[test]
     fn faulted_runs_lose_budget_and_stay_consistent() {
         let exp = Experiment::materialize(tiny_config());
-        let agg = exp.run_spec_faulted(PolicySpec::p(PolicyKind::MEdf), FaultSpec::iid(0.5, 7));
+        let agg = exp.run_cell(CellSpec {
+            faults: Some(FaultSpec::iid(0.5, 7)),
+            ..CellSpec::new(PolicySpec::p(PolicyKind::MEdf))
+        });
         assert!(agg.metrics.probes_failed > 0);
         assert!(agg.metrics.budget_lost > 0);
         for rep in &agg.repetitions {
@@ -902,7 +773,7 @@ mod tests {
             &[PolicySpec::p(PolicyKind::MEdf)],
             &[0.0, 0.4, 0.9],
             7,
-            webmon_core::fault::FaultConfig::default(),
+            FaultConfig::default(),
         );
         let gcs: Vec<f64> = sweep.iter().map(|(_, r)| r[0].completeness.mean).collect();
         assert!(gcs[0] >= gcs[1] && gcs[1] >= gcs[2], "{gcs:?}");
@@ -913,10 +784,10 @@ mod tests {
         let mut cfg = tiny_config();
         cfg.trace = TraceSpec::Poisson { lambda: 20.0 };
         let exp = Experiment::materialize(cfg);
-        let agg = exp.run_spec_faulted(
-            PolicySpec::p(PolicyKind::Mrsf),
-            FaultSpec::burst(0.4, 0.2, 11),
-        );
+        let agg = exp.run_cell(CellSpec {
+            faults: Some(FaultSpec::burst(0.4, 0.2, 11)),
+            ..CellSpec::new(PolicySpec::p(PolicyKind::Mrsf))
+        });
         assert!(agg.metrics.resource_outages > 0);
         for rep in &agg.repetitions {
             let errs = rep.metrics.consistency_errors(&rep.stats);
@@ -929,7 +800,10 @@ mod tests {
         let exp = Experiment::materialize(tiny_config());
         let spec = PolicySpec::p(PolicyKind::Mrsf);
         let base = exp.run_spec(spec);
-        let churned = exp.run_spec_churned(spec, ChurnSpec::new(0.0, 0.0, 123));
+        let churned = exp.run_cell(CellSpec {
+            churn: Some(ChurnSpec::new(0.0, 0.0, 123)),
+            ..CellSpec::new(spec)
+        });
         for (a, b) in base.repetitions.iter().zip(&churned.repetitions) {
             assert_eq!(a.stats, b.stats);
             assert_eq!(a.metrics, b.metrics);
@@ -941,7 +815,10 @@ mod tests {
         let exp = Experiment::materialize(tiny_config());
         let churn = ChurnSpec::new(0.5, 0.4, 21)
             .with_config(ChurnConfig::new(0.5, 0.4).with_reconfigurations(2));
-        let agg = exp.run_spec_churned(PolicySpec::p(PolicyKind::MEdf), churn);
+        let agg = exp.run_cell(CellSpec {
+            churn: Some(churn),
+            ..CellSpec::new(PolicySpec::p(PolicyKind::MEdf))
+        });
         assert!(agg.metrics.ceis_registered > 0);
         assert!(agg.metrics.ceis_cancelled > 0);
         assert!(agg.metrics.budget_reconfigurations > 0);
@@ -955,11 +832,11 @@ mod tests {
     fn churned_faulted_runs_compose_both_overlays() {
         let exp = Experiment::materialize(tiny_config());
         let churn = ChurnSpec::new(0.4, 0.3, 33);
-        let agg = exp.run_spec_churned_faulted(
-            PolicySpec::p(PolicyKind::MEdf),
-            churn,
-            Some(FaultSpec::iid(0.4, 7)),
-        );
+        let agg = exp.run_cell(CellSpec {
+            faults: Some(FaultSpec::iid(0.4, 7)),
+            churn: Some(churn),
+            ..CellSpec::new(PolicySpec::p(PolicyKind::MEdf))
+        });
         assert!(agg.metrics.ceis_registered > 0);
         assert!(agg.metrics.probes_failed > 0);
         for rep in &agg.repetitions {
@@ -972,11 +849,12 @@ mod tests {
     fn churned_trace_replays_to_the_scored_metrics() {
         let exp = Experiment::materialize(tiny_config());
         let spec = PolicySpec::p(PolicyKind::Mrsf);
-        let churn = ChurnSpec::new(0.5, 0.4, 21);
-        let agg = exp.run_spec_churned(spec, churn);
-        let (buf, events) = exp
-            .trace_spec_churned(spec, churn, None, 1, Vec::new())
-            .unwrap();
+        let cell = CellSpec {
+            churn: Some(ChurnSpec::new(0.5, 0.4, 21)),
+            ..CellSpec::new(spec)
+        };
+        let agg = exp.run_cell(cell);
+        let (buf, events) = exp.trace_cell(cell, 1, Vec::new()).unwrap();
         assert!(events > 0);
         let replayed =
             webmon_core::obs::replay_metrics(std::str::from_utf8(&buf).unwrap()).unwrap();

@@ -26,17 +26,18 @@
 //!
 //! [`faults`] adds serializable fault scenarios on top: the same
 //! materialized instances can be rerun under seeded probe failures,
-//! bursty outages, or rate limits ([`Experiment::run_spec_faulted`] and
+//! bursty outages, or rate limits (the `faults` of a [`CellSpec`], and
 //! [`Experiment::robustness_sweep`]) to measure how gained completeness
 //! degrades when probes are lost.
 //!
 //! [`churn`] does the same for profile churn: a [`churn::ChurnSpec`]
 //! overlays each materialized repetition with a seeded
 //! [`MutationQueue`](webmon_core::engine::MutationQueue) of mid-run
-//! registrations, cancellations, and budget reconfigurations
-//! ([`Experiment::run_spec_churned`] and friends), so the service-style
-//! dynamic-profile setting reuses the same instances, policies, and
-//! determinism contract.
+//! registrations, cancellations, and budget reconfigurations (the `churn`
+//! of a [`CellSpec`]), so the service-style dynamic-profile setting reuses
+//! the same instances, policies, and determinism contract. One
+//! [`Experiment::run_cell`] scores any combination, and
+//! [`Experiment::trace_cell`] traces it.
 //!
 //! [`skew`] names the skewed-workload experiment cells — temporal
 //! burstiness ladders ([`burst_ladder`]) and placement-skew grids
@@ -58,7 +59,7 @@ pub use webmon_core::parallel;
 
 pub use churn::ChurnSpec;
 pub use config::{ExperimentConfig, NoiseSpec, TraceSpec};
-pub use experiment::{Experiment, PolicyAggregate, RepetitionOutcome};
+pub use experiment::{CellSpec, Experiment, PolicyAggregate, RepetitionOutcome};
 pub use faults::{BuiltFault, FaultKind, FaultSpec};
 pub use policies::{PolicyKind, PolicySpec};
 pub use report::Report;

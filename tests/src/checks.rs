@@ -7,7 +7,9 @@
 //! live conformance case.
 
 use webmon_core::check::InvariantObserver;
-use webmon_core::engine::{EngineConfig, MutationQueue, OnlineEngine, RunResult};
+use webmon_core::engine::{
+    EngineConfig, MutationQueue, OnlineEngine, RunResult, ScriptedMutations,
+};
 use webmon_core::fault::{FaultConfig, FaultModel, NoFaults};
 use webmon_core::model::{evaluate_schedule, Instance};
 use webmon_core::policy::{MEdf, Mrsf, MrsfExact, Policy, SEdf, UtilityWeighted, Wic};
@@ -38,8 +40,15 @@ pub fn conformant_faulted_run<F: FaultModel>(
     fault_config: FaultConfig,
 ) -> RunResult {
     let mut checker = InvariantObserver::new(instance, config).with_faults(fault_config);
-    let run =
-        OnlineEngine::run_faulted(instance, policy, config, faults, fault_config, &mut checker);
+    let run = OnlineEngine::run_driven(
+        instance,
+        policy,
+        config,
+        faults,
+        fault_config,
+        &mut ScriptedMutations::default(),
+        &mut checker,
+    );
     let report = checker.finish_with(&run);
     assert!(
         report.is_clean(),
@@ -51,7 +60,7 @@ pub fn conformant_faulted_run<F: FaultModel>(
 }
 
 /// The churned twin of [`conformant_run`]: drains `mutations` through
-/// [`OnlineEngine::run_mutated`] with a churn-aware invariant checker
+/// [`OnlineEngine::run_driven`] with a churn-aware invariant checker
 /// attached and panics on any violation. Returns the run.
 pub fn conformant_churned_run(
     instance: &Instance,
@@ -60,13 +69,13 @@ pub fn conformant_churned_run(
     mutations: &MutationQueue,
 ) -> RunResult {
     let mut checker = InvariantObserver::new(instance, config).with_mutations(mutations);
-    let run = OnlineEngine::run_mutated(
+    let run = OnlineEngine::run_driven(
         instance,
         policy,
         config,
         &mut NoFaults,
         FaultConfig::default(),
-        mutations,
+        &mut ScriptedMutations::compile(mutations, instance.epoch.len(), instance.ceis.len()),
         &mut checker,
     );
     let report = checker.finish_with(&run);

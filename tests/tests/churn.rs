@@ -12,14 +12,14 @@
 //! 3. **Churned trace replay**: the persisted JSONL trace of a churned run
 //!    is deterministic byte for byte and replays to the live metrics.
 
-use webmon_core::engine::{EngineConfig, MutationQueue, OnlineEngine};
+use webmon_core::engine::{EngineConfig, MutationQueue, OnlineEngine, ScriptedMutations};
 use webmon_core::fault::{FaultConfig, NoFaults};
 use webmon_core::model::Budget;
 use webmon_core::obs::{replay_metrics, JsonlTraceObserver, MetricsObserver, Tee};
 use webmon_core::policy::{MEdf, Mrsf, Policy, SEdf, Wic};
 use webmon_core::stats::CeiOutcome;
 use webmon_sim::parallel::serial;
-use webmon_sim::{ChurnSpec, Experiment, ExperimentConfig, PolicySpec, TraceSpec};
+use webmon_sim::{CellSpec, ChurnSpec, Experiment, ExperimentConfig, PolicySpec, TraceSpec};
 use webmon_streams::SimRng;
 use webmon_testkit::checks::{conformant_churned_run, conformant_run};
 use webmon_testkit::corpus::{conformance_cases, small_instance};
@@ -81,7 +81,10 @@ fn experiment_config() -> ExperimentConfig {
 /// the parallel worker pool, for every policy in both modes.
 #[test]
 fn quiescent_churn_matches_static_across_worker_counts() {
-    let quiescent = ChurnSpec::new(0.0, 0.0, 7);
+    let quiescent = |policy| CellSpec {
+        churn: Some(ChurnSpec::new(0.0, 0.0, 7)),
+        ..CellSpec::new(policy)
+    };
     let baseline = serial(|| {
         let exp = Experiment::materialize(experiment_config());
         let aggs: Vec<_> = PolicySpec::preemption_grid()
@@ -96,13 +99,13 @@ fn quiescent_churn_matches_static_across_worker_counts() {
         let exp = Experiment::materialize(experiment_config());
         PolicySpec::preemption_grid()
             .into_iter()
-            .map(|s| exp.run_spec_churned(s, quiescent))
+            .map(|s| exp.run_cell(quiescent(s)))
             .collect::<Vec<_>>()
     });
     let exp = Experiment::materialize(experiment_config());
     let churned_parallel: Vec<_> = PolicySpec::preemption_grid()
         .into_iter()
-        .map(|s| exp.run_spec_churned(s, quiescent))
+        .map(|s| exp.run_cell(quiescent(s)))
         .collect();
 
     for (base, churned) in baseline
@@ -236,13 +239,17 @@ fn churned_trace_replays_byte_for_byte() {
         let mut traces = Vec::new();
         for _ in 0..2 {
             let mut tee = Tee(MetricsObserver::new(), JsonlTraceObserver::new(Vec::new()));
-            OnlineEngine::run_mutated(
+            OnlineEngine::run_driven(
                 &instance,
                 &Mrsf,
                 EngineConfig::preemptive(),
                 &mut NoFaults,
                 FaultConfig::default(),
-                &mutations,
+                &mut ScriptedMutations::compile(
+                    &mutations,
+                    instance.epoch.len(),
+                    instance.ceis.len(),
+                ),
                 &mut tee,
             );
             let Tee(metrics, trace) = tee;

@@ -1,6 +1,6 @@
 //! Fault-injection integration suite:
 //!
-//! 1. **Zero-fault equivalence** — `run_faulted` at failure rate 0 is
+//! 1. **Zero-fault equivalence** — `run_driven` at failure rate 0 is
 //!    bit-identical (stats, outcomes, schedule, `RunMetrics`, JSONL trace
 //!    bytes) to the pre-existing `run_observed`, and stays so for any
 //!    worker count.
@@ -15,7 +15,7 @@
 //!    stepped model; i.i.d. failure sets are nested across rates.
 
 use proptest::prelude::*;
-use webmon_core::engine::{EngineConfig, OnlineEngine, RunResult};
+use webmon_core::engine::{EngineConfig, OnlineEngine, RunResult, ScriptedMutations};
 use webmon_core::fault::{Backoff, FaultConfig, GilbertElliott, IidFaults, RateLimit};
 use webmon_core::model::{Instance, ResourceId};
 use webmon_core::obs::{
@@ -50,7 +50,7 @@ fn observed(
     (metrics.finish(), trace.finish().expect("Vec<u8> sink"), run)
 }
 
-/// The same run through `run_faulted` with a rate-0 i.i.d. model.
+/// The same run through `run_driven` with a rate-0 i.i.d. model.
 fn zero_faulted(
     instance: &Instance,
     policy: &dyn Policy,
@@ -59,12 +59,13 @@ fn zero_faulted(
 ) -> (RunMetrics, Vec<u8>, RunResult) {
     let mut model = IidFaults::new(0.0, seed);
     let mut tee = Tee(MetricsObserver::new(), JsonlTraceObserver::new(Vec::new()));
-    let run = OnlineEngine::run_faulted(
+    let run = OnlineEngine::run_driven(
         instance,
         policy,
         config,
         &mut model,
         FaultConfig::default(),
+        &mut ScriptedMutations::default(),
         &mut tee,
     );
     let Tee(metrics, trace) = tee;
@@ -196,34 +197,37 @@ fn faulted_trace_replay_reproduces_run_metrics_byte_for_byte() {
         match scenario {
             "iid" => {
                 let mut model = IidFaults::new(0.5, seed);
-                OnlineEngine::run_faulted(
+                OnlineEngine::run_driven(
                     &instance,
                     &Mrsf,
                     config,
                     &mut model,
                     fault_config,
+                    &mut ScriptedMutations::default(),
                     &mut tee,
                 );
             }
             "burst" => {
                 let mut model = GilbertElliott::new(0.3, 0.4, seed, n_res);
-                OnlineEngine::run_faulted(
+                OnlineEngine::run_driven(
                     &instance,
                     &Mrsf,
                     config,
                     &mut model,
                     fault_config,
+                    &mut ScriptedMutations::default(),
                     &mut tee,
                 );
             }
             _ => {
                 let mut model = RateLimit::new(3, 1, n_res);
-                OnlineEngine::run_faulted(
+                OnlineEngine::run_driven(
                     &instance,
                     &Mrsf,
                     config,
                     &mut model,
                     fault_config,
+                    &mut ScriptedMutations::default(),
                     &mut tee,
                 );
             }
@@ -273,12 +277,13 @@ fn corpus_aggregate_completeness_degrades_with_failure_rate() {
                 .map(|seed| {
                     let instance = small_instance(seed, true);
                     let mut model = IidFaults::new(rate, 0xFA);
-                    OnlineEngine::run_faulted(
+                    OnlineEngine::run_driven(
                         &instance,
                         &Mrsf,
                         EngineConfig::preemptive(),
                         &mut model,
                         FaultConfig::default(),
+                        &mut ScriptedMutations::default(),
                         &mut webmon_core::obs::NoopObserver,
                     )
                     .stats

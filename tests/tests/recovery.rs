@@ -22,10 +22,10 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU32, Ordering};
 use webmon_cli::serve::{Daemon, ServeOptions, ServeSession};
 use webmon_core::engine::{
-    EngineConfig, MutationQueue, OnlineEngine, RunResult, ScriptedMutations,
+    EngineConfig, MutationQueue, OnlineEngine, RunInputs, RunResult, ScriptedMutations,
 };
-use webmon_core::fault::{Backoff, FaultConfig, IidFaults, NoFaults};
-use webmon_core::model::{Budget, Instance};
+use webmon_core::fault::{Backoff, FaultConfig, FaultModel, IidFaults, NoFaults, RateLimit};
+use webmon_core::model::{Budget, Chronon, Instance, InstanceBuilder, ResourceId};
 use webmon_core::obs::{JsonlTraceObserver, MetricsObserver, RunMetrics, Tee};
 use webmon_core::policy::{MEdf, Mrsf, Policy, SEdf, Wic};
 use webmon_core::serve::journal::{scan_journal, JOURNAL_FILE};
@@ -34,7 +34,7 @@ use webmon_core::serve::{
     ProbeExecutor, ReplayExecutor,
 };
 use webmon_streams::{write_record, SimRng};
-use webmon_testkit::corpus::{conformance_cases, small_instance};
+use webmon_testkit::corpus::{conformance_cases, small_instance, CorpusRng, BASE_CASES};
 use webmon_workload::churn::overlay;
 use webmon_workload::ChurnConfig;
 
@@ -123,22 +123,27 @@ impl Case {
             match self.fault {
                 Some((rate, seed)) => {
                     let mut model = IidFaults::new(rate, seed);
-                    OnlineEngine::run_faulted(
+                    OnlineEngine::run_driven(
                         &self.instance,
                         policy.as_ref(),
                         self.config,
                         &mut model,
                         self.fault_config,
+                        &mut ScriptedMutations::default(),
                         &mut tee,
                     )
                 }
-                None => OnlineEngine::run_mutated(
+                None => OnlineEngine::run_driven(
                     &self.instance,
                     policy.as_ref(),
                     self.config,
                     &mut NoFaults,
                     self.fault_config,
-                    &self.queue,
+                    &mut ScriptedMutations::compile(
+                        &self.queue,
+                        self.instance.epoch.len(),
+                        self.instance.ceis.len(),
+                    ),
                     &mut tee,
                 ),
             }
@@ -692,48 +697,177 @@ fn empty_journal_file_is_a_structured_error() {
     std::fs::remove_dir_all(&rdir).ok();
 }
 
+/// Forwards to `inner`, keeping a clone of its state at every chronon
+/// start — the state a snapshot taken at that boundary resumes with: the
+/// engine offers the snapshot before it advances the model.
+struct Checkpointed<F> {
+    inner: F,
+    at_start: Vec<(Chronon, F)>,
+}
+
+impl<F: FaultModel + Clone> FaultModel for Checkpointed<F> {
+    fn begin_chronon(&mut self, t: Chronon) {
+        self.at_start.push((t, self.inner.clone()));
+        self.inner.begin_chronon(t);
+    }
+    fn down_until(&self, resource: ResourceId) -> Option<Chronon> {
+        self.inner.down_until(resource)
+    }
+    fn probe_succeeds(&mut self, t: Chronon, resource: ResourceId, attempt: u32) -> bool {
+        self.inner.probe_succeeds(t, resource, attempt)
+    }
+    fn enabled(&self) -> bool {
+        self.inner.enabled()
+    }
+}
+
+/// The resume grid's instance: 600 CEIs of rank 1–4 over 24 resources and
+/// 40 chronons at two probes per chronon, so every policy defers, drops
+/// and (under outages) sheds.
+fn resume_grid_instance(seed: u64) -> Instance {
+    let mut rng = CorpusRng::new(seed);
+    let (n_resources, horizon) = (24, 40);
+    let mut b = InstanceBuilder::new(n_resources, horizon, Budget::Uniform(2));
+    for _ in 0..100 {
+        let p = b.profile();
+        for _ in 0..6 {
+            let eis: Vec<(u32, Chronon, Chronon)> = (0..rng.range(1, 4))
+                .map(|_| {
+                    let start = rng.below(u64::from(horizon)) as Chronon;
+                    let end = (start + rng.below(8) as Chronon).min(horizon - 1);
+                    (rng.below(u64::from(n_resources)) as u32, start, end)
+                })
+                .collect();
+            b.cei(p, &eis);
+        }
+    }
+    b.build()
+}
+
+/// Runs one grid cell through, snapshotting every third boundary, then
+/// resumes from each snapshot — with the fault model's state at that
+/// boundary and a freshly compiled mutation script — and demands the
+/// uninterrupted run's schedule, stats, outcomes and exact trace suffix.
+/// Returns the uninterrupted run.
+fn check_resumes<F: FaultModel + Clone>(
+    label: &str,
+    instance: &Instance,
+    policy: &dyn Policy,
+    config: EngineConfig,
+    faults: (F, FaultConfig),
+    queue: &MutationQueue,
+) -> RunResult {
+    let (model, fault_config) = faults;
+    let horizon = instance.epoch.len();
+    let script = || ScriptedMutations::compile(queue, horizon, instance.ceis.len());
+    let mut sink = CaptureAt::new((3..horizon).step_by(3).collect());
+    let mut checkpointed = Checkpointed {
+        inner: model.clone(),
+        at_start: Vec::new(),
+    };
+    let mut trace = JsonlTraceObserver::new(Vec::new());
+    let inputs = RunInputs {
+        instance,
+        policy,
+        config,
+        faults: &mut checkpointed,
+        fault_config,
+        mutations: &mut script(),
+        observer: &mut trace,
+    };
+    let full = OnlineEngine::run_driven_resumable(inputs, None, &mut sink).unwrap();
+    let full_trace = String::from_utf8(trace.finish().unwrap()).unwrap();
+    let chronon_starts: Vec<usize> = full_trace
+        .match_indices(r#"{"ChrononStart""#)
+        .map(|(at, _)| at)
+        .collect();
+    assert_eq!(sink.taken.len(), sink.at.len(), "{label}: snapshots taken");
+
+    for snap in &sink.taken {
+        let label = format!("{label}, resumed at {}", snap.at);
+        let mut resumed_model = checkpointed
+            .at_start
+            .iter()
+            .find(|(t, _)| *t == snap.at)
+            .map_or_else(|| model.clone(), |(_, m)| m.clone());
+        let mut tail = JsonlTraceObserver::new(Vec::new());
+        let inputs = RunInputs {
+            instance,
+            policy,
+            config,
+            faults: &mut resumed_model,
+            fault_config,
+            mutations: &mut script(),
+            observer: &mut tail,
+        };
+        let resumed = OnlineEngine::run_driven_resumable(inputs, Some(snap), &mut NoSnapshots)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(full.schedule, resumed.schedule, "{label}: schedule");
+        assert_eq!(full.stats, resumed.stats, "{label}: stats");
+        assert_eq!(full.outcomes, resumed.outcomes, "{label}: outcomes");
+        let tail = String::from_utf8(tail.finish().unwrap()).unwrap();
+        assert!(
+            full_trace[chronon_starts[snap.at as usize]..] == tail,
+            "{label}: the trace suffix differs"
+        );
+    }
+    full
+}
+
 /// The runner-level resume contract under the journal's snapshot sink:
-/// capturing at a boundary and resuming from it reproduces the schedule,
-/// outcomes, and the exact trace suffix from that boundary on.
+/// resuming from a boundary snapshot reproduces the schedule, stats,
+/// outcomes, and the exact trace suffix from that boundary on — at every
+/// third boundary, for the paper policies × P/NP × both selectors (so the
+/// keyed queue is rebuilt from restored state), faultless, under i.i.d.
+/// faults with backoff, under churn, and under both churn and faults —
+/// i.i.d., or a stateful rate limit that resumes from its own state at
+/// the boundary and sheds CEIs.
 #[test]
 fn runner_snapshot_resume_reproduces_the_trace_tail() {
-    let instance = small_instance(9, false);
-    let config = EngineConfig::preemptive();
-    let mut sink = CaptureAt::new(vec![2]);
-    let mut full_trace = JsonlTraceObserver::new(Vec::new());
-    let full = OnlineEngine::run_driven_resumable(
-        &instance,
-        &MEdf,
-        config,
-        &mut NoFaults,
-        FaultConfig::default(),
-        &mut ScriptedMutations::default(),
-        &mut full_trace,
-        None,
-        &mut sink,
-    );
-    let full_bytes = String::from_utf8(full_trace.finish().unwrap()).unwrap();
-    let snap = &sink.taken[0];
-    assert_eq!(snap.at, 2);
-
-    let mut tail_trace = JsonlTraceObserver::new(Vec::new());
-    let resumed = OnlineEngine::run_driven_resumable(
-        &instance,
-        &MEdf,
-        config,
-        &mut NoFaults,
-        FaultConfig::default(),
-        &mut ScriptedMutations::default(),
-        &mut tail_trace,
-        Some(snap),
-        &mut NoSnapshots,
-    );
-    assert_eq!(full.schedule, resumed.schedule, "resumed schedule");
-    assert_eq!(full.stats, resumed.stats, "resumed stats");
-    assert_eq!(full.outcomes, resumed.outcomes, "resumed outcomes");
-    let tail = String::from_utf8(tail_trace.finish().unwrap()).unwrap();
-    let split = full_bytes
-        .find(r#"{"ChrononStart":{"t":2"#)
-        .expect("boundary 2 starts a chronon frame");
-    assert_eq!(&full_bytes[split..], tail, "trace tail from the boundary");
+    let wic = Wic::paper();
+    let policies: [&dyn Policy; 4] = [&SEdf, &Mrsf, &MEdf, &wic];
+    let seeds = if conformance_cases() > BASE_CASES {
+        1..=3
+    } else {
+        1..=1
+    };
+    let (mut failed, mut shed, mut cancelled) = (0, 0, 0);
+    for seed in seeds {
+        let instance = resume_grid_instance(seed);
+        let n = instance.n_resources as usize;
+        let churn = ChurnConfig::new(0.3, 0.2).with_reconfigurations(2);
+        let churn = overlay(&instance, &churn, &SimRng::new(seed));
+        let none = MutationQueue::new();
+        let iid = || {
+            let backoff = FaultConfig::charged().with_backoff(Backoff::new(1, 8));
+            (IidFaults::new(0.3, seed), backoff)
+        };
+        let rate_limit = (RateLimit::new(4, 1, n), FaultConfig::charged());
+        for policy in policies {
+            for mode in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
+                for config in [mode, mode.with_scan()] {
+                    let label = format!("seed {seed}: {} {config:?}", policy.name());
+                    let faultless = (NoFaults, FaultConfig::default());
+                    check_resumes(&label, &instance, policy, config, faultless, &none);
+                    let run = check_resumes(&label, &instance, policy, config, iid(), &none);
+                    failed += run.stats.probes_failed;
+                    let run = check_resumes(&label, &instance, policy, config, faultless, &churn);
+                    cancelled += run.stats.ceis_cancelled;
+                    check_resumes(&label, &instance, policy, config, iid(), &churn);
+                    let run = check_resumes(
+                        &label,
+                        &instance,
+                        policy,
+                        config,
+                        rate_limit.clone(),
+                        &churn,
+                    );
+                    shed += run.stats.ceis_shed;
+                }
+            }
+        }
+    }
+    assert!(failed > 0, "i.i.d. faults must fail probes");
+    assert!(shed > 0, "the rate limit must shed CEIs");
+    assert!(cancelled > 0, "the churn overlay must cancel CEIs");
 }

@@ -15,7 +15,9 @@
 //! orders of magnitude above corpus size, and under parallel execution
 //! (jobs 1 vs 4).
 
-use webmon_core::engine::{EngineConfig, MutationQueue, OnlineEngine, SelectionStrategy};
+use webmon_core::engine::{
+    EngineConfig, MutationQueue, OnlineEngine, ScriptedMutations, SelectionStrategy,
+};
 use webmon_core::fault::{Backoff, FaultConfig, IidFaults, NoFaults};
 use webmon_core::model::{Budget, Chronon, Instance, InstanceBuilder};
 use webmon_core::obs::{JsonlTraceObserver, MetricsObserver, RunMetrics, Tee};
@@ -76,7 +78,15 @@ fn observed_faulted(
     let mut model = IidFaults::new(rate, seed);
     let result = {
         let mut tee = Tee(&mut metrics, &mut trace);
-        OnlineEngine::run_faulted(instance, policy, config, &mut model, fault_config, &mut tee)
+        OnlineEngine::run_driven(
+            instance,
+            policy,
+            config,
+            &mut model,
+            fault_config,
+            &mut ScriptedMutations::default(),
+            &mut tee,
+        )
     };
     assert_eq!(trace.write_errors(), 0);
     let bytes = trace.finish().expect("Vec<u8> sink cannot fail");
@@ -259,13 +269,13 @@ fn observed_churned(
     let mut trace = JsonlTraceObserver::new(Vec::new());
     let result = {
         let mut tee = Tee(&mut metrics, &mut trace);
-        OnlineEngine::run_mutated(
+        OnlineEngine::run_driven(
             instance,
             policy,
             config,
             &mut NoFaults,
             FaultConfig::default(),
-            mutations,
+            &mut ScriptedMutations::compile(mutations, instance.epoch.len(), instance.ceis.len()),
             &mut tee,
         )
     };

@@ -78,7 +78,15 @@ fn sim_observed_faulted(
     let mut model = IidFaults::new(rate, seed);
     let result = {
         let mut tee = Tee(&mut metrics, &mut trace);
-        OnlineEngine::run_faulted(instance, policy, config, &mut model, fault_config, &mut tee)
+        OnlineEngine::run_driven(
+            instance,
+            policy,
+            config,
+            &mut model,
+            fault_config,
+            &mut ScriptedMutations::default(),
+            &mut tee,
+        )
     };
     assert_eq!(trace.write_errors(), 0);
     (result, metrics.finish(), trace.finish().unwrap())
@@ -95,13 +103,13 @@ fn sim_observed_mutated(
     let mut trace = JsonlTraceObserver::new(Vec::new());
     let result = {
         let mut tee = Tee(&mut metrics, &mut trace);
-        OnlineEngine::run_mutated(
+        OnlineEngine::run_driven(
             instance,
             policy,
             config,
             &mut NoFaults,
             FaultConfig::default(),
-            queue,
+            &mut ScriptedMutations::compile(queue, instance.epoch.len(), instance.ceis.len()),
             &mut tee,
         )
     };
@@ -197,7 +205,8 @@ fn daemon_replay_is_bit_identical_to_simulator_on_corpus_slice() {
 }
 
 /// The identity holds through the fault path: a scripted i.i.d. fault model
-/// behind the replay executor ≡ the simulator's `run_faulted`, including
+/// behind the replay executor ≡ the simulator's `run_driven` on the same
+/// model, including
 /// retry/backoff accounting.
 #[test]
 fn faulted_daemon_matches_faulted_simulator() {
@@ -218,8 +227,8 @@ fn faulted_daemon_matches_faulted_simulator() {
     }
 }
 
-/// And through the churn path: a compiled churn script ≡ `run_mutated` on
-/// the same queue.
+/// And through the churn path: a compiled churn script ≡ `run_driven` on
+/// the same compiled queue.
 #[test]
 fn churned_daemon_matches_churned_simulator() {
     let instance = small_instance(5, false);
