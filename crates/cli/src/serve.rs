@@ -287,11 +287,27 @@ fn handle_line(line: &str, ctl: &Control) -> Action {
     }
 }
 
+/// Writes one reply line in a single write: with `TCP_NODELAY` set it
+/// leaves at once, instead of its newline waiting on the client's delayed
+/// ACK.
+fn write_reply(writer: &mut TcpStream, resp: &str) -> io::Result<()> {
+    let mut line = Vec::with_capacity(resp.len() + 1);
+    line.extend_from_slice(resp.as_bytes());
+    line.push(b'\n');
+    writer.write_all(&line)
+}
+
 /// Serves one client connection until it closes, attaches, or the daemon
 /// stops. Reads use a short timeout so the thread notices shutdown
-/// promptly; a timeout preserves any partially read line.
+/// promptly; a timeout preserves any partially read line. Command replies
+/// go out with `TCP_NODELAY`; an attached event stream goes back to
+/// Nagle's batching.
 fn client_loop(stream: TcpStream, ctl: &Control) {
-    if stream.set_read_timeout(Some(POLL_INTERVAL)).is_err() {
+    if stream
+        .set_read_timeout(Some(POLL_INTERVAL))
+        .and_then(|()| stream.set_nodelay(true))
+        .is_err()
+    {
         return;
     }
     let Ok(read_half) = stream.try_clone() else {
@@ -320,12 +336,15 @@ fn client_loop(stream: TcpStream, ctl: &Control) {
                 }
                 match handle_line(&trimmed, ctl) {
                     Action::Reply(resp) => {
-                        if writeln!(writer, "{resp}").is_err() {
+                        if write_reply(&mut writer, &resp).is_err() {
                             return;
                         }
                     }
                     Action::Attach(resp) => {
-                        if writeln!(writer, "{resp}").is_ok() {
+                        if write_reply(&mut writer, &resp)
+                            .and_then(|()| writer.set_nodelay(false))
+                            .is_ok()
+                        {
                             // From here the engine thread is the socket's
                             // only writer; this thread reads no further
                             // commands.
@@ -334,7 +353,7 @@ fn client_loop(stream: TcpStream, ctl: &Control) {
                         return;
                     }
                     Action::Shutdown(resp) => {
-                        let _ = writeln!(writer, "{resp}");
+                        let _ = write_reply(&mut writer, &resp);
                         ctl.shutdown();
                         return;
                     }

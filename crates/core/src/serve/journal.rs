@@ -6,22 +6,31 @@
 //! nondeterministic inputs as the run consumes them, and recovery re-runs
 //! the engine against the log:
 //!
-//! * a **header** record pins the journal format version and a
-//!   configuration fingerprint (instance content, policy spec, engine
-//!   mode, fault configuration, churn script, executor descriptor) so a
-//!   recovery under different arguments fails loudly;
-//! * one **frame** record per completed chronon carries the chronon's full
-//!   JSONL event block — which subsumes every nondeterministic input: probe
-//!   outcomes (`ProbeIssued`/`ProbeFailed` in attempt order), outage
-//!   transitions (`ResourceDown`/`ResourceUp`), and applied mutations
-//!   (`CeiRegistered`/`CeiCancelled`/`BudgetReconfigured` in drain order) —
-//!   plus the live-mutation drain high-water mark;
-//! * **snapshot** records ([`EngineSnapshot`]) interleave periodically so
-//!   the engine resumes `O(chronons since snapshot)` instead of replaying
-//!   from chronon 0;
-//! * **live-mutation** records are written *before* the registration API
-//!   acknowledges a submission, so an acknowledged mutation survives a
-//!   crash even if no frame drained it yet.
+//! * a **header** record (kind 1, JSON) pins the journal format version
+//!   ([`JOURNAL_VERSION`], now 3) and a configuration fingerprint
+//!   (instance content, policy spec, engine mode, fault configuration,
+//!   churn script, executor descriptor) so a recovery under different
+//!   arguments fails loudly;
+//! * one **frame** record (kind 2) per completed chronon carries the
+//!   chronon (`u32`), the live-mutation drain high-water mark (`u64`) and
+//!   the chronon's full JSONL event block, byte for byte the trace's —
+//!   which subsumes every nondeterministic input: probe outcomes
+//!   (`ProbeIssued`/`ProbeFailed` in attempt order), outage transitions
+//!   (`ResourceDown`/`ResourceUp`), and applied mutations
+//!   (`CeiRegistered`/`CeiCancelled`/`BudgetReconfigured` in drain order);
+//! * **snapshot** records (kind 3) interleave periodically so the engine
+//!   resumes `O(chronons since snapshot)` instead of replaying from
+//!   chronon 0. Their payload is the compact binary encoding of an
+//!   [`EngineSnapshot`] ([`EngineSnapshot::encode`]; the format is in the
+//!   [`snapshot`](super::snapshot) module docs), built on the engine thread
+//!   before the writer's lock is taken. The snapshot at boundary `t` follows
+//!   the frame of chronon `t - 1`;
+//! * **live-mutation** records (kind 4, JSON) are written *before* the
+//!   registration API acknowledges a submission, so an acknowledged
+//!   mutation survives a crash even if no frame drained it yet.
+//!
+//! Whether an append is fsynced is decided in one place for every record
+//! kind: `FsyncPolicy::syncs`, under the run's [`FsyncPolicy`].
 //!
 //! Records ride the checksummed framing of [`webmon_streams::record`]: a
 //! crash mid-append leaves a torn tail that the scanner detects (truncated
@@ -61,8 +70,9 @@ use webmon_streams::record::{parse_record, write_record, RecordError};
 
 /// Journal format version; bumped on any incompatible record change.
 /// Version 2 dropped the selection-step count from `CandidateSet` frame
-/// lines.
-pub const JOURNAL_VERSION: u32 = 2;
+/// lines; version 3 stores snapshots in the binary encoding of
+/// [`EngineSnapshot::encode`] instead of JSON.
+pub const JOURNAL_VERSION: u32 = 3;
 
 /// The journal file name inside a `--journal-dir`.
 pub const JOURNAL_FILE: &str = "run.journal";
@@ -84,6 +94,31 @@ pub enum FsyncPolicy {
     /// Flush to the OS page cache only — a process crash (`kill -9`) loses
     /// nothing, a power failure may lose the cached suffix; fastest.
     Os,
+}
+
+/// What a journal append is, for [`FsyncPolicy::syncs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Append {
+    Header,
+    Frame,
+    Snapshot,
+    LiveMutation,
+    /// The final flush after the run.
+    Finish,
+}
+
+impl FsyncPolicy {
+    /// Whether an append of `what` is fsynced before it returns — the one
+    /// place durability is decided. `Os` never fsyncs; `EveryN(n)` fsyncs a
+    /// frame once `n` frames are unsynced (`frames_since_sync` counts this
+    /// one); every other append fsyncs under both non-`Os` policies.
+    fn syncs(self, what: Append, frames_since_sync: u32) -> bool {
+        match (self, what) {
+            (FsyncPolicy::Os, _) => false,
+            (FsyncPolicy::EveryN(n), Append::Frame) => frames_since_sync >= n,
+            _ => true,
+        }
+    }
 }
 
 impl fmt::Display for FsyncPolicy {
@@ -274,9 +309,10 @@ pub struct JournalWriter {
     /// Frames and snapshots at chronons `<= suppress_until` are already on
     /// disk (a recovery replaying them) and are skipped.
     suppress_until: Option<Chronon>,
-    /// A boundary snapshot stashed by the sink, flushed in record order by
-    /// the observer (after the preceding chronon's frame).
-    pending_snapshot: Option<EngineSnapshot>,
+    /// A boundary snapshot the sink encoded and stashed, with its
+    /// boundary, flushed in record order by the observer (after the
+    /// preceding chronon's frame).
+    pending_snapshot: Option<(Chronon, Vec<u8>)>,
 }
 
 impl JournalWriter {
@@ -317,7 +353,7 @@ impl JournalWriter {
             detail: format!("header serialization: {e}"),
         })?;
         write_record(&mut w.file, KIND_HEADER, header.as_bytes(), &w.path)?;
-        w.sync(true)?;
+        w.sync(Append::Header)?;
         Ok(w)
     }
 
@@ -357,18 +393,14 @@ impl JournalWriter {
         })
     }
 
-    fn sync(&mut self, force: bool) -> Result<(), JournalError> {
+    /// Flushes to the OS, then fsyncs if the policy says `what` must be
+    /// durable.
+    fn sync(&mut self, what: Append) -> Result<(), JournalError> {
         self.file.flush().map_err(|e| JournalError::Io {
             path: self.path.display().to_string(),
             detail: e.to_string(),
         })?;
-        let due = force
-            || match self.fsync {
-                FsyncPolicy::EveryChronon => true,
-                FsyncPolicy::EveryN(n) => self.frames_since_sync >= n,
-                FsyncPolicy::Os => false,
-            };
-        if due {
+        if self.fsync.syncs(what, self.frames_since_sync) {
             self.frames_since_sync = 0;
             self.file
                 .get_ref()
@@ -399,7 +431,7 @@ impl JournalWriter {
         self.frames_since_sync += 1;
         if let Err(e) = write_record(&mut self.file, KIND_FRAME, &payload, &self.path)
             .map_err(JournalError::from)
-            .and_then(|()| self.sync(false))
+            .and_then(|()| self.sync(Append::Frame))
         {
             self.record_err(e);
         }
@@ -408,23 +440,21 @@ impl JournalWriter {
     /// Appends an engine snapshot. Failures are recorded, not returned (a
     /// lost snapshot only lengthens the next recovery's replay).
     pub fn snapshot(&mut self, snap: &EngineSnapshot) {
-        if self.suppress_until.is_some_and(|u| snap.at <= u) {
+        let mut encoded = Vec::new();
+        snap.encode(&mut encoded);
+        self.write_snapshot(snap.at, &encoded);
+    }
+
+    /// Appends the snapshot at boundary `at`, already encoded.
+    fn write_snapshot(&mut self, at: Chronon, encoded: &[u8]) {
+        if self.suppress_until.is_some_and(|u| at <= u) {
             return;
         }
-        match serde_json::to_string(snap) {
-            Ok(json) => {
-                if let Err(e) =
-                    write_record(&mut self.file, KIND_SNAPSHOT, json.as_bytes(), &self.path)
-                        .map_err(JournalError::from)
-                        .and_then(|()| self.sync(true))
-                {
-                    self.record_err(e);
-                }
-            }
-            Err(e) => self.record_err(JournalError::Io {
-                path: self.path.display().to_string(),
-                detail: format!("snapshot serialization: {e}"),
-            }),
+        if let Err(e) = write_record(&mut self.file, KIND_SNAPSHOT, encoded, &self.path)
+            .map_err(JournalError::from)
+            .and_then(|()| self.sync(Append::Snapshot))
+        {
+            self.record_err(e);
         }
     }
 
@@ -443,14 +473,12 @@ impl JournalWriter {
             json.as_bytes(),
             &self.path,
         )?;
-        // `Os` keeps even acks cache-only (the documented trade-off);
-        // either fsync policy makes the ack durable.
-        self.sync(!matches!(self.fsync, FsyncPolicy::Os))
+        self.sync(Append::LiveMutation)
     }
 
     /// Flushes and syncs the final suffix.
     pub fn finish(&mut self) {
-        if let Err(e) = self.sync(!matches!(self.fsync, FsyncPolicy::Os)) {
+        if let Err(e) = self.sync(Append::Finish) {
             self.record_err(e);
         }
     }
@@ -458,12 +486,6 @@ impl JournalWriter {
     /// Structured descriptions of every append failure so far.
     pub fn errors(&self) -> &[String] {
         &self.errors
-    }
-
-    /// Stashes a boundary snapshot for the observer to flush in record
-    /// order (after the preceding chronon's frame).
-    pub fn stash_snapshot(&mut self, snap: EngineSnapshot) {
-        self.pending_snapshot = Some(snap);
     }
 }
 
@@ -504,8 +526,8 @@ impl JournalObserver {
             let drained = self.queue.drained_seq();
             let mut core = self.core.lock().unwrap();
             core.frame(t, drained, &self.buf);
-            if let Some(snap) = core.pending_snapshot.take() {
-                core.snapshot(&snap);
+            if let Some((at, encoded)) = core.pending_snapshot.take() {
+                core.write_snapshot(at, &encoded);
             }
         }
         self.buf.clear();
@@ -543,8 +565,8 @@ impl Observer for JournalObserver {
 }
 
 /// The snapshot side of the journal adapter: requests an [`EngineSnapshot`]
-/// every `every` chronons and stashes it on the shared writer for the
-/// observer to flush in record order.
+/// every `every` chronons, encodes it, and stashes the encoding on the
+/// shared writer for the observer to flush in record order.
 #[derive(Debug)]
 pub struct JournalSink {
     core: SharedJournal,
@@ -575,7 +597,10 @@ impl SnapshotSink for JournalSink {
         boundary && !suppressed
     }
     fn accept(&mut self, snapshot: EngineSnapshot) {
-        self.core.lock().unwrap().stash_snapshot(snapshot);
+        // Encode before taking the lock: live-mutation acks share it.
+        let mut encoded = Vec::new();
+        snapshot.encode(&mut encoded);
+        self.core.lock().unwrap().pending_snapshot = Some((snapshot.at, encoded));
     }
 }
 
@@ -743,8 +768,8 @@ pub fn scan_journal(path: &Path) -> Result<JournalScan, JournalError> {
                 });
             }
             KIND_SNAPSHOT => {
-                let snap: EngineSnapshot =
-                    serde_json::from_str(payload_str()?).map_err(|e| JournalError::Corrupt {
+                let snap =
+                    EngineSnapshot::decode(rec.payload).map_err(|e| JournalError::Corrupt {
                         offset: rec.offset,
                         detail: format!("unreadable snapshot: {e}"),
                     })?;
@@ -1291,23 +1316,98 @@ mod tests {
     #[test]
     fn version_mismatch_is_structured() {
         let path = temp_journal("version");
-        let header = serde_json::to_string(&HeaderRecord {
-            version: JOURNAL_VERSION + 1,
-            fingerprint: "fp".into(),
-        })
-        .unwrap();
-        let mut buf = Vec::new();
-        webmon_streams::record::write_record(&mut buf, KIND_HEADER, header.as_bytes(), &path)
+        // Version 2 journals hold JSON snapshots: refused, not misread.
+        for found in [2, JOURNAL_VERSION + 1] {
+            let header = serde_json::to_string(&HeaderRecord {
+                version: found,
+                fingerprint: "fp".into(),
+            })
             .unwrap();
-        std::fs::write(&path, &buf).unwrap();
-        assert_eq!(
-            scan_journal(&path).unwrap_err(),
-            JournalError::VersionMismatch {
-                found: JOURNAL_VERSION + 1,
-                expected: JOURNAL_VERSION,
-            }
-        );
+            let mut buf = Vec::new();
+            write_record(&mut buf, KIND_HEADER, header.as_bytes(), &path).unwrap();
+            std::fs::write(&path, &buf).unwrap();
+            assert_eq!(
+                scan_journal(&path).unwrap_err(),
+                JournalError::VersionMismatch {
+                    found,
+                    expected: JOURNAL_VERSION,
+                }
+            );
+        }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn snapshot_records_roundtrip_and_name_an_unreadable_field() {
+        use crate::model::{Epoch, Schedule};
+        use crate::serve::snapshot::CeiState;
+        use crate::stats::{CeiOutcome, RunStats};
+
+        let snap = EngineSnapshot {
+            at: 1,
+            status: vec![CeiState::Active {
+                captured: vec![true, false],
+                expired: vec![false, false],
+            }],
+            outcomes: vec![CeiOutcome::Pending],
+            stats: RunStats::default(),
+            schedule: Schedule::new(2, Epoch::new(4)),
+            budget_override: None,
+            pending_budget: Some(3),
+            announced: vec![],
+            consec_failures: vec![],
+            next_attempt_at: vec![],
+            index: vec![vec![(0, 1)], vec![]],
+        };
+        let path = temp_journal("snapshot");
+        let mut w = JournalWriter::create(&path, FsyncPolicy::Os, "fp").unwrap();
+        w.frame(0, 0, &sample_lines(0));
+        w.snapshot(&snap);
+        w.frame(1, 0, &sample_lines(1));
+        w.finish();
+        assert!(w.errors().is_empty(), "{:?}", w.errors());
+        drop(w);
+        assert_eq!(scan_journal(&path).unwrap().snapshots, vec![snap.clone()]);
+
+        // A checksum-valid snapshot record one byte short is corrupt even as
+        // the final record (it is no torn tail), and the error names the
+        // field that ran out.
+        let mut w = JournalWriter::create(&path, FsyncPolicy::Os, "fp").unwrap();
+        w.frame(0, 0, &sample_lines(0));
+        let offset = std::fs::metadata(&path).unwrap().len() as usize;
+        let mut encoded = Vec::new();
+        snap.encode(&mut encoded);
+        encoded.pop();
+        write_record(&mut w.file, KIND_SNAPSHOT, &encoded, &path).unwrap();
+        w.finish();
+        drop(w);
+        match scan_journal(&path).unwrap_err() {
+            JournalError::Corrupt { offset: at, detail } => {
+                assert_eq!(at, offset);
+                assert!(detail.contains("snapshot field `index`"), "{detail}");
+            }
+            other => panic!("expected a corrupt snapshot, got {other}"),
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// The README's `--fsync` table ("Durability & recovery"):
+    /// `every-chronon` fsyncs every frame, `every-<n>` every n-th frame,
+    /// `os` never; headers, snapshots, live-mutation acks and the final
+    /// flush are fsynced except under `os`.
+    #[test]
+    fn fsync_decision_follows_the_documented_table() {
+        use Append::*;
+        for what in [Header, Frame, Snapshot, LiveMutation, Finish] {
+            assert!(FsyncPolicy::EveryChronon.syncs(what, 1), "{what:?}");
+            assert!(!FsyncPolicy::Os.syncs(what, u32::MAX), "{what:?}");
+        }
+        let every3 = FsyncPolicy::EveryN(3);
+        let frames: Vec<bool> = (1..=4).map(|n| every3.syncs(Frame, n)).collect();
+        assert_eq!(frames, [false, false, true, true]);
+        for what in [Header, Snapshot, LiveMutation, Finish] {
+            assert!(every3.syncs(what, 0), "{what:?}");
+        }
     }
 
     #[test]

@@ -29,7 +29,7 @@
 //!
 //! **Durability.** [`journal`] append-logs everything nondeterministic a
 //! driven run consumes (event frames, live mutations) plus periodic
-//! [`EngineSnapshot`]s into a checksummed record log, and rebuilds a
+//! binary-encoded [`EngineSnapshot`]s into a checksummed record log, and rebuilds a
 //! [`Recovery`] plan from it after a crash. Because a replayed run is a
 //! pure function of its journaled inputs, a daemon SIGKILLed at any chronon
 //! and recovered produces the same bytes an uninterrupted run would — the
@@ -51,5 +51,6 @@ pub use journal::{
     JournalWriter, Recovery,
 };
 pub use snapshot::{
-    CaptureAt, CeiState, EngineSnapshot, NoSnapshots, SnapshotMismatch, SnapshotSink,
+    CaptureAt, CeiState, EngineSnapshot, NoSnapshots, SnapshotDecodeError, SnapshotMismatch,
+    SnapshotSink,
 };

@@ -30,8 +30,8 @@ use webmon_core::obs::{JsonlTraceObserver, MetricsObserver, RunMetrics, Tee};
 use webmon_core::policy::{MEdf, Mrsf, Policy, SEdf, Wic};
 use webmon_core::serve::journal::{scan_journal, JOURNAL_FILE};
 use webmon_core::serve::{
-    CaptureAt, CeiState, FreeClock, FsyncPolicy, JournalConfig, JournalWriter, NoSnapshots,
-    ProbeExecutor, ReplayExecutor,
+    CaptureAt, CeiState, EngineSnapshot, FreeClock, FsyncPolicy, JournalConfig, JournalWriter,
+    NoSnapshots, ProbeExecutor, ReplayExecutor,
 };
 use webmon_streams::{write_record, SimRng};
 use webmon_testkit::corpus::{conformance_cases, small_instance, CorpusRng, BASE_CASES};
@@ -745,10 +745,11 @@ fn resume_grid_instance(seed: u64) -> Instance {
 }
 
 /// Runs one grid cell through, snapshotting every third boundary, then
-/// resumes from each snapshot — with the fault model's state at that
-/// boundary and a freshly compiled mutation script — and demands the
-/// uninterrupted run's schedule, stats, outcomes and exact trace suffix.
-/// Returns the uninterrupted run.
+/// resumes from each snapshot after a trip through the journal's binary
+/// codec — with the fault model's state at that boundary and a freshly
+/// compiled mutation script — and demands the uninterrupted run's
+/// schedule, stats, outcomes and exact trace suffix. Returns the
+/// uninterrupted run.
 fn check_resumes<F: FaultModel + Clone>(
     label: &str,
     instance: &Instance,
@@ -783,8 +784,13 @@ fn check_resumes<F: FaultModel + Clone>(
         .collect();
     assert_eq!(sink.taken.len(), sink.at.len(), "{label}: snapshots taken");
 
-    for snap in &sink.taken {
-        let label = format!("{label}, resumed at {}", snap.at);
+    let mut encoded = Vec::new();
+    for taken in &sink.taken {
+        let label = format!("{label}, resumed at {}", taken.at);
+        encoded.clear();
+        taken.encode(&mut encoded);
+        let snap = &EngineSnapshot::decode(&encoded).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(snap, taken, "{label}: the codec round trip");
         let mut resumed_model = checkpointed
             .at_start
             .iter()

@@ -11,6 +11,10 @@
 //! builders are shared with the live generators via
 //! `webmon_testkit::strategies`, so a spec here is constructed precisely
 //! the way the original generated case was.
+//!
+//! It also bounds the JSON parser's time on a multi-megabyte document: the
+//! parser once re-validated the whole rest of its input for every string
+//! character, which made recovering a serve-scale journal take minutes.
 
 use webmon_core::engine::{EngineConfig, OnlineEngine};
 use webmon_core::model::{evaluate_outcomes, Budget, Instance, InstanceBuilder};
@@ -160,4 +164,40 @@ fn engine_outcomes_match_reevaluation_on_clean_runs() {
             }
         }
     }
+}
+
+/// Parsing is linear in the document: ~4.5 MB of short strings — the shape
+/// of a journal's event lines — parse well inside a bound a quadratic
+/// parser misses by orders of magnitude, and every escape and multi-byte
+/// character survives the round trip exactly.
+#[test]
+fn json_string_parsing_is_linear_and_exact() {
+    use serde_json::Value;
+
+    let tricky = [
+        "plain",
+        "q\"uote",
+        "back\\slash",
+        "line\nbreak\r\ttab",
+        "\u{1}\u{1f}ctl",
+        "caf\u{e9}",
+        "\u{6f22}\u{5b57}",
+        "crab \u{1f980}",
+        "",
+    ];
+    let strings: Vec<Value> = (0..300_000)
+        .map(|i| Value::String(format!("s{i}{}", tricky[i % tricky.len()])))
+        .collect();
+    let doc = serde_json::to_string(&Value::Array(strings.clone())).unwrap();
+    assert!(doc.len() >= 4_000_000, "{} bytes", doc.len());
+
+    let start = std::time::Instant::now();
+    let back: Value = serde_json::from_str(&doc).unwrap();
+    let took = start.elapsed();
+    assert!(took.as_secs_f64() <= 10.0, "parsing took {took:?}");
+    assert_eq!(back, Value::Array(strings));
+
+    // Escapes the writer never emits decode too.
+    let v: Value = serde_json::from_str(r#""\/\b\f\u00e9\u6f22""#).unwrap();
+    assert_eq!(v, Value::String("/\u{8}\u{c}\u{e9}\u{6f22}".into()));
 }
