@@ -762,9 +762,13 @@ struct ServeSummary {
     completeness: f64,
     /// Probes issued over the run.
     probes: u64,
-    /// Events serialized to the trace file / attached sockets.
+    /// Events encoded for the trace file, attached sockets and journal.
     events_written: u64,
-    /// Failed trace/socket writes (nonzero → exit code 1).
+    /// Attached subscribers disconnected because their socket could not
+    /// take a whole chronon's block (they do not change the exit code).
+    dropped_subscribers: u64,
+    /// Failed trace-file writes (nonzero → exit code 1). Socket failures
+    /// are not counted here; they drop the subscriber instead.
     write_errors: u64,
     /// Structured trace/journal IO failures with file paths (nonempty →
     /// exit code 1).
@@ -982,6 +986,7 @@ fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
         completeness: captured as f64 / n_ceis.max(1) as f64,
         probes: outcome.metrics.probes_issued,
         events_written: outcome.events_written,
+        dropped_subscribers: outcome.dropped_subscribers,
         write_errors: outcome.write_errors,
         io_errors: outcome.io_errors,
     };

@@ -7,8 +7,9 @@
 //!
 //! ```text
 //! ping                  -> {"ok":"pong"}
-//! attach                -> {"ok":"attached"}, then the JSONL event stream
-//!                          from the next chronon start onward
+//! attach                -> {"ok":"attached"}, then the JSONL event stream:
+//!                          each chronon's events as one block when it
+//!                          ends, from the next chronon start onward
 //! register <cei-id>     -> {"ok":{"register":<id>}}   (drained next chronon)
 //! cancel <cei-id>       -> {"ok":{"cancel":<id>}}
 //! set-budget <n>        -> {"ok":{"set-budget":<n>}}
@@ -18,21 +19,32 @@
 //!
 //! Every response is one JSON line. A malformed request gets a structured
 //! `{"err":{"reason":...,"input":...}}` line and the connection stays
-//! open. Registration commands feed the engine's live
-//! [`LiveMutationQueue`], drained at each chronon start with exactly the
-//! mutation semantics of `OnlineEngine::run_driven`.
+//! open; a request line longer than 1 KiB gets one such error, echoing
+//! only a short prefix, and the connection is closed. Registration
+//! commands feed the engine's live [`LiveMutationQueue`], drained at each
+//! chronon start with exactly the mutation semantics of
+//! `OnlineEngine::run_driven`.
 //!
-//! **Byte identity.** The daemon's event hub writes every event as
-//! `serde_json::to_string(&event)` plus `\n` — the same bytes
-//! [`JsonlTraceObserver`](webmon_core::obs::JsonlTraceObserver) produces —
-//! to the `--trace-out` file (from event zero) and to every attached
-//! socket (from its first post-attach chronon start). The daemon's trace
-//! file is therefore byte-identical to the simulator's for the same case,
-//! which `tests/tests/serve.rs` and CI's `serve-smoke` job enforce.
+//! **Byte identity.** The daemon's event hub encodes every event once,
+//! with [`Event::write_jsonl`] — the encoder
+//! [`JsonlTraceObserver`](webmon_core::obs::JsonlTraceObserver) uses —
+//! into one block per chronon. When the chronon ends the block is written
+//! to the `--trace-out` file (which starts at event zero) and to every
+//! attached socket (whose stream starts at its first post-attach chronon);
+//! when the next chronon starts the same block becomes the chronon's
+//! journal frame. The daemon's trace file is therefore byte-identical to
+//! the simulator's for the same case, which `tests/tests/serve.rs` and
+//! CI's `serve-smoke` job enforce.
+//!
+//! **Subscribers never stall the engine.** An attached socket is
+//! nonblocking and gets each block in one write. A subscriber whose socket
+//! cannot take the whole block — its kernel send buffer is full, or the
+//! peer is gone — is shut down and counted in
+//! [`DaemonOutcome::dropped_subscribers`]; its stream may end mid-line.
 
 use serde_json::Value;
-use std::io::{self, BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,9 +55,7 @@ use webmon_core::fault::FaultConfig;
 use webmon_core::model::{CeiId, Chronon, Instance};
 use webmon_core::obs::{replay_events, Event, MetricsObserver, Observer, RunMetrics, Tee};
 use webmon_core::policy::Policy;
-use webmon_core::serve::journal::{
-    scan_journal, JournalObserver, JournalSink, JournalWriter, SharedJournal,
-};
+use webmon_core::serve::journal::{scan_journal, JournalSink, JournalWriter, SharedJournal};
 use webmon_core::serve::{
     drive, Clock, ClockRelease, DaemonSource, JournalConfig, JournalError, LiveMutationQueue,
     NoSnapshots, ProbeExecutor, Recovery, SnapshotSink,
@@ -55,6 +65,13 @@ use webmon_streams::{crc32, write_all_tagged};
 /// How long a client read blocks before re-checking the stop flag, and how
 /// long the accept loop naps when no connection is pending.
 const POLL_INTERVAL: Duration = Duration::from_millis(20);
+
+/// The longest request line the protocol reads, newline excluded. The
+/// longest valid command, `set-budget 4294967295`, is 21 bytes.
+const MAX_REQUEST_LINE: usize = 1024;
+
+/// How much of an over-long request line its error reply echoes.
+const ECHOED_PREFIX: usize = 32;
 
 /// Everything the engine run needs, bundled so [`Daemon::run`] can build
 /// the policy inside a spawned thread when tests run the daemon off-main.
@@ -78,10 +95,15 @@ pub struct DaemonOutcome {
     pub result: RunResult,
     /// In-run metrics from the daemon's own event stream.
     pub metrics: RunMetrics,
-    /// Events serialized by the hub (trace file and sockets share them).
+    /// Events encoded by the hub (trace file, sockets and journal frames
+    /// share them).
     pub events_written: u64,
-    /// Failed writes (a full disk, a torn socket mid-line on the file sink).
+    /// Failed trace-file writes (a full disk, a short write); each is also
+    /// described in [`io_errors`](Self::io_errors).
     pub write_errors: u64,
+    /// Attached subscribers disconnected because their socket could not
+    /// take a whole chronon's block (full send buffer, or a gone peer).
+    pub dropped_subscribers: u64,
     /// Structured descriptions of trace-file and journal write failures
     /// (partial writes, `ENOSPC`), each tagged with the file path. Nonempty
     /// makes `webmon serve` exit 1 with a JSON error summary.
@@ -199,7 +221,7 @@ enum Action {
     Reply(String),
     /// Write the response, hand the socket to the event hub, stop reading.
     Attach(String),
-    /// Write the response, trigger daemon shutdown, stop reading.
+    /// Trigger daemon shutdown, write the response, stop reading.
     Shutdown(String),
 }
 
@@ -297,11 +319,27 @@ fn write_reply(writer: &mut TcpStream, resp: &str) -> io::Result<()> {
     writer.write_all(&line)
 }
 
+/// The reply to a request line longer than [`MAX_REQUEST_LINE`]: it echoes
+/// only the line's first [`ECHOED_PREFIX`] bytes (cut back to a character
+/// boundary).
+fn overlong_reply(line: &str) -> String {
+    let mut end = ECHOED_PREFIX.min(line.len());
+    while !line.is_char_boundary(end) {
+        end -= 1;
+    }
+    err_line(
+        format!("request line longer than {MAX_REQUEST_LINE} bytes; closing the connection"),
+        &line[..end],
+    )
+}
+
 /// Serves one client connection until it closes, attaches, or the daemon
 /// stops. Reads use a short timeout so the thread notices shutdown
-/// promptly; a timeout preserves any partially read line. Command replies
-/// go out with `TCP_NODELAY`; an attached event stream goes back to
-/// Nagle's batching.
+/// promptly; a timeout preserves any partially read line. A line longer
+/// than [`MAX_REQUEST_LINE`] is never buffered whole: it gets one error
+/// reply and the connection is closed. The socket runs with `TCP_NODELAY`,
+/// so a reply — or, once attached, a chronon's event block — leaves in
+/// one segment instead of waiting on the client's delayed ACK.
 fn client_loop(stream: TcpStream, ctl: &Control) {
     if stream
         .set_read_timeout(Some(POLL_INTERVAL))
@@ -320,15 +358,24 @@ fn client_loop(stream: TcpStream, ctl: &Control) {
         if ctl.stop.load(Ordering::SeqCst) {
             return;
         }
-        match reader.read_line(&mut line) {
+        // Read at most one byte past the limit: a line that is still
+        // unterminated then is over-long.
+        let room = (MAX_REQUEST_LINE + 1).saturating_sub(line.len()) as u64;
+        match (&mut reader).take(room).read_line(&mut line) {
             Ok(0) => return,
-            Ok(_) => {
-                // A nonempty read without a trailing newline means the
-                // client hung up mid-command. Never execute the fragment —
-                // drop only this session; the daemon keeps serving.
-                if !line.ends_with('\n') {
-                    return;
+            Ok(_) if !line.ends_with('\n') => {
+                if line.len() > MAX_REQUEST_LINE {
+                    // Reply, then send a FIN so the client reads the error
+                    // before the end of the stream.
+                    let _ = write_reply(&mut writer, &overlong_reply(&line));
+                    let _ = writer.shutdown(Shutdown::Write);
                 }
+                // Otherwise the client hung up mid-command. Never execute
+                // the fragment — drop only this session; the daemon keeps
+                // serving.
+                return;
+            }
+            Ok(_) => {
                 let trimmed = line.trim().to_string();
                 line.clear();
                 if trimmed.is_empty() {
@@ -341,10 +388,7 @@ fn client_loop(stream: TcpStream, ctl: &Control) {
                         }
                     }
                     Action::Attach(resp) => {
-                        if write_reply(&mut writer, &resp)
-                            .and_then(|()| writer.set_nodelay(false))
-                            .is_ok()
-                        {
+                        if write_reply(&mut writer, &resp).is_ok() {
                             // From here the engine thread is the socket's
                             // only writer; this thread reads no further
                             // commands.
@@ -353,8 +397,10 @@ fn client_loop(stream: TcpStream, ctl: &Control) {
                         return;
                     }
                     Action::Shutdown(resp) => {
-                        let _ = write_reply(&mut writer, &resp);
+                        // Stop first: a mutation the client sends after
+                        // reading this reply must find the stop flag set.
                         ctl.shutdown();
+                        let _ = write_reply(&mut writer, &resp);
                         return;
                     }
                 }
@@ -373,12 +419,19 @@ fn client_loop(stream: TcpStream, ctl: &Control) {
 }
 
 /// Accepts connections until shutdown, one thread per client, and joins
-/// every client thread before exiting so the daemon leaks nothing.
+/// every client thread before exiting so the daemon leaks nothing. Each
+/// accept also joins the client threads that have already exited: an
+/// exited thread keeps its stack mapped until it is joined.
 fn accept_loop(listener: TcpListener, ctl: Arc<Control>) {
-    let mut clients = Vec::new();
+    let mut clients: Vec<thread::JoinHandle<()>> = Vec::new();
     while !ctl.stop.load(Ordering::SeqCst) {
         match listener.accept() {
             Ok((stream, _)) => {
+                let (done, running) = clients.into_iter().partition(|c| c.is_finished());
+                clients = running;
+                for client in done {
+                    client.join().ok();
+                }
                 let ctl = Arc::clone(&ctl);
                 clients.push(thread::spawn(move || client_loop(stream, &ctl)));
             }
@@ -391,108 +444,170 @@ fn accept_loop(listener: TcpListener, ctl: Arc<Control>) {
     }
 }
 
-/// The engine-side event fan-out: serializes every event once (the exact
-/// [`JsonlTraceObserver`](webmon_core::obs::JsonlTraceObserver) bytes) and
-/// writes the line to the optional trace file plus every attached socket.
+/// The engine-side event fan-out. Every event is encoded once, by
+/// [`Event::write_jsonl`], into the current chronon's block:
 ///
-/// Sockets attach mid-run: a freshly attached stream waits in the shared
-/// pending list and is promoted *before* the next `ChrononStart` line is
-/// written, so every attached client's stream begins at a chronon
-/// boundary. A socket whose write fails is dropped; file write failures
-/// are counted, never propagated into the engine.
+/// * at `ChrononEnd { t }` the block goes to the `--trace-out` file in one
+///   write and to every subscriber in one nonblocking write each;
+/// * at `ChrononStart { t + 1 }` — after the clock's pacing wait — pending
+///   sockets are promoted, so every stream begins at a chronon boundary;
+///   then the block is appended as chronon `t`'s journal frame and cleared.
+///
+/// The last chronon's frame is appended by [`end_frame`](Self::end_frame)
+/// after the run. Write failures are recorded, never propagated into the
+/// engine.
 struct EventHub {
-    file: Option<TraceSink>,
-    active: Vec<TcpStream>,
-    pending: Arc<Mutex<Vec<TcpStream>>>,
+    block: String,
+    /// The chronon whose events `block` holds.
+    chronon: Option<Chronon>,
+    trace: Option<TraceSink>,
+    subscribers: Subscribers,
+    journal: Option<SharedJournal>,
+    /// The live queue whose drain high-water mark each frame records.
+    live: LiveMutationQueue,
     events_written: u64,
-    write_errors: u64,
-    io_errors: Vec<String>,
-}
-
-/// The `--trace-out` file sink: every write goes through the checked
-/// write-all helper, so a partial write or `ENOSPC` surfaces as a
-/// structured, path-tagged error instead of a panic or a silent short
-/// file. The sink disarms after the first failure (one structured error,
-/// not one per event on a full disk).
-struct TraceSink {
-    writer: BufWriter<std::fs::File>,
-    path: PathBuf,
-}
-
-impl TraceSink {
-    fn create(path: &Path) -> io::Result<Self> {
-        Ok(TraceSink {
-            writer: BufWriter::new(std::fs::File::create(path)?),
-            path: path.to_path_buf(),
-        })
-    }
-
-    fn write_line(&mut self, line: &str) -> Result<(), String> {
-        let mut buf = Vec::with_capacity(line.len() + 1);
-        buf.extend_from_slice(line.as_bytes());
-        buf.push(b'\n');
-        self.write_raw(&buf)
-    }
-
-    fn write_raw(&mut self, bytes: &[u8]) -> Result<(), String> {
-        write_all_tagged(&mut self.writer, bytes, &self.path).map_err(|e| e.to_string())
-    }
-
-    fn finish(mut self) -> Result<(), String> {
-        self.writer
-            .flush()
-            .map_err(|e| format!("trace {}: flush failed: {e}", self.path.display()))
-    }
 }
 
 impl EventHub {
-    fn sink_line(&mut self, line: &str) {
-        if let Some(file) = &mut self.file {
-            if let Err(e) = file.write_line(line) {
-                self.write_errors += 1;
-                self.io_errors.push(e);
-                self.file = None;
-            }
+    /// Appends the held chronon's block as its journal frame, then clears
+    /// the block. Called at `ChrononStart { t + 1 }`, the drain mark covers
+    /// exactly the drains through chronon `t`: the engine emits the start
+    /// event before it drains.
+    fn end_frame(&mut self) {
+        if let (Some(t), Some(core)) = (self.chronon.take(), &self.journal) {
+            let drained = self.live.drained_seq();
+            core.lock()
+                .expect("journal lock poisoned by a panicked client thread")
+                .frame(t, drained, &self.block);
         }
+        self.block.clear();
     }
 }
 
 impl Observer for EventHub {
     fn on_event(&mut self, event: Event) {
-        if matches!(event, Event::ChrononStart { .. }) {
-            let mut pending = self.pending.lock().unwrap();
-            self.active.append(&mut pending);
+        if let Event::ChrononStart { t, .. } = event {
+            self.subscribers.promote();
+            self.end_frame();
+            self.chronon = Some(t);
         }
-        let line = match serde_json::to_string(&event) {
-            Ok(line) => line,
-            Err(_) => {
-                self.write_errors += 1;
-                return;
-            }
-        };
+        event.write_jsonl(&mut self.block);
         self.events_written += 1;
-        self.sink_line(&line);
-        self.active
-            .retain_mut(|sock| writeln!(sock, "{line}").is_ok());
-    }
-
-    fn enabled(&self) -> bool {
-        true
+        if let Event::ChrononEnd { .. } = event {
+            if let Some(trace) = &mut self.trace {
+                trace.write(self.block.as_bytes());
+            }
+            self.subscribers.send(self.block.as_bytes());
+        }
     }
 }
 
-/// An observer forwarding to a [`JournalObserver`] when journaling is on.
-struct MaybeJournal(Option<JournalObserver>);
+/// The `--trace-out` file: every write goes through the checked write-all
+/// helper, so a partial write or `ENOSPC` surfaces as a structured,
+/// path-tagged error instead of a panic or a silent short file. The sink
+/// disarms after the first failure (one structured error, not one per
+/// chronon on a full disk).
+struct TraceSink {
+    writer: Option<BufWriter<std::fs::File>>,
+    path: PathBuf,
+    errors: Vec<String>,
+}
 
-impl Observer for MaybeJournal {
-    fn on_event(&mut self, event: Event) {
-        if let Some(journal) = &mut self.0 {
-            journal.on_event(event);
+impl TraceSink {
+    fn create(path: &Path) -> io::Result<Self> {
+        Ok(TraceSink {
+            writer: Some(BufWriter::new(std::fs::File::create(path)?)),
+            path: path.to_path_buf(),
+            errors: Vec::new(),
+        })
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        if let Some(writer) = &mut self.writer {
+            if let Err(e) = write_all_tagged(writer, bytes, &self.path) {
+                self.errors.push(e.to_string());
+                self.writer = None;
+            }
         }
     }
 
-    fn enabled(&self) -> bool {
-        true
+    /// Flushes the file and returns every failure.
+    fn finish(mut self) -> Vec<String> {
+        if let Some(mut writer) = self.writer.take() {
+            if let Err(e) = writer.flush() {
+                self.errors
+                    .push(format!("trace {}: flush failed: {e}", self.path.display()));
+            }
+        }
+        self.errors
+    }
+}
+
+/// The attached event streams. A client thread hands its socket over
+/// through `pending`; [`promote`](Self::promote) makes it nonblocking and
+/// active, and from then on the hub is its only writer.
+///
+/// There is no user-space backlog: the kernel send buffer is the only
+/// queue. [`send`](Self::send) writes a block to each socket once; a
+/// socket that takes less than the whole block (or fails) is shut down
+/// and counted in `dropped`.
+struct Subscribers {
+    pending: Arc<Mutex<Vec<TcpStream>>>,
+    active: Vec<TcpStream>,
+    dropped: u64,
+}
+
+impl Subscribers {
+    fn new(pending: Arc<Mutex<Vec<TcpStream>>>) -> Self {
+        Subscribers {
+            pending,
+            active: Vec::new(),
+            dropped: 0,
+        }
+    }
+
+    /// Activates every socket handed over since the last call.
+    fn promote(&mut self) {
+        let mut pending = self
+            .pending
+            .lock()
+            .expect("pending-subscriber lock poisoned by a panicked client thread");
+        for sock in pending.drain(..) {
+            match sock.set_nonblocking(true) {
+                Ok(()) => self.active.push(sock),
+                Err(_) => {
+                    let _ = sock.shutdown(Shutdown::Both);
+                    self.dropped += 1;
+                }
+            }
+        }
+    }
+
+    /// Writes `block` to every active socket, dropping each one that cannot
+    /// take all of it at once.
+    fn send(&mut self, block: &[u8]) {
+        let dropped = &mut self.dropped;
+        self.active.retain_mut(|sock| {
+            let whole = write_whole(sock, block);
+            if !whole {
+                let _ = sock.shutdown(Shutdown::Both);
+                *dropped += 1;
+            }
+            whole
+        });
+    }
+}
+
+/// One nonblocking write of `block`: `true` only if the socket took every
+/// byte. `WouldBlock`, any other error, and a short count are all `false`;
+/// only `Interrupted` is retried.
+fn write_whole(sock: &mut TcpStream, block: &[u8]) -> bool {
+    loop {
+        match sock.write(block) {
+            Ok(n) => return n == block.len(),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(_) => return false,
+        }
     }
 }
 
@@ -574,44 +689,40 @@ impl Daemon {
         C: Clock,
         F: FnOnce(Chronon) -> C,
     {
-        let fp = fingerprint(&session, &executor.descriptor());
-
         // Recovery planning happens before anything spawns: scan the
         // journal, check its header against this invocation, distill the
         // replay plan. Scan failures (beyond a discardable torn tail) are
-        // structured errors, never a silent partial replay.
-        let recovery: Option<Recovery> = match (&opts.journal, opts.recover) {
-            (Some(jc), true) => {
-                let scan = scan_journal(&jc.path())?;
-                scan.verify_fingerprint(&fp)?;
-                let plan = Recovery::plan(&scan)?;
-                // Checked before any file or thread is touched; the engine
-                // refuses the same mismatch with the same error.
-                if let Some(snap) = &plan.resume {
-                    snap.validate(&session.instance, executor.fallible())
-                        .map_err(JournalError::from)?;
-                }
-                Some(plan)
-            }
-            (None, true) => {
+        // structured errors, never a silent partial replay. Then the
+        // journal writer: fresh (header first), or appending after the
+        // already-journaled prefix — truncated to the scan's valid length
+        // first, so a discarded torn tail never has records appended after
+        // it — with re-emitted frames suppressed.
+        let (recovery, journal): (Option<Recovery>, Option<SharedJournal>) = match &opts.journal {
+            None if opts.recover => {
                 return Err(ServeError::Io(io::Error::new(
                     io::ErrorKind::InvalidInput,
                     "recovery requires a journal directory",
                 )))
             }
-            _ => None,
-        };
-        let first_live = recovery.as_ref().map_or(0, Recovery::first_live_chronon);
-        let live = recovery
-            .as_ref()
-            .map_or_else(LiveMutationQueue::new, Recovery::live_queue);
-
-        // The journal writer: fresh (header first), or appending after the
-        // already-journaled prefix — truncated to the scan's valid length
-        // first, so a discarded torn tail never has records appended after
-        // it — with re-emitted frames suppressed.
-        let journal: Option<SharedJournal> = match &opts.journal {
+            None => (None, None),
             Some(jc) => {
+                // Only the journal uses the fingerprint: a CRC over the
+                // serialized instance, ~150 ms at serve scale.
+                let fp = fingerprint(&session, &executor.descriptor());
+                let recovery = if opts.recover {
+                    let scan = scan_journal(&jc.path())?;
+                    scan.verify_fingerprint(&fp)?;
+                    let plan = Recovery::plan(&scan)?;
+                    // Checked before any file or thread is touched; the
+                    // engine refuses the same mismatch with the same error.
+                    if let Some(snap) = &plan.resume {
+                        snap.validate(&session.instance, executor.fallible())
+                            .map_err(JournalError::from)?;
+                    }
+                    Some(plan)
+                } else {
+                    None
+                };
                 let writer = match &recovery {
                     Some(rec) => JournalWriter::append_to(
                         &jc.path(),
@@ -621,10 +732,13 @@ impl Daemon {
                     )?,
                     None => JournalWriter::create(&jc.path(), jc.fsync, &fp)?,
                 };
-                Some(Arc::new(Mutex::new(writer)))
+                (recovery, Some(Arc::new(Mutex::new(writer))))
             }
-            None => None,
         };
+        let first_live = recovery.as_ref().map_or(0, Recovery::first_live_chronon);
+        let live = recovery
+            .as_ref()
+            .map_or_else(LiveMutationQueue::new, Recovery::live_queue);
 
         let clock = make_clock(first_live);
         let pending: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
@@ -645,17 +759,18 @@ impl Daemon {
             thread::spawn(move || accept_loop(listener, ctl))
         };
 
-        let file = match &opts.trace_out {
+        let trace = match &opts.trace_out {
             Some(path) => Some(TraceSink::create(path)?),
             None => None,
         };
         let mut hub = EventHub {
-            file,
-            active: Vec::new(),
-            pending,
+            block: String::new(),
+            chronon: None,
+            trace,
+            subscribers: Subscribers::new(pending),
+            journal: journal.clone(),
+            live: live.clone(),
             events_written: recovery.as_ref().map_or(0, |r| r.prefix_events),
-            write_errors: 0,
-            io_errors: Vec::new(),
         };
         let mut metrics = MetricsObserver::new();
 
@@ -664,12 +779,8 @@ impl Daemon {
         // to the trace file (and through the metrics observer) up front.
         if let Some(rec) = &recovery {
             if !rec.prefix_lines.is_empty() {
-                if let Some(sink) = &mut hub.file {
-                    if let Err(e) = sink.write_raw(rec.prefix_lines.as_bytes()) {
-                        hub.write_errors += 1;
-                        hub.io_errors.push(e);
-                        hub.file = None;
-                    }
+                if let Some(trace) = &mut hub.trace {
+                    trace.write(rec.prefix_lines.as_bytes());
                 }
                 let events =
                     replay_events(&rec.prefix_lines).map_err(|e| JournalError::Corrupt {
@@ -682,11 +793,6 @@ impl Daemon {
             }
         }
 
-        let mut jobs = MaybeJournal(
-            journal
-                .as_ref()
-                .map(|core| JournalObserver::new(Arc::clone(core), live.clone())),
-        );
         let mut sink: Box<dyn SnapshotSink> = match (&journal, &opts.journal) {
             (Some(core), Some(jc)) => Box::new(JournalSink::new(
                 Arc::clone(core),
@@ -711,7 +817,7 @@ impl Daemon {
                     session.fault_config,
                     &mut source,
                     clock,
-                    Tee(&mut metrics, Tee(&mut hub, &mut jobs)),
+                    Tee(&mut metrics, &mut hub),
                     rec.resume.as_ref(),
                     sink.as_mut(),
                 )
@@ -726,7 +832,7 @@ impl Daemon {
                     session.fault_config,
                     &mut source,
                     clock,
-                    Tee(&mut metrics, Tee(&mut hub, &mut jobs)),
+                    Tee(&mut metrics, &mut hub),
                     None,
                     sink.as_mut(),
                 )
@@ -737,18 +843,15 @@ impl Daemon {
         // protocol side and join every thread.
         ctl.shutdown();
         accept.join().ok();
-        if let Some(mut journal_obs) = jobs.0.take() {
-            journal_obs.finish();
-        }
-        if let Some(sink) = hub.file.take() {
-            if let Err(e) = sink.finish() {
-                hub.write_errors += 1;
-                hub.io_errors.push(e);
-            }
-        }
-        let mut io_errors = std::mem::take(&mut hub.io_errors);
+        hub.end_frame();
+        let mut io_errors = hub.trace.take().map_or_else(Vec::new, TraceSink::finish);
+        let write_errors = io_errors.len() as u64;
         if let Some(core) = &journal {
-            io_errors.extend(core.lock().unwrap().errors().iter().cloned());
+            let mut core = core
+                .lock()
+                .expect("journal lock poisoned by a panicked client thread");
+            core.finish();
+            io_errors.extend(core.errors().iter().cloned());
         }
         // Replay consumed the journal differently than the recording (the
         // fingerprint is a hash, not the inputs themselves): the recovery
@@ -765,7 +868,8 @@ impl Daemon {
             result: result.map_err(JournalError::from)?,
             metrics: metrics.metrics().clone(),
             events_written: hub.events_written,
-            write_errors: hub.write_errors,
+            write_errors,
+            dropped_subscribers: hub.subscribers.dropped,
             io_errors,
         })
     }
@@ -855,6 +959,118 @@ mod tests {
             assert_eq!(v["err"]["input"], *line, "{resp}");
         }
         assert_eq!(ctl.live.pending(), 0, "rejected commands submit nothing");
+    }
+
+    #[test]
+    fn overlong_reply_echoes_a_short_prefix_on_a_char_boundary() {
+        let line = format!("{}{}", "x".repeat(ECHOED_PREFIX - 1), "é".repeat(2000));
+        let v: Value = serde_json::from_str(&overlong_reply(&line)).unwrap();
+        let echoed = v["err"]["input"].as_str().unwrap();
+        assert_eq!(
+            echoed,
+            "x".repeat(ECHOED_PREFIX - 1),
+            "cut before the split é"
+        );
+        let reason = v["err"]["reason"].as_str().unwrap();
+        assert!(reason.contains("longer than 1024 bytes"), "{reason}");
+    }
+
+    /// The fan-out on real loopback sockets: one subscriber never reads,
+    /// one reads everything. Pushing ≥ 8 MB of chronon blocks must never
+    /// block the caller, must drop the silent subscriber exactly once
+    /// (counted) once its kernel buffers fill, and must deliver every block
+    /// intact to the reading one.
+    #[test]
+    fn fan_out_drops_a_silent_subscriber_and_keeps_a_reading_one() {
+        use std::sync::atomic::AtomicUsize;
+        use std::time::Instant;
+        use webmon_core::model::CeiId;
+
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let silent = TcpStream::connect(addr).unwrap();
+        let (silent_end, _) = listener.accept().unwrap();
+        let reading = TcpStream::connect(addr).unwrap();
+        let (reading_end, _) = listener.accept().unwrap();
+        for end in [&silent_end, &reading_end] {
+            // As `client_loop` leaves an attached socket. Should a write
+            // ever block again, it fails this test after 5 s instead of
+            // hanging it.
+            end.set_nodelay(true).unwrap();
+            end.set_write_timeout(Some(Duration::from_secs(5))).unwrap();
+        }
+        let pending = Arc::new(Mutex::new(vec![silent_end, reading_end]));
+        let mut subs = Subscribers::new(Arc::clone(&pending));
+        subs.promote();
+        assert_eq!(subs.active.len(), 2);
+        assert!(pending.lock().unwrap().is_empty());
+
+        let received = Arc::new(AtomicUsize::new(0));
+        let reader = thread::spawn({
+            let received = Arc::clone(&received);
+            move || {
+                let mut all = Vec::new();
+                let mut buf = vec![0u8; 1 << 16];
+                loop {
+                    match (&reading).read(&mut buf) {
+                        Ok(0) => return all,
+                        Ok(n) => {
+                            all.extend_from_slice(&buf[..n]);
+                            received.fetch_add(n, Ordering::SeqCst);
+                        }
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(e) => panic!("reading subscriber: {e}"),
+                    }
+                }
+            }
+        });
+
+        // Stay at most this far ahead of the reader, well inside a fresh
+        // loopback connection's buffers, so only the silent peer can fill.
+        const LAG: usize = 16 << 10;
+        let mut sent = Vec::new();
+        let mut block = String::new();
+        let mut t = 0;
+        while sent.len() < 8 << 20 || subs.dropped == 0 {
+            assert!(
+                sent.len() < 256 << 20,
+                "the silent subscriber was never dropped"
+            );
+            block.clear();
+            for cei in 0..64 {
+                Event::EiCaptured {
+                    t,
+                    cei: CeiId(cei),
+                    latency: 1,
+                }
+                .write_jsonl(&mut block);
+            }
+            let waited = Instant::now();
+            while sent.len() - received.load(Ordering::SeqCst) > LAG {
+                assert!(waited.elapsed() < Duration::from_secs(10), "reader stalled");
+                thread::yield_now();
+            }
+            let started = Instant::now();
+            subs.send(block.as_bytes());
+            assert!(
+                started.elapsed() < Duration::from_secs(1),
+                "a fan-out write blocked for {:?}",
+                started.elapsed()
+            );
+            sent.extend_from_slice(block.as_bytes());
+            t += 1;
+        }
+        assert_eq!(subs.dropped, 1, "the silent subscriber is dropped once");
+        assert_eq!(subs.active.len(), 1, "the reading subscriber stays");
+        drop(subs);
+        let got = reader.join().unwrap();
+        assert!(
+            got == sent,
+            "the reading subscriber got {} of {} bytes",
+            got.len(),
+            sent.len()
+        );
+        drop(silent);
     }
 
     #[test]

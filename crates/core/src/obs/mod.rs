@@ -67,16 +67,17 @@ pub use replay::{replay_events, replay_metrics, ReplayError};
 pub use trace::JsonlTraceObserver;
 
 use crate::model::{CeiId, Chronon, ResourceId};
-use serde::{Deserialize, Serialize};
+use serde::Deserialize;
 
 /// One typed event from inside [`OnlineEngine`](crate::engine::OnlineEngine).
 ///
 /// Events are small `Copy` records of already-computed scalars; constructing
 /// one costs a handful of register moves, and under [`NoopObserver`] the
-/// construction is eliminated entirely. `Deserialize` makes a persisted
-/// [`JsonlTraceObserver`] trace a lossless transcript: [`replay_metrics`]
-/// re-derives [`RunMetrics`] from the bytes alone.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+/// construction is eliminated entirely. [`Event::write_jsonl`] encodes an
+/// event as one JSONL line, and `Deserialize` parses it back, which makes a
+/// persisted [`JsonlTraceObserver`] trace a lossless transcript:
+/// [`replay_metrics`] re-derives [`RunMetrics`] from the bytes alone.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Deserialize)]
 pub enum Event {
     /// A chronon opened with the given probe budget.
     ChrononStart {

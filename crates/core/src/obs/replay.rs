@@ -105,11 +105,10 @@ mod tests {
             events.len(),
             trace.lines().filter(|l| !l.is_empty()).count()
         );
-        // Re-serializing the parsed events reproduces the trace bytes.
+        // Re-encoding the parsed events reproduces the trace bytes.
         let mut out = String::new();
         for e in &events {
-            out.push_str(&serde_json::to_string(e).unwrap());
-            out.push('\n');
+            e.write_jsonl(&mut out);
         }
         assert_eq!(out, trace);
     }

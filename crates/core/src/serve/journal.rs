@@ -17,14 +17,20 @@
 //!   which subsumes every nondeterministic input: probe outcomes
 //!   (`ProbeIssued`/`ProbeFailed` in attempt order), outage transitions
 //!   (`ResourceDown`/`ResourceUp`), and applied mutations
-//!   (`CeiRegistered`/`CeiCancelled`/`BudgetReconfigured` in drain order);
+//!   (`CeiRegistered`/`CeiCancelled`/`BudgetReconfigured` in drain order).
+//!   The daemon's event hub appends frame `t` from the block it already
+//!   encoded for the trace and its subscribers ([`JournalWriter::frame`]),
+//!   when chronon `t + 1` starts (after the run, for the last chronon);
 //! * **snapshot** records (kind 3) interleave periodically so the engine
 //!   resumes `O(chronons since snapshot)` instead of replaying from
 //!   chronon 0. Their payload is the compact binary encoding of an
 //!   [`EngineSnapshot`] ([`EngineSnapshot::encode`]; the format is in the
-//!   [`snapshot`](super::snapshot) module docs), built on the engine thread
-//!   before the writer's lock is taken. The snapshot at boundary `t` follows
-//!   the frame of chronon `t - 1`;
+//!   [`snapshot`](super::snapshot) module docs), built and encoded on the
+//!   engine thread by [`JournalSink`] before the writer's lock is taken and
+//!   stashed on the writer. [`JournalWriter::frame`] appends the stashed
+//!   snapshot right after the frame it follows, so record order is decided
+//!   here alone: the snapshot at boundary `t` follows the frame of chronon
+//!   `t - 1`;
 //! * **live-mutation** records (kind 4, JSON) are written *before* the
 //!   registration API acknowledges a submission, so an acknowledged
 //!   mutation survives a crash even if no frame drained it yet.
@@ -58,7 +64,7 @@ use super::executor::ProbeExecutor;
 use super::snapshot::{EngineSnapshot, SnapshotMismatch, SnapshotSink};
 use crate::engine::{Mutation, MutationSource};
 use crate::model::{CeiId, Chronon, ResourceId};
-use crate::obs::{replay_events, Event, Observer};
+use crate::obs::{replay_events, Event};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
@@ -291,8 +297,8 @@ struct LiveRecord {
 }
 
 /// The append side of the journal: one writer shared (behind a mutex) by
-/// the engine-side observer, the snapshot sink, and the registration API's
-/// journal-before-ack path.
+/// the daemon's event hub (frames), the snapshot sink, and the registration
+/// API's journal-before-ack path.
 ///
 /// Frame and snapshot appends record failures internally (the engine loop
 /// must not panic mid-run; the daemon surfaces [`errors`](Self::errors) as
@@ -310,8 +316,8 @@ pub struct JournalWriter {
     /// disk (a recovery replaying them) and are skipped.
     suppress_until: Option<Chronon>,
     /// A boundary snapshot the sink encoded and stashed, with its
-    /// boundary, flushed in record order by the observer (after the
-    /// preceding chronon's frame).
+    /// boundary; [`frame`](Self::frame) appends it after the preceding
+    /// chronon's frame.
     pending_snapshot: Option<(Chronon, Vec<u8>)>,
 }
 
@@ -413,27 +419,37 @@ impl JournalWriter {
         Ok(())
     }
 
+    /// Whether records at chronon `t` are already on disk (see
+    /// [`append_to`](Self::append_to)).
+    fn suppressed(&self, t: Chronon) -> bool {
+        self.suppress_until.is_some_and(|u| t <= u)
+    }
+
     fn record_err(&mut self, e: JournalError) {
         self.errors.push(e.to_string());
     }
 
-    /// Appends a chronon frame: the chronon, the live-mutation drain
-    /// high-water mark, and the chronon's JSONL event block. Failures are
-    /// recorded, not returned.
+    /// Appends a chronon frame — the chronon, the live-mutation drain
+    /// high-water mark, and the chronon's JSONL event block — followed by
+    /// the snapshot [`JournalSink`] stashed for the next boundary, if any.
+    /// Call it once per chronon, in order, before the next chronon's work.
+    /// Failures are recorded, not returned.
     pub fn frame(&mut self, t: Chronon, drained_seq: u64, lines: &str) {
-        if self.suppress_until.is_some_and(|u| t <= u) {
-            return;
+        if !self.suppressed(t) {
+            let mut payload = Vec::with_capacity(12 + lines.len());
+            payload.extend_from_slice(&t.to_le_bytes());
+            payload.extend_from_slice(&drained_seq.to_le_bytes());
+            payload.extend_from_slice(lines.as_bytes());
+            self.frames_since_sync += 1;
+            if let Err(e) = write_record(&mut self.file, KIND_FRAME, &payload, &self.path)
+                .map_err(JournalError::from)
+                .and_then(|()| self.sync(Append::Frame))
+            {
+                self.record_err(e);
+            }
         }
-        let mut payload = Vec::with_capacity(12 + lines.len());
-        payload.extend_from_slice(&t.to_le_bytes());
-        payload.extend_from_slice(&drained_seq.to_le_bytes());
-        payload.extend_from_slice(lines.as_bytes());
-        self.frames_since_sync += 1;
-        if let Err(e) = write_record(&mut self.file, KIND_FRAME, &payload, &self.path)
-            .map_err(JournalError::from)
-            .and_then(|()| self.sync(Append::Frame))
-        {
-            self.record_err(e);
+        if let Some((at, encoded)) = self.pending_snapshot.take() {
+            self.write_snapshot(at, &encoded);
         }
     }
 
@@ -447,7 +463,7 @@ impl JournalWriter {
 
     /// Appends the snapshot at boundary `at`, already encoded.
     fn write_snapshot(&mut self, at: Chronon, encoded: &[u8]) {
-        if self.suppress_until.is_some_and(|u| at <= u) {
+        if self.suppressed(at) {
             return;
         }
         if let Err(e) = write_record(&mut self.file, KIND_SNAPSHOT, encoded, &self.path)
@@ -492,81 +508,10 @@ impl JournalWriter {
 /// A shared handle to one [`JournalWriter`].
 pub type SharedJournal = Arc<Mutex<JournalWriter>>;
 
-/// The engine-side journal adapter: an [`Observer`] that buffers each
-/// chronon's serialized event lines and appends the finished frame when the
-/// next chronon starts (plus any snapshot stashed at that boundary), and a
-/// [`SnapshotSink`] ([`JournalSink`]) that requests snapshots on the
-/// configured cadence.
-///
-/// The drain high-water mark read at `ChrononStart { t + 1 }` reflects
-/// exactly the drains through chronon `t`: the engine emits the start event
-/// before draining chronon `t + 1`'s mutations.
-#[derive(Debug)]
-pub struct JournalObserver {
-    core: SharedJournal,
-    queue: LiveMutationQueue,
-    buf: String,
-    cur: Option<Chronon>,
-}
-
-impl JournalObserver {
-    /// An observer appending frames to `core`, reading the drain high-water
-    /// mark from `queue`.
-    pub fn new(core: SharedJournal, queue: LiveMutationQueue) -> Self {
-        JournalObserver {
-            core,
-            queue,
-            buf: String::new(),
-            cur: None,
-        }
-    }
-
-    fn finalize_frame(&mut self) {
-        if let Some(t) = self.cur.take() {
-            let drained = self.queue.drained_seq();
-            let mut core = self.core.lock().unwrap();
-            core.frame(t, drained, &self.buf);
-            if let Some((at, encoded)) = core.pending_snapshot.take() {
-                core.write_snapshot(at, &encoded);
-            }
-        }
-        self.buf.clear();
-    }
-
-    /// Appends the final chronon's frame; call once after the run returns.
-    pub fn finish(&mut self) {
-        self.finalize_frame();
-        self.core.lock().unwrap().finish();
-    }
-}
-
-impl Observer for JournalObserver {
-    fn on_event(&mut self, event: Event) {
-        if let Event::ChrononStart { .. } = event {
-            self.finalize_frame();
-        }
-        match serde_json::to_string(&event) {
-            Ok(json) => {
-                if let Event::ChrononStart { t, .. } = event {
-                    self.cur = Some(t);
-                }
-                self.buf.push_str(&json);
-                self.buf.push('\n');
-            }
-            Err(e) => {
-                let path = self.core.lock().unwrap().path.display().to_string();
-                self.core.lock().unwrap().record_err(JournalError::Io {
-                    path,
-                    detail: format!("event serialization: {e}"),
-                });
-            }
-        }
-    }
-}
-
-/// The snapshot side of the journal adapter: requests an [`EngineSnapshot`]
-/// every `every` chronons, encodes it, and stashes the encoding on the
-/// shared writer for the observer to flush in record order.
+/// The snapshot side of the journal: requests an [`EngineSnapshot`] every
+/// `every` chronons, encodes it, and stashes the encoding on the shared
+/// writer, whose next [`frame`](JournalWriter::frame) appends it in record
+/// order.
 #[derive(Debug)]
 pub struct JournalSink {
     core: SharedJournal,
@@ -1147,15 +1092,23 @@ mod tests {
         ))
     }
 
+    fn jsonl(events: &[Event]) -> String {
+        let mut lines = String::new();
+        for event in events {
+            event.write_jsonl(&mut lines);
+        }
+        lines
+    }
+
     fn sample_lines(t: Chronon) -> String {
-        let start = serde_json::to_string(&Event::ChrononStart { t, budget: 2 }).unwrap();
-        let end = serde_json::to_string(&Event::ChrononEnd {
-            t,
-            spent: 1,
-            budget: 2,
-        })
-        .unwrap();
-        format!("{start}\n{end}\n")
+        jsonl(&[
+            Event::ChrononStart { t, budget: 2 },
+            Event::ChrononEnd {
+                t,
+                spent: 1,
+                budget: 2,
+            },
+        ])
     }
 
     #[test]
@@ -1262,14 +1215,13 @@ mod tests {
 
         let path = temp_journal("diverge");
         let mut w = JournalWriter::create(&path, FsyncPolicy::Os, "fp").unwrap();
-        let issued = serde_json::to_string(&Event::ProbeIssued {
+        let issued = jsonl(&[Event::ProbeIssued {
             t: 0,
             resource: ResourceId(0),
             cost: 1,
             shared_eis: 1,
-        })
-        .unwrap();
-        w.frame(0, 0, &format!("{issued}\n"));
+        }]);
+        w.frame(0, 0, &issued);
         w.finish();
         drop(w);
 
@@ -1337,14 +1289,14 @@ mod tests {
         std::fs::remove_file(&path).ok();
     }
 
-    #[test]
-    fn snapshot_records_roundtrip_and_name_an_unreadable_field() {
+    /// A one-CEI snapshot at boundary `at`.
+    fn tiny_snapshot(at: Chronon) -> EngineSnapshot {
         use crate::model::{Epoch, Schedule};
         use crate::serve::snapshot::CeiState;
         use crate::stats::{CeiOutcome, RunStats};
 
-        let snap = EngineSnapshot {
-            at: 1,
+        EngineSnapshot {
+            at,
             status: vec![CeiState::Active {
                 captured: vec![true, false],
                 expired: vec![false, false],
@@ -1358,7 +1310,44 @@ mod tests {
             consec_failures: vec![],
             next_attempt_at: vec![],
             index: vec![vec![(0, 1)], vec![]],
-        };
+        }
+    }
+
+    /// The sink only stashes a snapshot; the next frame appends it right
+    /// after itself, so record order is decided by the writer alone.
+    #[test]
+    fn stashed_snapshot_lands_right_after_the_next_frame() {
+        let path = temp_journal("stash");
+        let core: SharedJournal = Arc::new(Mutex::new(
+            JournalWriter::create(&path, FsyncPolicy::Os, "fp").unwrap(),
+        ));
+        let mut sink = JournalSink::new(Arc::clone(&core), 1, None);
+        assert!(sink.wants(1));
+        let header_len = std::fs::metadata(&path).unwrap().len();
+        sink.accept(tiny_snapshot(1));
+        assert_eq!(std::fs::metadata(&path).unwrap().len(), header_len);
+        core.lock().unwrap().frame(0, 0, &sample_lines(0));
+        core.lock().unwrap().frame(1, 0, &sample_lines(1));
+        core.lock().unwrap().finish();
+        let scan = scan_journal(&path).unwrap();
+        assert_eq!(scan.snapshots, vec![tiny_snapshot(1)]);
+        assert_eq!(scan.frames[0].offset as u64, header_len);
+        let snapshot_record = scan.frames[1].offset - scan.frames[0].end;
+        let mut encoded = Vec::new();
+        tiny_snapshot(1).encode(&mut encoded);
+        let mut record = Vec::new();
+        write_record(&mut record, KIND_SNAPSHOT, &encoded, &path).unwrap();
+        assert_eq!(
+            snapshot_record,
+            record.len(),
+            "only the snapshot sits between"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn snapshot_records_roundtrip_and_name_an_unreadable_field() {
+        let snap = tiny_snapshot(1);
         let path = temp_journal("snapshot");
         let mut w = JournalWriter::create(&path, FsyncPolicy::Os, "fp").unwrap();
         w.frame(0, 0, &sample_lines(0));
@@ -1450,33 +1439,31 @@ mod tests {
     fn recovery_plan_extracts_inputs() {
         let path = temp_journal("plan");
         let mut w = JournalWriter::create(&path, FsyncPolicy::Os, "fp").unwrap();
-        let issued = serde_json::to_string(&Event::ProbeIssued {
-            t: 0,
-            resource: ResourceId(2),
-            cost: 1,
-            shared_eis: 1,
-        })
-        .unwrap();
-        let failed = serde_json::to_string(&Event::ProbeFailed {
-            t: 0,
-            resource: ResourceId(1),
-            cost: 1,
-            attempt: 0,
-            charged: true,
-        })
-        .unwrap();
-        let down = serde_json::to_string(&Event::ResourceDown {
-            t: 0,
-            resource: ResourceId(1),
-            until: 4,
-        })
-        .unwrap();
-        let reg = serde_json::to_string(&Event::CeiRegistered {
-            cei: CeiId(3),
-            at: 0,
-        })
-        .unwrap();
-        w.frame(0, 2, &format!("{down}\n{reg}\n{failed}\n{issued}\n"));
+        let lines = jsonl(&[
+            Event::ResourceDown {
+                t: 0,
+                resource: ResourceId(1),
+                until: 4,
+            },
+            Event::CeiRegistered {
+                cei: CeiId(3),
+                at: 0,
+            },
+            Event::ProbeFailed {
+                t: 0,
+                resource: ResourceId(1),
+                cost: 1,
+                attempt: 0,
+                charged: true,
+            },
+            Event::ProbeIssued {
+                t: 0,
+                resource: ResourceId(2),
+                cost: 1,
+                shared_eis: 1,
+            },
+        ]);
+        w.frame(0, 2, &lines);
         w.live_mutation(1, Mutation::Register { cei: CeiId(3) })
             .unwrap();
         w.live_mutation(2, Mutation::Cancel { cei: CeiId(0) })

@@ -47,8 +47,8 @@ pub use clock::{Clock, ClockRelease, FreeClock, ManualClock, ManualHandle, WallC
 pub use driver::{drive, DaemonSource, LiveMutationQueue, Paced};
 pub use executor::{ExecutorModel, ProbeExecutor, ReplayExecutor, TcpProbeExecutor};
 pub use journal::{
-    FsyncPolicy, JournalConfig, JournalError, JournalExecutor, JournalMutations, JournalObserver,
-    JournalWriter, Recovery,
+    FsyncPolicy, JournalConfig, JournalError, JournalExecutor, JournalMutations, JournalWriter,
+    Recovery,
 };
 pub use snapshot::{
     CaptureAt, CeiState, EngineSnapshot, NoSnapshots, SnapshotDecodeError, SnapshotMismatch,

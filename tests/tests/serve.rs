@@ -13,7 +13,7 @@
 //! spawned threads, exactly inverse to production where the engine owns
 //! the main thread and clients arrive over the socket.
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
@@ -31,8 +31,8 @@ use webmon_core::obs::{JsonlTraceObserver, MetricsObserver, RunMetrics, Tee};
 use webmon_core::policy::{MEdf, Mrsf, Policy, SEdf, Wic};
 use webmon_core::serve::journal::{scan_journal, JOURNAL_FILE};
 use webmon_core::serve::{
-    FreeClock, FsyncPolicy, JournalConfig, ManualClock, ProbeExecutor, ReplayExecutor,
-    TcpProbeExecutor,
+    FreeClock, FsyncPolicy, JournalConfig, ManualClock, ManualHandle, ProbeExecutor,
+    ReplayExecutor, TcpProbeExecutor,
 };
 use webmon_core::stats::CeiOutcome;
 use webmon_streams::SimRng;
@@ -361,9 +361,12 @@ fn socket_registration_round_trip() {
 /// A mid-run `attach` turns the connection into the JSONL event stream:
 /// well-formed from its first line, which is always a `ChrononStart` (the
 /// hub promotes pending sockets only at chronon boundaries), and flowing
-/// until the run ends and the daemon closes the socket.
+/// until the run ends and the daemon closes the socket. Its bytes are
+/// exactly the `--trace-out` file's from that line on: one encoding feeds
+/// both.
 #[test]
 fn socket_attach_streams_wellformed_jsonl_from_a_chronon_boundary() {
+    let path = temp_path("attach-trace");
     let daemon = Daemon::bind("127.0.0.1:0").unwrap();
     let addr = daemon.local_addr().unwrap();
     let (clock, handle) = ManualClock::new();
@@ -373,17 +376,14 @@ fn socket_attach_streams_wellformed_jsonl_from_a_chronon_boundary() {
         send_line(&mut stream, "attach");
         assert_eq!(read_line(&mut reader), r#"{"ok":"attached"}"#);
         // The ok response precedes the socket's handover to the event hub;
-        // give the client thread time to complete it before opening the
-        // gate, so the attach point is strictly mid-run.
+        // give the client thread time to complete it, and let two chronons
+        // run first, so the attach point is strictly mid-run.
         thread::sleep(Duration::from_millis(100));
+        handle.advance_to(2);
         handle.release();
-        let mut lines = Vec::new();
-        let mut line = String::new();
-        while reader.read_line(&mut line).unwrap() > 0 {
-            lines.push(line.trim().to_string());
-            line.clear();
-        }
-        lines
+        let mut bytes = Vec::new();
+        reader.read_to_end(&mut bytes).unwrap();
+        String::from_utf8(bytes).unwrap()
     });
 
     let outcome = daemon
@@ -391,11 +391,15 @@ fn socket_attach_streams_wellformed_jsonl_from_a_chronon_boundary() {
             serve_session(protocol_instance()),
             ReplayExecutor::faultless(),
             clock,
-            None,
+            Some(&path),
         )
         .unwrap();
-    let lines = client.join().unwrap();
+    let streamed = client.join().unwrap();
+    let trace = std::fs::read_to_string(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+    assert_eq!(outcome.dropped_subscribers, 0);
 
+    let lines: Vec<&str> = streamed.lines().collect();
     assert!(!lines.is_empty(), "attached stream must carry events");
     assert!(
         lines[0].starts_with(r#"{"ChrononStart":"#),
@@ -407,8 +411,16 @@ fn socket_attach_streams_wellformed_jsonl_from_a_chronon_boundary() {
             .unwrap_or_else(|e| panic!("attached stream line is not JSON: {l} ({e})"));
         assert!(v.is_object(), "{l}");
     }
-    // The attached stream is a suffix of the full event stream.
-    assert!(lines.len() as u64 <= outcome.events_written);
+    // The attached stream is an exact suffix of the trace file that starts
+    // at one of its lines, and it began mid-run.
+    assert!(
+        trace.ends_with(&streamed),
+        "stream bytes must be a suffix of the trace"
+    );
+    let skipped = &trace[..trace.len() - streamed.len()];
+    assert!(skipped.ends_with('\n'), "the suffix starts at a line");
+    assert!(skipped.contains(r#"{"ChrononStart":{"t":0,"#));
+    assert_eq!(trace.lines().count() as u64, outcome.events_written);
 }
 
 /// Malformed request lines get structured JSON errors and leave the
@@ -457,6 +469,70 @@ fn socket_malformed_lines_and_shutdown() {
         outcome.result.schedule, sim.schedule,
         "shutdown free-runs the full schedule"
     );
+}
+
+/// A request line longer than the protocol's 1 KiB limit is never
+/// buffered whole: the client gets one structured error that echoes only a
+/// short prefix, then the end of the stream, and the daemon keeps serving
+/// other connections.
+#[test]
+fn socket_overlong_request_line_is_refused_then_closed() {
+    /// Releases the clock when the client thread ends, even by a failed
+    /// assertion, so the daemon finishes and the test fails instead of
+    /// hanging.
+    struct ReleaseOnDrop(ManualHandle);
+    impl Drop for ReleaseOnDrop {
+        fn drop(&mut self) {
+            self.0.release();
+        }
+    }
+
+    let daemon = Daemon::bind("127.0.0.1:0").unwrap();
+    let addr = daemon.local_addr().unwrap();
+    let (clock, handle) = ManualClock::new();
+
+    let client = thread::spawn(move || {
+        let _release = ReleaseOnDrop(handle);
+        let (mut reader, stream) = connect(addr);
+        let mut flood = stream.try_clone().unwrap();
+        // 1 MiB and no newline. The daemon stops reading at the limit and
+        // closes, so the tail of this write may fail; only the reply counts.
+        let writer = thread::spawn(move || {
+            let _ = flood.write_all(&vec![b'x'; 1 << 20]);
+        });
+        let resp = read_line(&mut reader);
+        let v: serde_json::Value = serde_json::from_str(&resp).unwrap();
+        let reason = v["err"]["reason"].as_str().unwrap_or_default();
+        assert!(reason.contains("longer than"), "{resp}");
+        let echoed = v["err"]["input"].as_str().unwrap_or_default();
+        assert!(
+            !echoed.is_empty() && echoed.len() <= 64 && echoed.bytes().all(|b| b == b'x'),
+            "{resp}"
+        );
+        let mut rest = String::new();
+        assert_eq!(
+            reader.read_line(&mut rest).unwrap(),
+            0,
+            "end of stream after the error, got {rest:?}"
+        );
+        writer.join().unwrap();
+
+        let (mut reader, mut stream) = connect(addr);
+        send_line(&mut stream, "ping");
+        assert_eq!(read_line(&mut reader), r#"{"ok":"pong"}"#);
+        send_line(&mut stream, "shutdown");
+        assert_eq!(read_line(&mut reader), r#"{"ok":"shutting-down"}"#);
+    });
+
+    daemon
+        .run(
+            serve_session(protocol_instance()),
+            ReplayExecutor::faultless(),
+            clock,
+            None,
+        )
+        .unwrap();
+    client.join().unwrap();
 }
 
 /// One CEI per chronon-window on resource 0, so every chronon issues
