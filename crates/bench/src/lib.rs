@@ -6,9 +6,9 @@
 //! evaluation section (Section V) of *Web Monitoring 2.0*.
 //!
 //! Each module corresponds to one artifact of the paper and exposes a
-//! `run(scale) -> Vec<Table>` function; each `exp_*` binary in `src/bin/`
-//! prints that module's tables, and the `experiments` binary runs the full
-//! suite (writing Markdown suitable for `EXPERIMENTS.md`).
+//! `run(scale) -> Vec<Table>` function; [`SUITE`] lists them in report
+//! order, and `webmon experiments` runs the full suite (writing Markdown
+//! suitable for `EXPERIMENTS.md`).
 //!
 //! | Module | Paper artifact |
 //! |---|---|
@@ -27,7 +27,7 @@
 //! | [`skew`] | Skewed workloads — degradation under bursty updates and placement skew (not in the paper) |
 //!
 //! [`scale`] is not a paper artifact either: it is the engine scaling
-//! benchmark (`exp_scale`), sweeping instance size × policies × selection
+//! benchmark (`webmon bench`), sweeping instance size × policies × selection
 //! strategies and emitting the `BENCH_engine.json` perf baseline that the
 //! CI `bench-smoke` job gates on; it also prints the policy evaluation
 //! cost `τ(Φ)`.
@@ -35,7 +35,7 @@
 //! [`metrics`] is not a paper artifact: it is the CI metrics gate, running
 //! the roster under [`webmon_core::obs::MetricsObserver`] and
 //! cross-checking metrics, schedule feasibility, and wasted probes (the
-//! `metrics.json` artifact of `experiments --metrics`).
+//! `metrics.json` artifact of `webmon experiments --metrics`).
 
 pub mod ablations;
 pub mod extensions;
@@ -66,15 +66,6 @@ pub enum Scale {
 }
 
 impl Scale {
-    /// Parses `--quick` from process args; defaults to `Paper`.
-    pub fn from_args() -> Self {
-        if std::env::args().any(|a| a == "--quick") {
-            Scale::Quick
-        } else {
-            Scale::Paper
-        }
-    }
-
     /// Repetition count at this scale (paper: 10).
     pub fn repetitions(self) -> u32 {
         match self {
@@ -84,23 +75,29 @@ impl Scale {
     }
 }
 
-/// Applies a `--jobs N` process argument (if present) to the parallel
-/// runtime and returns the worker count now in effect. Without the flag the
-/// runtime falls back to `WEBMON_JOBS`, then to the machine's parallelism.
-pub fn jobs_from_args() -> usize {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(n) = args
-        .iter()
-        .position(|a| a == "--jobs")
-        .and_then(|i| args.get(i + 1))
-        .and_then(|v| v.parse::<usize>().ok())
-    {
-        webmon_sim::parallel::set_jobs(n);
-    }
-    webmon_sim::parallel::effective_jobs()
-}
+/// One artifact's experiment: its tables at a scale.
+pub type Runner = fn(Scale) -> Vec<Table>;
 
-/// Prints tables to stdout (the contract of every `exp_*` binary).
+/// The experiment suite, in report order: every table and figure of
+/// Section V, the ablations, the extensions, and the two studies that are
+/// not in the paper.
+pub const SUITE: &[(&str, Runner)] = &[
+    ("Table I", table1::run),
+    ("Figure 9", fig09::run),
+    ("Figure 10", fig10::run),
+    ("§V-D runtime", runtime_offline::run),
+    ("Figure 11", fig11::run),
+    ("Figure 12", fig12::run),
+    ("Figure 13", fig13::run),
+    ("Figure 14", fig14::run),
+    ("Figure 15", fig15::run),
+    ("Ablations", ablations::run),
+    ("Extensions", extensions::run),
+    ("Robustness", faults::run),
+    ("Skewed workloads", skew::run),
+];
+
+/// Prints tables to stdout.
 pub fn print_tables(tables: &[Table]) {
     for t in tables {
         println!("{t}");

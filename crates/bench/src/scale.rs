@@ -1,4 +1,4 @@
-//! `exp_scale` — the engine scaling benchmark and the repo's perf baseline.
+//! `webmon bench` — the engine scaling benchmark and the repo's perf baseline.
 //!
 //! Not a paper artifact: the paper stops at §V-D's per-EI runtime table.
 //! This experiment starts the repo's *performance trajectory* toward the
@@ -27,7 +27,7 @@
 //!   churned-over-static throughput ratio regresses by more than 20%.
 //!
 //! Re-baselining is deliberate: regenerate with
-//! `cargo run --release -p webmon-bench --bin exp_scale -- --quick --out BENCH_engine.json`
+//! `cargo run --release -p webmon-cli -- bench --quick --out BENCH_engine.json`
 //! and commit the diff (CI's escape hatch is the `[rebench]` commit-message
 //! tag; see `.github/workflows/ci.yml`).
 
@@ -455,8 +455,8 @@ pub fn collect(scale: Scale) -> BenchReport {
     collect_grid(scale, &grid(scale), &roster(scale), &churn_grid(scale))
 }
 
-/// Runs an explicit grid/roster (the `--profiles`/`--ranks`/… CLI
-/// overrides funnel through here). `churn_cells` is the churn ladder to
+/// Runs an explicit grid/roster (the `--bench-*` ladder overrides of
+/// `webmon bench` funnel through here). `churn_cells` is the churn ladder to
 /// append (pass `&[]` to skip it).
 pub fn collect_grid(
     scale: Scale,
@@ -625,11 +625,10 @@ impl BenchReport {
         out
     }
 
-    /// Human-readable table of the report, for `exp_scale` stdout and the
-    /// `experiments` suite.
+    /// Human-readable tables of the report, for `webmon bench` stdout.
     pub fn tables(&self) -> Vec<Table> {
         let mut t = Table::with_headers(
-            "exp_scale — engine throughput by instance size (chronons/sec; sweep pinned to one \
+            "webmon bench — engine throughput by instance size (chronons/sec; sweep pinned to one \
              worker)",
             &["cell · policy", "EIs", "scan", "incremental", "vs scan"],
         );
@@ -652,7 +651,7 @@ impl BenchReport {
             return vec![t];
         }
         let mut c = Table::with_headers(
-            "exp_scale — churn ladder (fixed arrival/cancel rates; overhead = churned/static \
+            "webmon bench — churn ladder (fixed arrival/cancel rates; overhead = churned/static \
              throughput, flat in |P| iff registration is O(own EIs))",
             &[
                 "cell · policy",
@@ -728,7 +727,7 @@ pub(crate) fn ns_per_score(policy: &dyn Policy, k: usize) -> f64 {
 pub fn policy_cost_table() -> Table {
     let wic = Wic::paper();
     let mut t = Table::with_headers(
-        "exp_scale — policy cost τ(Φ) (ns per score)",
+        "webmon bench — policy cost τ(Φ) (ns per score)",
         &["policy", "k=1", "k=5", "k=20"],
     );
     for policy in [&SEdf as &dyn Policy, &Mrsf, &MEdf, &wic] {
@@ -738,18 +737,13 @@ pub fn policy_cost_table() -> Table {
     t
 }
 
-/// `experiments`-suite entry point: run the grid and render the table.
-pub fn run(scale: Scale) -> Vec<Table> {
-    collect(scale).tables()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn tiny() -> BenchReport {
         // One micro-cell so the unit tests stay fast; the full grid runs in
-        // the exp_scale binary / CI smoke job.
+        // `webmon bench` / the CI smoke job.
         let dims = CellDims {
             profiles: 30,
             rank: 2,

@@ -1,4 +1,5 @@
-//! Policy degradation under skewed workloads — the `exp_skew` experiment.
+//! Policy degradation under skewed workloads — the Skewed workloads entry
+//! of the suite.
 //!
 //! Not a paper artifact: the ICDE 2009 evaluation drives homogeneous
 //! Poisson updates and varies only the placement exponent α (Figure 14).

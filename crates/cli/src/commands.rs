@@ -1,8 +1,9 @@
-//! CLI subcommand implementations.
+//! CLI subcommand implementations, and the option table of every command.
 
-use crate::args::{ArgError, Args};
+use crate::args::{ArgError, Args, Command, Kind, Opt};
 use crate::serve::{Daemon, ServeError, ServeOptions, ServeSession};
 use serde::Serialize;
+use std::time::Instant;
 use webmon_core::engine::{MutationQueue, ScriptedMutations};
 use webmon_core::fault::{Backoff, FaultConfig};
 use webmon_core::obs::RunMetrics;
@@ -19,355 +20,334 @@ use webmon_streams::news::NewsTraceConfig;
 use webmon_streams::rng::SimRng;
 use webmon_workload::{EiLength, RankSpec, WorkloadConfig, WorkloadSpec};
 
-/// Top-level usage text.
-pub const USAGE: &str = "\
-webmon — Web Monitoring 2.0 (ICDE 2009) reproduction
+const U16: u64 = u16::MAX as u64;
+const U32: u64 = u32::MAX as u64;
+const POSITIVE: Kind = Kind::Int(1, U32);
+const COUNT: Kind = Kind::Int(0, U32);
+const UNSIGNED: Kind = Kind::Int(0, u64::MAX);
+const JOBS: Kind = Kind::Int(0, usize::MAX as u64);
+const NON_NEG: Kind = Kind::NonNegative;
+const PROB: Kind = Kind::Probability;
+const PATH: Kind = Kind::Text("path");
+const DIR: Kind = Kind::Text("dir");
+const TRACES: Kind = Kind::Choice(&["poisson", "auction", "news"]);
+#[rustfmt::skip]
+const SWEEPS: Kind =
+    Kind::Choice(&["budget", "lambda", "alpha", "skew-alpha", "rank", "fault-rate"]);
+const POLICIES: Kind = Kind::Choice(&["s-edf", "mrsf", "m-edf", "w-ic", "random", "round-robin"]);
 
-USAGE:
-    webmon <COMMAND> [OPTIONS]
+const TRACE: Opt = Opt::new("trace", TRACES, "poisson", "update-event source");
+const LAMBDA: Opt = Opt::new("lambda", NON_NEG, "20", "Poisson intensity per epoch");
+const HORIZON: Opt = Opt::new("horizon", POSITIVE, "1000", "epoch length K, chronons");
+const SEED: Opt = Opt::new("seed", UNSIGNED, "1234", "master seed");
+const JSON: Opt = Opt::flag("json", "machine-readable JSON report");
+const QUICK: Opt = Opt::flag("quick", "smoke sizes, as CI runs them");
 
-COMMANDS:
-    run          Run one monitoring experiment and print the policy table
-    sweep        Sweep one parameter (budget | lambda | alpha | skew-alpha | rank)
-    trace        Generate a trace and print its statistics
-    serve        Run the engine as a monitoring daemon on a local socket
-    experiments  Run the full paper experiment suite (all figures/tables)
-    bench        Run the engine scaling benchmark (the BENCH_engine.json grid)
-    help         Show this message
+/// Options every command takes; `dispatch` reads them first.
+#[rustfmt::skip]
+const GLOBAL: &[Opt] = &[
+    Opt::new("jobs", JOBS, "0", "worker threads; 0 = WEBMON_JOBS or all cores"),
+    Opt::flag("help", "print the command's options and exit"),
+];
 
-COMMON OPTIONS (run / sweep):
-    --trace poisson|auction|news   update-event source        [poisson]
-    --lambda <f64>                 Poisson intensity/epoch    [20]
-    --resources <u32>              number of resources n      [200]
-    --horizon <u32>                epoch length K             [1000]
-    --budget <u32>                 probes per chronon C       [1]
-    --profiles <u32>               number of profiles m       [50]
-    --rank <u16>                   max profile rank k         [5]
-    --fixed-rank                   all CEIs exactly rank k (default: up to k)
-    --alpha <f64>                  resource-popularity skew   [0.3]
-    --beta <f64>                   rank-variance skew         [0]
-    --window <u32>                 window(w) EIs instead of overwrite(ω=10)
-    --noise-z <f64>                FPN(Z) noise level (1 = none)
-    --reps <u32>                   repetitions                [5]
-    --seed <u64>                   master seed                [1234]
+/// The monitored instance of `run`, `sweep` and `serve`.
+#[rustfmt::skip]
+const WORKLOAD: &[Opt] = &[
+    TRACE,
+    LAMBDA,
+    Opt::new("resources", POSITIVE, "200", "number of resources n"),
+    HORIZON,
+    Opt::new("budget", POSITIVE, "1", "probes per chronon C"),
+    Opt::new("profiles", POSITIVE, "50", "number of profiles m"),
+    Opt::new("rank", Kind::Int(1, U16), "5", "max profile rank k"),
+    Opt::flag("fixed-rank", "every CEI has rank exactly k (default: up to k)"),
+    Opt::new("alpha", NON_NEG, "0.3", "resource-popularity skew"),
+    Opt::new("beta", NON_NEG, "0", "rank-variance skew"),
+    Opt::optional("window", COUNT, "window(w) EIs instead of overwrite(ω=10)"),
+    Opt::optional("noise-z", PROB, "FPN(Z) noise level (1 = none)"),
+    SEED,
+];
 
-RUN OPTIONS:
-    --workload-spec <path>         build the experiment from a declarative
-                                   WorkloadSpec JSON file (skewed placement,
-                                   hot-key classes, bursty updates) instead
-                                   of the flags above
-    --offline-lr                   also run the offline Local-Ratio baseline;
-                                   infeasible instances (threshold CEIs,
-                                   expansion over the cap) exit 2 with a
-                                   diagnostic
+const REPS: &[Opt] = &[Opt::new("reps", POSITIVE, "5", "repetitions")];
 
-SWEEP OPTIONS:
-    --param budget|lambda|alpha|skew-alpha|rank|fault-rate
-                                   swept parameter [budget]
+/// The fault model; `--fault-rate` turns it on.
+#[rustfmt::skip]
+const FAULTS: &[Opt] = &[
+    Opt::optional("fault-rate", PROB, "per-probe (iid) or per-chronon (burst) failure"),
+    Opt::new("fault-model", Kind::Choice(&["iid", "burst"]), "iid", "fault model"),
+    Opt::new("fault-recover", Kind::PositiveProbability, "0.5", "burst recovery probability"),
+];
 
-FAULT INJECTION (run; sweep --param fault-rate):
-    --fault-rate <f64>             enable faults: per-probe failure (iid)
-                                   or per-chronon outage (burst) probability
-    --fault-model iid|burst        fault model                [iid]
-    --fault-recover <f64>          burst recovery probability [0.5]
-    --fault-seed <u64>             fault master seed          [64023]
-    --fault-free                   failed probes do not consume budget
-    --retry immediate|backoff      retry discipline           [immediate]
-    --retry-quota <u32>            max retried probes per chronon
+/// The fault seed, and how failed probes are charged and retried.
+#[rustfmt::skip]
+const RETRY: &[Opt] = &[
+    Opt::new("fault-seed", UNSIGNED, "64023", "fault master seed"),
+    Opt::flag("fault-free", "failed probes do not consume budget"),
+    Opt::new("retry", Kind::Choice(&["immediate", "backoff"]), "immediate", "retry discipline"),
+    Opt::optional("retry-quota", COUNT, "max retried probes per chronon"),
+];
 
-PROFILE CHURN (run):
-    --churn-arrivals <f64>         fraction of CEIs arriving mid-run via
-                                   dynamic registration (enables churn)
-    --churn-cancels <f64>          fraction of CEIs cancelled mid-run
-                                   (enables churn)
-    --churn-alpha <f64>            skew churn toward popular resources [0]
-    --churn-delay <u32>            max registration delay, chronons    [4]
-    --churn-budget-changes <u32>   mid-run budget reconfigurations     [0]
-    --churn-seed <u64>             churn master seed               [49374]
+/// Profile churn; `--churn-arrivals` or `--churn-cancels` turns it on.
+#[rustfmt::skip]
+const CHURN: &[Opt] = &[
+    Opt::optional("churn-arrivals", PROB, "fraction of CEIs registered mid-run"),
+    Opt::optional("churn-cancels", PROB, "fraction of CEIs cancelled mid-run"),
+    Opt::new("churn-alpha", NON_NEG, "0", "skew churn toward popular resources"),
+    Opt::new("churn-delay", COUNT, "4", "max registration delay, chronons"),
+    Opt::new("churn-budget-changes", COUNT, "0", "mid-run budget reconfigurations"),
+    Opt::new("churn-seed", UNSIGNED, "49374", "churn master seed"),
+];
 
-TRACE OPTIONS:
-    --trace poisson|auction|news, --resources, --horizon, --lambda, --seed
+#[rustfmt::skip]
+const RUN: &[Opt] = &[
+    Opt::optional("workload-spec", PATH, "a WorkloadSpec JSON file; replaces the workload"),
+    Opt::flag("offline-lr", "add the offline Local-Ratio row (infeasible: exit 2)"),
+    Opt::optional("metrics", PATH, "write per-policy RunMetrics and consistency checks"),
+    Opt::optional("trace-out", PATH, "write repetition 0's JSONL event trace per policy"),
+    JSON,
+];
 
-EXPERIMENTS OPTIONS:
-    --quick                        smoke-test sizes
+const SWEEP: &[Opt] = &[Opt::new("param", SWEEPS, "budget", "swept parameter"), JSON];
 
-BENCH OPTIONS:
-    --quick                        the CI smoke grid (default: the full grid)
-    --bench-profiles <a,b,..>      override the |P| ladder       e.g. 150,600
-    --bench-ranks <a,b,..>         override the EIs/CEI ladder
-    --bench-horizons <a,b,..>      override the horizon ladder
-    --bench-budgets <a,b,..>       override the budget ladder
-                                   (any override replaces the default grid
-                                   with the cross product of the ladders)
-    --out <path>                   write BENCH_engine.json-format report
-    --check <path>                 gate against a committed baseline; exits 1
-                                   on counter drift or >20% speedup regression
+const TRACE_CMD: &[Opt] = &[
+    TRACE,
+    Opt::new("resources", POSITIVE, "100", "number of resources"),
+    HORIZON,
+    LAMBDA,
+    SEED,
+];
 
-PARALLELISM (run / sweep / experiments):
-    --jobs <N>                     worker threads (also: WEBMON_JOBS env var;
-                                   default: all cores; results are identical
-                                   for every N — timed experiments always
-                                   run single-worker; each engine run is
-                                   serial)
+#[rustfmt::skip]
+const SERVE: &[Opt] = &[
+    Opt::new("listen", Kind::Text("addr"), "127.0.0.1:7077", "control socket (:0: any port)"),
+    Opt::new("chronon-ms", UNSIGNED, "0", "wall-clock ms per chronon; 0 = free-run"),
+    Opt::new("policy", POLICIES, "m-edf", "monitoring policy"),
+    Opt::flag("np", "non-preemptive variant (default: preemptive)"),
+    Opt::new("executor", Kind::Choice(&["replay", "live"]), "replay", "live: real TCP probes"),
+    Opt::optional("targets", Kind::Targets, "probe targets, required with --executor live"),
+    Opt::new("probe-timeout-ms", Kind::Int(1, u64::MAX), "200", "live probe timeout"),
+    Opt::optional("replay-feed", PATH, "build the instance from a CSV update trace"),
+    Opt::optional("trace-out", PATH, "write the daemon's JSONL event trace"),
+    Opt::optional("sim-trace-out", PATH, "write the simulator's trace of the same case"),
+    Opt::optional("journal-dir", DIR, "append a durable run journal to <dir>/run.journal"),
+    Opt::new("fsync", Kind::Text("policy"), "every-chronon", "every-chronon, every-<n> or os"),
+    Opt::new("snapshot-every", COUNT, "64", "journal a snapshot every n chronons; 0 = never"),
+    Opt::optional("recover", DIR, "resume a crashed run; repeat its other options"),
+];
 
-OUTPUT:
-    --json                         machine-readable JSON (run / sweep)
+#[rustfmt::skip]
+const EXPERIMENTS: &[Opt] = &[
+    QUICK,
+    Opt::optional("out", PATH, "also write the tables as a Markdown report"),
+    Opt::optional("metrics", PATH, "run the metrics gate; exit 1 on a violation"),
+];
 
-OBSERVABILITY (run):
-    --metrics <path>               write per-policy RunMetrics (merged over
-                                   repetitions) + RunStats consistency checks
-                                   as JSON
-    --trace-out <path>             write the JSONL engine event trace of
-                                   repetition 0 for every roster policy,
-                                   concatenated in roster order (a new stream
-                                   starts at each ChrononStart with t = 0)
+#[rustfmt::skip]
+const BENCH: &[Opt] = &[
+    QUICK,
+    Opt::optional("bench-profiles", Kind::Ladder(1, U32), "override the |P| ladder"),
+    Opt::optional("bench-ranks", Kind::Ladder(1, U16), "override the EIs/CEI ladder"),
+    Opt::optional("bench-horizons", Kind::Ladder(1, U32), "override the horizon ladder"),
+    Opt::optional("bench-budgets", Kind::Ladder(0, U32), "override the budget ladder"),
+    Opt::optional("out", PATH, "write the BENCH_engine.json-format report"),
+    Opt::optional("check", PATH, "gate against a baseline report; exit 1 on a violation"),
+];
 
-SERVE OPTIONS (plus the common/fault/churn options above, which shape
-the monitored instance exactly like `run` repetition 0):
-    --listen <addr>                control socket          [127.0.0.1:7077]
-                                   (:0 picks a free port, printed to stderr)
-    --chronon-ms <u64>             wall-clock ms per chronon; 0 = free-run
-                                   as fast as the engine computes     [0]
-    --policy s-edf|mrsf|m-edf|w-ic|random|round-robin     policy     [m-edf]
-    --np                           non-preemptive variant (default: P)
-    --executor replay|live         probe executor          [replay]
-                                   replay: deterministic, probes answered
-                                   from the scripted fault model (none ->
-                                   always up) — byte-identical to the
-                                   simulator; live: real TCP probes
-    --targets <a:p,b:p,..>         probe targets, required with live
-    --probe-timeout-ms <u64>       per-probe TCP timeout with live   [200]
-    --replay-feed <path>           build the instance from a CSV update
-                                   trace instead of the generated one
-    --trace-out <path>             write the daemon's JSONL event trace
-    --sim-trace-out <path>         also run the simulator on the same case
-                                   and write its JSONL trace (for diffing;
-                                   not valid with --replay-feed)
-    --journal-dir <dir>            append a durable run journal (frames,
-                                   snapshots, live mutations) to
-                                   <dir>/run.journal
-    --fsync every-chronon|every-<n>|os
-                                   journal durability policy [every-chronon]
-    --snapshot-every <n>           journal an engine snapshot every n
-                                   chronons; 0 = never (recovery then
-                                   replays from chronon 0)          [64]
-    --recover <dir>                recover a crashed run from the journal
-                                   in <dir>: restore the latest snapshot,
-                                   replay the journaled chronons to the
-                                   crash point, then continue live (all
-                                   other flags must match the crashed run)
-
-    The line protocol on the socket: ping | attach | register <cei-id> |
-    cancel <cei-id> | set-budget <n> | shutdown. One JSON reply per line;
-    attach switches the connection to the JSONL event stream.
-";
+/// Every `webmon` command and its options, declared once: parsing,
+/// validation, defaults and help all read this table.
+pub const COMMANDS: &[Command] = &[
+    Command {
+        name: "run",
+        about: "Run one monitoring experiment and print the policy table",
+        groups: &[RUN, WORKLOAD, REPS, FAULTS, RETRY, CHURN, GLOBAL],
+    },
+    Command {
+        name: "sweep",
+        about: "Sweep one parameter and print completeness per policy",
+        groups: &[SWEEP, WORKLOAD, REPS, RETRY, GLOBAL],
+    },
+    Command {
+        name: "trace",
+        about: "Generate a trace and print its statistics",
+        groups: &[TRACE_CMD, GLOBAL],
+    },
+    Command {
+        name: "serve",
+        about: "Serve repetition 0 of `run` as a daemon; socket lines: ping | attach | \
+                register <cei> | cancel <cei> | set-budget <n> | shutdown",
+        groups: &[SERVE, WORKLOAD, FAULTS, RETRY, CHURN, GLOBAL],
+    },
+    Command {
+        name: "experiments",
+        about: "Run the paper's experiment suite (every figure and table)",
+        groups: &[EXPERIMENTS, GLOBAL],
+    },
+    Command {
+        name: "bench",
+        about: "Run the engine scaling benchmark; a ladder override replaces the grid",
+        groups: &[BENCH, GLOBAL],
+    },
+    Command {
+        name: "help",
+        about: "Print every command's options",
+        groups: &[GLOBAL],
+    },
+];
 
 /// Runs the parsed command line; returns the process exit code.
 pub fn dispatch(args: &Args) -> Result<i32, ArgError> {
-    let jobs: usize = args.get_parsed("jobs", 0, "a worker count")?;
-    webmon_sim::parallel::set_jobs(jobs);
-    match args.command.as_deref() {
-        Some("run") => cmd_run(args),
-        Some("sweep") => cmd_sweep(args),
-        Some("trace") => cmd_trace(args),
-        Some("serve") => cmd_serve(args),
-        Some("experiments") => cmd_experiments(args),
-        Some("bench") => cmd_bench(args),
-        Some("help") | None => {
-            println!("{USAGE}");
+    webmon_sim::parallel::set_jobs(args.value("jobs"));
+    let spec = args.spec();
+    if args.flag("help") && spec.name != "help" {
+        print!("{}", spec.help());
+        return Ok(0);
+    }
+    match spec.name {
+        "run" => cmd_run(args),
+        "sweep" => cmd_sweep(args),
+        "trace" => cmd_trace(args),
+        "serve" => cmd_serve(args),
+        "experiments" => cmd_experiments(args),
+        "bench" => cmd_bench(args),
+        _ => {
+            print!("{}", crate::args::usage());
             Ok(0)
         }
-        Some(other) => {
-            eprintln!("unknown command '{other}'\n\n{USAGE}");
-            Ok(2)
+    }
+}
+
+/// The update-event source of `--trace`. An auction lasts at least 10
+/// chronons, so it needs a horizon that long.
+fn trace_from(args: &Args, n_resources: u32, horizon: u32) -> Result<TraceSpec, ArgError> {
+    Ok(match args.value::<String>("trace").as_str() {
+        "auction" => {
+            let config = AuctionTraceConfig::scaled(n_resources, horizon);
+            if config.duration > horizon {
+                return Err(ArgError::BadValue {
+                    key: "horizon".to_string(),
+                    value: horizon.to_string(),
+                    expected: format!("at least {} with --trace auction", config.duration),
+                });
+            }
+            TraceSpec::Auction(config)
         }
-    }
-}
-
-/// Rejects a zero where the engine needs at least one (resources, horizon,
-/// budget, profiles, repetitions): a structured error beats a panic deep in
-/// instance materialization.
-fn require_positive(key: &'static str, value: u32) -> Result<u32, ArgError> {
-    if value == 0 {
-        return Err(ArgError::BadValue {
-            key: key.to_string(),
-            value: "0".to_string(),
-            expected: "a positive integer",
-        });
-    }
-    Ok(value)
-}
-
-/// Parses a Zipf-style skew exponent, rejecting non-finite or negative
-/// values with a structured error instead of letting them reach
-/// `Zipf::new`'s panic deep in workload generation.
-fn skew_exponent(args: &Args, key: &'static str, default: f64) -> Result<f64, ArgError> {
-    let v: f64 = args.get_parsed(key, default, "a number")?;
-    if !(v.is_finite() && v >= 0.0) {
-        return Err(ArgError::BadValue {
-            key: key.to_string(),
-            value: args.get(key).unwrap_or_default().to_string(),
-            expected: "a finite non-negative exponent",
-        });
-    }
-    Ok(v)
-}
-
-/// Builds an `ExperimentConfig` from common options.
-fn config_from(args: &Args) -> Result<ExperimentConfig, ArgError> {
-    let n_resources = require_positive(
-        "resources",
-        args.get_parsed("resources", 200, "an integer")?,
-    )?;
-    let horizon = require_positive("horizon", args.get_parsed("horizon", 1000, "an integer")?)?;
-    let lambda: f64 = args.get_parsed("lambda", 20.0, "a number")?;
-    let rank: u16 = args.get_parsed("rank", 5, "an integer")?;
-    let beta = skew_exponent(args, "beta", 0.0)?;
-
-    let trace = match args.get("trace").unwrap_or("poisson") {
-        "auction" => TraceSpec::Auction(AuctionTraceConfig::scaled(n_resources, horizon)),
         "news" => TraceSpec::News(NewsTraceConfig::scaled(n_resources, horizon)),
-        _ => TraceSpec::Poisson { lambda },
-    };
-    let length = match args.get("window") {
-        Some(_) => EiLength::Window(args.get_parsed("window", 10, "an integer")?),
-        None => EiLength::Overwrite { max_len: Some(10) },
-    };
-    let noise = match args.get("noise-z") {
-        Some(_) => {
-            let z: f64 = args.get_parsed("noise-z", 1.0, "a number in [0,1]")?;
-            Some(NoiseSpec::Fpn(FpnModel::new(z, 10)))
-        }
-        None => None,
-    };
+        "poisson" => TraceSpec::Poisson {
+            lambda: args.value("lambda"),
+        },
+        other => unreachable!("--trace {other} is not a declared choice"),
+    })
+}
 
-    Ok(ExperimentConfig {
+/// Builds an `ExperimentConfig` from the workload options, with
+/// `repetitions` repetitions.
+fn config_from(args: &Args, repetitions: u32) -> Result<ExperimentConfig, ArgError> {
+    let n_resources = args.value("resources");
+    let horizon = args.value("horizon");
+    let rank = args.value("rank");
+    let cfg = ExperimentConfig {
         n_resources,
         horizon,
-        budget: require_positive("budget", args.get_parsed("budget", 1, "an integer")?)?,
+        budget: args.value("budget"),
         workload: WorkloadConfig {
-            n_profiles: require_positive(
-                "profiles",
-                args.get_parsed("profiles", 50, "an integer")?,
-            )?,
+            n_profiles: args.value("profiles"),
             rank: if args.flag("fixed-rank") {
                 RankSpec::Fixed(rank)
             } else {
-                RankSpec::UpTo { k: rank, beta }
+                RankSpec::UpTo {
+                    k: rank,
+                    beta: args.value("beta"),
+                }
             },
-            resource_alpha: skew_exponent(args, "alpha", 0.3)?,
-            length,
+            resource_alpha: args.value("alpha"),
+            length: match args.given("window") {
+                Some(w) => EiLength::Window(w),
+                None => EiLength::Overwrite { max_len: Some(10) },
+            },
             distinct_resources: true,
             max_ceis: None,
             no_intra_resource_overlap: false,
         },
-        trace,
-        noise,
-        repetitions: require_positive("reps", args.get_parsed("reps", 5, "an integer")?)?,
-        seed: args.get_parsed("seed", 1234, "an integer")?,
-    })
+        trace: trace_from(args, n_resources, horizon)?,
+        noise: args
+            .given("noise-z")
+            .map(|z| NoiseSpec::Fpn(FpnModel::new(z, 10))),
+        repetitions,
+        seed: args.value("seed"),
+    };
+    rank_fits_resources(&cfg)?;
+    Ok(cfg)
 }
 
-/// Default master seed of CLI fault injection (`0xFA17`).
-const DEFAULT_FAULT_SEED: u64 = 0xFA17;
+/// A CEI watches distinct resources, so no instance may ask for a rank
+/// above the resource count (the generator asserts it).
+fn rank_fits_resources(cfg: &ExperimentConfig) -> Result<(), ArgError> {
+    let rank = cfg.workload.rank.max_rank();
+    if u32::from(rank) > cfg.n_resources {
+        return Err(ArgError::BadValue {
+            key: "resources".to_string(),
+            value: cfg.n_resources.to_string(),
+            expected: format!(
+                "at least the profile rank {rank} (a CEI watches distinct resources)"
+            ),
+        });
+    }
+    Ok(())
+}
 
 /// Parses the retry discipline and failure-charging options shared by every
 /// fault model.
-fn fault_config_from(args: &Args) -> Result<FaultConfig, ArgError> {
+fn fault_config_from(args: &Args) -> FaultConfig {
     let mut config = FaultConfig::charged();
     if args.flag("fault-free") {
         config = config.free_failures();
     }
-    match args.get("retry").unwrap_or("immediate") {
-        "immediate" => {}
-        "backoff" => config = config.with_backoff(Backoff::new(1, 8)),
-        other => {
-            return Err(ArgError::BadValue {
-                key: "retry".to_string(),
-                value: other.to_string(),
-                expected: "immediate|backoff",
-            })
-        }
+    if args.value::<String>("retry") == "backoff" {
+        config = config.with_backoff(Backoff::new(1, 8));
     }
-    if args.get("retry-quota").is_some() {
-        config = config.with_retry_quota(args.get_parsed("retry-quota", 0, "an integer")?);
+    if let Some(quota) = args.given("retry-quota") {
+        config = config.with_retry_quota(quota);
     }
-    Ok(config)
+    config
 }
 
 /// Builds the optional fault scenario of `webmon run`. Faults are enabled
 /// by `--fault-rate`; without it every fault/retry flag is ignored and the
 /// run is the fault-free fast path.
-fn fault_from(args: &Args) -> Result<Option<FaultSpec>, ArgError> {
-    let Some(raw) = args.get("fault-rate") else {
-        return Ok(None);
-    };
-    let rate: f64 = args.get_parsed("fault-rate", 0.0, "a probability in [0,1]")?;
-    if !(0.0..=1.0).contains(&rate) {
-        return Err(ArgError::BadValue {
-            key: "fault-rate".to_string(),
-            value: raw.to_string(),
-            expected: "a probability in [0,1]",
-        });
-    }
-    let seed: u64 = args.get_parsed("fault-seed", DEFAULT_FAULT_SEED, "an integer")?;
-    let kind = match args.get("fault-model").unwrap_or("iid") {
+fn fault_from(args: &Args) -> Option<FaultSpec> {
+    let rate = args.given("fault-rate")?;
+    let kind = match args.value::<String>("fault-model").as_str() {
         "iid" => FaultKind::Iid { rate },
-        "burst" => {
-            let p_recover: f64 = args.get_parsed("fault-recover", 0.5, "a probability in (0,1]")?;
-            FaultKind::Burst {
-                p_fail: rate,
-                p_recover,
-            }
-        }
-        other => {
-            return Err(ArgError::BadValue {
-                key: "fault-model".to_string(),
-                value: other.to_string(),
-                expected: "iid|burst",
-            })
-        }
+        "burst" => FaultKind::Burst {
+            p_fail: rate,
+            p_recover: args.value("fault-recover"),
+        },
+        other => unreachable!("--fault-model {other} is not a declared choice"),
     };
-    Ok(Some(FaultSpec {
+    Some(FaultSpec {
         kind,
-        seed,
-        config: fault_config_from(args)?,
-    }))
+        seed: args.value("fault-seed"),
+        config: fault_config_from(args),
+    })
 }
-
-/// Default master seed of CLI churn overlays (`0xC0DE` = 49374).
-const DEFAULT_CHURN_SEED: u64 = 0xC0DE;
 
 /// Builds the optional churn scenario of `webmon run`. Churn is enabled by
 /// `--churn-arrivals` and/or `--churn-cancels`; without either, the other
 /// churn flags are ignored and the run is the static-profile fast path.
-fn churn_from(args: &Args) -> Result<Option<ChurnSpec>, ArgError> {
-    // Validate the skew exponent even when churn stays off: a malformed
-    // `--churn-alpha` must be a structured error, never silently ignored.
-    let churn_alpha = skew_exponent(args, "churn-alpha", 0.0)?;
-    if args.get("churn-arrivals").is_none() && args.get("churn-cancels").is_none() {
-        return Ok(None);
+fn churn_from(args: &Args) -> Option<ChurnSpec> {
+    let arrivals = args.given("churn-arrivals");
+    let cancels = args.given("churn-cancels");
+    if arrivals.is_none() && cancels.is_none() {
+        return None;
     }
-    let mut rates = [0.0f64; 2];
-    for (slot, key) in rates.iter_mut().zip(["churn-arrivals", "churn-cancels"]) {
-        let rate: f64 = args.get_parsed(key, 0.0, "a probability in [0,1]")?;
-        if !(0.0..=1.0).contains(&rate) {
-            return Err(ArgError::BadValue {
-                key: key.to_string(),
-                value: args.get(key).unwrap_or_default().to_string(),
-                expected: "a probability in [0,1]",
-            });
-        }
-        *slot = rate;
-    }
-    let config = webmon_workload::ChurnConfig::new(rates[0], rates[1])
-        .with_alpha(churn_alpha)
-        .with_max_delay(args.get_parsed("churn-delay", 4, "an integer")?)
-        .with_reconfigurations(args.get_parsed("churn-budget-changes", 0, "an integer")?);
-    Ok(Some(ChurnSpec {
+    let config = webmon_workload::ChurnConfig::new(arrivals.unwrap_or(0.0), cancels.unwrap_or(0.0))
+        .with_alpha(args.value("churn-alpha"))
+        .with_max_delay(args.value("churn-delay"))
+        .with_reconfigurations(args.value("churn-budget-changes"));
+    Some(ChurnSpec {
         config,
-        seed: args.get_parsed("churn-seed", DEFAULT_CHURN_SEED, "an integer")?,
-    }))
+        seed: args.value("churn-seed"),
+    })
 }
 
 fn roster_table(title: &str, aggregates: &[PolicyAggregate]) -> Table {
@@ -486,8 +466,8 @@ fn experiment_from_spec_file(path: &str) -> Result<Experiment, String> {
 }
 
 fn cmd_run(args: &Args) -> Result<i32, ArgError> {
-    let fault = fault_from(args)?;
-    let churn = churn_from(args)?;
+    let fault = fault_from(args);
+    let churn = churn_from(args);
     let exp = match args.get("workload-spec") {
         Some(path) => match experiment_from_spec_file(path) {
             Ok(exp) => exp,
@@ -496,7 +476,7 @@ fn cmd_run(args: &Args) -> Result<i32, ArgError> {
                 return Ok(2);
             }
         },
-        None => Experiment::materialize(config_from(args)?),
+        None => Experiment::materialize(config_from(args, args.value("reps"))?),
     };
     let roster = PolicySpec::paper_roster();
     let mut aggregates = webmon_sim::parallel::par_map(roster.clone(), |_, spec| {
@@ -581,8 +561,8 @@ fn cmd_run(args: &Args) -> Result<i32, ArgError> {
 }
 
 fn cmd_sweep(args: &Args) -> Result<i32, ArgError> {
-    let param = args.get("param").unwrap_or("budget").to_string();
-    let base = config_from(args)?;
+    let param: String = args.value("param");
+    let base = config_from(args, args.value("reps"))?;
     let specs = [
         PolicySpec::np(PolicyKind::SEdf),
         PolicySpec::p(PolicyKind::Mrsf),
@@ -593,13 +573,17 @@ fn cmd_sweep(args: &Args) -> Result<i32, ArgError> {
         &[param.as_str(), "S-EDF(NP)", "MRSF(P)", "M-EDF(P)"],
     );
     // Fault-rate sweeps rerun the *same* materialized instances under
-    // increasing i.i.d. probe loss (the CLI face of `exp_faults`).
+    // increasing i.i.d. probe loss (the CLI face of the robustness tables).
     if param == "fault-rate" {
-        let fault_seed: u64 = args.get_parsed("fault-seed", DEFAULT_FAULT_SEED, "an integer")?;
-        let fault_config = fault_config_from(args)?;
         let exp = Experiment::materialize(base);
         let rates = [0.0, 0.1, 0.3, 0.5, 0.7];
-        for (rate, roster) in exp.robustness_sweep(&specs, &rates, fault_seed, fault_config) {
+        let sweep = exp.robustness_sweep(
+            &specs,
+            &rates,
+            args.value("fault-seed"),
+            fault_config_from(args),
+        );
+        for (rate, roster) in sweep {
             let vals: Vec<f64> = roster.iter().map(|a| a.completeness.mean).collect();
             t.push_numeric_row(format!("{rate:.2}"), &vals, 4);
         }
@@ -644,14 +628,18 @@ fn cmd_sweep(args: &Args) -> Result<i32, ArgError> {
                 (format!("{k}"), c)
             })
             .collect(),
-        _ => (1..=5u32)
+        "budget" => (1..=5u32)
             .map(|b| {
                 let mut c = base.clone();
                 c.budget = b;
                 (format!("{b}"), c)
             })
             .collect(),
+        other => unreachable!("--param {other} is not a declared choice"),
     };
+    for (_, cfg) in &points {
+        rank_fits_resources(cfg)?;
+    }
     // Sweep points run in parallel; rows are pushed in sweep order.
     let rows = webmon_sim::parallel::par_map(points, |_, (label, cfg)| {
         let exp = Experiment::materialize(cfg);
@@ -673,19 +661,10 @@ fn cmd_sweep(args: &Args) -> Result<i32, ArgError> {
 }
 
 fn cmd_trace(args: &Args) -> Result<i32, ArgError> {
-    let n_resources = require_positive(
-        "resources",
-        args.get_parsed("resources", 100, "an integer")?,
-    )?;
-    let horizon = require_positive("horizon", args.get_parsed("horizon", 1000, "an integer")?)?;
-    let lambda: f64 = args.get_parsed("lambda", 20.0, "a number")?;
-    let seed: u64 = args.get_parsed("seed", 1234, "an integer")?;
-    let spec = match args.get("trace").unwrap_or("poisson") {
-        "auction" => TraceSpec::Auction(AuctionTraceConfig::scaled(n_resources, horizon)),
-        "news" => TraceSpec::News(NewsTraceConfig::scaled(n_resources, horizon)),
-        _ => TraceSpec::Poisson { lambda },
-    };
-    let trace = spec.generate(n_resources, horizon, &SimRng::new(seed));
+    let n_resources = args.value("resources");
+    let horizon = args.value("horizon");
+    let spec = trace_from(args, n_resources, horizon)?;
+    let trace = spec.generate(n_resources, horizon, &SimRng::new(args.value("seed")));
     let mut counts: Vec<usize> = (0..trace.n_resources())
         .map(|r| trace.events_of(r).len())
         .collect();
@@ -708,43 +687,21 @@ fn cmd_trace(args: &Args) -> Result<i32, ArgError> {
 
 /// Parses the single-policy selection of `webmon serve` (`run` and `sweep`
 /// always score a roster; the daemon monitors with exactly one policy).
-fn policy_spec_from(args: &Args) -> Result<PolicySpec, ArgError> {
-    let kind = match args.get("policy").unwrap_or("m-edf") {
+fn policy_spec_from(args: &Args) -> PolicySpec {
+    let kind = match args.value::<String>("policy").as_str() {
         "s-edf" => PolicyKind::SEdf,
         "mrsf" => PolicyKind::Mrsf,
         "m-edf" => PolicyKind::MEdf,
         "w-ic" => PolicyKind::Wic,
         "random" => PolicyKind::Random,
         "round-robin" => PolicyKind::RoundRobin,
-        other => {
-            return Err(ArgError::BadValue {
-                key: "policy".to_string(),
-                value: other.to_string(),
-                expected: "s-edf|mrsf|m-edf|w-ic|random|round-robin",
-            })
-        }
+        other => unreachable!("--policy {other} is not a declared choice"),
     };
-    Ok(if args.flag("np") {
+    if args.flag("np") {
         PolicySpec::np(kind)
     } else {
         PolicySpec::p(kind)
-    })
-}
-
-/// Parses the `--targets` list of the live executor.
-fn targets_from(args: &Args) -> Result<Vec<std::net::SocketAddr>, ArgError> {
-    let raw = args.get("targets").unwrap_or("");
-    let bad = || ArgError::BadValue {
-        key: "targets".to_string(),
-        value: raw.to_string(),
-        expected: "comma-separated host:port probe targets (required with --executor live)",
-    };
-    if raw.is_empty() {
-        return Err(bad());
     }
-    raw.split(',')
-        .map(|tok| tok.trim().parse().map_err(|_| bad()))
-        .collect()
 }
 
 /// The `webmon serve` summary line (one JSON object on stdout at exit).
@@ -776,29 +733,29 @@ struct ServeSummary {
 }
 
 fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
-    let cfg = config_from(args)?;
-    let fault = fault_from(args)?;
-    let churn = churn_from(args)?;
+    // The daemon monitors repetition 0, which does not depend on the
+    // repetition count: each repetition's seed is forked by its index.
+    let cfg = config_from(args, 1)?;
+    let fault = fault_from(args);
+    let churn = churn_from(args);
     // Without a fault model the retry flags still shape how executor
     // failures (e.g. live probe timeouts) are charged and retried.
     let fault_config = match fault {
         Some(f) => f.config,
-        None => fault_config_from(args)?,
+        None => fault_config_from(args),
     };
-    let spec = policy_spec_from(args)?;
-    let chronon_ms: u64 = args.get_parsed("chronon-ms", 0, "milliseconds per chronon")?;
+    let spec = policy_spec_from(args);
+    let chronon_ms: u64 = args.value("chronon-ms");
 
-    let fsync = match args.get("fsync") {
-        Some(raw) => raw
-            .parse::<webmon_core::serve::FsyncPolicy>()
-            .map_err(|_| ArgError::BadValue {
-                key: "fsync".to_string(),
-                value: raw.to_string(),
-                expected: "every-chronon|every-<n>|os",
-            })?,
-        None => webmon_core::serve::FsyncPolicy::EveryChronon,
-    };
-    let snapshot_every: u32 = args.get_parsed("snapshot-every", 64, "a chronon count")?;
+    let fsync_raw: String = args.value("fsync");
+    let fsync = fsync_raw
+        .parse::<webmon_core::serve::FsyncPolicy>()
+        .map_err(|_| ArgError::BadValue {
+            key: "fsync".to_string(),
+            value: fsync_raw.clone(),
+            expected: "every-chronon|every-<n>|os".to_string(),
+        })?;
+    let snapshot_every: u32 = args.value("snapshot-every");
     let recover_dir = args.get("recover").map(std::path::PathBuf::from);
     let journal_dir = args.get("journal-dir").map(std::path::PathBuf::from);
     if let (Some(r), Some(j)) = (&recover_dir, &journal_dir) {
@@ -806,7 +763,8 @@ fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
             return Err(ArgError::BadValue {
                 key: "journal-dir".to_string(),
                 value: j.display().to_string(),
-                expected: "the same directory as --recover (recovery continues that journal)",
+                expected: "the same directory as --recover (recovery continues that journal)"
+                    .to_string(),
             });
         }
     }
@@ -824,7 +782,8 @@ fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
         return Err(ArgError::BadValue {
             key: "sim-trace-out".to_string(),
             value: args.get("sim-trace-out").unwrap_or_default().to_string(),
-            expected: "no --replay-feed (the simulator reference replays the generated trace)",
+            expected: "no --replay-feed (the simulator reference replays the generated trace)"
+                .to_string(),
         });
     }
 
@@ -874,8 +833,8 @@ fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
         instance,
     };
 
-    let listen = args.get("listen").unwrap_or("127.0.0.1:7077");
-    let mut daemon = match Daemon::bind(listen) {
+    let listen: String = args.value("listen");
+    let mut daemon = match Daemon::bind(&listen) {
         Ok(d) => d,
         Err(e) => {
             eprintln!("cannot bind {listen}: {e}");
@@ -890,7 +849,7 @@ fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
     // the replayed prefix to keep stateful fault models exact; a live
     // executor must never probe during replay.
     let mut resync_executor = false;
-    let executor: Box<dyn ProbeExecutor> = match args.get("executor").unwrap_or("replay") {
+    let executor: Box<dyn ProbeExecutor> = match args.value::<String>("executor").as_str() {
         "replay" => {
             resync_executor = true;
             match fault {
@@ -901,11 +860,14 @@ fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
             }
         }
         "live" => {
-            let timeout_ms: u64 = args.get_parsed("probe-timeout-ms", 200, "milliseconds")?;
-            let tcp = TcpProbeExecutor::new(
-                targets_from(args)?,
-                std::time::Duration::from_millis(timeout_ms),
-            );
+            let targets = args.list("targets").ok_or_else(|| ArgError::BadValue {
+                key: "targets".to_string(),
+                value: String::new(),
+                expected: "comma-separated ip:port probe targets (required with --executor live)"
+                    .to_string(),
+            })?;
+            let timeout = std::time::Duration::from_millis(args.value("probe-timeout-ms"));
+            let tcp = TcpProbeExecutor::new(targets, timeout);
             // A `shutdown` mid-backoff must not wait out in-flight probes:
             // the flag makes every later probe fail instantly.
             let stop = tcp.stop_flag();
@@ -914,13 +876,7 @@ fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
             }));
             Box::new(tcp)
         }
-        other => {
-            return Err(ArgError::BadValue {
-                key: "executor".to_string(),
-                value: other.to_string(),
-                expected: "replay|live",
-            })
-        }
+        other => unreachable!("--executor {other} is not a declared choice"),
     };
     let label = spec.label();
     let n_ceis = session.instance.ceis.len();
@@ -1012,82 +968,104 @@ fn serve_error_json(reason: &str) -> String {
     .unwrap_or_else(|_| r#"{"err":{"reason":"unserializable"}}"#.to_string())
 }
 
-fn cmd_experiments(args: &Args) -> Result<i32, ArgError> {
-    let scale = if args.flag("quick") {
+fn scale_from(args: &Args) -> webmon_bench::Scale {
+    if args.flag("quick") {
         webmon_bench::Scale::Quick
     } else {
         webmon_bench::Scale::Paper
-    };
-    for (name, runner) in suite() {
-        eprintln!(">> {name}");
-        webmon_bench::print_tables(&runner(scale));
     }
-    Ok(0)
 }
 
-/// Parses a `--bench-*` comma-separated ladder; absent → `[base]`. The bool
-/// says whether the axis was explicitly overridden.
-fn bench_ladder<T: std::str::FromStr + Copy>(
-    args: &Args,
-    key: &'static str,
-    base: T,
-    expected: &'static str,
-) -> Result<(Vec<T>, bool), ArgError> {
-    let Some(raw) = args.get(key) else {
-        return Ok((vec![base], false));
-    };
-    let bad = || ArgError::BadValue {
-        key: key.to_string(),
-        value: raw.to_string(),
-        expected,
-    };
-    let values: Vec<T> = raw
-        .split(',')
-        .map(|tok| tok.trim().parse().map_err(|_| bad()))
-        .collect::<Result<_, _>>()?;
-    if values.is_empty() {
-        return Err(bad());
+/// Runs the suite, printing each table as it completes and logging timings
+/// to stderr; `--out` writes the Markdown report (the measured half of
+/// `EXPERIMENTS.md`), `--metrics` runs the CI metrics gate.
+fn cmd_experiments(args: &Args) -> Result<i32, ArgError> {
+    use webmon_sim::parallel;
+    let scale = scale_from(args);
+    let mut report = format!(
+        "# Measured results\n\nScale: `{scale:?}` — regenerate with \
+         `cargo run --release -p webmon-cli -- experiments{}`.\n\n",
+        if scale == webmon_bench::Scale::Quick {
+            " --quick"
+        } else {
+            ""
+        }
+    );
+    let jobs = parallel::effective_jobs();
+    eprintln!(">> workers: {jobs}");
+    parallel::reset_busy_time();
+    let total = Instant::now();
+    for (name, runner) in webmon_bench::SUITE {
+        eprintln!(">> running {name} ...");
+        let start = Instant::now();
+        let tables = runner(scale);
+        eprintln!(">> {name} done in {:.1?}", start.elapsed());
+        webmon_bench::print_tables(&tables);
+        report.push_str(&webmon_bench::tables_to_markdown(&tables));
+        report.push('\n');
     }
-    Ok((values, true))
+    let wall = total.elapsed().as_secs_f64();
+    let busy = parallel::busy_time_secs();
+    eprintln!(
+        ">> suite done in {:.1?} ({jobs} workers; {busy:.1}s of work, {:.2}x achieved speedup)",
+        total.elapsed(),
+        if wall > 0.0 { busy / wall } else { 1.0 },
+    );
+
+    if let Some(path) = args.get("out") {
+        if let Err(e) = std::fs::write(path, report) {
+            eprintln!("error: cannot write {path}: {e}");
+            return Ok(1);
+        }
+        eprintln!(">> wrote {path}");
+    }
+    if let Some(path) = args.get("metrics") {
+        eprintln!(">> running metrics gate ...");
+        let gate = webmon_bench::metrics::collect(scale);
+        if let Err(e) = std::fs::write(path, gate.to_json()) {
+            eprintln!("error: cannot write {path}: {e}");
+            return Ok(1);
+        }
+        eprintln!(">> wrote {path}");
+        let violations = gate.violations();
+        if !violations.is_empty() {
+            for v in &violations {
+                eprintln!("!! metrics gate: {v}");
+            }
+            return Ok(1);
+        }
+        eprintln!(">> metrics gate clean ({} cells)", gate.cells.len());
+    }
+    Ok(0)
 }
 
 fn cmd_bench(args: &Args) -> Result<i32, ArgError> {
     use webmon_bench::scale::{self, BenchReport, CellDims};
 
-    let scale = if args.flag("quick") {
-        webmon_bench::Scale::Quick
-    } else {
-        webmon_bench::Scale::Paper
-    };
+    let scale = scale_from(args);
     let base = CellDims {
         profiles: 150,
         rank: 3,
         horizon: 300,
         budget: 2,
     };
-    let (profiles, p) = bench_ladder(args, "bench-profiles", base.profiles, "a profile ladder")?;
-    let (ranks, r) = bench_ladder(args, "bench-ranks", base.rank, "a rank ladder")?;
-    let (horizons, h) = bench_ladder(args, "bench-horizons", base.horizon, "a horizon ladder")?;
-    let (budgets, b) = bench_ladder(args, "bench-budgets", base.budget, "a budget ladder")?;
-    for (key, ok) in [
-        ("bench-profiles", profiles.iter().all(|&v| v > 0)),
-        ("bench-horizons", horizons.iter().all(|&v| v > 0)),
-    ] {
-        if !ok {
-            return Err(ArgError::BadValue {
-                key: key.to_string(),
-                value: "0".to_string(),
-                expected: "positive values",
-            });
-        }
-    }
+    let profiles = args.list("bench-profiles");
+    let ranks = args.list("bench-ranks");
+    let horizons = args.list("bench-horizons");
+    let budgets = args.list("bench-budgets");
 
-    let cells: Vec<CellDims> = if p || r || h || b {
+    // Axis overrides replace the whole grid with the cross product of the
+    // ladders (unlisted axes stay at the base point), so the default churn
+    // ladder would not match any baseline made from them — skip it.
+    let report = if profiles.is_none() && ranks.is_none() && horizons.is_none() && budgets.is_none()
+    {
+        scale::collect(scale)
+    } else {
         let mut cells = Vec::new();
-        for &profiles in &profiles {
-            for &rank in &ranks {
-                for &horizon in &horizons {
-                    for &budget in &budgets {
+        for &profiles in profiles.as_deref().unwrap_or(&[base.profiles]) {
+            for &rank in ranks.as_deref().unwrap_or(&[base.rank]) {
+                for &horizon in horizons.as_deref().unwrap_or(&[base.horizon]) {
+                    for &budget in budgets.as_deref().unwrap_or(&[base.budget]) {
                         cells.push(CellDims {
                             profiles,
                             rank,
@@ -1098,19 +1076,8 @@ fn cmd_bench(args: &Args) -> Result<i32, ArgError> {
                 }
             }
         }
-        cells
-    } else {
-        scale::grid(scale)
+        scale::collect_grid(scale, &cells, &scale::roster(scale), &[])
     };
-
-    // Axis overrides replace the whole grid, so the default churn ladder
-    // would not match any baseline made from them — skip it.
-    let churn_cells = if p || r || h || b {
-        Vec::new()
-    } else {
-        scale::churn_grid(scale)
-    };
-    let report = scale::collect_grid(scale, &cells, &scale::roster(scale), &churn_cells);
     webmon_bench::print_tables(&report.tables());
     webmon_bench::print_tables(&[scale::policy_cost_table()]);
 
@@ -1143,31 +1110,15 @@ fn cmd_bench(args: &Args) -> Result<i32, ArgError> {
             for v in &violations {
                 eprintln!("  - {v}");
             }
+            eprintln!(
+                "(if this change is an accepted perf shift, re-baseline with \
+                 `webmon bench --quick --out {path}` and commit the diff)"
+            );
             return Ok(1);
         }
         println!("bench gate: OK ({} cells vs {path})", report.cells.len());
     }
     Ok(0)
-}
-
-type Runner = fn(webmon_bench::Scale) -> Vec<Table>;
-
-fn suite() -> Vec<(&'static str, Runner)> {
-    vec![
-        ("Table I", webmon_bench::table1::run),
-        ("Figure 9", webmon_bench::fig09::run),
-        ("Figure 10", webmon_bench::fig10::run),
-        ("§V-D runtime", webmon_bench::runtime_offline::run),
-        ("Figure 11", webmon_bench::fig11::run),
-        ("Figure 12", webmon_bench::fig12::run),
-        ("Figure 13", webmon_bench::fig13::run),
-        ("Figure 14", webmon_bench::fig14::run),
-        ("Figure 15", webmon_bench::fig15::run),
-        ("Ablations", webmon_bench::ablations::run),
-        ("Extensions", webmon_bench::extensions::run),
-        ("Robustness", webmon_bench::faults::run),
-        ("Skewed workloads", webmon_bench::skew::run),
-    ]
 }
 
 #[cfg(test)]
@@ -1178,9 +1129,78 @@ mod tests {
         Args::parse(toks.iter().map(|s| s.to_string())).unwrap()
     }
 
+    /// The error a command line is rejected with, at parse time.
+    fn rejected(toks: &[&str]) -> ArgError {
+        Args::parse(toks.iter().map(|s| s.to_string())).unwrap_err()
+    }
+
+    fn config(toks: &[&str]) -> Result<ExperimentConfig, ArgError> {
+        let args = parse(toks);
+        config_from(&args, args.value("reps"))
+    }
+
+    /// Each command line here used to panic (exit 101) or run a silently
+    /// different experiment; each is now an `ArgError` (exit 2) before
+    /// anything runs. The small sizes keep every row fast wherever it runs.
+    #[test]
+    fn inputs_that_ran_silently_or_panicked_are_arg_errors() {
+        #[rustfmt::skip]
+        const RUN: [&str; 8] =
+            ["--resources", "20", "--horizon", "50", "--profiles", "3", "--reps", "1"];
+        #[rustfmt::skip]
+        const SERVE: [&str; 8] =
+            ["--listen", "127.0.0.1:0", "--resources", "20", "--horizon", "50", "--profiles", "3"];
+        // (command, offending options, the rest of the line, what the error names)
+        #[rustfmt::skip]
+        let rows: &[(&str, &[&str], &[&str], &str)] = &[
+            ("run", &["--lambda", "-5"], &RUN, "--lambda -5"),
+            ("run", &["--lambda", "NaN"], &RUN, "--lambda NaN"),
+            ("run", &["--noise-z", "5"], &RUN, "--noise-z 5"),
+            ("run", &["--rank", "0"], &RUN, "--rank 0"),
+            ("bench", &["--bench-ranks", "0"], &["--quick"], "--bench-ranks 0"),
+            ("run", &["--fault-rat", "0.3"], &RUN, "--fault-rate"),
+            ("serve", &["--snapshot-evry", "5"], &SERVE, "--snapshot-every"),
+            ("run", &["--trace", "auctoin"], &RUN, "--trace auctoin"),
+            ("sweep", &["--param", "lamda"], &RUN, "--param lamda"),
+            ("run", &["--json", "yes"], &RUN, "--json"),
+            ("serve", &["--np", "1"], &SERVE, "--np"),
+            ("bench", &["--check"], &["--quick", "--bench-profiles", "10"], "--check"),
+            ("run", &["--fault-recover", "0"], &RUN, "--fault-recover 0"),
+            ("run", &["--fault-recover", "7"], &RUN, "--fault-recover 7"),
+            ("run", &["--fault-recover", "NaN"], &RUN, "--fault-recover NaN"),
+            ("serve", &["--probe-timeout-ms", "0"], &SERVE, "--probe-timeout-ms 0"),
+        ];
+        for &(command, offending, rest, named) in rows {
+            let mut argv = vec![command];
+            argv.extend_from_slice(offending);
+            argv.extend_from_slice(rest);
+            let outcome =
+                Args::parse(argv.iter().map(|s| s.to_string())).and_then(|a| dispatch(&a));
+            match outcome {
+                Err(e) => assert!(e.to_string().contains(named), "{argv:?}: {e}"),
+                Ok(code) => panic!("{argv:?} ran (exit {code}) instead of being rejected"),
+            }
+        }
+        // A dangling value option at the end of the line.
+        let mut argv = vec!["run"];
+        argv.extend_from_slice(&RUN);
+        argv.push("--lambda");
+        assert_eq!(
+            Args::parse(argv.iter().map(|s| s.to_string())).and_then(|a| dispatch(&a)),
+            Err(ArgError::MissingValue("lambda".into()))
+        );
+        // `--help` documents the command without building its experiment:
+        // this one cannot be built (rank 5 needs at least 5 resources).
+        assert_eq!(
+            dispatch(&parse(&["run", "--help", "--resources", "4"])),
+            Ok(0)
+        );
+        assert!(config(&["run", "--resources", "4"]).is_err());
+    }
+
     #[test]
     fn config_defaults_are_sane() {
-        let cfg = config_from(&parse(&["run"])).unwrap();
+        let cfg = config(&["run"]).unwrap();
         assert_eq!(cfg.budget, 1);
         assert_eq!(cfg.n_resources, 200);
         assert!(matches!(cfg.trace, TraceSpec::Poisson { .. }));
@@ -1189,7 +1209,7 @@ mod tests {
 
     #[test]
     fn config_honors_options() {
-        let cfg = config_from(&parse(&[
+        let cfg = config(&[
             "run",
             "--budget",
             "3",
@@ -1204,7 +1224,7 @@ mod tests {
             "5",
             "--noise-z",
             "0.4",
-        ]))
+        ])
         .unwrap();
         assert_eq!(cfg.budget, 3);
         assert!(matches!(cfg.trace, TraceSpec::Auction(_)));
@@ -1215,25 +1235,29 @@ mod tests {
 
     #[test]
     fn bad_value_is_reported() {
-        let err = config_from(&parse(&["run", "--budget", "lots"])).unwrap_err();
+        let err = rejected(&["run", "--budget", "lots"]);
         assert!(matches!(err, ArgError::BadValue { .. }));
     }
 
     #[test]
     fn dispatch_help_and_unknown() {
         assert_eq!(dispatch(&parse(&["help"])).unwrap(), 0);
-        assert_eq!(dispatch(&parse(&["frobnicate"])).unwrap(), 2);
+        assert_eq!(dispatch(&parse(&[])).unwrap(), 0);
+        assert_eq!(
+            rejected(&["frobnicate"]),
+            ArgError::UnknownCommand("frobnicate".into())
+        );
     }
 
     #[test]
     fn suite_covers_all_artifacts() {
-        assert_eq!(suite().len(), 13);
+        assert_eq!(webmon_bench::SUITE.len(), 13);
     }
 
     #[test]
     fn degenerate_sizes_are_structured_errors() {
         for key in ["resources", "horizon", "budget", "profiles", "reps"] {
-            let err = config_from(&parse(&["run", &format!("--{key}"), "0"])).unwrap_err();
+            let err = rejected(&["run", &format!("--{key}"), "0"]);
             assert!(
                 matches!(err, ArgError::BadValue { key: ref k, .. } if k == key),
                 "--{key} 0 must be rejected, got {err:?}"
@@ -1246,7 +1270,7 @@ mod tests {
         // Regression: `webmon trace` skipped the positivity guards that
         // `run`/`sweep` apply, so a zero slipped into trace generation.
         for key in ["resources", "horizon"] {
-            let err = cmd_trace(&parse(&["trace", &format!("--{key}"), "0"])).unwrap_err();
+            let err = rejected(&["trace", &format!("--{key}"), "0"]);
             assert!(
                 matches!(err, ArgError::BadValue { key: ref k, .. } if k == key),
                 "trace --{key} 0 must be rejected, got {err:?}"
@@ -1256,21 +1280,16 @@ mod tests {
 
     #[test]
     fn faults_are_off_without_a_rate() {
-        assert_eq!(fault_from(&parse(&["run"])).unwrap(), None);
+        assert_eq!(fault_from(&parse(&["run"])), None);
         // Retry flags alone do not enable fault injection.
-        assert_eq!(
-            fault_from(&parse(&["run", "--retry", "backoff"])).unwrap(),
-            None
-        );
+        assert_eq!(fault_from(&parse(&["run", "--retry", "backoff"])), None);
     }
 
     #[test]
     fn fault_flags_build_the_spec() {
-        let f = fault_from(&parse(&["run", "--fault-rate", "0.3"]))
-            .unwrap()
-            .unwrap();
+        let f = fault_from(&parse(&["run", "--fault-rate", "0.3"])).unwrap();
         assert_eq!(f.kind, FaultKind::Iid { rate: 0.3 });
-        assert_eq!(f.seed, DEFAULT_FAULT_SEED);
+        assert_eq!(f.seed, 0xFA17);
         assert_eq!(f.config, FaultConfig::charged());
 
         let f = fault_from(&parse(&[
@@ -1289,7 +1308,6 @@ mod tests {
             "--retry-quota",
             "2",
         ]))
-        .unwrap()
         .unwrap();
         assert_eq!(
             f.kind,
@@ -1312,7 +1330,7 @@ mod tests {
             vec!["run", "--fault-rate", "0.1", "--fault-model", "chaos"],
             vec!["run", "--fault-rate", "0.1", "--retry", "never"],
         ] {
-            let err = fault_from(&parse(&toks)).unwrap_err();
+            let err = rejected(&toks);
             assert!(
                 matches!(err, ArgError::BadValue { .. }),
                 "{toks:?}: {err:?}"
@@ -1322,22 +1340,17 @@ mod tests {
 
     #[test]
     fn churn_is_off_without_a_rate() {
-        assert_eq!(churn_from(&parse(&["run"])).unwrap(), None);
+        assert_eq!(churn_from(&parse(&["run"])), None);
         // Secondary churn knobs alone do not enable churn.
-        assert_eq!(
-            churn_from(&parse(&["run", "--churn-alpha", "1.0"])).unwrap(),
-            None
-        );
+        assert_eq!(churn_from(&parse(&["run", "--churn-alpha", "1.0"])), None);
     }
 
     #[test]
     fn churn_flags_build_the_spec() {
-        let c = churn_from(&parse(&["run", "--churn-arrivals", "0.3"]))
-            .unwrap()
-            .unwrap();
+        let c = churn_from(&parse(&["run", "--churn-arrivals", "0.3"])).unwrap();
         assert_eq!(c.config.arrival_rate, 0.3);
         assert_eq!(c.config.cancel_rate, 0.0);
-        assert_eq!(c.seed, DEFAULT_CHURN_SEED);
+        assert_eq!(c.seed, 0xC0DE);
 
         let c = churn_from(&parse(&[
             "run",
@@ -1354,7 +1367,6 @@ mod tests {
             "--churn-seed",
             "17",
         ]))
-        .unwrap()
         .unwrap();
         assert_eq!(c.config.arrival_rate, 0.2);
         assert_eq!(c.config.cancel_rate, 0.1);
@@ -1371,7 +1383,7 @@ mod tests {
             vec!["run", "--churn-cancels", "-0.1"],
             vec!["run", "--churn-arrivals", "lots"],
         ] {
-            let err = churn_from(&parse(&toks)).unwrap_err();
+            let err = rejected(&toks);
             assert!(
                 matches!(err, ArgError::BadValue { .. }),
                 "{toks:?}: {err:?}"
@@ -1381,20 +1393,16 @@ mod tests {
 
     #[test]
     fn negative_or_nonfinite_skew_exponents_are_rejected() {
-        // Regression: these used to slip through `get_parsed` and panic in
-        // `Zipf::new` deep inside workload generation (or, with churn off,
-        // be silently accepted).
-        for (build, toks, key) in [
-            (
-                config_from as fn(&Args) -> Result<ExperimentConfig, ArgError>,
-                vec!["run", "--alpha", "-2"],
-                "alpha",
-            ),
-            (config_from, vec!["run", "--alpha", "inf"], "alpha"),
-            (config_from, vec!["run", "--alpha", "NaN"], "alpha"),
-            (config_from, vec!["run", "--beta", "-0.5"], "beta"),
+        // Regression: these used to slip through and panic in `Zipf::new`
+        // deep inside workload generation (or, with churn off, be silently
+        // accepted).
+        for (toks, key) in [
+            (vec!["run", "--alpha", "-2"], "alpha"),
+            (vec!["run", "--alpha", "inf"], "alpha"),
+            (vec!["run", "--alpha", "NaN"], "alpha"),
+            (vec!["run", "--beta", "-0.5"], "beta"),
         ] {
-            let err = build(&parse(&toks)).unwrap_err();
+            let err = rejected(&toks);
             assert!(
                 matches!(err, ArgError::BadValue { key: ref k, .. } if k == key),
                 "{toks:?}: {err:?}"
@@ -1406,7 +1414,7 @@ mod tests {
             vec!["run", "--churn-alpha=-2"],
             vec!["run", "--churn-arrivals", "0.1", "--churn-alpha", "-2"],
         ] {
-            let err = churn_from(&parse(&toks)).unwrap_err();
+            let err = rejected(&toks);
             assert!(
                 matches!(err, ArgError::BadValue { key: ref k, .. } if k == "churn-alpha"),
                 "{toks:?}: {err:?}"
@@ -1420,7 +1428,6 @@ mod tests {
             "--churn-alpha",
             "1.37",
         ]))
-        .unwrap()
         .unwrap();
         assert_eq!(c.config.resource_alpha, 1.37);
     }
@@ -1526,24 +1533,35 @@ mod tests {
 
     #[test]
     fn bench_ladder_parses_overrides() {
-        let a = parse(&["bench", "--bench-profiles", "10, 20,30"]);
-        assert_eq!(
-            bench_ladder(&a, "bench-profiles", 150u32, "a profile ladder").unwrap(),
-            (vec![10, 20, 30], true)
-        );
-        assert_eq!(
-            bench_ladder(&a, "bench-budgets", 2u32, "a budget ladder").unwrap(),
-            (vec![2], false)
-        );
-        let bad = parse(&["bench", "--bench-ranks", "3,x"]);
-        let err = bench_ladder(&bad, "bench-ranks", 3u16, "a rank ladder").unwrap_err();
-        assert!(matches!(err, ArgError::BadValue { ref key, .. } if key == "bench-ranks"));
+        let a = parse(&[
+            "bench",
+            "--bench-profiles",
+            "10, 20,30",
+            "--bench-budgets",
+            "0,1",
+        ]);
+        assert_eq!(a.list::<u32>("bench-profiles"), Some(vec![10, 20, 30]));
+        assert_eq!(a.list::<u32>("bench-budgets"), Some(vec![0, 1]));
+        assert_eq!(a.list::<u16>("bench-ranks"), None);
+        for toks in [
+            vec!["bench", "--bench-ranks", "3,x"],
+            vec!["bench", "--bench-ranks", "3,"],
+            vec!["bench", "--bench-ranks", "70000"],
+        ] {
+            let err = rejected(&toks);
+            assert!(
+                matches!(err, ArgError::BadValue { ref key, .. } if key == "bench-ranks"),
+                "{toks:?}: {err:?}"
+            );
+        }
     }
 
     #[test]
     fn bench_rejects_zero_dimensions() {
-        let err = cmd_bench(&parse(&["bench", "--bench-profiles", "0"])).unwrap_err();
-        assert!(matches!(err, ArgError::BadValue { ref key, .. } if key == "bench-profiles"));
+        for key in ["bench-profiles", "bench-ranks", "bench-horizons"] {
+            let err = rejected(&["bench", &format!("--{key}"), "1,0"]);
+            assert!(matches!(err, ArgError::BadValue { key: ref k, .. } if k == key));
+        }
     }
 
     #[test]
@@ -1573,27 +1591,43 @@ mod tests {
 
     #[test]
     fn serve_policy_defaults_to_preemptive_medf() {
-        let spec = policy_spec_from(&parse(&["serve"])).unwrap();
+        let spec = policy_spec_from(&parse(&["serve"]));
         assert_eq!(spec, PolicySpec::p(PolicyKind::MEdf));
-        let spec = policy_spec_from(&parse(&["serve", "--policy", "mrsf", "--np"])).unwrap();
+        let spec = policy_spec_from(&parse(&["serve", "--policy", "mrsf", "--np"]));
         assert_eq!(spec, PolicySpec::np(PolicyKind::Mrsf));
-        let err = policy_spec_from(&parse(&["serve", "--policy", "oracle"])).unwrap_err();
+        let err = rejected(&["serve", "--policy", "oracle"]);
         assert!(matches!(err, ArgError::BadValue { ref key, .. } if key == "policy"));
     }
 
     #[test]
     fn serve_targets_parse_and_reject() {
         let a = parse(&["serve", "--targets", "127.0.0.1:80, 127.0.0.1:8080"]);
-        let targets = targets_from(&a).unwrap();
+        let targets: Vec<std::net::SocketAddr> = a.list("targets").unwrap();
         assert_eq!(targets.len(), 2);
         assert_eq!(targets[1].port(), 8080);
-        for toks in [vec!["serve"], vec!["serve", "--targets", "not-an-addr"]] {
-            let err = targets_from(&parse(&toks)).unwrap_err();
+        for target in ["not-an-addr", "db:5432", ""] {
+            let err = rejected(&["serve", "--targets", target]);
             assert!(
                 matches!(err, ArgError::BadValue { ref key, .. } if key == "targets"),
-                "{toks:?}: {err:?}"
+                "{target:?}: {err:?}"
             );
         }
+        // The live executor needs targets.
+        let err = cmd_serve(&parse(&[
+            "serve",
+            "--executor",
+            "live",
+            "--listen",
+            "127.0.0.1:0",
+            "--resources",
+            "10",
+            "--horizon",
+            "20",
+            "--profiles",
+            "3",
+        ]))
+        .unwrap_err();
+        assert!(matches!(err, ArgError::BadValue { ref key, .. } if key == "targets"));
     }
 
     #[test]
@@ -1646,8 +1680,6 @@ mod tests {
                 "30",
                 "--profiles",
                 "3",
-                "--reps",
-                "1",
             ];
             argv.extend_from_slice(extra);
             cmd_serve(&parse(&argv)).unwrap()
@@ -1675,7 +1707,7 @@ mod tests {
 
     #[test]
     fn serve_rejects_bad_executor() {
-        let err = cmd_serve(&parse(&[
+        let err = rejected(&[
             "serve",
             "--resources",
             "10",
@@ -1683,14 +1715,11 @@ mod tests {
             "20",
             "--profiles",
             "3",
-            "--reps",
-            "1",
             "--listen",
             "127.0.0.1:0",
             "--executor",
             "psychic",
-        ]))
-        .unwrap_err();
+        ]);
         assert!(matches!(err, ArgError::BadValue { ref key, .. } if key == "executor"));
     }
 

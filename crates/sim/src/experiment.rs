@@ -372,8 +372,8 @@ impl Experiment {
     ///
     /// The shipped i.i.d. model draws failure sets that are *nested* in the
     /// rate for a fixed seed, so corpus-aggregate completeness is
-    /// non-increasing along `rates` — the curve the `exp_faults` bench
-    /// plots per policy.
+    /// non-increasing along `rates` — the curve the robustness tables of
+    /// `webmon-bench` plot per policy.
     pub fn robustness_sweep(
         &self,
         specs: &[PolicySpec],

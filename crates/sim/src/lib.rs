@@ -21,8 +21,7 @@
 //! * probe-budget utilization and per-rank completeness breakdowns.
 //!
 //! [`table`] renders experiment output as aligned text / Markdown tables so
-//! each `exp_*` binary in `webmon-bench` prints the rows of its paper
-//! figure.
+//! each `webmon-bench` experiment prints the rows of its paper figure.
 //!
 //! [`faults`] adds serializable fault scenarios on top: the same
 //! materialized instances can be rerun under seeded probe failures,

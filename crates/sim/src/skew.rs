@@ -1,5 +1,5 @@
-//! Skew-grid experiment cells: the named ladders the `exp_skew` bench and
-//! the CLI `sweep --param skew-alpha` walk.
+//! Skew-grid experiment cells: the named ladders the skewed-workload tables
+//! of `webmon-bench` and the CLI `sweep --param skew-alpha` walk.
 //!
 //! Two axes of skew degrade (or reshape) policy performance:
 //!

@@ -3,7 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
-/// A simple column-aligned table; what every `exp_*` binary prints, and what
+/// A simple column-aligned table; what every experiment prints, and what
 /// `EXPERIMENTS.md` embeds.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Table {

@@ -657,7 +657,8 @@ fn serve_truncated_replay_feed_is_a_structured_error() {
             content: "1,".into()
         }
     );
-    // And the daemon command turns it into exit code 2.
+    // And the daemon command turns it into exit code 2. (Rank 2: a CEI
+    // watches distinct resources, and there are only two.)
     let toks = [
         "serve",
         "--replay-feed",
@@ -667,6 +668,8 @@ fn serve_truncated_replay_feed_is_a_structured_error() {
         "--horizon",
         "10",
         "--resources",
+        "2",
+        "--rank",
         "2",
     ];
     let args = Args::parse(toks.iter().map(|s| s.to_string())).unwrap();
