@@ -101,7 +101,11 @@ const CHURN: &[Opt] = &[
 #[rustfmt::skip]
 const RUN: &[Opt] = &[
     Opt::optional("workload-spec", PATH, "a WorkloadSpec JSON file; replaces the workload"),
-    Opt::flag("offline-lr", "add the offline Local-Ratio row (infeasible: exit 2)"),
+    Opt::flag(
+        "offline-lr",
+        "add the offline Local-Ratio row (exit 2 on threshold CEIs, or past 2,000,000 \
+         expanded CEIs, as at the default --rank 5; --rank 2 or 3 fits)",
+    ),
     Opt::optional("metrics", PATH, "write per-policy RunMetrics and consistency checks"),
     Opt::optional("trace-out", PATH, "write repetition 0's JSONL event trace per policy"),
     JSON,

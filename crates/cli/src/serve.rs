@@ -57,10 +57,10 @@ use webmon_core::obs::{replay_events, Event, MetricsObserver, Observer, RunMetri
 use webmon_core::policy::Policy;
 use webmon_core::serve::journal::{scan_journal, JournalSink, JournalWriter, SharedJournal};
 use webmon_core::serve::{
-    drive, Clock, ClockRelease, DaemonSource, JournalConfig, JournalError, LiveMutationQueue,
-    NoSnapshots, ProbeExecutor, Recovery, SnapshotSink,
+    drive, session_fingerprint, Clock, ClockRelease, DaemonSource, JournalConfig, JournalError,
+    LiveMutationQueue, NoSnapshots, ProbeExecutor, Recovery, SnapshotSink,
 };
-use webmon_streams::{crc32, write_all_tagged};
+use webmon_streams::write_all_tagged;
 
 /// How long a client read blocks before re-checking the stop flag, and how
 /// long the accept loop naps when no connection is pending.
@@ -706,8 +706,7 @@ impl Daemon {
             }
             None => (None, None),
             Some(jc) => {
-                // Only the journal uses the fingerprint: a CRC over the
-                // serialized instance, ~150 ms at serve scale.
+                // Only the journal uses the fingerprint.
                 let fp = fingerprint(&session, &executor.descriptor());
                 let recovery = if opts.recover {
                     let scan = scan_journal(&jc.path())?;
@@ -875,32 +874,28 @@ impl Daemon {
     }
 }
 
-/// The configuration fingerprint pinned in the journal header. It covers
-/// everything that determines a driven run: the instance **content** (CRC
-/// of its serialized form, not just its dimensions), the policy's full
-/// spec (name + parameters), engine mode, the fault/retry configuration,
-/// the compiled churn script, and the executor's descriptor (fault model
-/// kind, parameters, and seed for scripted executors). Recovery under any
+/// The configuration fingerprint pinned in the journal header
+/// ([`session_fingerprint`]): the instance content, the policy's full spec,
+/// the engine mode, the fault/retry configuration, the compiled churn
+/// script, and the executor's descriptor (fault model kind, parameters,
+/// and seed for scripted executors). Recovery under any
 /// same-shaped-but-different input would replay the journal against a run
 /// it does not describe, so `--recover` refuses a mismatch with a
 /// structured error up front instead of diverging mid-replay.
 fn fingerprint(session: &ServeSession, executor_desc: &str) -> String {
-    let hash = |json: Result<String, serde_json::Error>| match json {
-        Ok(s) => format!("{:08x}", crc32(s.as_bytes())),
-        Err(_) => "unserializable".to_string(),
-    };
-    format!(
-        "v2;horizon={};resources={};ceis={};instance={};policy={};preemptive={};share={};\
-         fault_config={};script={};executor={}",
-        session.instance.epoch.len(),
-        session.instance.n_resources,
-        session.instance.ceis.len(),
-        hash(serde_json::to_string(&session.instance)),
-        session.policy.spec(),
-        session.config.preemptive,
-        session.config.share_probes,
-        hash(serde_json::to_string(&session.fault_config)),
-        hash(serde_json::to_string(&session.script)),
+    let ServeSession {
+        instance,
+        policy,
+        config,
+        fault_config,
+        script,
+    } = session;
+    session_fingerprint(
+        instance,
+        &policy.spec(),
+        *config,
+        fault_config,
+        script,
         executor_desc,
     )
 }

@@ -20,6 +20,14 @@
 //! * a lazy per-resource sweep that compacts a list once tombstones
 //!   outnumber live entries — amortized O(1) per removal.
 //!
+//! The same global EI ids key the run's **capture state**: per-EI captured
+//! and expired-uncaptured flags in two flat arrays, with per-CEI counts of
+//! each. It is stored flat, not per CEI, so scoring a candidate reads it
+//! without a pointer chase, releasing a CEI allocates nothing, and a
+//! snapshot encodes a CEI's flags straight from a slice. A CEI's flags
+//! start false and change only while it is `Active` (a CEI becomes active
+//! at most once), and the engine reads them only while it is `Active`.
+//!
 //! **Order contract.** The legacy pool held entries in `(start, cei,
 //! ei_idx)` lexicographic order: insertion is chronological, and within a
 //! chronon CEIs are visited in dense id order ([`Instance::from_parts`]
@@ -38,6 +46,7 @@
 //! captures remove them earlier.
 
 use crate::model::{CeiId, Instance};
+use std::ops::Range;
 
 /// One candidate EI in the pool: `(parent CEI, index of the EI within it)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -54,7 +63,15 @@ pub(crate) struct CandidateIndex {
     dead: Vec<u32>,
     /// Liveness flag per dense global EI id ([`Self::gid`]).
     in_pool: Vec<bool>,
-    /// First global EI id of each CEI (prefix sums over CEI sizes).
+    /// Captured flag per global EI id.
+    captured: Vec<bool>,
+    /// Expired-uncaptured flag per global EI id.
+    expired: Vec<bool>,
+    /// Captured and expired EIs per CEI.
+    n_captured: Vec<u16>,
+    n_expired: Vec<u16>,
+    /// Prefix sums over CEI sizes: CEI `c`'s global EI ids are
+    /// `ei_base[c]..ei_base[c + 1]`.
     ei_base: Vec<u32>,
     /// Total live entries.
     live: u32,
@@ -67,7 +84,8 @@ impl CandidateIndex {
     /// exact maximum occupancy so the run's hot path never reallocates.
     pub(crate) fn new(instance: &Instance) -> Self {
         let n_res = instance.n_resources as usize;
-        let mut ei_base = Vec::with_capacity(instance.ceis.len());
+        let n_ceis = instance.ceis.len();
+        let mut ei_base = Vec::with_capacity(n_ceis + 1);
         let mut per_resource = vec![0usize; n_res];
         let mut total = 0u32;
         for cei in &instance.ceis {
@@ -77,6 +95,7 @@ impl CandidateIndex {
                 per_resource[ei.resource.index()] += 1;
             }
         }
+        ei_base.push(total);
         CandidateIndex {
             by_resource: per_resource
                 .iter()
@@ -84,6 +103,10 @@ impl CandidateIndex {
                 .collect(),
             dead: vec![0; n_res],
             in_pool: vec![false; total as usize],
+            captured: vec![false; total as usize],
+            expired: vec![false; total as usize],
+            n_captured: vec![0; n_ceis],
+            n_expired: vec![0; n_ceis],
             ei_base,
             live: 0,
             active_now: vec![0; n_res],
@@ -94,6 +117,91 @@ impl CandidateIndex {
     #[inline]
     fn gid(&self, e: PoolEntry) -> usize {
         self.ei_base[e.cei.index()] as usize + e.ei_idx as usize
+    }
+
+    /// CEI `id`'s global EI ids.
+    #[inline]
+    fn eis_of(&self, id: CeiId) -> Range<usize> {
+        self.ei_base[id.index()] as usize..self.ei_base[id.index() + 1] as usize
+    }
+
+    /// CEI `id`'s captured flags, parallel to its EIs.
+    #[inline]
+    pub(crate) fn captured_flags(&self, id: CeiId) -> &[bool] {
+        &self.captured[self.eis_of(id)]
+    }
+
+    /// CEI `id`'s expired-uncaptured flags, parallel to its EIs.
+    #[inline]
+    pub(crate) fn expired_flags(&self, id: CeiId) -> &[bool] {
+        &self.expired[self.eis_of(id)]
+    }
+
+    /// `true` if the EI is neither captured nor expired.
+    #[inline]
+    pub(crate) fn is_open(&self, e: PoolEntry) -> bool {
+        let g = self.gid(e);
+        !self.captured[g] && !self.expired[g]
+    }
+
+    /// Number of CEI `id`'s EIs captured so far (`Σ_{I' ∈ η} X(I', S)`).
+    #[inline]
+    pub(crate) fn n_captured(&self, id: CeiId) -> u16 {
+        self.n_captured[id.index()]
+    }
+
+    /// Marks the EI captured. Idempotent; returns `true` if newly captured.
+    ///
+    /// # Panics
+    /// Panics if the EI already expired uncaptured — a closed window cannot
+    /// be captured.
+    #[inline]
+    pub(crate) fn capture(&mut self, e: PoolEntry) -> bool {
+        let g = self.gid(e);
+        assert!(
+            !self.expired[g],
+            "EI {} of {} already expired uncaptured",
+            e.ei_idx, e.cei
+        );
+        if self.captured[g] {
+            return false;
+        }
+        self.captured[g] = true;
+        self.n_captured[e.cei.index()] += 1;
+        true
+    }
+
+    /// Marks an uncaptured EI's window as closed. Idempotent; no effect on
+    /// captured EIs. Returns `true` if newly expired.
+    #[inline]
+    pub(crate) fn mark_expired(&mut self, e: PoolEntry) -> bool {
+        let g = self.gid(e);
+        if self.captured[g] || self.expired[g] {
+            return false;
+        }
+        self.expired[g] = true;
+        self.n_expired[e.cei.index()] += 1;
+        true
+    }
+
+    /// `true` iff fewer than `required` of CEI `id`'s EIs can still be
+    /// captured (captured ones count) — the CEI is doomed.
+    #[inline]
+    pub(crate) fn is_doomed(&self, id: CeiId, required: u16) -> bool {
+        let size = self.eis_of(id).len();
+        size - usize::from(self.n_expired[id.index()]) < usize::from(required)
+    }
+
+    /// Writes CEI `id`'s flags from a snapshot and recounts them. The
+    /// snapshot was validated: both slices have the CEI's size, and no EI
+    /// is both captured and expired.
+    pub(crate) fn restore_flags(&mut self, id: CeiId, captured: &[bool], expired: &[bool]) {
+        let eis = self.eis_of(id);
+        self.captured[eis.clone()].copy_from_slice(captured);
+        self.expired[eis].copy_from_slice(expired);
+        let count = |flags: &[bool]| flags.iter().filter(|&&f| f).count() as u16;
+        self.n_captured[id.index()] = count(captured);
+        self.n_expired[id.index()] = count(expired);
     }
 
     /// `true` if the entry is currently live in the pool.
@@ -282,6 +390,83 @@ mod tests {
         idx.sweep();
         let ids: Vec<u32> = idx.entries(0).iter().map(|e| e.cei.0).collect();
         assert_eq!(ids, vec![1, 3]);
+    }
+
+    fn entry(cei: u32, ei_idx: u16) -> PoolEntry {
+        PoolEntry {
+            cei: CeiId(cei),
+            ei_idx,
+        }
+    }
+
+    /// CEI 1 has three EIs; CEI 0 (two EIs) shares the flag arrays.
+    fn three_ei_instance() -> Instance {
+        let mut b = InstanceBuilder::new(3, 10, Budget::Uniform(1));
+        let p = b.profile();
+        b.cei(p, &[(0, 0, 2), (1, 3, 5)]);
+        b.cei(p, &[(0, 0, 9), (1, 0, 9), (2, 0, 9)]);
+        b.build()
+    }
+
+    #[test]
+    fn capture_flags_track_progress() {
+        let inst = three_ei_instance();
+        let mut idx = CandidateIndex::new(&inst);
+        let cei = CeiId(1);
+        assert_eq!(idx.n_captured(cei), 0);
+        assert!(idx.capture(entry(1, 1)));
+        assert!(!idx.capture(entry(1, 1))); // idempotent
+        assert_eq!(idx.n_captured(cei), 1);
+        assert!(!idx.is_open(entry(1, 1)) && idx.is_open(entry(1, 0)));
+        idx.capture(entry(1, 0));
+        idx.capture(entry(1, 2));
+        assert_eq!(idx.n_captured(cei), 3);
+        assert_eq!(idx.captured_flags(cei), &[true, true, true]);
+        // The neighbouring CEI's flags are untouched.
+        assert_eq!(idx.captured_flags(CeiId(0)), &[false, false]);
+        assert_eq!(idx.n_captured(CeiId(0)), 0);
+    }
+
+    #[test]
+    fn capture_flags_under_threshold_semantics() {
+        let inst = three_ei_instance();
+        let mut idx = CandidateIndex::new(&inst);
+        let cei = CeiId(1);
+        idx.capture(entry(1, 0));
+        idx.capture(entry(1, 2));
+        // Two of three captured: a 2-of-3 threshold is met, AND is not.
+        assert_eq!(idx.n_captured(cei), 2);
+        assert_eq!(idx.captured_flags(cei), &[true, false, true]);
+        assert!(!idx.is_doomed(cei, 3));
+    }
+
+    #[test]
+    fn capture_flags_expiry_and_doom() {
+        let inst = three_ei_instance();
+        let mut idx = CandidateIndex::new(&inst);
+        let cei = CeiId(1);
+        assert!(!idx.is_doomed(cei, 3));
+        assert!(idx.mark_expired(entry(1, 0)));
+        assert!(!idx.mark_expired(entry(1, 0))); // idempotent
+        assert!(idx.is_doomed(cei, 3)); // AND can never complete
+        assert!(!idx.is_doomed(cei, 2)); // 2-of-3 still viable
+        idx.capture(entry(1, 1));
+        assert!(!idx.mark_expired(entry(1, 1))); // captured EIs never expire
+        assert!(!idx.is_doomed(cei, 2));
+        assert_eq!(idx.expired_flags(cei), &[true, false, false]);
+        // Restoring flags recounts them.
+        idx.restore_flags(cei, &[false, true, true], &[true, false, false]);
+        assert_eq!(idx.n_captured(cei), 2);
+        assert!(idx.is_doomed(cei, 3) && !idx.is_doomed(cei, 2));
+    }
+
+    #[test]
+    #[should_panic(expected = "already expired")]
+    fn capturing_expired_ei_rejected() {
+        let inst = three_ei_instance();
+        let mut idx = CandidateIndex::new(&inst);
+        idx.mark_expired(entry(0, 0));
+        idx.capture(entry(0, 0));
     }
 
     #[test]

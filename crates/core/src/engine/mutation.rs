@@ -198,10 +198,7 @@ pub trait MutationSource {
 /// [`OnlineEngine::run_driven`](crate::engine::OnlineEngine::run_driven).
 /// The buckets preserve queue order, and an empty queue (like
 /// [`ScriptedMutations::default`]) compiles to an inactive source.
-/// `Serialize` exists so the serve journal's configuration fingerprint can
-/// hash the compiled script's content — recovery under a different churn
-/// script must be refused up front.
-#[derive(Debug, Clone, Default, Serialize)]
+#[derive(Debug, Clone, Default)]
 pub struct ScriptedMutations {
     buckets: Vec<Vec<Mutation>>,
     dynamic: Vec<bool>,
@@ -242,6 +239,21 @@ impl MutationSource for ScriptedMutations {
 
     fn suppresses_release(&self, cei: CeiId) -> bool {
         self.dynamic.get(cei.index()).copied().unwrap_or(false)
+    }
+}
+
+/// The serve journal's fingerprint covers the compiled script: recovery
+/// under a different churn script must be refused up front.
+impl crate::serve::Fingerprint for ScriptedMutations {
+    fn feed(&self, crc: &mut webmon_streams::Crc32) {
+        let ScriptedMutations {
+            buckets,
+            dynamic,
+            active,
+        } = self;
+        buckets.feed(crc);
+        dynamic.feed(crc);
+        active.feed(crc);
     }
 }
 

@@ -9,11 +9,11 @@
 use super::index::{CandidateIndex, PoolEntry};
 use super::mutation::{Mutation, MutationSource, ScriptedMutations};
 use crate::fault::{FaultConfig, FaultModel, NoFaults};
-use crate::model::{CaptureSet, CeiId, Chronon, Instance, ResourceId, Schedule};
+use crate::model::{CeiId, Chronon, Instance, ResourceId, Schedule};
 use crate::obs::{Event, NoopObserver, Observer};
 use crate::policy::{Candidate, CeiView, Policy, PolicyContext, ResourceStats, ScoreDynamics};
 use crate::serve::snapshot::{
-    CeiState, EngineSnapshot, NoSnapshots, SnapshotMismatch, SnapshotSink,
+    CeiState, CeiStateRef, EngineSnapshot, NoSnapshots, SnapshotMismatch, SnapshotRef, SnapshotSink,
 };
 use crate::stats::{CeiOutcome, RunStats};
 use std::cmp::Reverse;
@@ -160,27 +160,20 @@ pub struct RunInputs<'a, F, M, O> {
     pub observer: &'a mut O,
 }
 
-/// Lifecycle of a CEI inside the engine.
+/// Lifecycle of a CEI inside the engine. Which of an active CEI's EIs are
+/// captured or expired lives in the candidate index's flat flags.
+#[derive(Clone, Copy, PartialEq, Eq)]
 enum Status {
     /// Release chronon not reached yet.
     NotArrived,
-    /// Released; tracking which EIs have been captured.
-    Active(CaptureSet),
+    /// Released; its capture flags are tracked.
+    Active,
     /// All EIs captured.
     Captured,
     /// An EI expired uncaptured.
     Failed,
     /// Cancelled mid-run through the mutation API; never resolves.
     Cancelled,
-}
-
-impl Status {
-    fn capture_set(&self) -> Option<&CaptureSet> {
-        match self {
-            Status::Active(c) => Some(c),
-            _ => None,
-        }
-    }
 }
 
 /// How a live CEI resolves: its terminal status, outcome and event.
@@ -326,9 +319,11 @@ impl OnlineEngine {
     }
 
     /// [`run_driven`](Self::run_driven) with crash-recovery hooks: the
-    /// engine offers an [`EngineSnapshot`] to `snapshots` at every chronon
-    /// boundary, and `resume` restores a previously captured snapshot so
-    /// the loop starts at its boundary chronon instead of 0.
+    /// engine offers `snapshots` every chronon boundary, encodes the ones
+    /// it wants straight from its run state (the bytes of
+    /// [`EngineSnapshot::encode`]), and `resume` restores a previously
+    /// captured snapshot so the loop starts at its boundary chronon
+    /// instead of 0.
     ///
     /// Identity contract (pinned by `tests/tests/recovery.rs`): capturing a
     /// snapshot at boundary `S` during a run and replaying
@@ -381,7 +376,8 @@ struct Pool<'a> {
     instance: &'a Instance,
     policy: &'a dyn Policy,
     /// The candidate pool, grouped by resource with incremental removal
-    /// and live counts. Allocated once and reused for the whole run.
+    /// and live counts, and the per-EI capture flags. Allocated once and
+    /// reused for the whole run.
     index: CandidateIndex,
     status: Vec<Status>,
     /// Non-preemptive selection groups: `started[c]` says whether CEI `c`
@@ -424,8 +420,7 @@ impl Pool<'_> {
     /// and unexpired, and the parent belongs to `phase`'s group. Returns
     /// `None` otherwise.
     fn score(&self, e: PoolEntry, phase: Phase) -> Option<i64> {
-        let cap = self.status[e.cei.index()].capture_set()?;
-        if cap.is_captured(e.ei_idx as usize) || cap.is_expired(e.ei_idx as usize) {
+        if self.status[e.cei.index()] != Status::Active || !self.index.is_open(e) {
             return None;
         }
         if phase != Phase::All && self.started[e.cei.index()] != (phase == Phase::Started) {
@@ -437,8 +432,8 @@ impl Pool<'_> {
             ei_index: e.ei_idx as usize,
             cei: CeiView {
                 eis: &cei.eis,
-                captured: cap.flags(),
-                n_captured: cap.n_captured() as u16,
+                captured: self.index.captured_flags(e.cei),
+                n_captured: self.index.n_captured(e.cei),
                 required: cei.required,
                 weight: cei.weight,
                 profile_rank: self.instance.profiles[cei.profile.index()].rank,
@@ -760,18 +755,17 @@ impl KeyedQueue {
             ei_idx,
         };
         pool.index.is_live(e)
-            && pool.status[e.cei.index()]
-                .capture_set()
-                .is_some_and(|cap| cap.n_captured() == usize::from(captured))
+            && pool.status[e.cei.index()] == Status::Active
+            && pool.index.n_captured(e.cei) == captured
             && self.group(pool, e.cei) == group
     }
 
     /// The copy of `e` at its current score, if `e` is live.
     fn copy_of(pool: &Pool<'_>, e: PoolEntry) -> Option<KeyedCopy> {
-        if !pool.index.is_live(e) {
+        if !pool.index.is_live(e) || pool.status[e.cei.index()] != Status::Active {
             return None;
         }
-        let captured = pool.status[e.cei.index()].capture_set()?.n_captured() as u16;
+        let captured = pool.index.n_captured(e.cei);
         let score = pool.score(e, Phase::All)?;
         Some((score, e.cei.0, e.ei_idx, captured))
     }
@@ -881,8 +875,9 @@ impl KeyedQueue {
 /// Algorithm 1's run state: everything that crosses a chronon boundary,
 /// plus the scratch a chronon reuses. Built fresh ([`new`](Self::new)) or
 /// from a boundary snapshot ([`restore`](Self::restore), the inverse of
-/// [`snapshot`](Self::snapshot)); [`chronon`](Self::chronon) runs one
-/// chronon as a fixed sequence of phase methods.
+/// [`encode_snapshot`](Self::encode_snapshot));
+/// [`chronon`](Self::chronon) runs one chronon as a fixed sequence of
+/// phase methods.
 struct EngineState<'a, F, M, O> {
     /// What selection reads.
     pool: Pool<'a>,
@@ -1034,9 +1029,10 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
             pool.status[i] = match s {
                 CeiState::NotArrived => Status::NotArrived,
                 CeiState::Active { captured, expired } => {
-                    let cap = CaptureSet::from_flags(captured.clone(), expired.clone());
-                    pool.started[i] = cap.is_started();
-                    Status::Active(cap)
+                    let id = CeiId(i as u32);
+                    pool.index.restore_flags(id, captured, expired);
+                    pool.started[i] = pool.index.n_captured(id) > 0;
+                    Status::Active
                 }
                 CeiState::Captured => Status::Captured,
                 CeiState::Failed => Status::Failed,
@@ -1077,9 +1073,47 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
         Ok(state)
     }
 
-    /// The boundary state of chronon `at`, with the candidate index
-    /// recorded as live entries in per-resource list order (the order
-    /// shared captures fire in).
+    /// Encodes the boundary state of chronon `at` into `out` — the bytes
+    /// [`EngineSnapshot::encode`] writes for the snapshot the state would
+    /// build — straight from the run state: the candidate index goes out
+    /// as live entries in per-resource list order (the order shared
+    /// captures fire in), each list counted by its live count.
+    fn encode_snapshot(&self, at: Chronon, out: &mut Vec<u8>) {
+        let index = &self.pool.index;
+        SnapshotRef {
+            at,
+            status: self.pool.status.iter().enumerate().map(|(i, s)| {
+                let id = CeiId(i as u32);
+                match s {
+                    Status::NotArrived => CeiStateRef::NotArrived,
+                    Status::Active => CeiStateRef::Active {
+                        captured: index.captured_flags(id),
+                        expired: index.expired_flags(id),
+                    },
+                    Status::Captured => CeiStateRef::Captured,
+                    Status::Failed => CeiStateRef::Failed,
+                    Status::Cancelled => CeiStateRef::Cancelled,
+                }
+            }),
+            outcomes: &self.outcomes,
+            stats: &self.stats,
+            schedule: &self.schedule,
+            budget_override: self.budget_override,
+            pending_budget: self.pending_budget,
+            announced: &self.announced,
+            consec_failures: &self.consec_failures,
+            next_attempt_at: &self.next_attempt_at,
+            index: (0..self.pool.instance.n_resources as usize).map(|r| {
+                let live = index.entries(r).iter().filter(|e| index.is_live(**e));
+                (index.live_on(r) as usize, live.map(|e| (e.cei.0, e.ei_idx)))
+            }),
+        }
+        .encode(out);
+    }
+
+    /// The boundary state of chronon `at` as an [`EngineSnapshot`]: the
+    /// reference [`encode_snapshot`](Self::encode_snapshot) must match.
+    #[cfg(test)]
     fn snapshot(&self, at: Chronon) -> EngineSnapshot {
         let index = &self.pool.index;
         EngineSnapshot {
@@ -1088,11 +1122,12 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
                 .pool
                 .status
                 .iter()
-                .map(|s| match s {
+                .enumerate()
+                .map(|(i, s)| match s {
                     Status::NotArrived => CeiState::NotArrived,
-                    Status::Active(cap) => CeiState::Active {
-                        captured: cap.flags().to_vec(),
-                        expired: cap.expired_flags().to_vec(),
+                    Status::Active => CeiState::Active {
+                        captured: index.captured_flags(CeiId(i as u32)).to_vec(),
+                        expired: index.expired_flags(CeiId(i as u32)).to_vec(),
                     },
                     Status::Captured => CeiState::Captured,
                     Status::Failed => CeiState::Failed,
@@ -1121,14 +1156,18 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
     }
 
     /// Runs every remaining chronon, offering `snapshots` each boundary,
-    /// and returns the run's result.
+    /// and returns the run's result. Wanted snapshots are encoded into one
+    /// buffer reused for the whole run (or swapped with the sink's).
     fn run(mut self, snapshots: &mut dyn SnapshotSink) -> RunResult {
+        let mut encoded = Vec::new();
         for t in self.pool.now..self.pool.instance.epoch.len() {
             // Offer the boundary state before any of chronon t's work —
             // including the pending-budget promotion, which is chronon t's
             // first action and must replay after a restore.
             if snapshots.wants(t) {
-                snapshots.accept(self.snapshot(t));
+                encoded.clear();
+                self.encode_snapshot(t, &mut encoded);
+                snapshots.accept(t, &mut encoded);
             }
             self.chronon(t);
         }
@@ -1197,31 +1236,30 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
     /// `start == t`) enter the pool now; future windows ride the prebuilt
     /// buckets. O(own EIs) throughout.
     fn register(&mut self, id: CeiId) {
-        if !matches!(self.pool.status[id.index()], Status::NotArrived) {
+        if self.pool.status[id.index()] != Status::NotArrived {
             return; // already live, resolved, or cancelled
         }
         let t = self.pool.now;
         let cei = self.pool.instance.cei(id);
-        let mut cap = CaptureSet::new(cei.size());
         for (idx, ei) in cei.eis.iter().enumerate() {
+            let e = PoolEntry {
+                cei: id,
+                ei_idx: idx as u16,
+            };
             if ei.end < t {
-                cap.mark_expired(idx);
+                self.pool.index.mark_expired(e);
             } else if ei.start < t {
-                let e = PoolEntry {
-                    cei: id,
-                    ei_idx: idx as u16,
-                };
                 self.pool.index.insert(e, ei.resource.index());
             }
         }
         self.observer
             .on_event(Event::CeiRegistered { cei: id, at: t });
-        if cap.is_doomed(cei.required) {
+        if self.pool.index.is_doomed(id, cei.required) {
             // Registered too late: the already-closed windows alone make
             // `required` unreachable.
             self.resolve(id, Resolution::Expired);
         } else {
-            self.pool.status[id.index()] = Status::Active(cap);
+            self.pool.status[id.index()] = Status::Active;
             self.selector.cei_touched(&self.pool, id);
         }
     }
@@ -1234,7 +1272,7 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
     fn cancel(&mut self, id: CeiId) {
         if !matches!(
             self.pool.status[id.index()],
-            Status::NotArrived | Status::Active(_)
+            Status::NotArrived | Status::Active
         ) {
             return; // already resolved or cancelled
         }
@@ -1295,9 +1333,8 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
             if self.mutations_on && self.mutations.suppresses_release(id) {
                 continue;
             }
-            if matches!(self.pool.status[id.index()], Status::NotArrived) {
-                self.pool.status[id.index()] =
-                    Status::Active(CaptureSet::new(instance.cei(id).size()));
+            if self.pool.status[id.index()] == Status::NotArrived {
+                self.pool.status[id.index()] = Status::Active;
             }
         }
         let pool = &mut self.pool;
@@ -1305,7 +1342,7 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
         pool.index.sweep();
         pool.has_update.fill(false);
         for &e in opened {
-            if matches!(pool.status[e.cei.index()], Status::Active(_)) {
+            if pool.status[e.cei.index()] == Status::Active {
                 let r = pool.resource(e).index();
                 pool.index.insert(e, r);
                 pool.has_update[r] = true;
@@ -1478,13 +1515,13 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
             if !self.pool.index.is_live(e) {
                 continue; // tombstone awaiting a sweep
             }
-            let Status::Active(cap) = &mut self.pool.status[e.cei.index()] else {
+            if self.pool.status[e.cei.index()] != Status::Active {
                 debug_assert!(false, "live entry with a resolved parent");
                 continue;
-            };
+            }
             let ei = instance.cei(e.cei).eis[e.ei_idx as usize];
             debug_assert!(ei.resource.index() == resource && ei.is_active(t));
-            if cap.capture(e.ei_idx as usize) {
+            if self.pool.index.capture(e) {
                 self.pool.index.mark_captured(e, resource);
                 self.stats.eis_captured += 1;
                 self.observer.on_event(Event::EiCaptured {
@@ -1496,9 +1533,9 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
                     self.touched.push(e.cei);
                 }
                 // Record completion exactly once: when this capture crosses
-                // the threshold (under threshold semantics `meets` stays
-                // true for every further capture in the same probe).
-                if cap.n_captured() == usize::from(instance.cei(e.cei).required) {
+                // the threshold (under threshold semantics the count stays
+                // past it for every further capture in the same probe).
+                if self.pool.index.n_captured(e.cei) == instance.cei(e.cei).required {
                     self.resolved.push(e.cei);
                 }
             }
@@ -1515,10 +1552,10 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
     fn capture_single(&mut self, entry: PoolEntry) {
         let t = self.pool.now;
         let instance = self.pool.instance;
-        let Status::Active(cap) = &mut self.pool.status[entry.cei.index()] else {
+        if self.pool.status[entry.cei.index()] != Status::Active {
             return;
-        };
-        if cap.capture(entry.ei_idx as usize) {
+        }
+        if self.pool.index.capture(entry) {
             let ei = instance.cei(entry.cei).eis[entry.ei_idx as usize];
             self.pool.index.remove(entry, ei.resource.index());
             self.stats.eis_captured += 1;
@@ -1527,7 +1564,7 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
                 cei: entry.cei,
                 latency: t - ei.start,
             });
-            if cap.n_captured() == usize::from(instance.cei(entry.cei).required) {
+            if self.pool.index.n_captured(entry.cei) == instance.cei(entry.cei).required {
                 self.resolve(entry.cei, Resolution::Completed);
             }
         }
@@ -1580,15 +1617,15 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
             if !self.pool.index.is_live(e) {
                 continue; // never entered, captured, or already removed
             }
-            let Status::Active(cap) = &mut self.pool.status[e.cei.index()] else {
+            if self.pool.status[e.cei.index()] != Status::Active {
                 continue;
-            };
+            }
             let cei = instance.cei(e.cei);
-            if cap.mark_expired(e.ei_idx as usize) {
+            if self.pool.index.mark_expired(e) {
                 self.pool
                     .index
                     .remove(e, cei.eis[e.ei_idx as usize].resource.index());
-                if cap.is_doomed(cei.required) {
+                if self.pool.index.is_doomed(e.cei, cei.required) {
                     self.resolved.push(e.cei);
                 }
             }
@@ -1625,7 +1662,7 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
     fn resolve_all(&mut self, how: Resolution) {
         let resolved = std::mem::take(&mut self.resolved);
         for &id in &resolved {
-            if matches!(self.pool.status[id.index()], Status::Active(_)) {
+            if self.pool.status[id.index()] == Status::Active {
                 self.resolve(id, how);
             }
         }
@@ -1677,7 +1714,7 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
     /// doomed them (`Active`).
     fn finish(mut self) -> RunResult {
         for (cei, s) in self.pool.instance.ceis.iter().zip(&self.pool.status) {
-            if matches!(s, Status::Active(_) | Status::NotArrived) {
+            if matches!(s, Status::Active | Status::NotArrived) {
                 self.stats.record_outcome_of(cei, CeiOutcome::Pending);
             }
         }
@@ -2805,5 +2842,127 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// 300 CEIs of 1–4 EIs over 16 resources and 30 chronons at two probes
+    /// per chronon, every seventh multi-EI CEI a threshold CEI (`required <
+    /// |η|`): runs defer, capture, expire and, under faults, shed.
+    fn snapshot_grid_instance() -> Instance {
+        let mut rng = webmon_streams::SimRng::new(0x5A4);
+        let (n_resources, horizon) = (16, 30);
+        let mut b = InstanceBuilder::new(n_resources, horizon, Budget::Uniform(2));
+        let mut p = b.profile();
+        for k in 0..300 {
+            if k % 6 == 5 {
+                p = b.profile();
+            }
+            let eis: Vec<(u32, Chronon, Chronon)> = (0..rng.range_inclusive(1, 4))
+                .map(|_| {
+                    let start = rng.below(u64::from(horizon)) as Chronon;
+                    let end = (start + rng.below(6) as Chronon).min(horizon - 1);
+                    (rng.below(u64::from(n_resources)) as u32, start, end)
+                })
+                .collect();
+            if k % 7 == 0 && eis.len() > 1 {
+                b.cei_threshold(p, eis.len() as u16 - 1, &eis);
+            } else {
+                b.cei(p, &eis);
+            }
+        }
+        b.build()
+    }
+
+    /// At every boundary of faultless, faulted and churned runs, in P and
+    /// NP mode, with and without probe sharing, the engine's in-place
+    /// snapshot encoding is byte for byte the reference builder's
+    /// `EngineSnapshot::encode`, and a state restored from those bytes
+    /// encodes them again.
+    #[test]
+    fn in_place_snapshot_encoding_matches_the_reference_at_every_boundary() {
+        use crate::fault::{Backoff, IidFaults};
+
+        let inst = snapshot_grid_instance();
+        assert!(inst.ceis.iter().any(|c| usize::from(c.required) < c.size()));
+        let horizon = inst.epoch.len();
+        let mut churn = MutationQueue::new();
+        for k in 0..20 {
+            churn.register(k + 2, CeiId(k * 13));
+        }
+        for k in 0..10 {
+            churn.cancel(3 + 2 * k, CeiId(k * 17 + 5));
+        }
+        churn.set_budget(5, 3).set_budget(12, 1);
+        let none = MutationQueue::new();
+        let fault_config = FaultConfig::charged().with_backoff(Backoff::new(1, 4));
+        let faults = |faulted: bool| -> Box<dyn FaultModel> {
+            if faulted {
+                Box::new(IidFaults::new(0.3, 11))
+            } else {
+                Box::new(NoFaults)
+            }
+        };
+        let (mut failed, mut cancelled, mut threshold_met) = (0, 0, 0);
+        for (faulted, queue) in [(false, &none), (true, &none), (false, &churn)] {
+            for mode in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
+                for config in [mode, mode.without_probe_sharing()] {
+                    let label = format!("faulted {faulted}, {} mutations, {config:?}", queue.len());
+                    let script = || ScriptedMutations::compile(queue, horizon, inst.ceis.len());
+                    let (mut model, mut mutations) = (faults(faulted), script());
+                    let (mut model, mut observer) = (model.as_mut(), NoopObserver);
+                    let mut state = EngineState::new(RunInputs {
+                        instance: &inst,
+                        policy: &Mrsf,
+                        config,
+                        faults: &mut model,
+                        fault_config,
+                        mutations: &mut mutations,
+                        observer: &mut observer,
+                    });
+                    let (mut encoded, mut reference, mut again) =
+                        (Vec::new(), Vec::new(), Vec::new());
+                    for t in 0..horizon {
+                        encoded.clear();
+                        reference.clear();
+                        state.encode_snapshot(t, &mut encoded);
+                        state.snapshot(t).encode(&mut reference);
+                        assert!(encoded == reference, "{label}: boundary {t}");
+
+                        let snap = EngineSnapshot::decode(&encoded).unwrap();
+                        let (mut model, mut mutations) = (faults(faulted), script());
+                        let (mut model, mut observer) = (model.as_mut(), NoopObserver);
+                        let restored = EngineState::restore(
+                            RunInputs {
+                                instance: &inst,
+                                policy: &Mrsf,
+                                config,
+                                faults: &mut model,
+                                fault_config,
+                                mutations: &mut mutations,
+                                observer: &mut observer,
+                            },
+                            &snap,
+                        )
+                        .unwrap_or_else(|e| panic!("{label}: {e}"));
+                        again.clear();
+                        restored.encode_snapshot(t, &mut again);
+                        assert!(again == encoded, "{label}: restored at {t}");
+
+                        state.chronon(t);
+                    }
+                    let result = state.finish();
+                    failed += result.stats.probes_failed;
+                    cancelled += result.stats.ceis_cancelled;
+                    threshold_met += inst
+                        .ceis
+                        .iter()
+                        .zip(&result.outcomes)
+                        .filter(|(c, o)| usize::from(c.required) < c.size() && o.is_captured())
+                        .count();
+                }
+            }
+        }
+        assert!(failed > 0, "the faulted runs fail probes");
+        assert!(cancelled > 0, "the churned runs cancel CEIs");
+        assert!(threshold_met > 0, "threshold CEIs complete");
     }
 }

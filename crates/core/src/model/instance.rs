@@ -153,6 +153,28 @@ impl Instance {
     }
 }
 
+/// Feeds every field but the release index, which the CEIs' release
+/// chronons determine.
+impl crate::serve::Fingerprint for Instance {
+    fn feed(&self, crc: &mut webmon_streams::Crc32) {
+        let Instance {
+            n_resources,
+            epoch,
+            budget,
+            costs,
+            ceis,
+            profiles,
+            released: _,
+        } = self;
+        n_resources.feed(crc);
+        epoch.len().feed(crc);
+        budget.feed(crc);
+        costs.feed(crc);
+        ceis.feed(crc);
+        profiles.feed(crc);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

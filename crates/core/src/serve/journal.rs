@@ -24,19 +24,24 @@
 //! * **snapshot** records (kind 3) interleave periodically so the engine
 //!   resumes `O(chronons since snapshot)` instead of replaying from
 //!   chronon 0. Their payload is the compact binary encoding of an
-//!   [`EngineSnapshot`] ([`EngineSnapshot::encode`]; the format is in the
-//!   [`snapshot`](super::snapshot) module docs), built and encoded on the
-//!   engine thread by [`JournalSink`] before the writer's lock is taken and
-//!   stashed on the writer. [`JournalWriter::frame`] appends the stashed
-//!   snapshot right after the frame it follows, so record order is decided
-//!   here alone: the snapshot at boundary `t` follows the frame of chronon
-//!   `t - 1`;
+//!   [`EngineSnapshot`] (the bytes of [`EngineSnapshot::encode`]; the
+//!   format is in the [`snapshot`](super::snapshot) module docs), which
+//!   the engine encodes on its own thread straight from its run state,
+//!   outside the writer's lock. [`JournalSink`] hands the bytes to the
+//!   writer by swapping buffers under the lock — O(1), so live-mutation
+//!   acks, which share it, never wait on an encoding or a copy — and
+//!   [`JournalWriter::frame`] appends the stashed snapshot right after the
+//!   frame it follows, so record order is decided here alone: the
+//!   snapshot at boundary `t` follows the frame of chronon `t - 1`;
 //! * **live-mutation** records (kind 4, JSON) are written *before* the
 //!   registration API acknowledges a submission, so an acknowledged
 //!   mutation survives a crash even if no frame drained it yet.
 //!
 //! Whether an append is fsynced is decided in one place for every record
-//! kind: `FsyncPolicy::syncs`, under the run's [`FsyncPolicy`].
+//! kind: `FsyncPolicy::syncs`, under the run's [`FsyncPolicy`]. The first
+//! append that fails — a write, flush or fsync error — stops the journal
+//! at its last complete record ([`JournalWriter`] has the details), so a
+//! full disk never leaves a partial record with valid ones after it.
 //!
 //! Records ride the checksummed framing of [`webmon_streams::record`]: a
 //! crash mid-append leaves a torn tail that the scanner detects (truncated
@@ -69,7 +74,7 @@ use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write};
+use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
 use webmon_streams::record::{parse_record, write_record, RecordError};
@@ -216,6 +221,15 @@ pub enum JournalError {
         /// What disagrees.
         detail: String,
     },
+    /// An append failed and the journal stopped: the file was truncated to
+    /// its last complete record, and nothing from chronon `at` on is
+    /// journaled.
+    Stopped {
+        /// The first chronon whose frame the journal does not hold.
+        at: Chronon,
+        /// The failed append.
+        cause: String,
+    },
     /// Replay consumed the journal differently than the recording — the
     /// engine attempted more (or fewer) probes in a replayed chronon than
     /// the frame recorded. The journal describes a different run; the
@@ -246,6 +260,9 @@ impl fmt::Display for JournalError {
                 f,
                 "journal snapshot at chronon {at} does not fit the served instance: {detail}"
             ),
+            JournalError::Stopped { at, cause } => {
+                write!(f, "journal stopped at chronon {at}: {cause}")
+            }
             JournalError::ReplayDivergence { detail } => {
                 write!(f, "journal replay diverged from the recording: {detail}")
             }
@@ -296,29 +313,68 @@ struct LiveRecord {
     mutation: Mutation,
 }
 
+/// The file operations the journal writer uses: a seam through which tests
+/// script write, flush, fsync and truncation failures.
+trait JournalFile: Write + Send + fmt::Debug {
+    fn sync_data(&mut self) -> io::Result<()>;
+    fn set_len(&mut self, len: u64) -> io::Result<()>;
+}
+
+impl JournalFile for File {
+    fn sync_data(&mut self) -> io::Result<()> {
+        File::sync_data(self)
+    }
+    fn set_len(&mut self, len: u64) -> io::Result<()> {
+        File::set_len(self, len)
+    }
+}
+
+/// Bytes a record adds to its payload: the length prefix, the kind byte
+/// and the checksum.
+const RECORD_OVERHEAD: u64 = 9;
+
 /// The append side of the journal: one writer shared (behind a mutex) by
 /// the daemon's event hub (frames), the snapshot sink, and the registration
 /// API's journal-before-ack path.
 ///
-/// Frame and snapshot appends record failures internally (the engine loop
-/// must not panic mid-run; the daemon surfaces [`errors`](Self::errors) as
-/// a JSON summary and exits nonzero). [`live_mutation`](Self::live_mutation)
-/// returns its error instead — an un-journaled mutation must not be
-/// acknowledged.
+/// The journal **stops at its first failed append**. A write, flush or
+/// fsync error truncates the file back to the end of the last complete
+/// record — written, flushed, and synced where the policy syncs — and
+/// nothing is appended after that: a partial record followed by valid ones
+/// would make a scan refuse the journal as corrupt, or drop acknowledged
+/// records as a torn tail. An fsync is never retried: after a failed one
+/// the kernel may have dropped the dirty pages, so a retry that succeeds
+/// would claim a durability the file does not have. Frame and snapshot
+/// appends return nothing (the engine loop must not panic mid-run, and
+/// runs on to its horizon), and once stopped they write nothing;
+/// [`errors`](Self::errors) then names the chronon where the journal
+/// stopped, which the daemon reports before exiting nonzero.
+/// [`live_mutation`](Self::live_mutation) returns its error instead — an
+/// un-journaled mutation must not be acknowledged.
 #[derive(Debug)]
 pub struct JournalWriter {
-    file: BufWriter<File>,
+    /// `None` once the journal stopped.
+    file: Option<BufWriter<Box<dyn JournalFile>>>,
     path: PathBuf,
     fsync: FsyncPolicy,
     frames_since_sync: u32,
-    errors: Vec<String>,
+    /// Byte length of the complete records: where a failed append
+    /// truncates the file.
+    end: u64,
+    /// The chronon whose frame comes next: where the journal stops if an
+    /// append fails now.
+    next_chronon: Chronon,
+    /// Why and where the journal stopped.
+    stopped: Option<JournalError>,
     /// Frames and snapshots at chronons `<= suppress_until` are already on
     /// disk (a recovery replaying them) and are skipped.
     suppress_until: Option<Chronon>,
-    /// A boundary snapshot the sink encoded and stashed, with its
-    /// boundary; [`frame`](Self::frame) appends it after the preceding
-    /// chronon's frame.
-    pending_snapshot: Option<(Chronon, Vec<u8>)>,
+    /// The boundary of the snapshot [`JournalSink`] stashed in `snapshot`;
+    /// [`frame`](Self::frame) appends it after the preceding chronon's
+    /// frame.
+    pending_snapshot: Option<Chronon>,
+    /// The stashed snapshot's encoding, swapped in from the engine's buffer.
+    snapshot: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -341,15 +397,16 @@ impl JournalWriter {
             path: path.display().to_string(),
             detail: e.to_string(),
         })?;
-        let mut w = JournalWriter {
-            file: BufWriter::new(file),
-            path: path.to_path_buf(),
-            fsync,
-            frames_since_sync: 0,
-            errors: Vec::new(),
-            suppress_until: None,
-            pending_snapshot: None,
-        };
+        Self::start(Box::new(file), path, fsync, fingerprint)
+    }
+
+    /// A fresh journal on the empty `file`, its header record written.
+    fn start(
+        file: Box<dyn JournalFile>,
+        path: &Path,
+        fsync: FsyncPolicy,
+        fingerprint: &str,
+    ) -> Result<Self, JournalError> {
         let header = serde_json::to_string(&HeaderRecord {
             version: JOURNAL_VERSION,
             fingerprint: fingerprint.to_string(),
@@ -358,8 +415,8 @@ impl JournalWriter {
             path: path.display().to_string(),
             detail: format!("header serialization: {e}"),
         })?;
-        write_record(&mut w.file, KIND_HEADER, header.as_bytes(), &w.path)?;
-        w.sync(Append::Header)?;
+        let mut w = Self::over(file, path, fsync, None, 0);
+        w.append(Append::Header, KIND_HEADER, &[header.as_bytes()])?;
         Ok(w)
     }
 
@@ -388,35 +445,101 @@ impl JournalWriter {
             path: path.display().to_string(),
             detail: format!("truncating torn tail to {valid_len} bytes: {e}"),
         })?;
-        Ok(JournalWriter {
-            file: BufWriter::new(file),
+        Ok(Self::over(
+            Box::new(file),
+            path,
+            fsync,
+            suppress_until,
+            valid_len,
+        ))
+    }
+
+    /// A writer appending to `file`, whose complete records end at `end`.
+    fn over(
+        file: Box<dyn JournalFile>,
+        path: &Path,
+        fsync: FsyncPolicy,
+        suppress_until: Option<Chronon>,
+        end: u64,
+    ) -> Self {
+        JournalWriter {
+            file: Some(BufWriter::new(file)),
             path: path.to_path_buf(),
             fsync,
             frames_since_sync: 0,
-            errors: Vec::new(),
+            end,
+            next_chronon: suppress_until.map_or(0, |u| u + 1),
+            stopped: None,
             suppress_until,
             pending_snapshot: None,
-        })
+            snapshot: Vec::new(),
+        }
+    }
+
+    /// Appends one record of `kind` with the payload `payload`'s pieces
+    /// join to, flushes it, and fsyncs it if the policy says `what` must be
+    /// durable. A failure stops the journal and returns
+    /// [`JournalError::Stopped`]; so does every append after the stop.
+    fn append(&mut self, what: Append, kind: u8, payload: &[&[u8]]) -> Result<(), JournalError> {
+        let Some(file) = &mut self.file else {
+            return Err(self
+                .stopped
+                .clone()
+                .expect("a journal without a file stopped"));
+        };
+        if what == Append::Frame {
+            self.frames_since_sync += 1;
+        }
+        let len = RECORD_OVERHEAD + payload.iter().map(|p| p.len() as u64).sum::<u64>();
+        let written = write_record(file, kind, payload, &self.path).map_err(JournalError::from);
+        match written.and_then(|()| self.sync(what)) {
+            Ok(()) => {
+                self.end += len;
+                Ok(())
+            }
+            Err(e) => Err(self.stop(e)),
+        }
     }
 
     /// Flushes to the OS, then fsyncs if the policy says `what` must be
     /// durable.
     fn sync(&mut self, what: Append) -> Result<(), JournalError> {
-        self.file.flush().map_err(|e| JournalError::Io {
+        let io = |detail: String| JournalError::Io {
             path: self.path.display().to_string(),
-            detail: e.to_string(),
-        })?;
+            detail,
+        };
+        let file = self.file.as_mut().expect("only a running journal syncs");
+        file.flush().map_err(|e| io(format!("flush: {e}")))?;
         if self.fsync.syncs(what, self.frames_since_sync) {
             self.frames_since_sync = 0;
-            self.file
-                .get_ref()
+            file.get_mut()
                 .sync_data()
-                .map_err(|e| JournalError::Io {
-                    path: self.path.display().to_string(),
-                    detail: format!("fsync: {e}"),
-                })?;
+                .map_err(|e| io(format!("fsync: {e}")))?;
         }
         Ok(())
+    }
+
+    /// Stops the journal after the failed append `cause`: the bytes still
+    /// buffered are dropped, the file is truncated to the end of the last
+    /// complete record, and nothing is appended again. Returns the
+    /// [`JournalError::Stopped`] every later append gets.
+    fn stop(&mut self, cause: JournalError) -> JournalError {
+        let mut cause = cause.to_string();
+        if let Some(file) = self.file.take() {
+            let (mut file, _unwritten) = file.into_parts();
+            if let Err(e) = file.set_len(self.end) {
+                cause = format!(
+                    "{cause}; truncating to the last complete record at byte {} failed: {e}",
+                    self.end
+                );
+            }
+        }
+        let stopped = JournalError::Stopped {
+            at: self.next_chronon,
+            cause,
+        };
+        self.stopped = Some(stopped.clone());
+        stopped
     }
 
     /// Whether records at chronon `t` are already on disk (see
@@ -425,36 +548,31 @@ impl JournalWriter {
         self.suppress_until.is_some_and(|u| t <= u)
     }
 
-    fn record_err(&mut self, e: JournalError) {
-        self.errors.push(e.to_string());
-    }
-
     /// Appends a chronon frame — the chronon, the live-mutation drain
     /// high-water mark, and the chronon's JSONL event block — followed by
     /// the snapshot [`JournalSink`] stashed for the next boundary, if any.
     /// Call it once per chronon, in order, before the next chronon's work.
-    /// Failures are recorded, not returned.
+    /// A failure stops the journal (see [`errors`](Self::errors)).
     pub fn frame(&mut self, t: Chronon, drained_seq: u64, lines: &str) {
         if !self.suppressed(t) {
-            let mut payload = Vec::with_capacity(12 + lines.len());
-            payload.extend_from_slice(&t.to_le_bytes());
-            payload.extend_from_slice(&drained_seq.to_le_bytes());
-            payload.extend_from_slice(lines.as_bytes());
-            self.frames_since_sync += 1;
-            if let Err(e) = write_record(&mut self.file, KIND_FRAME, &payload, &self.path)
-                .map_err(JournalError::from)
-                .and_then(|()| self.sync(Append::Frame))
-            {
-                self.record_err(e);
-            }
+            let payload: [&[u8]; 3] = [
+                &t.to_le_bytes(),
+                &drained_seq.to_le_bytes(),
+                lines.as_bytes(),
+            ];
+            // The error is kept as the stop reason.
+            let _ = self.append(Append::Frame, KIND_FRAME, &payload);
         }
-        if let Some((at, encoded)) = self.pending_snapshot.take() {
+        self.next_chronon = t + 1;
+        if let Some(at) = self.pending_snapshot.take() {
+            let encoded = std::mem::take(&mut self.snapshot);
             self.write_snapshot(at, &encoded);
+            self.snapshot = encoded;
         }
     }
 
-    /// Appends an engine snapshot. Failures are recorded, not returned (a
-    /// lost snapshot only lengthens the next recovery's replay).
+    /// Appends an engine snapshot. A failure stops the journal; the lost
+    /// snapshot only lengthens the next recovery's replay.
     pub fn snapshot(&mut self, snap: &EngineSnapshot) {
         let mut encoded = Vec::new();
         snap.encode(&mut encoded);
@@ -463,19 +581,23 @@ impl JournalWriter {
 
     /// Appends the snapshot at boundary `at`, already encoded.
     fn write_snapshot(&mut self, at: Chronon, encoded: &[u8]) {
-        if self.suppressed(at) {
-            return;
-        }
-        if let Err(e) = write_record(&mut self.file, KIND_SNAPSHOT, encoded, &self.path)
-            .map_err(JournalError::from)
-            .and_then(|()| self.sync(Append::Snapshot))
-        {
-            self.record_err(e);
+        if !self.suppressed(at) {
+            // The error is kept as the stop reason.
+            let _ = self.append(Append::Snapshot, KIND_SNAPSHOT, &[encoded]);
         }
     }
 
+    /// Stashes the encoded snapshot of boundary `at` for the next
+    /// [`frame`](Self::frame) to append, by swapping buffers with
+    /// `encoded`: O(1), whatever the snapshot's size.
+    fn stash_snapshot(&mut self, at: Chronon, encoded: &mut Vec<u8>) {
+        std::mem::swap(&mut self.snapshot, encoded);
+        self.pending_snapshot = Some(at);
+    }
+
     /// Durably appends an accepted live mutation *before* it is
-    /// acknowledged. Unlike frames, the error is returned: the caller must
+    /// acknowledged. Unlike frames, the error is returned — including
+    /// [`JournalError::Stopped`] once the journal stopped: the caller must
     /// reject the submission if it cannot be journaled.
     pub fn live_mutation(&mut self, seq: u64, mutation: Mutation) -> Result<(), JournalError> {
         let json =
@@ -483,35 +605,31 @@ impl JournalWriter {
                 path: self.path.display().to_string(),
                 detail: format!("mutation serialization: {e}"),
             })?;
-        write_record(
-            &mut self.file,
-            KIND_LIVE_MUTATION,
-            json.as_bytes(),
-            &self.path,
-        )?;
-        self.sync(Append::LiveMutation)
+        self.append(Append::LiveMutation, KIND_LIVE_MUTATION, &[json.as_bytes()])
     }
 
-    /// Flushes and syncs the final suffix.
+    /// Flushes and syncs the final suffix. A failure stops the journal.
     pub fn finish(&mut self) {
-        if let Err(e) = self.sync(Append::Finish) {
-            self.record_err(e);
+        if self.file.is_some() {
+            if let Err(e) = self.sync(Append::Finish) {
+                self.stop(e);
+            }
         }
     }
 
-    /// Structured descriptions of every append failure so far.
-    pub fn errors(&self) -> &[String] {
-        &self.errors
+    /// Why the journal stopped, naming the chronon: empty while it runs,
+    /// one entry after the stop.
+    pub fn errors(&self) -> Vec<String> {
+        self.stopped.iter().map(ToString::to_string).collect()
     }
 }
 
 /// A shared handle to one [`JournalWriter`].
 pub type SharedJournal = Arc<Mutex<JournalWriter>>;
 
-/// The snapshot side of the journal: requests an [`EngineSnapshot`] every
-/// `every` chronons, encodes it, and stashes the encoding on the shared
-/// writer, whose next [`frame`](JournalWriter::frame) appends it in record
-/// order.
+/// The snapshot side of the journal: requests a snapshot every `every`
+/// chronons and stashes the engine's encoding on the shared writer, whose
+/// next [`frame`](JournalWriter::frame) appends it in record order.
 #[derive(Debug)]
 pub struct JournalSink {
     core: SharedJournal,
@@ -541,11 +659,13 @@ impl SnapshotSink for JournalSink {
         let suppressed = self.suppress_until.is_some_and(|u| t <= u);
         boundary && !suppressed
     }
-    fn accept(&mut self, snapshot: EngineSnapshot) {
-        // Encode before taking the lock: live-mutation acks share it.
-        let mut encoded = Vec::new();
-        snapshot.encode(&mut encoded);
-        self.core.lock().unwrap().pending_snapshot = Some((snapshot.at, encoded));
+    fn accept(&mut self, at: Chronon, encoded: &mut Vec<u8>) {
+        // The engine encoded outside the lock, which live-mutation acks
+        // share; under it the bytes only change hands.
+        self.core
+            .lock()
+            .expect("journal lock poisoned by a panicked client thread")
+            .stash_snapshot(at, encoded);
     }
 }
 
@@ -1276,7 +1396,7 @@ mod tests {
             })
             .unwrap();
             let mut buf = Vec::new();
-            write_record(&mut buf, KIND_HEADER, header.as_bytes(), &path).unwrap();
+            write_record(&mut buf, KIND_HEADER, &[header.as_bytes()], &path).unwrap();
             std::fs::write(&path, &buf).unwrap();
             assert_eq!(
                 scan_journal(&path).unwrap_err(),
@@ -1313,6 +1433,232 @@ mod tests {
         }
     }
 
+    fn hex(bytes: &[u8]) -> String {
+        bytes.iter().map(|b| format!("{b:02x}")).collect()
+    }
+
+    /// A journal of a header, one frame and one snapshot as the writer
+    /// produced it before records were written from pieces: the bytes do
+    /// not change, and such a file still scans and decodes.
+    #[test]
+    fn journal_bytes_are_pinned() {
+        let pinned = concat!(
+            "21000000017b2276657273696f6e223a332c2266696e6765727072696e74223a",
+            "226670227db38ffbba5d000000020000000003000000000000007b224368726f",
+            "6e6f6e5374617274223a7b2274223a302c22627564676574223a327d7d0a7b22",
+            "4368726f6e6f6e456e64223a7b2274223a302c227370656e74223a312c226275",
+            "64676574223a327d7d0ad1fca967c90000000301000000010000000102000000",
+            "0102000000000100000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000000",
+            "0000000000000000000000000000000000000000000000000000000000000002",
+            "0000000400000000000000000000000000000000000000000103000000000000",
+            "00000000000000000002000000010000000000000001000000000060c95bb8",
+        );
+        let path = temp_journal("pinned");
+        let mut w = JournalWriter::create(&path, FsyncPolicy::Os, "fp").unwrap();
+        w.frame(0, 3, &sample_lines(0));
+        w.snapshot(&tiny_snapshot(1));
+        w.finish();
+        assert!(w.errors().is_empty(), "{:?}", w.errors());
+        drop(w);
+        assert_eq!(hex(&std::fs::read(&path).unwrap()), pinned);
+        let scan = scan_journal(&path).unwrap();
+        assert_eq!(scan.fingerprint, "fp");
+        assert_eq!(scan.frames.len(), 1);
+        assert_eq!(
+            (scan.frames[0].drained_seq, scan.frames[0].lines.as_str()),
+            (3, sample_lines(0).as_str())
+        );
+        assert_eq!(scan.snapshots, vec![tiny_snapshot(1)]);
+        std::fs::remove_file(&path).ok();
+    }
+
+    /// What a scripted journal file does when the file reaches `at` bytes.
+    #[derive(Debug, Clone, Copy)]
+    enum Fault {
+        /// The write crossing `at` lands only up to it, and the file takes
+        /// no byte more: a short write, then a stalled device.
+        ShortWriteAt(usize),
+        /// The write crossing `at` lands up to it, the next write fails
+        /// with ENOSPC, and every later write succeeds: space came back.
+        EnospcOnceAt(usize),
+        /// The `n`-th fsync (counting from 1) fails with EIO.
+        EioOnSync(u32),
+    }
+
+    /// An in-memory journal file whose bytes a test reads back, failing as
+    /// its [`Fault`] scripts.
+    #[derive(Debug, Clone)]
+    struct ScriptedFile {
+        bytes: Arc<Mutex<Vec<u8>>>,
+        fault: Option<Fault>,
+        syncs: u32,
+    }
+
+    impl ScriptedFile {
+        fn new(fault: Option<Fault>) -> Self {
+            ScriptedFile {
+                bytes: Arc::new(Mutex::new(Vec::new())),
+                fault,
+                syncs: 0,
+            }
+        }
+        fn len(&self) -> usize {
+            self.bytes.lock().unwrap().len()
+        }
+    }
+
+    impl Write for ScriptedFile {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            let mut bytes = self.bytes.lock().unwrap();
+            if let Some(Fault::ShortWriteAt(at) | Fault::EnospcOnceAt(at)) = self.fault {
+                let room = at.saturating_sub(bytes.len());
+                if buf.len() > room {
+                    if room > 0 {
+                        bytes.extend_from_slice(&buf[..room]);
+                        return Ok(room);
+                    }
+                    if let Some(Fault::EnospcOnceAt(_)) = self.fault.take() {
+                        return Err(io::Error::from_raw_os_error(28));
+                    }
+                    self.fault = Some(Fault::ShortWriteAt(at));
+                    return Ok(0);
+                }
+            }
+            bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl JournalFile for ScriptedFile {
+        fn sync_data(&mut self) -> io::Result<()> {
+            self.syncs += 1;
+            match self.fault {
+                Some(Fault::EioOnSync(n)) if n == self.syncs => {
+                    Err(io::Error::from_raw_os_error(5))
+                }
+                _ => Ok(()),
+            }
+        }
+        fn set_len(&mut self, len: u64) -> io::Result<()> {
+            self.bytes.lock().unwrap().resize(len as usize, 0);
+            Ok(())
+        }
+    }
+
+    /// A journaled session on `file`: header, frame 0, live mutation 1, a
+    /// stashed snapshot appended after frame 1, live mutation 2, frame 2,
+    /// then frames 3-4, another stashed snapshot and one direct snapshot,
+    /// and live mutation 3. Returns the writer, the file length after each
+    /// of those ten steps, and the sequence numbers acknowledged.
+    fn scripted_session(file: &ScriptedFile) -> (JournalWriter, Vec<usize>, Vec<u64>) {
+        let mut w = JournalWriter::start(
+            Box::new(file.clone()),
+            Path::new("scripted.journal"),
+            FsyncPolicy::EveryChronon,
+            "fp",
+        )
+        .unwrap();
+        let mut marks = vec![file.len()];
+        let mut acked = Vec::new();
+        let mut ack = |w: &mut JournalWriter, seq: u64| {
+            if w.live_mutation(seq, Mutation::SetBudget { budget: 1 })
+                .is_ok()
+            {
+                acked.push(seq);
+            }
+        };
+        let snapshot = |w: &mut JournalWriter, at: Chronon| {
+            let mut encoded = Vec::new();
+            tiny_snapshot(at).encode(&mut encoded);
+            w.stash_snapshot(at, &mut encoded);
+        };
+        w.frame(0, 0, &sample_lines(0));
+        marks.push(file.len());
+        ack(&mut w, 1);
+        marks.push(file.len());
+        snapshot(&mut w, 1);
+        w.frame(1, 1, &sample_lines(1));
+        marks.push(file.len());
+        ack(&mut w, 2);
+        marks.push(file.len());
+        w.frame(2, 2, &sample_lines(2));
+        marks.push(file.len());
+        w.frame(3, 2, &sample_lines(3));
+        marks.push(file.len());
+        snapshot(&mut w, 4);
+        w.frame(4, 2, &sample_lines(4));
+        marks.push(file.len());
+        w.snapshot(&tiny_snapshot(5));
+        marks.push(file.len());
+        ack(&mut w, 3);
+        marks.push(file.len());
+        w.finish();
+        (w, marks, acked)
+    }
+
+    /// A short write mid-snapshot, an ENOSPC mid-record that clears on the
+    /// next call, and EIO on fsync: each stops the journal at a complete
+    /// record. The file then scans with no partial record, holds every
+    /// mutation acknowledged before the failure, and takes no byte more;
+    /// later frames and snapshots neither write nor panic, and a later live
+    /// mutation is refused, never acknowledged.
+    #[test]
+    fn a_failed_append_stops_the_journal_at_its_last_complete_record() {
+        let clean = ScriptedFile::new(None);
+        let (w, marks, acked) = scripted_session(&clean);
+        assert!(w.errors().is_empty(), "{:?}", w.errors());
+        assert_eq!(acked, [1, 2, 3]);
+        // marks[3]: frame 1 then snapshot 1 are on disk; marks[4]: live 2.
+        let cases = [
+            (
+                "short write mid-snapshot",
+                Fault::ShortWriteAt(marks[3] - 20),
+                2,
+                1,
+            ),
+            (
+                "ENOSPC mid-record, then space",
+                Fault::EnospcOnceAt(marks[4] - 10),
+                2,
+                1,
+            ),
+            // Syncs: header, frame 0, live 1, then frame 1's.
+            ("EIO on fsync", Fault::EioOnSync(4), 1, 1),
+        ];
+        for (what, fault, stop_at, acked_before) in cases {
+            let file = ScriptedFile::new(Some(fault));
+            let (w, marks, acked) = scripted_session(&file);
+            let errors = w.errors();
+            assert_eq!(errors.len(), 1, "{what}: {errors:?}");
+            assert!(
+                errors[0].contains(&format!("journal stopped at chronon {stop_at}")),
+                "{what}: {errors:?}"
+            );
+            let bytes = file.bytes.lock().unwrap().clone();
+            let stopped_len = bytes.len();
+            let first_after = marks.iter().position(|&m| m == stopped_len).unwrap();
+            assert!(
+                marks[first_after..].iter().all(|&m| m == stopped_len),
+                "{what}: bytes written after the stop: {marks:?}"
+            );
+            let path = temp_journal("scripted");
+            std::fs::write(&path, &bytes).unwrap();
+            let scan = scan_journal(&path).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert!(scan.torn_tail.is_none(), "{what}: {:?}", scan.torn_tail);
+            assert_eq!(scan.valid_len, stopped_len as u64, "{what}");
+            assert_eq!(scan.frames.len(), stop_at as usize, "{what}");
+            assert_eq!(acked, (1..=acked_before).collect::<Vec<u64>>(), "{what}");
+            let journaled: Vec<u64> = scan.live.iter().map(|&(seq, _)| seq).collect();
+            assert_eq!(journaled, acked, "{what}");
+            std::fs::remove_file(&path).ok();
+        }
+    }
+
     /// The sink only stashes a snapshot; the next frame appends it right
     /// after itself, so record order is decided by the writer alone.
     #[test]
@@ -1324,7 +1670,10 @@ mod tests {
         let mut sink = JournalSink::new(Arc::clone(&core), 1, None);
         assert!(sink.wants(1));
         let header_len = std::fs::metadata(&path).unwrap().len();
-        sink.accept(tiny_snapshot(1));
+        let mut encoded = Vec::new();
+        tiny_snapshot(1).encode(&mut encoded);
+        sink.accept(1, &mut encoded);
+        assert!(encoded.is_empty(), "the sink swapped in its empty buffer");
         assert_eq!(std::fs::metadata(&path).unwrap().len(), header_len);
         core.lock().unwrap().frame(0, 0, &sample_lines(0));
         core.lock().unwrap().frame(1, 0, &sample_lines(1));
@@ -1336,7 +1685,7 @@ mod tests {
         let mut encoded = Vec::new();
         tiny_snapshot(1).encode(&mut encoded);
         let mut record = Vec::new();
-        write_record(&mut record, KIND_SNAPSHOT, &encoded, &path).unwrap();
+        write_record(&mut record, KIND_SNAPSHOT, &[&encoded], &path).unwrap();
         assert_eq!(
             snapshot_record,
             record.len(),
@@ -1367,7 +1716,8 @@ mod tests {
         let mut encoded = Vec::new();
         snap.encode(&mut encoded);
         encoded.pop();
-        write_record(&mut w.file, KIND_SNAPSHOT, &encoded, &path).unwrap();
+        w.append(Append::Snapshot, KIND_SNAPSHOT, &[&encoded])
+            .unwrap();
         w.finish();
         drop(w);
         match scan_journal(&path).unwrap_err() {

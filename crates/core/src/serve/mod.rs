@@ -40,12 +40,15 @@
 mod clock;
 mod driver;
 mod executor;
+mod fingerprint;
 pub mod journal;
 pub mod snapshot;
 
 pub use clock::{Clock, ClockRelease, FreeClock, ManualClock, ManualHandle, WallClock};
 pub use driver::{drive, DaemonSource, LiveMutationQueue, Paced};
 pub use executor::{ExecutorModel, ProbeExecutor, ReplayExecutor, TcpProbeExecutor};
+pub use fingerprint::session_fingerprint;
+pub(crate) use fingerprint::Fingerprint;
 pub use journal::{
     FsyncPolicy, JournalConfig, JournalError, JournalExecutor, JournalMutations, JournalWriter,
     Recovery,

@@ -1,6 +1,8 @@
 //! Engine-state snapshots: everything the online engine carries across a
 //! chronon boundary, and the compact binary codec the journal stores them
-//! in, so a crashed daemon can resume mid-run.
+//! in, so a crashed daemon can resume mid-run. A running engine encodes
+//! its snapshots in place, on its own thread; [`EngineSnapshot`] is the
+//! decode, validate and restore side.
 //!
 //! A snapshot is captured at the *top* of the chronon loop — after chronon
 //! `at - 1` completed, before any of chronon `at`'s work (including the
@@ -25,6 +27,12 @@
 //!
 //! [`EngineSnapshot::encode`] writes the payload of a journal snapshot
 //! record (`JOURNAL_VERSION` 3); [`EngineSnapshot::decode`] reads it back.
+//! One function owns the layout and takes the fields borrowed
+//! (`SnapshotRef::encode`): `EngineSnapshot::encode` lends it its own
+//! fields, and a running engine lends it its live state, so the engine's
+//! snapshots are encoded in place, into a reused buffer, without building
+//! an `EngineSnapshot` first.
+//!
 //! Fields follow in struct order, little-endian: `u32` for chronons, ids and
 //! counts, `u16` for EI indexes, `u64` for counters, `f64` as its IEEE bits.
 //!
@@ -76,6 +84,140 @@ pub enum CeiState {
     Failed,
     /// Resolved: cancelled through the mutation API.
     Cancelled,
+}
+
+impl CeiState {
+    fn borrowed(&self) -> CeiStateRef<'_> {
+        match self {
+            CeiState::NotArrived => CeiStateRef::NotArrived,
+            CeiState::Active { captured, expired } => CeiStateRef::Active { captured, expired },
+            CeiState::Captured => CeiStateRef::Captured,
+            CeiState::Failed => CeiStateRef::Failed,
+            CeiState::Cancelled => CeiStateRef::Cancelled,
+        }
+    }
+}
+
+/// A [`CeiState`] with its flags borrowed, for the encoder.
+pub(crate) enum CeiStateRef<'a> {
+    NotArrived,
+    Active {
+        captured: &'a [bool],
+        expired: &'a [bool],
+    },
+    Captured,
+    Failed,
+    Cancelled,
+}
+
+/// Every field of a snapshot, borrowed from wherever it lives — an
+/// [`EngineSnapshot`], or a running engine's state — for the one function
+/// that owns the byte layout, [`encode`](Self::encode). `status` yields one
+/// state per CEI; `index` yields one resource list each: its entry count
+/// and its entries `(cei, ei_idx)` in list order.
+pub(crate) struct SnapshotRef<'a, S, L> {
+    pub(crate) at: Chronon,
+    pub(crate) status: S,
+    pub(crate) outcomes: &'a [CeiOutcome],
+    pub(crate) stats: &'a RunStats,
+    pub(crate) schedule: &'a Schedule,
+    pub(crate) budget_override: Option<u32>,
+    pub(crate) pending_budget: Option<u32>,
+    pub(crate) announced: &'a [Option<Chronon>],
+    pub(crate) consec_failures: &'a [u32],
+    pub(crate) next_attempt_at: &'a [Chronon],
+    pub(crate) index: L,
+}
+
+impl<'a, S, L, E> SnapshotRef<'a, S, L>
+where
+    S: ExactSizeIterator<Item = CeiStateRef<'a>>,
+    L: ExactSizeIterator<Item = (usize, E)>,
+    E: Iterator<Item = (u32, u16)>,
+{
+    /// Appends the binary encoding (see the module docs) to `out`.
+    ///
+    /// # Panics
+    /// Panics if a resource list yields another number of entries than its
+    /// count: the bytes would not decode.
+    pub(crate) fn encode(self, out: &mut Vec<u8>) {
+        // Destructured exhaustively: a new field fails to compile until the
+        // codec carries it.
+        let SnapshotRef {
+            at,
+            status,
+            outcomes,
+            stats,
+            schedule,
+            budget_override,
+            pending_budget,
+            announced,
+            consec_failures,
+            next_attempt_at,
+            index,
+        } = self;
+        let mut w = Writer(out);
+        w.u32(at);
+        w.len(status.len());
+        for state in status {
+            match state {
+                CeiStateRef::NotArrived => w.u8(0),
+                CeiStateRef::Active { captured, expired } => {
+                    w.u8(1);
+                    w.bits(captured);
+                    w.bits(expired);
+                }
+                CeiStateRef::Captured => w.u8(2),
+                CeiStateRef::Failed => w.u8(3),
+                CeiStateRef::Cancelled => w.u8(4),
+            }
+        }
+        w.len(outcomes.len());
+        for &outcome in outcomes {
+            let (tag, at) = match outcome {
+                CeiOutcome::Pending => (0, None),
+                CeiOutcome::Captured { at } => (1, Some(at)),
+                CeiOutcome::Failed { at } => (2, Some(at)),
+                CeiOutcome::Cancelled { at } => (3, Some(at)),
+            };
+            w.u8(tag);
+            if let Some(at) = at {
+                w.u32(at);
+            }
+        }
+        w.stats(stats);
+        w.u32(schedule.n_resources());
+        w.u32(schedule.horizon());
+        for t in 0..schedule.horizon() {
+            let row = schedule.probes_at(t);
+            w.len(row.len());
+            for r in row {
+                w.u32(r.0);
+            }
+        }
+        w.opt(budget_override);
+        w.opt(pending_budget);
+        w.len(announced.len());
+        for &until in announced {
+            w.opt(until);
+        }
+        w.u32s(consec_failures);
+        w.u32s(next_attempt_at);
+        w.len(index.len());
+        for (count, entries) in index {
+            w.len(count);
+            let mut written = 0;
+            for (cei, ei_idx) in entries {
+                w.u32(cei);
+                w.u16(ei_idx);
+                written += 1;
+            }
+            assert_eq!(
+                written, count,
+                "a resource list's count disagrees with its entries"
+            );
+        }
+    }
 }
 
 /// The engine's complete cross-chronon state at a chronon boundary.
@@ -243,8 +385,8 @@ impl EngineSnapshot {
     /// Appends this snapshot's binary encoding (see the module docs) to
     /// `out`.
     pub fn encode(&self, out: &mut Vec<u8>) {
-        // Destructured exhaustively: a new field fails to compile until the
-        // codec carries it.
+        // Destructured exhaustively: a new field fails to compile until it
+        // is handed to the codec.
         let EngineSnapshot {
             at,
             status,
@@ -258,61 +400,22 @@ impl EngineSnapshot {
             next_attempt_at,
             index,
         } = self;
-        let mut w = Writer(out);
-        w.u32(*at);
-        w.len(status.len());
-        for state in status {
-            match state {
-                CeiState::NotArrived => w.u8(0),
-                CeiState::Active { captured, expired } => {
-                    w.u8(1);
-                    w.bits(captured);
-                    w.bits(expired);
-                }
-                CeiState::Captured => w.u8(2),
-                CeiState::Failed => w.u8(3),
-                CeiState::Cancelled => w.u8(4),
-            }
+        SnapshotRef {
+            at: *at,
+            status: status.iter().map(CeiState::borrowed),
+            outcomes,
+            stats,
+            schedule,
+            budget_override: *budget_override,
+            pending_budget: *pending_budget,
+            announced,
+            consec_failures,
+            next_attempt_at,
+            index: index
+                .iter()
+                .map(|entries| (entries.len(), entries.iter().copied())),
         }
-        w.len(outcomes.len());
-        for &outcome in outcomes {
-            let (tag, at) = match outcome {
-                CeiOutcome::Pending => (0, None),
-                CeiOutcome::Captured { at } => (1, Some(at)),
-                CeiOutcome::Failed { at } => (2, Some(at)),
-                CeiOutcome::Cancelled { at } => (3, Some(at)),
-            };
-            w.u8(tag);
-            if let Some(at) = at {
-                w.u32(at);
-            }
-        }
-        w.stats(stats);
-        w.u32(schedule.n_resources());
-        w.u32(schedule.horizon());
-        for t in 0..schedule.horizon() {
-            let row = schedule.probes_at(t);
-            w.len(row.len());
-            for r in row {
-                w.u32(r.0);
-            }
-        }
-        w.opt(*budget_override);
-        w.opt(*pending_budget);
-        w.len(announced.len());
-        for &until in announced {
-            w.opt(until);
-        }
-        w.u32s(consec_failures);
-        w.u32s(next_attempt_at);
-        w.len(index.len());
-        for entries in index {
-            w.len(entries.len());
-            for &(cei, ei_idx) in entries {
-                w.u32(cei);
-                w.u16(ei_idx);
-            }
-        }
+        .encode(out);
     }
 
     /// Decodes a payload [`encode`](Self::encode) wrote. This checks the
@@ -691,13 +794,16 @@ impl<'a> Reader<'a> {
 /// Receives engine snapshots at chronon boundaries.
 ///
 /// The engine asks [`wants`](Self::wants) at the top of every chronon and
-/// builds the (moderately expensive) [`EngineSnapshot`] only on `true`; a
-/// sink that always declines costs one virtual call per chronon.
+/// encodes its state only on `true`; a sink that always declines costs one
+/// virtual call per chronon.
 pub trait SnapshotSink {
-    /// Whether a snapshot at the boundary of chronon `t` should be built.
+    /// Whether a snapshot at the boundary of chronon `t` should be taken.
     fn wants(&mut self, t: Chronon) -> bool;
-    /// Receives the snapshot a `wants(t) == true` requested.
-    fn accept(&mut self, snapshot: EngineSnapshot);
+    /// Receives the snapshot of boundary `at` that a `wants(at) == true`
+    /// requested, as the bytes of [`EngineSnapshot::encode`]. A sink keeps
+    /// them by swapping `encoded` with a buffer of its own: the engine
+    /// clears whatever buffer it gets back before it encodes into it again.
+    fn accept(&mut self, at: Chronon, encoded: &mut Vec<u8>);
 }
 
 /// The no-op sink: never requests a snapshot.
@@ -708,11 +814,12 @@ impl SnapshotSink for NoSnapshots {
     fn wants(&mut self, _t: Chronon) -> bool {
         false
     }
-    fn accept(&mut self, _snapshot: EngineSnapshot) {}
+    fn accept(&mut self, _at: Chronon, _encoded: &mut Vec<u8>) {}
 }
 
 /// A sink that captures every requested boundary into memory — the building
-/// block tests use to snapshot at an exact chronon.
+/// block tests use to snapshot at an exact chronon. It decodes the bytes
+/// the engine encodes, the same bytes a journal stores.
 #[derive(Debug, Clone, Default)]
 pub struct CaptureAt {
     /// The boundaries to capture.
@@ -735,7 +842,8 @@ impl SnapshotSink for CaptureAt {
     fn wants(&mut self, t: Chronon) -> bool {
         self.at.contains(&t)
     }
-    fn accept(&mut self, snapshot: EngineSnapshot) {
+    fn accept(&mut self, _at: Chronon, encoded: &mut Vec<u8>) {
+        let snapshot = EngineSnapshot::decode(encoded).expect("the engine's encoding decodes");
         self.taken.push(snapshot);
     }
 }

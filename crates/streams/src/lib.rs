@@ -49,7 +49,7 @@ pub use fpn::{EventPair, FpnModel, NoisyTrace};
 pub use io::{read_csv, read_csv_file, write_csv, TraceIoError};
 pub use news::NewsTraceConfig;
 pub use poisson::{poisson_count, PoissonProcess};
-pub use record::{crc32, parse_record, write_all_tagged, write_record, Record, RecordError};
+pub use record::{crc32, parse_record, write_all_tagged, write_record, Crc32, Record, RecordError};
 pub use rng::SimRng;
 pub use trace::UpdateTrace;
 pub use zipf::Zipf;

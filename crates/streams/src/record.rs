@@ -20,22 +20,110 @@
 //! must not silently drop data (trace files, journal files) routes through
 //! it, and a short or failed write surfaces as a structured error carrying
 //! the destination path and the exact byte count that made it out.
+//!
+//! The CRC is table-driven (slicing-by-16, tables built at compile time)
+//! and incremental ([`Crc32`]), so [`write_record`] checksums a payload
+//! given in pieces and writes the pieces as they are, without assembling
+//! the record in a temporary buffer.
 
 use std::fmt;
 use std::io::{ErrorKind, Write};
 use std::path::Path;
 
+/// The reflected IEEE 802.3 polynomial.
+const POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-16 tables: `TABLES[0]` is the classic byte-at-a-time table,
+/// and `TABLES[k][b]` is the CRC contribution of byte `b` followed by `k`
+/// zero bytes, so sixteen input bytes fold into the state with sixteen
+/// independent lookups.
+static TABLES: [[u32; 256]; 16] = tables();
+
+const fn tables() -> [[u32; 256]; 16] {
+    let mut t = [[0u32; 256]; 16];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 16 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev >> 8) ^ t[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// A running IEEE CRC-32 (reflected, init/xorout `!0`): feed the bytes in
+/// any number of [`update`](Self::update)s, then [`finish`](Self::finish).
+/// The result equals [`crc32`] of the concatenation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Crc32(u32);
+
+impl Default for Crc32 {
+    fn default() -> Self {
+        Crc32::new()
+    }
+}
+
+impl Crc32 {
+    /// The CRC of no bytes yet.
+    pub fn new() -> Self {
+        Crc32(!0)
+    }
+
+    /// Feeds `bytes` into the running CRC.
+    pub fn update(&mut self, bytes: &[u8]) {
+        let t = &TABLES;
+        let mut crc = self.0;
+        let mut chunks = bytes.chunks_exact(16);
+        for c in &mut chunks {
+            let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+            crc = t[15][(lo & 0xFF) as usize]
+                ^ t[14][((lo >> 8) & 0xFF) as usize]
+                ^ t[13][((lo >> 16) & 0xFF) as usize]
+                ^ t[12][(lo >> 24) as usize]
+                ^ t[11][c[4] as usize]
+                ^ t[10][c[5] as usize]
+                ^ t[9][c[6] as usize]
+                ^ t[8][c[7] as usize]
+                ^ t[7][c[8] as usize]
+                ^ t[6][c[9] as usize]
+                ^ t[5][c[10] as usize]
+                ^ t[4][c[11] as usize]
+                ^ t[3][c[12] as usize]
+                ^ t[2][c[13] as usize]
+                ^ t[1][c[14] as usize]
+                ^ t[0][c[15] as usize];
+        }
+        for &b in chunks.remainder() {
+            crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xFF) as usize];
+        }
+        self.0 = crc;
+    }
+
+    /// The CRC of every byte fed so far.
+    pub fn finish(self) -> u32 {
+        !self.0
+    }
+}
+
 /// Computes the IEEE CRC-32 of `bytes` (reflected, init/xorout `!0`).
 pub fn crc32(bytes: &[u8]) -> u32 {
-    let mut crc: u32 = !0;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
+    let mut crc = Crc32::new();
+    crc.update(bytes);
+    crc.finish()
 }
 
 /// A structured failure while writing or parsing framed records.
@@ -111,51 +199,71 @@ pub fn write_all_tagged<W: Write + ?Sized>(
     bytes: &[u8],
     path: &Path,
 ) -> Result<(), RecordError> {
-    let total = bytes.len();
-    let mut rest = bytes;
-    while !rest.is_empty() {
-        match w.write(rest) {
-            Ok(0) => {
-                return Err(RecordError::Io {
-                    path: path.display().to_string(),
-                    detail: format!(
-                        "write stalled after {} of {total} bytes",
-                        total - rest.len()
-                    ),
-                })
-            }
-            Ok(n) => rest = &rest[n..],
-            Err(e) if e.kind() == ErrorKind::Interrupted => {}
-            Err(e) => {
-                return Err(RecordError::Io {
-                    path: path.display().to_string(),
-                    detail: format!("{e} (after {} of {total} bytes)", total - rest.len()),
-                })
+    write_all_parts(w, std::iter::once(bytes), path)
+}
+
+/// [`write_all_tagged`] over the concatenation of `parts`, written in
+/// order without joining them; a failure counts the bytes of every part.
+fn write_all_parts<'a, W: Write + ?Sized>(
+    w: &mut W,
+    parts: impl Iterator<Item = &'a [u8]> + Clone,
+    path: &Path,
+) -> Result<(), RecordError> {
+    let total: usize = parts.clone().map(<[u8]>::len).sum();
+    let mut written = 0;
+    for part in parts {
+        let mut rest = part;
+        while !rest.is_empty() {
+            match w.write(rest) {
+                Ok(0) => {
+                    return Err(RecordError::Io {
+                        path: path.display().to_string(),
+                        detail: format!("write stalled after {written} of {total} bytes"),
+                    })
+                }
+                Ok(n) => {
+                    rest = &rest[n..];
+                    written += n;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => {
+                    return Err(RecordError::Io {
+                        path: path.display().to_string(),
+                        detail: format!("{e} (after {written} of {total} bytes)"),
+                    })
+                }
             }
         }
     }
     Ok(())
 }
 
-/// Appends one framed record (`kind` + `payload`) to `w`, routing the bytes
-/// through [`write_all_tagged`] so partial writes surface structurally.
+/// Appends one framed record to `w`: `kind`, then the payload given as the
+/// concatenation of `payload`'s pieces. The pieces are checksummed and
+/// written as they are, never copied into one buffer, and the bytes go
+/// through the same checked write-all as [`write_all_tagged`] so partial
+/// writes surface structurally.
 pub fn write_record<W: Write + ?Sized>(
     w: &mut W,
     kind: u8,
-    payload: &[u8],
+    payload: &[&[u8]],
     path: &Path,
 ) -> Result<(), RecordError> {
-    let len = 1 + payload.len();
-    let mut buf = Vec::with_capacity(4 + len + 4);
-    buf.extend_from_slice(
-        &u32::try_from(len)
-            .expect("record payload exceeds u32")
-            .to_le_bytes(),
-    );
-    buf.push(kind);
-    buf.extend_from_slice(payload);
-    buf.extend_from_slice(&crc32(&buf[4..]).to_le_bytes());
-    write_all_tagged(w, &buf, path)
+    let len = 1 + payload.iter().map(|p| p.len()).sum::<usize>();
+    let len = u32::try_from(len).expect("record payload exceeds u32");
+    let mut head = [0u8; 5];
+    head[..4].copy_from_slice(&len.to_le_bytes());
+    head[4] = kind;
+    let mut crc = Crc32::new();
+    crc.update(&head[4..]);
+    for piece in payload {
+        crc.update(piece);
+    }
+    let tail = crc.finish().to_le_bytes();
+    let parts = std::iter::once(&head[..])
+        .chain(payload.iter().copied())
+        .chain(std::iter::once(&tail[..]));
+    write_all_parts(w, parts, path)
 }
 
 /// One record parsed out of a byte buffer.
@@ -218,6 +326,93 @@ mod tests {
         assert_eq!(crc32(b""), 0);
     }
 
+    /// The bit-at-a-time CRC the tables are derived from: the reference
+    /// the table-driven one must equal.
+    fn bitwise_update(mut crc: u32, bytes: &[u8]) -> u32 {
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (POLY & mask);
+            }
+        }
+        crc
+    }
+
+    fn pseudo_random_bytes(n: usize) -> Vec<u8> {
+        let mut rng = crate::SimRng::new(0xC4C32);
+        (0..n).map(|_| rng.below(256) as u8).collect()
+    }
+
+    /// Every length 0..=4100 at every start alignment 0..16, in one call:
+    /// the slicing loop, its remainder, and every mix of the two.
+    #[test]
+    fn table_crc_equals_the_bitwise_reference_at_every_length_and_alignment() {
+        const MAX_LEN: usize = 4100;
+        let bytes = pseudo_random_bytes(MAX_LEN + 16);
+        for align in 0..16 {
+            // The reference state grows one byte at a time, so every prefix
+            // length costs one reference step.
+            let mut reference = !0u32;
+            for len in 0..=MAX_LEN {
+                if len > 0 {
+                    reference = bitwise_update(reference, &bytes[align + len - 1..align + len]);
+                }
+                assert_eq!(
+                    crc32(&bytes[align..align + len]),
+                    !reference,
+                    "length {len} at alignment {align}"
+                );
+            }
+        }
+    }
+
+    /// Pieces split at random points give the one-call CRC.
+    #[test]
+    fn crc_in_pieces_equals_the_crc_in_one_call() {
+        let bytes = pseudo_random_bytes(4100 + 16);
+        let mut rng = crate::SimRng::new(7);
+        for _ in 0..2000 {
+            let start = rng.below(16) as usize;
+            let len = rng.below(4101) as usize;
+            let data = &bytes[start..start + len];
+            let mut cuts: Vec<usize> = (0..rng.below(6))
+                .map(|_| rng.below(len as u64 + 1) as usize)
+                .collect();
+            cuts.push(0);
+            cuts.push(len);
+            cuts.sort_unstable();
+            let mut crc = Crc32::new();
+            for piece in cuts.windows(2) {
+                crc.update(&data[piece[0]..piece[1]]);
+            }
+            assert_eq!(crc.finish(), crc32(data), "{len} bytes cut at {cuts:?}");
+            assert_eq!(crc.finish(), !bitwise_update(!0, data));
+        }
+    }
+
+    /// A record written from pieces is byte for byte the record of the
+    /// joined payload.
+    #[test]
+    fn record_from_pieces_equals_the_record_of_the_joined_payload() {
+        let mut joined = Vec::new();
+        write_record(&mut joined, 2, &[b"\x05\0\0\0payload"], path()).unwrap();
+        let mut pieces = Vec::new();
+        write_record(
+            &mut pieces,
+            2,
+            &[b"\x05\0", b"", b"\0\0pay", b"load"],
+            path(),
+        )
+        .unwrap();
+        assert_eq!(pieces, joined);
+        let rec = parse_record(&pieces, 0).unwrap().unwrap();
+        assert_eq!(
+            (rec.kind, rec.payload),
+            (2, b"\x05\0\0\0payload".as_slice())
+        );
+    }
+
     fn path() -> &'static Path {
         Path::new("/test/sink")
     }
@@ -225,8 +420,8 @@ mod tests {
     #[test]
     fn record_roundtrip() {
         let mut buf = Vec::new();
-        write_record(&mut buf, 7, b"hello", path()).unwrap();
-        write_record(&mut buf, 9, b"", path()).unwrap();
+        write_record(&mut buf, 7, &[b"hello"], path()).unwrap();
+        write_record(&mut buf, 9, &[], path()).unwrap();
         let first = parse_record(&buf, 0).unwrap().unwrap();
         assert_eq!((first.kind, first.payload), (7, b"hello".as_slice()));
         let second = parse_record(&buf, first.end).unwrap().unwrap();
@@ -237,7 +432,7 @@ mod tests {
     #[test]
     fn truncation_at_every_byte_is_detected() {
         let mut buf = Vec::new();
-        write_record(&mut buf, 3, b"payload bytes", path()).unwrap();
+        write_record(&mut buf, 3, &[b"payload bytes"], path()).unwrap();
         for cut in 0..buf.len() {
             let r = parse_record(&buf[..cut], 0);
             assert!(
@@ -254,7 +449,7 @@ mod tests {
     #[test]
     fn corruption_of_every_byte_fails_the_checksum() {
         let mut buf = Vec::new();
-        write_record(&mut buf, 3, b"payload", path()).unwrap();
+        write_record(&mut buf, 3, &[b"payload"], path()).unwrap();
         for i in 4..buf.len() {
             // Flipping any bit of the framed content or the stored checksum
             // must be caught (length-prefix corruption lands on Truncated

@@ -500,7 +500,13 @@ fn cross_version_header_is_a_structured_error() {
     let rdir = temp_dir("version");
     let path = rdir.join(JOURNAL_FILE);
     let mut buf: Vec<u8> = Vec::new();
-    write_record(&mut buf, 1, br#"{"version":99,"fingerprint":"fp"}"#, &path).unwrap();
+    write_record(
+        &mut buf,
+        1,
+        &[br#"{"version":99,"fingerprint":"fp"}"#],
+        &path,
+    )
+    .unwrap();
     std::fs::write(&path, &buf).unwrap();
 
     let err = scan_journal(&path).unwrap_err();
