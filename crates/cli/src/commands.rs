@@ -5,11 +5,9 @@ use crate::serve::{Daemon, ServeError, ServeOptions, ServeSession};
 use serde::Serialize;
 use std::time::Instant;
 use webmon_core::engine::{MutationQueue, ScriptedMutations};
-use webmon_core::fault::{Backoff, FaultConfig};
+use webmon_core::fault::{Backoff, FaultConfig, FaultModel, NoFaults};
 use webmon_core::obs::RunMetrics;
-use webmon_core::serve::{
-    Clock, FreeClock, JournalError, ProbeExecutor, ReplayExecutor, TcpProbeExecutor, WallClock,
-};
+use webmon_core::serve::{Clock, FreeClock, JournalError, TcpProbeExecutor, WallClock};
 use webmon_sim::{
     CellSpec, ChurnSpec, Experiment, ExperimentConfig, FaultKind, FaultSpec, NoiseSpec,
     PolicyAggregate, PolicyKind, PolicySpec, Report, Table, TraceSpec,
@@ -736,7 +734,42 @@ struct ServeSummary {
     io_errors: Vec<String>,
 }
 
+/// Refuses a `serve` option that the chosen executor or the journal would
+/// ignore. Only options given on the line count, not declared defaults.
+fn check_serve_combinations(args: &Args) -> Result<(), ArgError> {
+    let live = args.value::<String>("executor") == "live";
+    let journaled = args.get("journal-dir").is_some() || args.get("recover").is_some();
+    const LIVE: &str = "--executor live (the replay executor probes no target)";
+    const REPLAY: &str = "no --executor live (live probes take no fault model)";
+    const JOURNAL: &str = "--journal-dir or --recover (there is no journal to sync or snapshot)";
+    #[rustfmt::skip]
+    let rules = [
+        ("targets", live, LIVE),
+        ("probe-timeout-ms", live, LIVE),
+        ("fault-rate", !live, REPLAY),
+        ("fault-model", !live, REPLAY),
+        ("fault-recover", !live, REPLAY),
+        ("fault-seed", !live, REPLAY),
+        ("fsync", journaled, JOURNAL),
+        ("snapshot-every", journaled, JOURNAL),
+    ];
+    for (key, allowed, expected) in rules {
+        match args.get(key) {
+            Some(value) if !allowed => {
+                return Err(ArgError::BadValue {
+                    key: key.to_string(),
+                    value: value.to_string(),
+                    expected: expected.to_string(),
+                })
+            }
+            _ => {}
+        }
+    }
+    Ok(())
+}
+
 fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
+    check_serve_combinations(args)?;
     // The daemon monitors repetition 0, which does not depend on the
     // repetition count: each repetition's seed is forked by its index.
     let cfg = config_from(args, 1)?;
@@ -849,20 +882,13 @@ fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
         eprintln!("serving on {addr}");
     }
 
-    // Replay executors are deterministic, so recovery may step them through
-    // the replayed prefix to keep stateful fault models exact; a live
-    // executor must never probe during replay.
-    let mut resync_executor = false;
-    let executor: Box<dyn ProbeExecutor> = match args.value::<String>("executor").as_str() {
-        "replay" => {
-            resync_executor = true;
-            match fault {
-                Some(f) => Box::new(ReplayExecutor::scripted(
-                    f.build(0, session.instance.n_resources as usize),
-                )),
-                None => Box::new(ReplayExecutor::faultless()),
-            }
-        }
+    // The daemon probes through one fault model: the seeded one of
+    // `--fault-*` (none without `--fault-rate`), or live TCP probes.
+    let mut faults: Box<dyn FaultModel> = match args.value::<String>("executor").as_str() {
+        "replay" => match fault {
+            Some(f) => Box::new(f.build(0, session.instance.n_resources as usize)),
+            None => Box::new(NoFaults),
+        },
         "live" => {
             let targets = args.list("targets").ok_or_else(|| ArgError::BadValue {
                 key: "targets".to_string(),
@@ -889,7 +915,6 @@ fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
         trace_out: args.get("trace-out").map(std::path::PathBuf::from),
         journal,
         recover: recover_dir.is_some(),
-        resync_executor,
     };
     // The clock anchors at the first live chronon, so a recovered wall
     // clock never paces the replayed prefix.
@@ -900,7 +925,7 @@ fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
             Box::new(WallClock::anchored(chronon_ms, anchor))
         }
     };
-    let outcome = match daemon.run_with(session, executor, make_clock, opts) {
+    let outcome = match daemon.run_with(session, &mut *faults, make_clock, opts) {
         Ok(o) => o,
         Err(e) => {
             println!("{}", serve_error_json(&e.to_string()));
@@ -1154,6 +1179,11 @@ mod tests {
         #[rustfmt::skip]
         const SERVE: [&str; 8] =
             ["--listen", "127.0.0.1:0", "--resources", "20", "--horizon", "50", "--profiles", "3"];
+        #[rustfmt::skip]
+        const LIVE: [&str; 12] = [
+            "--listen", "127.0.0.1:0", "--resources", "20", "--horizon", "50", "--profiles", "3",
+            "--executor", "live", "--targets", "127.0.0.1:9",
+        ];
         // (command, offending options, the rest of the line, what the error names)
         #[rustfmt::skip]
         let rows: &[(&str, &[&str], &[&str], &str)] = &[
@@ -1173,6 +1203,14 @@ mod tests {
             ("run", &["--fault-recover", "7"], &RUN, "--fault-recover 7"),
             ("run", &["--fault-recover", "NaN"], &RUN, "--fault-recover NaN"),
             ("serve", &["--probe-timeout-ms", "0"], &SERVE, "--probe-timeout-ms 0"),
+            ("serve", &["--targets", "127.0.0.1:9"], &SERVE, "--targets"),
+            ("serve", &["--probe-timeout-ms", "50"], &SERVE, "--probe-timeout-ms"),
+            ("serve", &["--fault-rate", "0.3"], &LIVE, "--fault-rate"),
+            ("serve", &["--fault-model", "iid"], &LIVE, "--fault-model"),
+            ("serve", &["--fault-recover", "0.5"], &LIVE, "--fault-recover"),
+            ("serve", &["--fault-seed", "7"], &LIVE, "--fault-seed"),
+            ("serve", &["--fsync", "os"], &SERVE, "--fsync"),
+            ("serve", &["--snapshot-every", "5"], &SERVE, "--snapshot-every"),
         ];
         for &(command, offending, rest, named) in rows {
             let mut argv = vec![command];
@@ -1706,6 +1744,55 @@ mod tests {
         w.snapshot(&bad);
         w.finish();
         assert_eq!(serve(&["--recover", &dir_arg]), 2);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn recover_refuses_a_journal_of_another_fault_model_with_exit_1() {
+        use webmon_core::serve::journal::JOURNAL_FILE;
+        let dir = std::env::temp_dir().join(format!(
+            "webmon-cli-fault-fingerprint-{}",
+            std::process::id()
+        ));
+        let dir_arg = dir.to_str().unwrap().to_string();
+        let serve = |faults: &[&str], journal: &[&str]| {
+            #[rustfmt::skip]
+            let mut argv = vec![
+                "serve", "--listen", "127.0.0.1:0", "--resources", "10", "--horizon", "30",
+                "--profiles", "3", "--retry", "backoff",
+            ];
+            argv.extend_from_slice(faults);
+            argv.extend_from_slice(journal);
+            cmd_serve(&parse(&argv)).unwrap()
+        };
+        let written = ["--fault-rate", "0.3", "--fault-seed", "77"];
+        assert_eq!(serve(&written, &["--journal-dir", &dir_arg]), 0);
+        let path = dir.join(JOURNAL_FILE);
+        let journal = std::fs::read(&path).unwrap();
+        // Each differs from the written run only in its fault model, which
+        // the journal's fingerprint names.
+        let burst = [
+            "--fault-rate",
+            "0.3",
+            "--fault-seed",
+            "77",
+            "--fault-model",
+            "burst",
+        ];
+        let others: [&[&str]; 3] = [
+            &["--fault-rate", "0.3", "--fault-seed", "78"],
+            &["--fault-rate", "0.4", "--fault-seed", "77"],
+            &burst,
+        ];
+        for other in others {
+            assert_eq!(serve(other, &["--recover", &dir_arg]), 1, "{other:?}");
+            let untouched = std::fs::read(&path).unwrap();
+            assert!(
+                untouched == journal,
+                "{other:?}: a refused recovery writes nothing"
+            );
+        }
+        assert_eq!(serve(&written, &["--recover", &dir_arg]), 0);
         std::fs::remove_dir_all(&dir).ok();
     }
 

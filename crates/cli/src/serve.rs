@@ -1,9 +1,11 @@
 //! The `webmon serve` daemon: the simulator engine promoted to a
 //! long-running monitor behind a local TCP socket.
 //!
-//! One engine run is one daemon lifetime. The engine executes on the
-//! calling thread via [`webmon_core::serve::drive`]; a background accept
-//! thread serves a line protocol on the listening socket:
+//! One engine run is one daemon lifetime. [`Daemon::run_with`] runs the
+//! engine on the calling thread against any
+//! [`FaultModel`] — a seeded model, or a live prober — with one
+//! `OnlineEngine::run_driven_resumable` call, fresh or recovered; a
+//! background accept thread serves a line protocol on the listening socket:
 //!
 //! ```text
 //! ping                  -> {"ok":"pong"}
@@ -50,15 +52,17 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::Duration;
-use webmon_core::engine::{EngineConfig, Mutation, RunResult, ScriptedMutations};
-use webmon_core::fault::FaultConfig;
+use webmon_core::engine::{
+    EngineConfig, Mutation, OnlineEngine, RunInputs, RunResult, ScriptedMutations,
+};
+use webmon_core::fault::{FaultConfig, FaultModel};
 use webmon_core::model::{CeiId, Chronon, Instance};
-use webmon_core::obs::{replay_events, Event, MetricsObserver, Observer, RunMetrics, Tee};
+use webmon_core::obs::{Event, MetricsObserver, Observer, RunMetrics, Tee};
 use webmon_core::policy::Policy;
 use webmon_core::serve::journal::{scan_journal, JournalSink, JournalWriter, SharedJournal};
 use webmon_core::serve::{
-    drive, session_fingerprint, Clock, ClockRelease, DaemonSource, JournalConfig, JournalError,
-    LiveMutationQueue, NoSnapshots, ProbeExecutor, Recovery, SnapshotSink,
+    session_fingerprint, Clock, ClockRelease, DaemonSource, JournalConfig, JournalError,
+    LiveMutationQueue, NoSnapshots, Paced, Recovery, SnapshotSink,
 };
 use webmon_streams::write_all_tagged;
 
@@ -73,8 +77,8 @@ const MAX_REQUEST_LINE: usize = 1024;
 /// How much of an over-long request line its error reply echoes.
 const ECHOED_PREFIX: usize = 32;
 
-/// Everything the engine run needs, bundled so [`Daemon::run`] can build
-/// the policy inside a spawned thread when tests run the daemon off-main.
+/// Everything the engine run needs but the fault model, bundled for
+/// [`Daemon::run_with`].
 pub struct ServeSession {
     /// The monitoring instance (profiles, epoch, budget).
     pub instance: Instance,
@@ -121,12 +125,6 @@ pub struct ServeOptions {
     /// restore the latest snapshot, replay the journaled chronons, then go
     /// live. Requires `journal` to be set.
     pub recover: bool,
-    /// During recovery replay, step the wrapped executor through every
-    /// replayed chronon and probe so stateful deterministic fault models
-    /// (Gilbert-Elliott chains, rate limiters) are exact at the handover.
-    /// `false` for live network executors, which must not probe during
-    /// replay.
-    pub resync_executor: bool,
 }
 
 /// A daemon-level failure: socket/trace infrastructure, or the journal.
@@ -647,47 +645,32 @@ impl Daemon {
         self.hooks.push(hook);
     }
 
-    /// Runs the engine to the horizon on the calling thread while the
-    /// accept thread serves the protocol, then tears everything down —
-    /// every spawned thread is joined before this returns.
-    pub fn run<E, C>(
-        self,
-        session: ServeSession,
-        executor: E,
-        clock: C,
-        trace_out: Option<&Path>,
-    ) -> Result<DaemonOutcome, ServeError>
-    where
-        E: ProbeExecutor,
-        C: Clock,
-    {
-        self.run_with(
-            session,
-            executor,
-            |_| clock,
-            ServeOptions {
-                trace_out: trace_out.map(Path::to_path_buf),
-                ..ServeOptions::default()
-            },
-        )
-    }
-
-    /// [`run`](Self::run) with the full option set: journaling, crash
-    /// recovery, and an anchor-aware clock. `make_clock` receives the first
-    /// chronon that executes live — 0 for a fresh run, one past the last
-    /// journaled chronon when recovering — so a wall clock can anchor there
-    /// and never pace the replayed prefix.
-    pub fn run_with<E, C, F>(
+    /// Runs the engine to the horizon on the calling thread against
+    /// `faults` while the accept thread serves the protocol, then tears
+    /// everything down — every spawned thread is joined before this
+    /// returns. `make_clock` receives the first chronon that executes live
+    /// — 0 for a fresh run, one past the last journaled chronon when
+    /// recovering — so a wall clock can anchor there and never pace the
+    /// replayed prefix.
+    ///
+    /// Equivalence contract: for any clock, a fresh run is byte-identical
+    /// (schedule, stats, `RunMetrics`, trace bytes) to
+    /// `OnlineEngine::run_driven` on the same fault model and churn script,
+    /// and a recovered run to the uninterrupted one. A deterministic model
+    /// is [`replayable`](FaultModel::replayable): recovery re-drives it
+    /// through the journaled chronons, so a stateful one hands over in the
+    /// uninterrupted run's state; a live prober is never called for them.
+    pub fn run_with<F, C, K>(
         mut self,
         session: ServeSession,
-        executor: E,
-        make_clock: F,
+        faults: F,
+        make_clock: K,
         opts: ServeOptions,
     ) -> Result<DaemonOutcome, ServeError>
     where
-        E: ProbeExecutor,
+        F: FaultModel,
         C: Clock,
-        F: FnOnce(Chronon) -> C,
+        K: FnOnce(Chronon) -> C,
     {
         // Recovery planning happens before anything spawns: scan the
         // journal, check its header against this invocation, distill the
@@ -696,50 +679,46 @@ impl Daemon {
         // journal writer: fresh (header first), or appending after the
         // already-journaled prefix — truncated to the scan's valid length
         // first, so a discarded torn tail never has records appended after
-        // it — with re-emitted frames suppressed.
-        let (recovery, journal): (Option<Recovery>, Option<SharedJournal>) = match &opts.journal {
+        // it — with re-emitted frames suppressed. A fresh run's plan is the
+        // empty one.
+        let (plan, journal) = match &opts.journal {
             None if opts.recover => {
                 return Err(ServeError::Io(io::Error::new(
                     io::ErrorKind::InvalidInput,
                     "recovery requires a journal directory",
                 )))
             }
-            None => (None, None),
+            None => (Recovery::default(), None),
             Some(jc) => {
                 // Only the journal uses the fingerprint.
-                let fp = fingerprint(&session, &executor.descriptor());
-                let recovery = if opts.recover {
+                let fp = fingerprint(&session, &faults.descriptor());
+                let (plan, writer) = if opts.recover {
                     let scan = scan_journal(&jc.path())?;
                     scan.verify_fingerprint(&fp)?;
                     let plan = Recovery::plan(&scan)?;
                     // Checked before any file or thread is touched; the
                     // engine refuses the same mismatch with the same error.
                     if let Some(snap) = &plan.resume {
-                        snap.validate(&session.instance, executor.fallible())
+                        snap.validate(&session.instance, faults.enabled())
                             .map_err(JournalError::from)?;
                     }
-                    Some(plan)
-                } else {
-                    None
-                };
-                let writer = match &recovery {
-                    Some(rec) => JournalWriter::append_to(
+                    let writer = JournalWriter::append_to(
                         &jc.path(),
                         jc.fsync,
-                        rec.replay_until,
-                        rec.valid_len,
-                    )?,
-                    None => JournalWriter::create(&jc.path(), jc.fsync, &fp)?,
+                        plan.replay_until,
+                        plan.valid_len,
+                    )?;
+                    (plan, writer)
+                } else {
+                    let writer = JournalWriter::create(&jc.path(), jc.fsync, &fp)?;
+                    (Recovery::default(), writer)
                 };
-                (recovery, Some(Arc::new(Mutex::new(writer))))
+                (plan, Some(Arc::new(Mutex::new(writer))))
             }
         };
-        let first_live = recovery.as_ref().map_or(0, Recovery::first_live_chronon);
-        let live = recovery
-            .as_ref()
-            .map_or_else(LiveMutationQueue::new, Recovery::live_queue);
+        let live = plan.live_queue();
 
-        let clock = make_clock(first_live);
+        let clock = make_clock(plan.first_live_chronon());
         let pending: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
         let mut hooks = std::mem::take(&mut self.hooks);
         hooks.push(clock.release_handle());
@@ -769,73 +748,42 @@ impl Daemon {
             subscribers: Subscribers::new(pending),
             journal: journal.clone(),
             live: live.clone(),
-            events_written: recovery.as_ref().map_or(0, |r| r.prefix_events),
+            events_written: plan.prefix_events.len() as u64,
         };
         let mut metrics = MetricsObserver::new();
 
         // Recovery's trace prefix: chronons before the snapshot boundary are
         // not re-emitted by the resumed engine, so their journaled bytes go
-        // to the trace file (and through the metrics observer) up front.
-        if let Some(rec) = &recovery {
-            if !rec.prefix_lines.is_empty() {
-                if let Some(trace) = &mut hub.trace {
-                    trace.write(rec.prefix_lines.as_bytes());
-                }
-                let events =
-                    replay_events(&rec.prefix_lines).map_err(|e| JournalError::Corrupt {
-                        offset: 0,
-                        detail: format!("journaled trace prefix line {}: {}", e.line, e.detail),
-                    })?;
-                for event in events {
-                    metrics.on_event(event);
-                }
-            }
+        // to the trace file (and their events through the metrics observer)
+        // up front.
+        if let Some(trace) = &mut hub.trace {
+            trace.write(plan.prefix_lines.as_bytes());
+        }
+        for &event in &plan.prefix_events {
+            metrics.on_event(event);
         }
 
         let mut sink: Box<dyn SnapshotSink> = match (&journal, &opts.journal) {
             (Some(core), Some(jc)) => Box::new(JournalSink::new(
                 Arc::clone(core),
                 jc.snapshot_every,
-                recovery.as_ref().and_then(|r| r.replay_until),
+                plan.replay_until,
             )),
             _ => Box::new(NoSnapshots),
         };
 
-        let mut divergence = None;
-        let result = match &recovery {
-            Some(rec) => {
-                let journal_exec =
-                    rec.executor(executor, session.instance.n_resources, opts.resync_executor);
-                divergence = Some(journal_exec.divergence());
-                let mut source = rec.mutations(DaemonSource::new(session.script, live));
-                drive(
-                    &session.instance,
-                    session.policy.as_ref(),
-                    session.config,
-                    journal_exec,
-                    session.fault_config,
-                    &mut source,
-                    clock,
-                    Tee(&mut metrics, &mut hub),
-                    rec.resume.as_ref(),
-                    sink.as_mut(),
-                )
-            }
-            None => {
-                let mut source = DaemonSource::new(session.script, live);
-                drive(
-                    &session.instance,
-                    session.policy.as_ref(),
-                    session.config,
-                    executor,
-                    session.fault_config,
-                    &mut source,
-                    clock,
-                    Tee(&mut metrics, &mut hub),
-                    None,
-                    sink.as_mut(),
-                )
-            }
+        let mut faults = plan.faults(faults, session.instance.n_resources);
+        let result = {
+            let inputs = RunInputs {
+                instance: &session.instance,
+                policy: session.policy.as_ref(),
+                config: session.config,
+                faults: &mut faults,
+                fault_config: session.fault_config,
+                mutations: &mut plan.mutations(DaemonSource::new(session.script, live)),
+                observer: &mut Paced::new(clock, Tee(&mut metrics, &mut hub)),
+            };
+            OnlineEngine::run_driven_resumable(inputs, plan.resume.as_ref(), sink.as_mut())
         };
 
         // Horizon reached (or shutdown already free-ran us here): stop the
@@ -856,12 +804,10 @@ impl Daemon {
         // fingerprint is a hash, not the inputs themselves): the recovery
         // is invalid and its output must not be trusted — a structured
         // error, never a panic, and never a silent mis-replay.
-        if let Some(cell) = divergence {
-            if let Some(detail) = cell.lock().unwrap().take() {
-                return Err(ServeError::Journal(JournalError::ReplayDivergence {
-                    detail,
-                }));
-            }
+        if let Some(detail) = faults.divergence() {
+            return Err(ServeError::Journal(JournalError::ReplayDivergence {
+                detail,
+            }));
         }
         Ok(DaemonOutcome {
             result: result.map_err(JournalError::from)?,
@@ -877,12 +823,12 @@ impl Daemon {
 /// The configuration fingerprint pinned in the journal header
 /// ([`session_fingerprint`]): the instance content, the policy's full spec,
 /// the engine mode, the fault/retry configuration, the compiled churn
-/// script, and the executor's descriptor (fault model kind, parameters,
-/// and seed for scripted executors). Recovery under any
-/// same-shaped-but-different input would replay the journal against a run
-/// it does not describe, so `--recover` refuses a mismatch with a
-/// structured error up front instead of diverging mid-replay.
-fn fingerprint(session: &ServeSession, executor_desc: &str) -> String {
+/// script, and the fault model's descriptor (kind, parameters and seed).
+/// Recovery under any same-shaped-but-different input would replay the
+/// journal against a run it does not describe, so `--recover` refuses a
+/// mismatch with a structured error up front instead of diverging
+/// mid-replay.
+fn fingerprint(session: &ServeSession, faults_desc: &str) -> String {
     let ServeSession {
         instance,
         policy,
@@ -896,7 +842,7 @@ fn fingerprint(session: &ServeSession, executor_desc: &str) -> String {
         *config,
         fault_config,
         script,
-        executor_desc,
+        faults_desc,
     )
 }
 

@@ -2656,6 +2656,9 @@ mod tests {
         fn probe_succeeds(&mut self, t: Chronon, _resource: ResourceId, _attempt: u32) -> bool {
             t != self.0
         }
+        fn descriptor(&self) -> String {
+            format!("fail-at({})", self.0)
+        }
     }
 
     #[test]

@@ -118,9 +118,20 @@ pub trait FaultModel {
     /// rates, seed) — two models with equal descriptors must script
     /// identical outcomes. Feeds the serve journal's configuration
     /// fingerprint so `--recover` under a different fault script is
-    /// refused up front instead of diverging mid-replay.
-    fn descriptor(&self) -> String {
-        format!("enabled={}", self.enabled())
+    /// refused up front instead of diverging mid-replay. There is no
+    /// default: a model or wrapper that left it out would fingerprint like
+    /// every other model.
+    fn descriptor(&self) -> String;
+
+    /// Whether the model's answers are a pure function of its parameters
+    /// and of the calls it has seen, so that re-driving a fresh model
+    /// through a journaled run's calls rebuilds its state. Crash recovery
+    /// does that to hand a stateful model (a Gilbert–Elliott chain, a rate
+    /// limiter) over in the uninterrupted run's state. A model that answers
+    /// from the outside world (a live network prober) returns `false` and
+    /// is not called during recovery.
+    fn replayable(&self) -> bool {
+        true
     }
 }
 
@@ -144,6 +155,9 @@ impl<F: FaultModel + ?Sized> FaultModel for &mut F {
     }
     fn descriptor(&self) -> String {
         (**self).descriptor()
+    }
+    fn replayable(&self) -> bool {
+        (**self).replayable()
     }
 }
 

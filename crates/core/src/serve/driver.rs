@@ -1,29 +1,24 @@
-//! The chronon driver: running the discrete engine against a [`Clock`], a
-//! [`ProbeExecutor`], and a live mutation feed.
-//!
-//! [`drive`] is the daemon's engine entry point. It composes three adapters
-//! around [`OnlineEngine::run_driven_resumable`]:
+//! The daemon's engine adapters: pacing a run by a [`Clock`], and feeding
+//! it live mutations.
 //!
 //! * [`Paced`] wraps the observer and blocks on every
 //!   [`Event::ChrononStart`] until the clock admits that chronon — pacing
 //!   lives entirely in the observer layer, so the engine's computation (and
 //!   its event stream) is bit-identical under any clock;
-//! * [`ExecutorModel`] turns the executor into the engine's fault model;
 //! * [`DaemonSource`] merges a precompiled churn script with mutations
 //!   submitted live over the registration API ([`LiveMutationQueue`]).
 //!
+//! The daemon hands both, with its [`FaultModel`], to one
+//! [`OnlineEngine::run_driven_resumable`] call per run.
+//!
 //! [`Event::ChrononStart`]: crate::obs::Event::ChrononStart
+//! [`FaultModel`]: crate::fault::FaultModel
+//! [`OnlineEngine::run_driven_resumable`]: crate::engine::OnlineEngine::run_driven_resumable
 
 use super::clock::Clock;
-use super::executor::{ExecutorModel, ProbeExecutor};
-use super::snapshot::{EngineSnapshot, SnapshotMismatch, SnapshotSink};
-use crate::engine::{
-    EngineConfig, Mutation, MutationSource, OnlineEngine, RunInputs, RunResult, ScriptedMutations,
-};
-use crate::fault::FaultConfig;
-use crate::model::{CeiId, Chronon, Instance};
+use crate::engine::{Mutation, MutationSource, ScriptedMutations};
+use crate::model::{CeiId, Chronon};
 use crate::obs::{Event, Observer};
-use crate::policy::Policy;
 use std::sync::{Arc, Mutex};
 
 /// An observer wrapper that paces the run: before forwarding each
@@ -208,66 +203,15 @@ impl MutationSource for DaemonSource {
     }
 }
 
-/// Runs `policy` over `instance` against a clock and a probe executor —
-/// the daemon's engine entry point, with the crash-recovery hooks of
-/// [`OnlineEngine::run_driven_resumable`]: boundary snapshots stream to
-/// `snapshots`, and `resume` restarts the engine mid-run from a restored
-/// [`EngineSnapshot`] (the daemon's `--recover`).
-///
-/// Equivalence contract: for any clock, `drive` with
-/// [`ReplayExecutor::faultless`] and `resume = None` is byte-identical
-/// (schedule, stats, event stream) to [`OnlineEngine::run_driven`] with
-/// [`NoFaults`] and the same mutation source; with
-/// [`ReplayExecutor::scripted`]`(model)` it matches `run_driven` on the
-/// same model. An empty [`DaemonSource`] matches a run without mutations,
-/// and one carrying a compiled churn script matches that script.
-///
-/// # Errors
-/// A `resume` snapshot that does not fit the run, as
-/// [`OnlineEngine::run_driven_resumable`] reports it.
-///
-/// [`ReplayExecutor::faultless`]: super::ReplayExecutor::faultless
-/// [`ReplayExecutor::scripted`]: super::ReplayExecutor::scripted
-/// [`NoFaults`]: crate::fault::NoFaults
-#[allow(clippy::too_many_arguments)]
-pub fn drive<E, M, C, O>(
-    instance: &Instance,
-    policy: &dyn Policy,
-    config: EngineConfig,
-    executor: E,
-    fault_config: FaultConfig,
-    mutations: &mut M,
-    clock: C,
-    observer: O,
-    resume: Option<&EngineSnapshot>,
-    snapshots: &mut dyn SnapshotSink,
-) -> Result<RunResult, SnapshotMismatch>
-where
-    E: ProbeExecutor,
-    M: MutationSource,
-    C: Clock,
-    O: Observer,
-{
-    let inputs = RunInputs {
-        instance,
-        policy,
-        config,
-        faults: &mut ExecutorModel::new(executor),
-        fault_config,
-        mutations,
-        observer: &mut Paced::new(clock, observer),
-    };
-    OnlineEngine::run_driven_resumable(inputs, resume, snapshots)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::MutationQueue;
-    use crate::model::{Budget, InstanceBuilder};
+    use crate::engine::{EngineConfig, MutationQueue, OnlineEngine, RunInputs, RunResult};
+    use crate::fault::{FaultConfig, NoFaults};
+    use crate::model::{Budget, Instance, InstanceBuilder};
     use crate::obs::MetricsObserver;
     use crate::policy::MEdf;
-    use crate::serve::{FreeClock, ManualClock, NoSnapshots, ReplayExecutor};
+    use crate::serve::{FreeClock, ManualClock, NoSnapshots};
 
     fn tiny_instance() -> Instance {
         let mut b = InstanceBuilder::new(2, 10, Budget::Uniform(1));
@@ -275,6 +219,26 @@ mod tests {
         b.cei(p, &[(0, 1, 4), (1, 2, 6)]);
         b.cei(p, &[(0, 3, 8)]);
         b.build()
+    }
+
+    /// The daemon's engine call for a fresh faultless M-EDF(P) run: `source`
+    /// drained each chronon, `observer` paced by `clock`.
+    fn paced_run<C: Clock, O: Observer>(
+        instance: &Instance,
+        source: &mut DaemonSource,
+        clock: C,
+        observer: O,
+    ) -> RunResult {
+        let inputs = RunInputs {
+            instance,
+            policy: &MEdf,
+            config: EngineConfig::preemptive(),
+            faults: &mut NoFaults,
+            fault_config: FaultConfig::default(),
+            mutations: source,
+            observer: &mut Paced::new(clock, observer),
+        };
+        OnlineEngine::run_driven_resumable(inputs, None, &mut NoSnapshots).unwrap()
     }
 
     #[test]
@@ -285,20 +249,12 @@ mod tests {
             OnlineEngine::run_observed(&instance, &MEdf, EngineConfig::preemptive(), &mut sim);
 
         let mut served = MetricsObserver::default();
-        let mut source = DaemonSource::default();
-        let got = drive(
+        let got = paced_run(
             &instance,
-            &MEdf,
-            EngineConfig::preemptive(),
-            ReplayExecutor::faultless(),
-            FaultConfig::default(),
-            &mut source,
+            &mut DaemonSource::default(),
             FreeClock,
             &mut served,
-            None,
-            &mut NoSnapshots,
-        )
-        .unwrap();
+        );
         assert_eq!(expected.schedule, got.schedule);
         assert_eq!(expected.stats, got.stats);
         assert_eq!(expected.outcomes, got.outcomes);
@@ -310,20 +266,12 @@ mod tests {
         let instance = tiny_instance();
         let (clock, handle) = ManualClock::new();
         handle.release();
-        let mut source = DaemonSource::default();
-        let got = drive(
+        let got = paced_run(
             &instance,
-            &MEdf,
-            EngineConfig::preemptive(),
-            ReplayExecutor::faultless(),
-            FaultConfig::default(),
-            &mut source,
+            &mut DaemonSource::default(),
             clock,
-            &mut crate::obs::NoopObserver,
-            None,
-            &mut NoSnapshots,
-        )
-        .unwrap();
+            crate::obs::NoopObserver,
+        );
         let expected = OnlineEngine::run(&instance, &MEdf, EngineConfig::preemptive());
         assert_eq!(expected.schedule, got.schedule);
     }
@@ -337,19 +285,7 @@ mod tests {
         live.submit(Mutation::SetBudget { budget: 0 });
         assert_eq!(live.pending(), 1);
         let mut source = DaemonSource::new(ScriptedMutations::default(), live.clone());
-        let got = drive(
-            &instance,
-            &MEdf,
-            EngineConfig::preemptive(),
-            ReplayExecutor::faultless(),
-            FaultConfig::default(),
-            &mut source,
-            FreeClock,
-            &mut crate::obs::NoopObserver,
-            None,
-            &mut NoSnapshots,
-        )
-        .unwrap();
+        let got = paced_run(&instance, &mut source, FreeClock, crate::obs::NoopObserver);
         assert_eq!(live.pending(), 0);
         // Budget zeroed from chronon 1 on: nothing captures.
         assert_eq!(got.stats.ceis_captured, 0);
@@ -361,7 +297,7 @@ mod tests {
             &instance,
             &MEdf,
             EngineConfig::preemptive(),
-            &mut crate::fault::NoFaults,
+            &mut NoFaults,
             FaultConfig::default(),
             &mut ScriptedMutations::compile(&queue, instance.epoch.len(), instance.ceis.len()),
             &mut crate::obs::NoopObserver,

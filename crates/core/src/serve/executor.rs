@@ -1,45 +1,36 @@
-//! Probe executors: how the daemon actually touches (or replays) the Web.
+//! Probe executors: how the daemon touches the Web.
 //!
 //! The engine's fault machinery already speaks the right language — a probe
 //! either succeeds or fails, failures feed retry/backoff, committed outages
 //! feed shedding — so a live executor is just a [`FaultModel`] whose
-//! answers come from the network instead of a seeded script.
-//! [`ProbeExecutor`] is that trait, restated for implementors who think in
-//! probes rather than faults, and [`ExecutorModel`] adapts any executor
-//! into the [`FaultModel`] the engine runs against.
+//! answers come from the network instead of a seeded script. The daemon
+//! runs any [`FaultModel`]: [`NoFaults`] or a seeded model reproduces the
+//! simulator's runs byte for byte, and [`TcpProbeExecutor`] probes real
+//! targets — one TCP connect with a per-probe timeout per probe, resources
+//! mapped round-robin onto the configured target addresses. Its failures
+//! flow into the engine's `ProbeFailed` / retry / backoff machinery
+//! unchanged.
 //!
-//! Two executors ship:
+//! # Benchmark-compatibility surface
 //!
-//! * [`ReplayExecutor`] — deterministic and fully offline. `faultless()`
-//!   reports `fallible() == false`, so the engine monomorphizes to the
-//!   exact unfaulted simulator path; `scripted(model)` delegates to any
-//!   seeded [`FaultModel`], reproducing the simulator's faulted runs
-//!   byte-for-byte.
-//! * [`TcpProbeExecutor`] — a real network prober: one TCP connect with a
-//!   per-probe timeout per probe, resources mapped round-robin onto the
-//!   configured target addresses. Failures flow into the engine's
-//!   `ProbeFailed` / retry / backoff machinery unchanged.
+//! [`ProbeExecutor`], [`ReplayExecutor`] and the [`FaultModel`] bridge for
+//! `Box<E: ProbeExecutor>` are here only because the repository benchmark
+//! (`perfbench/`) builds against them; the daemon never names them. They go
+//! once the benchmark's timed executor becomes its timed fault model.
+//!
+//! [`NoFaults`]: crate::fault::NoFaults
 
-use crate::fault::{FaultModel, NoFaults};
+use crate::fault::FaultModel;
 use crate::model::{Chronon, ResourceId};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// A source of probe outcomes for the serving engine.
-///
-/// The contract mirrors [`FaultModel`] exactly (the engine consumes
-/// executors through [`ExecutorModel`]): [`begin_chronon`] is called once
-/// per chronon before any probe, [`down_until`] reports committed outage
-/// horizons, [`probe`] resolves one attempt, and [`fallible`] gates every
-/// engine fault branch — an infallible executor runs the zero-cost
-/// unfaulted loop.
-///
-/// [`begin_chronon`]: Self::begin_chronon
-/// [`down_until`]: Self::down_until
-/// [`probe`]: Self::probe
-/// [`fallible`]: Self::fallible
+/// [`FaultModel`] restated for implementors who think in probes rather than
+/// faults: [`probe`](Self::probe) is [`FaultModel::probe_succeeds`] and
+/// [`fallible`](Self::fallible) is [`FaultModel::enabled`]. Part of the
+/// benchmark-compatibility surface (see the module docs).
 pub trait ProbeExecutor {
     /// Advances the executor to chronon `t` (once per chronon, ascending).
     fn begin_chronon(&mut self, t: Chronon);
@@ -57,118 +48,65 @@ pub trait ProbeExecutor {
     /// engine through the exact unfaulted instruction stream.
     fn fallible(&self) -> bool;
 
-    /// A stable description of the executor's full identity — for scripted
-    /// executors, the fault model's kind, parameters, and seed. Feeds the
-    /// serve journal's configuration fingerprint so `--recover` under a
-    /// same-shaped but differently-scripted executor is refused up front
-    /// rather than diverging during replay.
+    /// A stable description of the executor's full identity, for the serve
+    /// journal's configuration fingerprint.
     fn descriptor(&self) -> String {
         format!("fallible={}", self.fallible())
     }
 }
 
-/// Forwarding impl so boxed executors (`Box<dyn ProbeExecutor + Send>`)
-/// plug into the generic driver.
-impl<E: ProbeExecutor + ?Sized> ProbeExecutor for Box<E> {
+/// Runs a boxed [`ProbeExecutor`] as the [`FaultModel`] the daemon takes.
+/// Nothing says an executor's answers are replayable, so crash recovery
+/// never calls it for the journaled chronons. Part of the
+/// benchmark-compatibility surface (see the module docs).
+impl<E: ProbeExecutor + ?Sized> FaultModel for Box<E> {
     fn begin_chronon(&mut self, t: Chronon) {
         (**self).begin_chronon(t);
     }
     fn down_until(&self, resource: ResourceId) -> Option<Chronon> {
         (**self).down_until(resource)
     }
-    fn probe(&mut self, t: Chronon, resource: ResourceId, attempt: u32) -> bool {
+    fn probe_succeeds(&mut self, t: Chronon, resource: ResourceId, attempt: u32) -> bool {
         (**self).probe(t, resource, attempt)
     }
-    fn fallible(&self) -> bool {
+    fn enabled(&self) -> bool {
         (**self).fallible()
     }
     fn descriptor(&self) -> String {
         (**self).descriptor()
     }
-}
-
-/// Adapts a [`ProbeExecutor`] into the [`FaultModel`] the engine consumes:
-/// probe failures become fault-model failures, committed outages become
-/// `down_until` horizons, and `fallible()` drives
-/// [`FaultModel::enabled`] so infallible executors cost nothing.
-#[derive(Debug, Clone, Default)]
-pub struct ExecutorModel<E>(E);
-
-impl<E: ProbeExecutor> ExecutorModel<E> {
-    /// Wraps `executor` for the engine.
-    pub fn new(executor: E) -> Self {
-        ExecutorModel(executor)
-    }
-
-    /// Unwraps the executor.
-    pub fn into_inner(self) -> E {
-        self.0
+    fn replayable(&self) -> bool {
+        false
     }
 }
 
-impl<E: ProbeExecutor> FaultModel for ExecutorModel<E> {
-    fn begin_chronon(&mut self, t: Chronon) {
-        self.0.begin_chronon(t);
-    }
-    fn down_until(&self, resource: ResourceId) -> Option<Chronon> {
-        self.0.down_until(resource)
-    }
-    fn probe_succeeds(&mut self, t: Chronon, resource: ResourceId, attempt: u32) -> bool {
-        self.0.probe(t, resource, attempt)
-    }
-    fn enabled(&self) -> bool {
-        self.0.fallible()
-    }
-    fn descriptor(&self) -> String {
-        self.0.descriptor()
-    }
-}
-
-/// The deterministic offline executor: probe outcomes come from a seeded
-/// [`FaultModel`] script instead of the network, so a serving run is a
-/// pure function of its inputs — the keystone of the daemon-vs-simulator
-/// equivalence contract.
-#[derive(Debug, Clone, Default)]
-pub struct ReplayExecutor<F = NoFaults> {
-    model: F,
-    fallible: bool,
-}
+/// The [`ProbeExecutor`] spelling of [`NoFaults`](crate::fault::NoFaults):
+/// every probe succeeds and `fallible()` is `false`, so the engine takes
+/// the exact unfaulted simulator path. Part of the benchmark-compatibility
+/// surface (see the module docs).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ReplayExecutor;
 
 impl ReplayExecutor {
-    /// An executor whose every probe succeeds. `fallible()` is `false`, so
-    /// the engine takes the exact unfaulted simulator path.
+    /// An executor whose every probe succeeds.
     pub fn faultless() -> Self {
-        ReplayExecutor {
-            model: NoFaults,
-            fallible: false,
-        }
+        ReplayExecutor
     }
 }
 
-impl<F: FaultModel> ReplayExecutor<F> {
-    /// An executor replaying `model`'s scripted failures — byte-identical
-    /// to the simulator running the same model directly.
-    pub fn scripted(model: F) -> Self {
-        let fallible = model.enabled();
-        ReplayExecutor { model, fallible }
+impl ProbeExecutor for ReplayExecutor {
+    fn begin_chronon(&mut self, _t: Chronon) {}
+    fn down_until(&self, _resource: ResourceId) -> Option<Chronon> {
+        None
     }
-}
-
-impl<F: FaultModel> ProbeExecutor for ReplayExecutor<F> {
-    fn begin_chronon(&mut self, t: Chronon) {
-        self.model.begin_chronon(t);
-    }
-    fn down_until(&self, resource: ResourceId) -> Option<Chronon> {
-        self.model.down_until(resource)
-    }
-    fn probe(&mut self, t: Chronon, resource: ResourceId, attempt: u32) -> bool {
-        self.model.probe_succeeds(t, resource, attempt)
+    fn probe(&mut self, _t: Chronon, _resource: ResourceId, _attempt: u32) -> bool {
+        true
     }
     fn fallible(&self) -> bool {
-        self.fallible
+        false
     }
     fn descriptor(&self) -> String {
-        format!("replay({})", self.model.descriptor())
+        "none".to_string()
     }
 }
 
@@ -180,7 +118,9 @@ impl<F: FaultModel> ProbeExecutor for ReplayExecutor<F> {
 /// shutdown has nothing to leak; the shared stop flag
 /// ([`stop_flag`](Self::stop_flag)) makes every probe after shutdown fail
 /// immediately instead of waiting out its timeout, bounding exit latency
-/// even mid-backoff.
+/// even mid-backoff. Its answers come from the network, so it is not
+/// [`replayable`](FaultModel::replayable): recovery never probes during
+/// replay.
 #[derive(Debug)]
 pub struct TcpProbeExecutor {
     targets: Vec<SocketAddr>,
@@ -216,7 +156,7 @@ impl TcpProbeExecutor {
     }
 }
 
-impl ProbeExecutor for TcpProbeExecutor {
+impl FaultModel for TcpProbeExecutor {
     fn begin_chronon(&mut self, _t: Chronon) {}
 
     fn down_until(&self, _resource: ResourceId) -> Option<Chronon> {
@@ -225,7 +165,7 @@ impl ProbeExecutor for TcpProbeExecutor {
         None
     }
 
-    fn probe(&mut self, _t: Chronon, resource: ResourceId, _attempt: u32) -> bool {
+    fn probe_succeeds(&mut self, _t: Chronon, resource: ResourceId, _attempt: u32) -> bool {
         if self.stop.load(Ordering::Relaxed) {
             return false;
         }
@@ -235,10 +175,6 @@ impl ProbeExecutor for TcpProbeExecutor {
         }
     }
 
-    fn fallible(&self) -> bool {
-        true
-    }
-
     fn descriptor(&self) -> String {
         format!(
             "tcp(targets={:?},timeout_ms={})",
@@ -246,12 +182,15 @@ impl ProbeExecutor for TcpProbeExecutor {
             self.timeout.as_millis(),
         )
     }
+
+    fn replayable(&self) -> bool {
+        false
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::IidFaults;
 
     #[test]
     fn faultless_replay_is_infallible_and_always_succeeds() {
@@ -260,38 +199,20 @@ mod tests {
         e.begin_chronon(0);
         assert_eq!(e.down_until(ResourceId(0)), None);
         assert!(e.probe(0, ResourceId(0), 0));
-        // Adapter mirrors the executor verbatim.
-        let m = ExecutorModel::new(e);
+        // The bridge mirrors the executor verbatim, and never re-drives it.
+        let m: Box<dyn ProbeExecutor> = Box::new(e);
         assert!(!m.enabled());
-    }
-
-    #[test]
-    fn scripted_replay_matches_its_model() {
-        let mut model = IidFaults::new(0.5, 99);
-        let mut exec = ReplayExecutor::scripted(IidFaults::new(0.5, 99));
-        assert!(exec.fallible());
-        for t in 0..50 {
-            for r in 0..4 {
-                assert_eq!(
-                    exec.probe(t, ResourceId(r), 0),
-                    model.probe_succeeds(t, ResourceId(r), 0),
-                    "t={t} r={r}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn scripted_replay_of_nofaults_is_infallible() {
-        assert!(!ReplayExecutor::scripted(NoFaults).fallible());
+        assert!(!m.replayable());
+        assert_eq!(m.descriptor(), "none");
     }
 
     #[test]
     fn tcp_executor_with_no_targets_fails_every_probe() {
         let mut e = TcpProbeExecutor::new(Vec::new(), Duration::from_millis(5));
-        assert!(e.fallible());
+        assert!(e.enabled());
+        assert!(!e.replayable());
         assert_eq!(e.target_of(ResourceId(3)), None);
-        assert!(!e.probe(0, ResourceId(3), 0));
+        assert!(!e.probe_succeeds(0, ResourceId(3), 0));
     }
 
     #[test]
@@ -301,9 +222,9 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let mut e = TcpProbeExecutor::new(vec![addr], Duration::from_millis(200));
-        assert!(e.probe(0, ResourceId(0), 0));
+        assert!(e.probe_succeeds(0, ResourceId(0), 0));
         e.stop_flag().store(true, Ordering::Relaxed);
-        assert!(!e.probe(1, ResourceId(0), 1));
+        assert!(!e.probe_succeeds(1, ResourceId(0), 1));
     }
 
     #[test]

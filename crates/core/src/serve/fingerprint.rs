@@ -3,13 +3,14 @@
 //! single chronon.
 //!
 //! The fingerprint names the dimensions, the policy's full spec, the engine
-//! mode and the executor descriptor (fault kind, parameters and seed) in
-//! clear, and covers the instance, the fault configuration and the compiled
-//! churn script each by a CRC-32 of its content. The content is fed into
-//! the CRC field by field — integers little-endian, `f32` by its bits,
-//! lengths before sequences, enum variants and options by a tag byte — and
-//! every struct is destructured exhaustively, so a new field fails to
-//! compile until the fingerprint covers it.
+//! mode and the fault model's descriptor (kind, parameters and seed; for a
+//! live prober, its targets and timeout) in clear, and covers the instance,
+//! the fault configuration and the compiled churn script each by a CRC-32
+//! of its content. The content is fed into the CRC field by field —
+//! integers little-endian, `f32` by its bits, lengths before sequences,
+//! enum variants and options by a tag byte — and every struct is
+//! destructured exhaustively, so a new field fails to compile until the
+//! fingerprint covers it.
 
 use crate::engine::{EngineConfig, Mutation, ScriptedMutations};
 use crate::fault::{Backoff, FaultConfig};
@@ -17,8 +18,10 @@ use crate::model::{Budget, Cei, CeiId, Ei, Instance, ProbeCosts, Profile};
 use webmon_streams::Crc32;
 
 /// The fingerprint of a serve session: its instance, policy spec, engine
-/// mode, fault configuration, compiled churn script and executor
-/// descriptor. Equal inputs give equal fingerprints, in any process.
+/// mode, fault configuration, compiled churn script and the descriptor of
+/// the fault model it probes through
+/// ([`FaultModel::descriptor`](crate::fault::FaultModel::descriptor)).
+/// Equal inputs give equal fingerprints, in any process.
 pub fn session_fingerprint(
     instance: &Instance,
     policy_spec: &str,
@@ -236,16 +239,15 @@ impl Fingerprint for Mutation {
 mod tests {
     use super::*;
     use crate::engine::MutationQueue;
-    use crate::fault::IidFaults;
+    use crate::fault::{FaultModel, GilbertElliott, IidFaults};
     use crate::model::InstanceBuilder;
-    use crate::serve::{ProbeExecutor, ReplayExecutor};
 
     /// One session's fingerprint inputs, built from scratch each time.
     struct Session {
         instance: Instance,
         fault_config: FaultConfig,
         queue: MutationQueue,
-        fault_seed: u64,
+        faults: Box<dyn FaultModel>,
     }
 
     impl Session {
@@ -262,21 +264,20 @@ mod tests {
                 instance,
                 fault_config: FaultConfig::charged().with_backoff(Backoff::new(1, 8)),
                 queue,
-                fault_seed: 7,
+                faults: Box::new(IidFaults::new(0.3, 7)),
             }
         }
 
         fn fingerprint(&self) -> String {
             let horizon = self.instance.epoch.len();
             let script = ScriptedMutations::compile(&self.queue, horizon, self.instance.ceis.len());
-            let executor = ReplayExecutor::scripted(IidFaults::new(0.3, self.fault_seed));
             session_fingerprint(
                 &self.instance,
                 "mrsf",
                 EngineConfig::preemptive(),
                 &self.fault_config,
                 &script,
-                &executor.descriptor(),
+                &self.faults.descriptor(),
             )
         }
     }
@@ -291,7 +292,7 @@ mod tests {
             "same inputs, same fingerprint"
         );
         type Change = (&'static str, fn(&mut Session));
-        let rows: [Change; 7] = [
+        let rows: [Change; 9] = [
             ("an EI bound", |s| s.instance.ceis[0].eis[1].end = 7),
             ("a CEI weight", |s| s.instance.ceis[1].weight = 2.5),
             ("required", |s| s.instance.ceis[1].required = 3),
@@ -304,7 +305,15 @@ mod tests {
                 queue.register(3, CeiId(1)).set_budget(5, 2);
                 s.queue = queue;
             }),
-            ("the fault seed", |s| s.fault_seed = 8),
+            ("the fault seed", |s| {
+                s.faults = Box::new(IidFaults::new(0.3, 8));
+            }),
+            ("the fault rate", |s| {
+                s.faults = Box::new(IidFaults::new(0.4, 7));
+            }),
+            ("the fault model", |s| {
+                s.faults = Box::new(GilbertElliott::new(0.3, 0.5, 7, 3));
+            }),
         ];
         for (what, change) in rows {
             let mut session = Session::new();

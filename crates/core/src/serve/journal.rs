@@ -54,24 +54,26 @@
 //! around.
 //!
 //! Recovery ([`scan_journal`] → [`Recovery::plan`]) restores the latest
-//! snapshot, replays the frames after it through [`JournalExecutor`] /
+//! snapshot, replays the frames after it through [`JournalFaults`] /
 //! [`JournalMutations`] (the engine re-executes and re-emits those chronons
 //! byte-identically), re-injects acknowledged-but-undrained live mutations,
-//! and hands the run over to the real executor at the first unjournaled
-//! chronon. `tests/tests/recovery.rs` pins the end-to-end contract: a
-//! daemon SIGKILLed at any chronon and recovered produces a final trace,
-//! schedule, and `RunMetrics` byte-identical to an uninterrupted run.
+//! and hands the run over to the daemon's fault model at the first
+//! unjournaled chronon. A replayable model is first re-driven through every
+//! journaled chronon ([`Recovery::faults`]), so a stateful one hands over
+//! in the uninterrupted run's state. `tests/tests/recovery.rs` pins the
+//! end-to-end contract: a daemon SIGKILLed at any chronon and recovered
+//! produces a final trace, schedule, and `RunMetrics` byte-identical to an
+//! uninterrupted run.
 //!
 //! [`webmon_streams::record`]: ../../../webmon_streams/record/index.html
 
 use super::driver::LiveMutationQueue;
-use super::executor::ProbeExecutor;
 use super::snapshot::{EngineSnapshot, SnapshotMismatch, SnapshotSink};
 use crate::engine::{Mutation, MutationSource};
+use crate::fault::FaultModel;
 use crate::model::{CeiId, Chronon, ResourceId};
 use crate::obs::{replay_events, Event};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
@@ -866,21 +868,76 @@ pub fn scan_journal(path: &Path) -> Result<JournalScan, JournalError> {
     Ok(scan)
 }
 
+/// One journaled probe attempt.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Attempt {
+    resource: ResourceId,
+    /// Consecutive failures on the resource before this attempt.
+    attempt: u32,
+    /// Whether the probe succeeded.
+    ok: bool,
+}
+
 /// One journaled chronon parsed into the engine's nondeterministic inputs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct ReplayFrame {
-    /// Probe outcomes in attempt order (`ProbeIssued` → success,
-    /// `ProbeFailed` → failure).
-    outcomes: Vec<bool>,
-    /// Outage transitions in event order.
+    /// Probe attempts in the order the engine made them.
+    attempts: Vec<Attempt>,
+    /// Outage transitions in event order: `(resource, Some(until))` for a
+    /// down edge, `(resource, None)` for an up edge.
     downs: Vec<(u32, Option<Chronon>)>,
     /// Applied mutations in drain order.
     mutations: Vec<Mutation>,
 }
 
+impl ReplayFrame {
+    /// Distills one chronon's events. Every attempt ends in a `ProbeIssued`
+    /// (success) or a `ProbeFailed` (failure, carrying its attempt number);
+    /// a retry announces its attempt number with the `ProbeRetried` right
+    /// before either, so a success without one is a first attempt.
+    fn parse(events: &[Event]) -> Self {
+        let mut frame = ReplayFrame::default();
+        let mut retried = 0;
+        for event in events {
+            match *event {
+                Event::ProbeRetried { attempt, .. } => retried = attempt,
+                Event::ProbeIssued { resource, .. } => frame.attempts.push(Attempt {
+                    resource,
+                    attempt: std::mem::take(&mut retried),
+                    ok: true,
+                }),
+                Event::ProbeFailed {
+                    resource, attempt, ..
+                } => {
+                    retried = 0;
+                    frame.attempts.push(Attempt {
+                        resource,
+                        attempt,
+                        ok: false,
+                    });
+                }
+                Event::ResourceDown {
+                    resource, until, ..
+                } => frame.downs.push((resource.0, Some(until))),
+                Event::ResourceUp { resource, .. } => frame.downs.push((resource.0, None)),
+                Event::CeiRegistered { cei, .. } => {
+                    frame.mutations.push(Mutation::Register { cei });
+                }
+                Event::CeiCancelled { cei, .. } => frame.mutations.push(Mutation::Cancel { cei }),
+                Event::BudgetReconfigured { budget, .. } => {
+                    frame.mutations.push(Mutation::SetBudget { budget });
+                }
+                _ => {}
+            }
+        }
+        frame
+    }
+}
+
 /// A recovery plan distilled from a [`JournalScan`]: what to restore, what
-/// to replay, what to re-inject, and where live execution resumes.
-#[derive(Debug, Clone)]
+/// to replay, what to re-inject, and where live execution resumes. The
+/// default plan is a fresh run: nothing to restore, replay or re-inject.
+#[derive(Debug, Clone, Default)]
 pub struct Recovery {
     /// The snapshot to restore (`None`: resume from chronon 0).
     pub resume: Option<EngineSnapshot>,
@@ -890,8 +947,8 @@ pub struct Recovery {
     /// Trace JSONL for chronons before the snapshot boundary — the prefix
     /// the resumed engine will not re-emit.
     pub prefix_lines: String,
-    /// Number of event lines in [`prefix_lines`](Self::prefix_lines).
-    pub prefix_events: u64,
+    /// The events of [`prefix_lines`](Self::prefix_lines), parsed.
+    pub prefix_events: Vec<Event>,
     /// Acknowledged live mutations no frame drained, in sequence order.
     pub undrained: Vec<(u64, Mutation)>,
     /// Highest live-mutation sequence in the journal.
@@ -903,8 +960,8 @@ pub struct Recovery {
     /// Valid-prefix byte length, forwarded from the scan — the length the
     /// continuation writer truncates the file to before appending.
     pub valid_len: u64,
-    /// Parsed frames for the replayed range `resume_at..=replay_until`.
-    frames: Vec<(Chronon, ReplayFrame)>,
+    /// Every journaled chronon, parsed: `frames[t]` is chronon `t`.
+    frames: Vec<ReplayFrame>,
 }
 
 impl Recovery {
@@ -914,50 +971,25 @@ impl Recovery {
     pub fn plan(scan: &JournalScan) -> Result<Self, JournalError> {
         // The latest snapshot wins; frames from its boundary on replay
         // through the engine, frames before it become the trace prefix.
+        // Every frame is parsed: a replayable fault model is re-driven
+        // through all of them.
         let resume = scan.snapshots.last().cloned();
         let resume_at = resume.as_ref().map_or(0, |s| s.at);
-        let replay_until = scan.frames.last().map(|f| f.t);
         let drained_seq = scan.frames.last().map_or(0, |f| f.drained_seq);
 
         let mut prefix_lines = String::new();
-        let mut prefix_events = 0u64;
-        let mut frames = Vec::new();
+        let mut prefix_events = Vec::new();
+        let mut frames = Vec::with_capacity(scan.frames.len());
         for f in &scan.frames {
-            if f.t < resume_at {
-                prefix_lines.push_str(&f.lines);
-                prefix_events += f.lines.lines().count() as u64;
-                continue;
-            }
             let events = replay_events(&f.lines).map_err(|e| JournalError::Corrupt {
                 offset: f.offset,
                 detail: format!("frame {} line {}: {}", f.t, e.line, e.detail),
             })?;
-            let mut rf = ReplayFrame {
-                outcomes: Vec::new(),
-                downs: Vec::new(),
-                mutations: Vec::new(),
-            };
-            for e in events {
-                match e {
-                    Event::ProbeIssued { .. } => rf.outcomes.push(true),
-                    Event::ProbeFailed { .. } => rf.outcomes.push(false),
-                    Event::ResourceDown {
-                        resource, until, ..
-                    } => rf.downs.push((resource.0, Some(until))),
-                    Event::ResourceUp { resource, .. } => rf.downs.push((resource.0, None)),
-                    Event::CeiRegistered { cei, .. } => {
-                        rf.mutations.push(Mutation::Register { cei });
-                    }
-                    Event::CeiCancelled { cei, .. } => {
-                        rf.mutations.push(Mutation::Cancel { cei });
-                    }
-                    Event::BudgetReconfigured { budget, .. } => {
-                        rf.mutations.push(Mutation::SetBudget { budget });
-                    }
-                    _ => {}
-                }
+            frames.push(ReplayFrame::parse(&events));
+            if f.t < resume_at {
+                prefix_lines.push_str(&f.lines);
+                prefix_events.extend(events);
             }
-            frames.push((f.t, rf));
         }
 
         let mut undrained: Vec<(u64, Mutation)> = scan
@@ -971,7 +1003,7 @@ impl Recovery {
 
         Ok(Recovery {
             resume,
-            replay_until,
+            replay_until: scan.frames.last().map(|f| f.t),
             prefix_lines,
             prefix_events,
             undrained,
@@ -1004,165 +1036,174 @@ impl Recovery {
         queue
     }
 
-    /// Wraps `inner` so journaled chronons replay recorded probe outcomes
-    /// and outage state; see [`JournalExecutor`].
-    pub fn executor<E: ProbeExecutor>(
-        &self,
-        inner: E,
-        n_resources: u32,
-        sync_inner: bool,
-    ) -> JournalExecutor<E> {
+    /// Wraps `inner` so journaled chronons replay their recorded probe
+    /// outcomes and outage state; see [`JournalFaults`].
+    ///
+    /// This is where a stateful model is handed over: an enabled,
+    /// [`replayable`](FaultModel::replayable) `inner` is driven through
+    /// every journaled chronon `t` — `begin_chronon(t)`, then each recorded
+    /// attempt in order — so it starts the first live chronon in the state
+    /// the uninterrupted run left it in. A recorded outcome it does not
+    /// reproduce is a divergence.
+    pub fn faults<F: FaultModel>(&self, mut inner: F, n_resources: u32) -> JournalFaults<'_, F> {
+        let mut diverged = None;
+        if inner.enabled() && inner.replayable() {
+            for (t, frame) in (0..).zip(&self.frames) {
+                inner.begin_chronon(t);
+                for a in &frame.attempts {
+                    let ok = inner.probe_succeeds(t, a.resource, a.attempt);
+                    if ok != a.ok && diverged.is_none() {
+                        diverged = Some(format!(
+                            "the fault model does not reproduce frame {t}: {:?} attempt {} \
+                             was journaled as {}",
+                            a.resource,
+                            a.attempt,
+                            if a.ok { "a success" } else { "a failure" },
+                        ));
+                    }
+                }
+            }
+        }
         let mut mirror = vec![None; n_resources as usize];
         if let Some(snap) = &self.resume {
             for (m, &a) in mirror.iter_mut().zip(&snap.announced) {
                 *m = a;
             }
         }
-        JournalExecutor {
+        JournalFaults {
             inner,
-            sync_inner,
-            frames: self
-                .frames
-                .iter()
-                .map(|(t, f)| (*t, (f.outcomes.clone(), f.downs.clone())))
-                .collect(),
+            frames: &self.frames,
+            live_from: self.frames.len() as Chronon,
             mirror,
-            replay_until: self.replay_until,
             now: 0,
-            staged: VecDeque::new(),
-            diverged: Arc::new(Mutex::new(None)),
+            pending: &[],
+            diverged,
         }
     }
 
     /// Wraps `inner` so journaled chronons drain the recorded mutations;
     /// see [`JournalMutations`].
-    pub fn mutations<M: MutationSource>(&self, inner: M) -> JournalMutations<M> {
+    pub fn mutations<M: MutationSource>(&self, inner: M) -> JournalMutations<'_, M> {
         JournalMutations {
             inner,
-            frames: self
-                .frames
-                .iter()
-                .map(|(t, f)| (*t, f.mutations.clone()))
-                .collect(),
-            replay_until: self.replay_until,
+            frames: &self.frames,
+            live_from: self.frames.len() as Chronon,
         }
     }
 }
 
-/// A journaled chronon's executor-visible inputs: probe outcomes in
-/// attempt order, and outage transitions as `(resource, Some(until))` for
-/// a down edge or `(resource, None)` for an up edge, in event order.
-type ExecutorFrame = (Vec<bool>, Vec<(u32, Option<Chronon>)>);
-
-/// A [`ProbeExecutor`] that replays journaled chronons and delegates to the
-/// wrapped executor from the first unjournaled chronon on.
+/// A [`FaultModel`] that replays journaled chronons and delegates to the
+/// wrapped model from the first unjournaled chronon on.
 ///
 /// During replay, probe outcomes come from the journal in attempt order and
 /// outage state from a mirror of the journaled `ResourceDown`/`ResourceUp`
-/// transitions (seeded from the restored snapshot's announced horizons).
-/// With `sync_inner` (deterministic replay executors whose fault models
-/// step per chronon or per probe — Gilbert-Elliott chains, rate limiters),
-/// the wrapped executor is stepped through every replayed chronon and
-/// attempt so its state is exact at the handover; a live network executor
-/// sets `sync_inner = false` and is not touched during replay.
+/// transitions (seeded from the restored snapshot's announced horizons);
+/// the wrapped model is not called — [`Recovery::faults`] already brought
+/// it to the handover. Under the default (fresh-run) plan every call costs
+/// one comparison on its way to the wrapped model.
 ///
 /// If the engine consumes a replayed chronon differently than the frame
-/// recorded — more probes than outcomes, or staged outcomes left over —
-/// the replay has **diverged**: the journal describes a different run
-/// (the header fingerprint should have refused it, but the fingerprint is
-/// a hash, not the inputs themselves). Divergence is recorded on the
-/// shared [`divergence`](Self::divergence) cell — never a panic — and the
-/// driver surfaces it as a failed recovery whose output is discarded;
-/// probes past exhaustion report failure in the meantime.
+/// recorded — another probe than the one recorded next, more probes than
+/// recorded, or recorded probes left over — the replay has **diverged**:
+/// the journal describes a different run (the header fingerprint should
+/// have refused it, but the fingerprint is a hash, not the inputs
+/// themselves). [`divergence`](Self::divergence) reports it after the run
+/// — never a panic — and the daemon turns it into a failed recovery whose
+/// output is discarded; probes past the recording fail in the meantime.
 #[derive(Debug)]
-pub struct JournalExecutor<E> {
-    inner: E,
-    sync_inner: bool,
-    frames: std::collections::BTreeMap<Chronon, ExecutorFrame>,
+pub struct JournalFaults<'a, F> {
+    inner: F,
+    /// Every journaled chronon: `frames[t]` is chronon `t`.
+    frames: &'a [ReplayFrame],
+    /// The first chronon the wrapped model answers.
+    live_from: Chronon,
     mirror: Vec<Option<Chronon>>,
-    replay_until: Option<Chronon>,
     now: Chronon,
-    staged: VecDeque<bool>,
-    diverged: Arc<Mutex<Option<String>>>,
+    /// The attempts of the replayed chronon `now` not consumed yet.
+    pending: &'a [Attempt],
+    diverged: Option<String>,
 }
 
-impl<E> JournalExecutor<E> {
-    fn replaying(&self, t: Chronon) -> bool {
-        self.replay_until.is_some_and(|u| t <= u)
+impl<F> JournalFaults<'_, F> {
+    /// `Some(detail)` once the engine has consumed the journal differently
+    /// than the recording; read it after the run.
+    pub fn divergence(&self) -> Option<String> {
+        self.diverged.clone().or_else(|| self.leftover())
     }
 
-    /// The shared divergence cell: `Some(detail)` once replay has consumed
-    /// the journal differently than the recording. Clone the handle before
-    /// handing the executor to the engine and check it after the run.
-    pub fn divergence(&self) -> Arc<Mutex<Option<String>>> {
-        Arc::clone(&self.diverged)
-    }
-
-    fn mark_diverged(&self, detail: String) {
-        let mut cell = self.diverged.lock().unwrap();
-        if cell.is_none() {
-            *cell = Some(detail);
-        }
-    }
-}
-
-impl<E: ProbeExecutor> ProbeExecutor for JournalExecutor<E> {
-    fn begin_chronon(&mut self, t: Chronon) {
-        if !self.staged.is_empty() {
-            self.mark_diverged(format!(
+    /// The divergence of recorded attempts the engine never made.
+    fn leftover(&self) -> Option<String> {
+        (!self.pending.is_empty()).then(|| {
+            format!(
                 "{} recorded probe outcome(s) for chronon {} were never consumed",
-                self.staged.len(),
+                self.pending.len(),
                 self.now,
-            ));
-        }
-        self.now = t;
-        if self.replaying(t) {
-            if self.sync_inner {
-                self.inner.begin_chronon(t);
+            )
+        })
+    }
+
+    fn mark_diverged(&mut self, detail: String) {
+        self.diverged.get_or_insert(detail);
+    }
+}
+
+impl<F: FaultModel> FaultModel for JournalFaults<'_, F> {
+    fn begin_chronon(&mut self, t: Chronon) {
+        if t < self.live_from {
+            if let Some(detail) = self.leftover() {
+                self.mark_diverged(detail);
             }
-            self.staged.clear();
-            if let Some((outcomes, downs)) = self.frames.get(&t) {
-                self.staged.extend(outcomes.iter().copied());
-                for &(r, until) in downs {
-                    self.mirror[r as usize] = until;
-                }
+            let frame = &self.frames[t as usize];
+            self.pending = &frame.attempts;
+            for &(r, until) in &frame.downs {
+                self.mirror[r as usize] = until;
             }
         } else {
             self.inner.begin_chronon(t);
         }
+        self.now = t;
     }
 
     fn down_until(&self, resource: ResourceId) -> Option<Chronon> {
-        if self.replaying(self.now) {
+        if self.now < self.live_from {
             self.mirror[resource.index()]
         } else {
             self.inner.down_until(resource)
         }
     }
 
-    fn probe(&mut self, t: Chronon, resource: ResourceId, attempt: u32) -> bool {
-        if self.replaying(t) {
-            if self.sync_inner {
-                let _ = self.inner.probe(t, resource, attempt);
-            }
-            self.staged.pop_front().unwrap_or_else(|| {
-                self.mark_diverged(format!(
-                    "frame {t} exhausted mid-chronon: the engine attempted more probes \
-                     than the journal recorded (next: {resource:?} attempt {attempt})",
-                ));
-                false
-            })
-        } else {
-            self.inner.probe(t, resource, attempt)
+    fn probe_succeeds(&mut self, t: Chronon, resource: ResourceId, attempt: u32) -> bool {
+        if t >= self.live_from {
+            return self.inner.probe_succeeds(t, resource, attempt);
         }
+        let Some((next, rest)) = self.pending.split_first() else {
+            self.mark_diverged(format!(
+                "frame {t} exhausted mid-chronon: the engine attempted more probes \
+                 than the journal recorded (next: {resource:?} attempt {attempt})",
+            ));
+            return false;
+        };
+        self.pending = rest;
+        if (next.resource, next.attempt) != (resource, attempt) {
+            self.mark_diverged(format!(
+                "frame {t}: the engine probed {resource:?} attempt {attempt} where the \
+                 journal recorded {:?} attempt {}",
+                next.resource, next.attempt,
+            ));
+        }
+        next.ok
     }
 
-    fn fallible(&self) -> bool {
-        self.inner.fallible()
+    fn enabled(&self) -> bool {
+        self.inner.enabled()
     }
 
     fn descriptor(&self) -> String {
         self.inner.descriptor()
+    }
+
+    fn replayable(&self) -> bool {
+        self.inner.replayable()
     }
 }
 
@@ -1172,22 +1213,22 @@ impl<E: ProbeExecutor> ProbeExecutor for JournalExecutor<E> {
 /// always delegates — it is a property of the recompiled churn script, not
 /// of the journal.
 #[derive(Debug)]
-pub struct JournalMutations<M> {
+pub struct JournalMutations<'a, M> {
     inner: M,
-    frames: std::collections::BTreeMap<Chronon, Vec<Mutation>>,
-    replay_until: Option<Chronon>,
+    /// Every journaled chronon: `frames[t]` is chronon `t`.
+    frames: &'a [ReplayFrame],
+    /// The first chronon the wrapped source drains.
+    live_from: Chronon,
 }
 
-impl<M: MutationSource> MutationSource for JournalMutations<M> {
+impl<M: MutationSource> MutationSource for JournalMutations<'_, M> {
     fn active(&self) -> bool {
         true
     }
 
     fn drain_at(&mut self, t: Chronon, out: &mut Vec<Mutation>) {
-        if self.replay_until.is_some_and(|u| t <= u) {
-            if let Some(ms) = self.frames.get(&t) {
-                out.extend_from_slice(ms);
-            }
+        if t < self.live_from {
+            out.extend_from_slice(&self.frames[t as usize].mutations);
         } else {
             self.inner.drain_at(t, out);
         }
@@ -1331,8 +1372,6 @@ mod tests {
 
     #[test]
     fn replay_divergence_is_reported_not_a_panic() {
-        use crate::serve::executor::ReplayExecutor;
-
         let path = temp_journal("diverge");
         let mut w = JournalWriter::create(&path, FsyncPolicy::Os, "fp").unwrap();
         let issued = jsonl(&[Event::ProbeIssued {
@@ -1346,20 +1385,18 @@ mod tests {
         drop(w);
 
         let rec = Recovery::plan(&scan_journal(&path).unwrap()).unwrap();
-        let mut exec = rec.executor(ReplayExecutor::faultless(), 1, true);
-        let divergence = exec.divergence();
-        exec.begin_chronon(0);
-        assert!(exec.probe(0, ResourceId(0), 0), "recorded outcome replays");
-        assert!(divergence.lock().unwrap().is_none());
+        let mut faults = rec.faults(crate::fault::NoFaults, 1);
+        faults.begin_chronon(0);
+        assert!(
+            faults.probe_succeeds(0, ResourceId(0), 0),
+            "recorded outcome replays"
+        );
+        assert!(faults.divergence().is_none());
         // A second attempt has no recorded outcome: the divergence is
-        // flagged on the shared cell and the probe reports failure — the
-        // run ends with a structured error, never a panic.
-        assert!(!exec.probe(0, ResourceId(0), 1));
-        let detail = divergence
-            .lock()
-            .unwrap()
-            .clone()
-            .expect("divergence flagged");
+        // recorded and the probe reports failure — the run ends with a
+        // structured error, never a panic.
+        assert!(!faults.probe_succeeds(0, ResourceId(0), 1));
+        let detail = faults.divergence().expect("divergence flagged");
         assert!(detail.contains("frame 0"), "{detail}");
         std::fs::remove_file(&path).ok();
     }
@@ -1812,6 +1849,17 @@ mod tests {
                 cost: 1,
                 shared_eis: 1,
             },
+            Event::ProbeRetried {
+                t: 0,
+                resource: ResourceId(1),
+                attempt: 1,
+            },
+            Event::ProbeIssued {
+                t: 0,
+                resource: ResourceId(1),
+                cost: 1,
+                shared_eis: 1,
+            },
         ]);
         w.frame(0, 2, &lines);
         w.live_mutation(1, Mutation::Register { cei: CeiId(3) })
@@ -1829,8 +1877,21 @@ mod tests {
         assert_eq!(rec.drained_seq, 2);
         assert_eq!(rec.undrained, vec![(3, Mutation::SetBudget { budget: 5 })]);
         assert_eq!(rec.last_seq, 3);
-        let (_, rf) = &rec.frames[0];
-        assert_eq!(rf.outcomes, vec![false, true]);
+        let rf = &rec.frames[0];
+        let attempt = |r, attempt, ok| Attempt {
+            resource: ResourceId(r),
+            attempt,
+            ok,
+        };
+        // A success's attempt number comes from the retry announcing it.
+        assert_eq!(
+            rf.attempts,
+            vec![
+                attempt(1, 0, false),
+                attempt(2, 0, true),
+                attempt(1, 1, true)
+            ]
+        );
         assert_eq!(rf.downs, vec![(1, Some(4))]);
         assert_eq!(rf.mutations, vec![Mutation::Register { cei: CeiId(3) }]);
 

@@ -1,5 +1,5 @@
-//! Serving-mode building blocks: clocks, probe executors, and the chronon
-//! driver that promote the discrete simulator into a long-running monitor.
+//! Serving-mode building blocks: clocks, probe executors, and the engine
+//! adapters that promote the discrete simulator into a long-running monitor.
 //!
 //! The design premise is that *serving must not fork the engine*. The
 //! daemon runs the very same [`OnlineEngine`](crate::engine::OnlineEngine)
@@ -11,19 +11,24 @@
 //!   deployments, [`ManualClock`] for deterministic tests, [`FreeClock`]
 //!   for as-fast-as-possible drains. Pacing happens in the [`Paced`]
 //!   observer layer, so it cannot perturb engine output.
-//! * [`ProbeExecutor`] resolves probe attempts — [`TcpProbeExecutor`]
-//!   against live TCP targets with per-probe timeouts, [`ReplayExecutor`]
-//!   against deterministic scripts for fully offline serving.
-//! * [`drive`] composes both with a [`MutationSource`] merging scripted
-//!   churn and live registration traffic ([`DaemonSource`],
-//!   [`LiveMutationQueue`]) and calls
-//!   [`OnlineEngine::run_driven_resumable`](crate::engine::OnlineEngine::run_driven_resumable).
+//! * Probes resolve through the engine's one probe interface,
+//!   [`FaultModel`](crate::fault::FaultModel): a seeded model (or
+//!   [`NoFaults`](crate::fault::NoFaults)) for fully offline serving,
+//!   [`TcpProbeExecutor`] against live TCP targets with per-probe timeouts.
+//! * [`DaemonSource`] is the [`MutationSource`] merging scripted churn and
+//!   live registration traffic ([`LiveMutationQueue`]).
 //!
-//! **Equivalence contract.** A daemon run with [`ReplayExecutor`] under
-//! any clock is byte-identical — schedule, stats, `RunMetrics`, JSONL
-//! trace bytes — to the simulator's
+//! The daemon composes them into one
+//! [`OnlineEngine::run_driven_resumable`](crate::engine::OnlineEngine::run_driven_resumable)
+//! call per run, fresh or recovered.
+//!
+//! **Equivalence contract.** For any clock, a daemon run with a
+//! deterministic fault model is byte-identical — schedule, stats,
+//! `RunMetrics`, JSONL trace bytes — to the simulator's
 //! [`OnlineEngine::run_driven`](crate::engine::OnlineEngine::run_driven)
-//! on the same fault model and churn script. Every invariant the
+//! on the same model and churn script: [`Paced`] only delays events, an
+//! empty [`DaemonSource`] matches a run without mutations, and one carrying
+//! a compiled churn script matches that script. Every invariant the
 //! conformance harness checks therefore transfers to serving mode for
 //! free; `tests/tests/serve.rs` and CI's `serve-smoke` job enforce it.
 //!
@@ -45,12 +50,12 @@ pub mod journal;
 pub mod snapshot;
 
 pub use clock::{Clock, ClockRelease, FreeClock, ManualClock, ManualHandle, WallClock};
-pub use driver::{drive, DaemonSource, LiveMutationQueue, Paced};
-pub use executor::{ExecutorModel, ProbeExecutor, ReplayExecutor, TcpProbeExecutor};
+pub use driver::{DaemonSource, LiveMutationQueue, Paced};
+pub use executor::{ProbeExecutor, ReplayExecutor, TcpProbeExecutor};
 pub use fingerprint::session_fingerprint;
 pub(crate) use fingerprint::Fingerprint;
 pub use journal::{
-    FsyncPolicy, JournalConfig, JournalError, JournalExecutor, JournalMutations, JournalWriter,
+    FsyncPolicy, JournalConfig, JournalError, JournalFaults, JournalMutations, JournalWriter,
     Recovery,
 };
 pub use snapshot::{

@@ -152,6 +152,14 @@ impl FaultModel for BuiltFault {
             BuiltFault::RateLimit(m) => m.enabled(),
         }
     }
+
+    fn descriptor(&self) -> String {
+        match self {
+            BuiltFault::Iid(m) => m.descriptor(),
+            BuiltFault::Burst(m) => m.descriptor(),
+            BuiltFault::RateLimit(m) => m.descriptor(),
+        }
+    }
 }
 
 #[cfg(test)]

@@ -31,8 +31,9 @@ use webmon_core::policy::{MEdf, Mrsf, Policy, SEdf, Wic};
 use webmon_core::serve::journal::{scan_journal, JOURNAL_FILE};
 use webmon_core::serve::{
     CaptureAt, CeiState, EngineSnapshot, FreeClock, FsyncPolicy, JournalConfig, JournalWriter,
-    NoSnapshots, ProbeExecutor, ReplayExecutor,
+    NoSnapshots,
 };
+use webmon_sim::{FaultKind, FaultSpec};
 use webmon_streams::{write_record, SimRng};
 use webmon_testkit::corpus::{conformance_cases, small_instance, CorpusRng, BASE_CASES};
 use webmon_workload::churn::overlay;
@@ -62,16 +63,18 @@ fn journal_config(dir: &Path) -> JournalConfig {
 }
 
 /// One crash-injection case: instance + policy + engine config, optionally
-/// fault-injected or churned. The executor and session are rebuilt fresh
+/// fault-injected or churned. The fault model and session are rebuilt fresh
 /// for every daemon lifetime, exactly as a real restart would.
 struct Case {
     label: String,
     instance: Instance,
     make_policy: fn() -> Box<dyn Policy>,
     config: EngineConfig,
-    fault_config: FaultConfig,
-    fault: Option<(f64, u64)>,
+    /// The fault model and its retry configuration (`None`: no faults).
+    fault: Option<FaultSpec>,
     queue: MutationQueue,
+    /// The journal's snapshot interval.
+    snapshot_every: u32,
 }
 
 impl Case {
@@ -86,10 +89,22 @@ impl Case {
             instance,
             make_policy,
             config,
-            fault_config: FaultConfig::default(),
             fault: None,
             queue: MutationQueue::new(),
+            snapshot_every: SNAPSHOT_EVERY,
         }
+    }
+
+    fn fault_config(&self) -> FaultConfig {
+        self.fault.map_or_else(FaultConfig::default, |f| f.config)
+    }
+
+    fn script(&self) -> ScriptedMutations {
+        ScriptedMutations::compile(
+            &self.queue,
+            self.instance.epoch.len(),
+            self.instance.ceis.len(),
+        )
     }
 
     fn session(&self) -> ServeSession {
@@ -97,19 +112,16 @@ impl Case {
             instance: self.instance.clone(),
             policy: (self.make_policy)(),
             config: self.config,
-            fault_config: self.fault_config,
-            script: ScriptedMutations::compile(
-                &self.queue,
-                self.instance.epoch.len(),
-                self.instance.ceis.len(),
-            ),
+            fault_config: self.fault_config(),
+            script: self.script(),
         }
     }
 
-    fn executor(&self) -> Box<dyn ProbeExecutor> {
+    /// A fresh fault model, in its chronon-0 state.
+    fn faults(&self) -> Box<dyn FaultModel> {
         match self.fault {
-            Some((rate, seed)) => Box::new(ReplayExecutor::scripted(IidFaults::new(rate, seed))),
-            None => Box::new(ReplayExecutor::faultless()),
+            Some(spec) => Box::new(spec.build(0, self.instance.n_resources as usize)),
+            None => Box::new(NoFaults),
         }
     }
 
@@ -118,36 +130,16 @@ impl Case {
         let policy = (self.make_policy)();
         let mut metrics = MetricsObserver::new();
         let mut trace = JsonlTraceObserver::new(Vec::new());
-        let result = {
-            let mut tee = Tee(&mut metrics, &mut trace);
-            match self.fault {
-                Some((rate, seed)) => {
-                    let mut model = IidFaults::new(rate, seed);
-                    OnlineEngine::run_driven(
-                        &self.instance,
-                        policy.as_ref(),
-                        self.config,
-                        &mut model,
-                        self.fault_config,
-                        &mut ScriptedMutations::default(),
-                        &mut tee,
-                    )
-                }
-                None => OnlineEngine::run_driven(
-                    &self.instance,
-                    policy.as_ref(),
-                    self.config,
-                    &mut NoFaults,
-                    self.fault_config,
-                    &mut ScriptedMutations::compile(
-                        &self.queue,
-                        self.instance.epoch.len(),
-                        self.instance.ceis.len(),
-                    ),
-                    &mut tee,
-                ),
-            }
-        };
+        let mut faults = self.faults();
+        let result = OnlineEngine::run_driven(
+            &self.instance,
+            policy.as_ref(),
+            self.config,
+            &mut faults.as_mut(),
+            self.fault_config(),
+            &mut self.script(),
+            &mut Tee(&mut metrics, &mut trace),
+        );
         assert_eq!(trace.write_errors(), 0);
         (result, metrics.finish(), trace.finish().unwrap())
     }
@@ -172,12 +164,14 @@ fn daemon_journaled(case: &Case, dir: &Path, recover: bool) -> (RunResult, RunMe
     let daemon = Daemon::bind("127.0.0.1:0").unwrap();
     let opts = ServeOptions {
         trace_out: Some(trace.clone()),
-        journal: Some(journal_config(dir)),
+        journal: Some(JournalConfig {
+            snapshot_every: case.snapshot_every,
+            ..journal_config(dir)
+        }),
         recover,
-        resync_executor: true,
     };
     let outcome = daemon
-        .run_with(case.session(), case.executor(), |_| FreeClock, opts)
+        .run_with(case.session(), case.faults().as_mut(), |_| FreeClock, opts)
         .unwrap();
     assert!(
         outcome.io_errors.is_empty(),
@@ -277,9 +271,8 @@ fn kill_resume_is_bit_identical_on_corpus_slice() {
 }
 
 /// The identity survives a crash mid-outage: the journal's event frames
-/// carry the fault outcomes, and `resync_executor` steps the scripted
-/// i.i.d. model through the replayed probes so retry/backoff state is
-/// exact at the handover.
+/// carry the fault outcomes, so retry/backoff state is exact at the
+/// handover.
 #[test]
 fn kill_resume_is_bit_identical_under_faults() {
     let mut kill_rng = SimRng::new(0xFA17);
@@ -289,13 +282,65 @@ fn kill_resume_is_bit_identical_under_faults() {
             instance: small_instance(3, false),
             make_policy: || Box::new(MEdf),
             config,
-            fault_config: FaultConfig::charged().with_backoff(Backoff::new(1, 8)),
-            fault: Some((0.4, 77)),
+            fault: Some(iid_with_backoff(0.4, 77)),
             queue: MutationQueue::new(),
+            snapshot_every: SNAPSHOT_EVERY,
         };
         assert!(case.sim().1.probes_failed > 0, "fault model must bite");
         check_kill_resume(&case, &mut kill_rng, 3);
     }
+}
+
+/// And under stateful fault models: recovery re-drives a fresh
+/// Gilbert–Elliott chain or rate limiter through every journaled chronon,
+/// so the live chronons after the crash see the uninterrupted run's
+/// outages and quotas — with a snapshot every few boundaries, and with one
+/// at every boundary.
+#[test]
+fn kill_resume_is_bit_identical_under_stateful_faults() {
+    let models = [
+        FaultKind::Burst {
+            p_fail: 0.2,
+            p_recover: 0.3,
+        },
+        FaultKind::RateLimit {
+            window: 8,
+            max_per_window: 2,
+        },
+    ];
+    let mut kill_rng = SimRng::new(0x57A7E);
+    for kind in models {
+        for snapshot_every in [SNAPSHOT_EVERY, 1] {
+            for config in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
+                let case = Case {
+                    label: format!(
+                        "{} {}, snapshot every {snapshot_every}",
+                        kind.label(),
+                        config.label()
+                    ),
+                    instance: resume_grid_instance(7),
+                    make_policy: || Box::new(MEdf),
+                    config,
+                    fault: Some(FaultSpec {
+                        kind,
+                        seed: 91,
+                        config: FaultConfig::charged().with_backoff(Backoff::new(1, 8)),
+                    }),
+                    queue: MutationQueue::new(),
+                    snapshot_every,
+                };
+                let metrics = case.sim().1;
+                let bites = metrics.resource_outages + metrics.probes_failed;
+                assert!(bites > 0, "{}: the model must bite", case.label);
+                check_kill_resume(&case, &mut kill_rng, 3);
+            }
+        }
+    }
+}
+
+/// An i.i.d. fault spec with backoff after failures.
+fn iid_with_backoff(rate: f64, seed: u64) -> FaultSpec {
+    FaultSpec::iid(rate, seed).with_config(FaultConfig::charged().with_backoff(Backoff::new(1, 8)))
 }
 
 /// And a crash mid-churn: scripted registrations, cancellations, and
@@ -308,13 +353,13 @@ fn kill_resume_is_bit_identical_under_churn() {
     let queue = overlay(&instance, &churn, &SimRng::new(0xC0DE));
     assert!(!queue.is_empty(), "churn overlay must script something");
     let case = Case {
-        label: "churned".into(),
-        instance,
-        make_policy: || Box::new(MEdf),
-        config: EngineConfig::preemptive(),
-        fault_config: FaultConfig::default(),
-        fault: None,
         queue,
+        ..Case::faultless(
+            "churned".into(),
+            instance,
+            || Box::new(MEdf),
+            EngineConfig::preemptive(),
+        )
     };
     let mut kill_rng = SimRng::new(0xC408);
     check_kill_resume(&case, &mut kill_rng, 3);
@@ -481,10 +526,9 @@ fn mid_file_corruption_is_a_structured_error_not_a_partial_replay() {
         trace_out: None,
         journal: Some(journal_config(&rdir)),
         recover: true,
-        resync_executor: true,
     };
     let err = daemon
-        .run_with(case.session(), case.executor(), |_| FreeClock, opts)
+        .run_with(case.session(), case.faults().as_mut(), |_| FreeClock, opts)
         .unwrap_err();
     assert!(
         err.to_string().contains("corrupt"),
@@ -521,10 +565,9 @@ fn cross_version_header_is_a_structured_error() {
         trace_out: None,
         journal: Some(journal_config(&rdir)),
         recover: true,
-        resync_executor: true,
     };
     let err = daemon
-        .run_with(case.session(), case.executor(), |_| FreeClock, opts)
+        .run_with(case.session(), case.faults().as_mut(), |_| FreeClock, opts)
         .unwrap_err();
     assert!(
         err.to_string().contains("version 99"),
@@ -555,10 +598,14 @@ fn cross_configuration_recovery_is_refused_by_fingerprint() {
         trace_out: None,
         journal: Some(journal_config(&rdir)),
         recover: true,
-        resync_executor: true,
     };
     let err = daemon
-        .run_with(other.session(), other.executor(), |_| FreeClock, opts)
+        .run_with(
+            other.session(),
+            other.faults().as_mut(),
+            |_| FreeClock,
+            opts,
+        )
         .unwrap_err();
     assert!(
         err.to_string().contains("fingerprint"),
@@ -580,11 +627,10 @@ fn same_shape_different_content_is_refused_by_fingerprint() {
             trace_out: None,
             journal: Some(journal_config(&rdir)),
             recover: true,
-            resync_executor: true,
         };
         let err = Daemon::bind("127.0.0.1:0")
             .unwrap()
-            .run_with(case.session(), case.executor(), |_| FreeClock, opts)
+            .run_with(case.session(), case.faults().as_mut(), |_| FreeClock, opts)
             .unwrap_err();
         assert!(
             err.to_string().contains("fingerprint"),
@@ -600,15 +646,15 @@ fn same_shape_different_content_is_refused_by_fingerprint() {
     imposter.instance.budget = Budget::Uniform(imposter.instance.budget.at(0) + 1);
     refuse(&bytes, &imposter, "instance content");
 
-    // Identical shape, different fault seed behind the executor.
+    // Identical shape, different fault seed.
     let faulted = |seed| Case {
-        label: format!("faulted seed {seed}"),
-        instance: small_instance(3, false),
-        make_policy: || Box::new(MEdf),
-        config: EngineConfig::preemptive(),
-        fault_config: FaultConfig::charged().with_backoff(Backoff::new(1, 8)),
-        fault: Some((0.4, seed)),
-        queue: MutationQueue::new(),
+        fault: Some(iid_with_backoff(0.4, seed)),
+        ..Case::faultless(
+            format!("faulted seed {seed}"),
+            small_instance(3, false),
+            || Box::new(MEdf),
+            EngineConfig::preemptive(),
+        )
     };
     let (bytes, _) = completed_journal(&faulted(77));
     refuse(&bytes, &faulted(78), "fault seed");
@@ -619,13 +665,13 @@ fn same_shape_different_content_is_refused_by_fingerprint() {
     let queue = overlay(&instance, &churn, &SimRng::new(0xC0DE));
     assert!(!queue.is_empty(), "churn overlay must script something");
     let churned = Case {
-        label: "churned donor".into(),
-        instance: instance.clone(),
-        make_policy: || Box::new(MEdf),
-        config: EngineConfig::preemptive(),
-        fault_config: FaultConfig::default(),
-        fault: None,
         queue,
+        ..Case::faultless(
+            "churned donor".into(),
+            instance.clone(),
+            || Box::new(MEdf),
+            EngineConfig::preemptive(),
+        )
     };
     let (bytes, _) = completed_journal(&churned);
     let unchurned = Case::faultless(
@@ -673,11 +719,10 @@ fn snapshot_that_does_not_fit_the_instance_is_a_structured_error() {
             trace_out: None,
             journal: Some(journal_config(&rdir)),
             recover: true,
-            resync_executor: true,
         };
         let err = Daemon::bind("127.0.0.1:0")
             .unwrap()
-            .run_with(case.session(), case.executor(), |_| FreeClock, opts)
+            .run_with(case.session(), case.faults().as_mut(), |_| FreeClock, opts)
             .unwrap_err();
         assert!(
             err.to_string()
@@ -724,6 +769,9 @@ impl<F: FaultModel + Clone> FaultModel for Checkpointed<F> {
     }
     fn enabled(&self) -> bool {
         self.inner.enabled()
+    }
+    fn descriptor(&self) -> String {
+        self.inner.descriptor()
     }
 }
 

@@ -1,7 +1,7 @@
 //! End-to-end tests of the `webmon serve` daemon.
 //!
-//! The PR's keystone contract: the daemon under a deterministic
-//! [`ReplayExecutor`] reproduces the simulator's schedule, `RunMetrics`,
+//! The PR's keystone contract: the daemon under a deterministic fault
+//! model reproduces the simulator's schedule, `RunMetrics`,
 //! and JSONL trace **byte for byte** — under any clock, with or without
 //! fault injection and churn. On top of the identity corpus this file
 //! exercises the socket protocol (mid-run attach, live registration,
@@ -25,14 +25,13 @@ use webmon_cli::serve::{Daemon, DaemonOutcome, ServeOptions, ServeSession};
 use webmon_core::engine::{
     EngineConfig, Mutation, MutationQueue, OnlineEngine, RunResult, ScriptedMutations,
 };
-use webmon_core::fault::{Backoff, FaultConfig, IidFaults, NoFaults};
+use webmon_core::fault::{Backoff, FaultConfig, FaultModel, IidFaults, NoFaults};
 use webmon_core::model::{Budget, CeiId, Instance, InstanceBuilder};
 use webmon_core::obs::{JsonlTraceObserver, MetricsObserver, RunMetrics, Tee};
 use webmon_core::policy::{MEdf, Mrsf, Policy, SEdf, Wic};
 use webmon_core::serve::journal::{scan_journal, JOURNAL_FILE};
 use webmon_core::serve::{
-    FreeClock, FsyncPolicy, JournalConfig, ManualClock, ManualHandle, ProbeExecutor,
-    ReplayExecutor, TcpProbeExecutor,
+    FreeClock, FsyncPolicy, JournalConfig, ManualClock, ManualHandle, TcpProbeExecutor,
 };
 use webmon_core::stats::CeiOutcome;
 use webmon_streams::SimRng;
@@ -119,13 +118,13 @@ fn sim_observed_mutated(
 
 /// Runs a full daemon lifetime with no clients: bind, run to horizon on a
 /// free clock, collect the outcome and the trace file's bytes.
-fn daemon_observed<E: ProbeExecutor>(
+fn daemon_observed<F: FaultModel>(
     instance: &Instance,
     policy: Box<dyn Policy>,
     config: EngineConfig,
     fault_config: FaultConfig,
     queue: &MutationQueue,
-    executor: E,
+    faults: F,
 ) -> (RunResult, RunMetrics, Vec<u8>) {
     let path = temp_path("trace");
     let daemon = Daemon::bind("127.0.0.1:0").unwrap();
@@ -138,7 +137,15 @@ fn daemon_observed<E: ProbeExecutor>(
         script,
     };
     let outcome = daemon
-        .run(session, executor, FreeClock, Some(&path))
+        .run_with(
+            session,
+            faults,
+            |_| FreeClock,
+            ServeOptions {
+                trace_out: Some(path.clone()),
+                ..ServeOptions::default()
+            },
+        )
         .unwrap();
     assert_eq!(outcome.write_errors, 0);
     let bytes = std::fs::read(&path).unwrap();
@@ -192,7 +199,7 @@ fn daemon_replay_is_bit_identical_to_simulator_on_corpus_slice() {
                     config,
                     FaultConfig::default(),
                     &MutationQueue::new(),
-                    ReplayExecutor::faultless(),
+                    NoFaults,
                 );
                 assert_identical(
                     &format!("seed {seed}: {name} {}", config.label()),
@@ -205,8 +212,7 @@ fn daemon_replay_is_bit_identical_to_simulator_on_corpus_slice() {
 }
 
 /// The identity holds through the fault path: a scripted i.i.d. fault model
-/// behind the replay executor ≡ the simulator's `run_driven` on the same
-/// model, including
+/// ≡ the simulator's `run_driven` on the same model, including
 /// retry/backoff accounting.
 #[test]
 fn faulted_daemon_matches_faulted_simulator() {
@@ -220,7 +226,7 @@ fn faulted_daemon_matches_faulted_simulator() {
             config,
             fault_config,
             &MutationQueue::new(),
-            ReplayExecutor::scripted(IidFaults::new(0.4, 77)),
+            IidFaults::new(0.4, 77),
         );
         assert_identical(&format!("faulted {}", config.label()), &sim, &daemon);
         assert!(daemon.1.probes_failed > 0, "fault model must actually bite");
@@ -243,7 +249,7 @@ fn churned_daemon_matches_churned_simulator() {
         engine,
         FaultConfig::default(),
         &queue,
-        ReplayExecutor::faultless(),
+        NoFaults,
     );
     assert_identical("churned", &sim, &daemon);
 }
@@ -331,11 +337,14 @@ fn socket_registration_round_trip() {
     });
 
     let outcome = daemon
-        .run(
+        .run_with(
             serve_session(protocol_instance()),
-            ReplayExecutor::faultless(),
-            clock,
-            Some(&path),
+            NoFaults,
+            |_| clock,
+            ServeOptions {
+                trace_out: Some(path.clone()),
+                ..ServeOptions::default()
+            },
         )
         .unwrap();
     client.join().unwrap();
@@ -387,11 +396,14 @@ fn socket_attach_streams_wellformed_jsonl_from_a_chronon_boundary() {
     });
 
     let outcome = daemon
-        .run(
+        .run_with(
             serve_session(protocol_instance()),
-            ReplayExecutor::faultless(),
-            clock,
-            Some(&path),
+            NoFaults,
+            |_| clock,
+            ServeOptions {
+                trace_out: Some(path.clone()),
+                ..ServeOptions::default()
+            },
         )
         .unwrap();
     let streamed = client.join().unwrap();
@@ -455,11 +467,11 @@ fn socket_malformed_lines_and_shutdown() {
     // The manual clock is never advanced: only the shutdown release lets
     // this return. Completing at the full horizon is the clean-exit proof.
     let outcome = daemon
-        .run(
+        .run_with(
             serve_session(protocol_instance()),
-            ReplayExecutor::faultless(),
-            clock,
-            None,
+            NoFaults,
+            |_| clock,
+            ServeOptions::default(),
         )
         .unwrap();
     client.join().unwrap();
@@ -525,11 +537,11 @@ fn socket_overlong_request_line_is_refused_then_closed() {
     });
 
     daemon
-        .run(
+        .run_with(
             serve_session(protocol_instance()),
-            ReplayExecutor::faultless(),
-            clock,
-            None,
+            NoFaults,
+            |_| clock,
+            ServeOptions::default(),
         )
         .unwrap();
     client.join().unwrap();
@@ -563,11 +575,14 @@ fn live_executor_unresponsive_port_feeds_fault_machinery() {
     let mut session = serve_session(instance);
     session.fault_config = FaultConfig::charged().with_backoff(Backoff::new(1, 8));
     let outcome = daemon
-        .run(
+        .run_with(
             session,
             TcpProbeExecutor::new(vec![dead_addr], Duration::from_millis(200)),
-            FreeClock,
-            Some(&path),
+            |_| FreeClock,
+            ServeOptions {
+                trace_out: Some(path.clone()),
+                ..ServeOptions::default()
+            },
         )
         .unwrap();
     assert_eq!(outcome.result.stats.ceis_captured, 0);
@@ -588,11 +603,11 @@ fn live_executor_responsive_port_captures() {
     let addr = listener.local_addr().unwrap();
     let daemon = Daemon::bind("127.0.0.1:0").unwrap();
     let outcome = daemon
-        .run(
+        .run_with(
             serve_session(live_instance(6)),
             TcpProbeExecutor::new(vec![addr], Duration::from_millis(500)),
-            FreeClock,
-            None,
+            |_| FreeClock,
+            ServeOptions::default(),
         )
         .unwrap();
     assert!(
@@ -605,7 +620,7 @@ fn live_executor_responsive_port_captures() {
 /// Daemon shutdown mid-backoff exits cleanly: the shutdown hook flips the
 /// executor's stop flag (in-flight and future probes fail fast instead of
 /// waiting out their timeout), the released clock free-runs the engine to
-/// the horizon, and `run` returns with every thread joined.
+/// the horizon, and `run_with` returns with every thread joined.
 #[test]
 fn live_executor_shutdown_mid_backoff_exits_cleanly() {
     let dead_addr = {
@@ -634,7 +649,9 @@ fn live_executor_shutdown_mid_backoff_exits_cleanly() {
 
     let mut session = serve_session(live_instance(20));
     session.fault_config = FaultConfig::charged().with_backoff(Backoff::new(2, 16));
-    let outcome = daemon.run(session, executor, clock, None).unwrap();
+    let outcome = daemon
+        .run_with(session, executor, |_| clock, ServeOptions::default())
+        .unwrap();
     client.join().unwrap();
     assert!(stop.load(Ordering::SeqCst), "shutdown hook must fire");
     assert!(outcome.metrics.probes_failed > 0);
@@ -708,11 +725,11 @@ fn socket_disconnect_mid_line_drops_only_that_session() {
     });
 
     let outcome = daemon
-        .run(
+        .run_with(
             serve_session(protocol_instance()),
-            ReplayExecutor::faultless(),
-            clock,
-            None,
+            NoFaults,
+            |_| clock,
+            ServeOptions::default(),
         )
         .unwrap();
     client.join().unwrap();
@@ -776,12 +793,11 @@ fn shutdown_racing_register_is_journaled_or_rejected() {
             snapshot_every: 8,
         }),
         recover: false,
-        resync_executor: false,
     };
     let outcome = daemon
         .run_with(
             serve_session(protocol_instance()),
-            ReplayExecutor::faultless(),
+            NoFaults,
             |_| clock,
             opts,
         )
@@ -826,11 +842,14 @@ fn daemon_outcome_counts_match_trace_file() {
     let path = temp_path("counts");
     let daemon = Daemon::bind("127.0.0.1:0").unwrap();
     let outcome: DaemonOutcome = daemon
-        .run(
+        .run_with(
             serve_session(protocol_instance()),
-            ReplayExecutor::faultless(),
-            FreeClock,
-            Some(&path),
+            NoFaults,
+            |_| FreeClock,
+            ServeOptions {
+                trace_out: Some(path.clone()),
+                ..ServeOptions::default()
+            },
         )
         .unwrap();
     let lines = std::fs::read_to_string(&path).unwrap().lines().count() as u64;

@@ -8,12 +8,12 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::thread;
 use std::time::Duration;
-use webmon_cli::serve::{Daemon, ServeSession};
+use webmon_cli::serve::{Daemon, ServeOptions, ServeSession};
 use webmon_core::engine::{EngineConfig, ScriptedMutations};
-use webmon_core::fault::FaultConfig;
+use webmon_core::fault::{FaultConfig, NoFaults};
 use webmon_core::model::{Budget, InstanceBuilder};
 use webmon_core::policy::MEdf;
-use webmon_core::serve::{ManualClock, ManualHandle, ReplayExecutor};
+use webmon_core::serve::{ManualClock, ManualHandle};
 
 /// One request-reply exchange on a fresh connection, which is then closed.
 fn exchange(addr: SocketAddr, request: &str) -> String {
@@ -77,7 +77,7 @@ fn finished_client_threads_are_joined_while_serving() {
         script: ScriptedMutations::default(),
     };
     daemon
-        .run(session, ReplayExecutor::faultless(), clock, None)
+        .run_with(session, NoFaults, |_| clock, ServeOptions::default())
         .unwrap();
     let grown_kib = client.join().unwrap();
     let leaked_kib = CONNECTIONS * 2 * 1024;
