@@ -313,9 +313,9 @@ fn fault_config_from(args: &Args) -> FaultConfig {
     config
 }
 
-/// Builds the optional fault scenario of `webmon run`. Faults are enabled
-/// by `--fault-rate`; without it every fault/retry flag is ignored and the
-/// run is the fault-free fast path.
+/// Builds the optional fault scenario of `run` and `serve`. Faults are
+/// enabled by `--fault-rate`; without it the run is the fault-free fast
+/// path (and [`refuse_unread_options`] refuses the other fault options).
 fn fault_from(args: &Args) -> Option<FaultSpec> {
     let rate = args.given("fault-rate")?;
     let kind = match args.value::<String>("fault-model").as_str() {
@@ -333,23 +333,94 @@ fn fault_from(args: &Args) -> Option<FaultSpec> {
     })
 }
 
-/// Builds the optional churn scenario of `webmon run`. Churn is enabled by
-/// `--churn-arrivals` and/or `--churn-cancels`; without either, the other
-/// churn flags are ignored and the run is the static-profile fast path.
-fn churn_from(args: &Args) -> Option<ChurnSpec> {
+/// Builds the optional churn scenario of `run` and `serve` over an epoch of
+/// `horizon` chronons. Churn is enabled by `--churn-arrivals` and/or
+/// `--churn-cancels`; without either the run is the static-profile fast
+/// path (and [`refuse_unread_options`] refuses the other churn options).
+/// The overlay materializes every budget change it is asked for, so more
+/// changes than chronons are refused before anything is generated.
+fn churn_from(args: &Args, horizon: u32) -> Result<Option<ChurnSpec>, ArgError> {
     let arrivals = args.given("churn-arrivals");
     let cancels = args.given("churn-cancels");
     if arrivals.is_none() && cancels.is_none() {
-        return None;
+        return Ok(None);
+    }
+    let changes: u32 = args.value("churn-budget-changes");
+    if changes > horizon {
+        return Err(ArgError::BadValue {
+            key: "churn-budget-changes".to_string(),
+            value: changes.to_string(),
+            expected: format!("at most the horizon, {horizon} chronons"),
+        });
     }
     let config = webmon_workload::ChurnConfig::new(arrivals.unwrap_or(0.0), cancels.unwrap_or(0.0))
         .with_alpha(args.value("churn-alpha"))
         .with_max_delay(args.value("churn-delay"))
-        .with_reconfigurations(args.value("churn-budget-changes"));
-    Some(ChurnSpec {
+        .with_reconfigurations(changes);
+    Ok(Some(ChurnSpec {
         config,
         seed: args.value("churn-seed"),
-    })
+    }))
+}
+
+/// Refuses an option the line gives but the command would not read, with
+/// exit 2 naming it. Each rule names options, whether the line makes the
+/// command read them, and what reading them needs. Only options given on
+/// the line count, not declared defaults, and a rule never matches an
+/// option the command does not declare.
+fn refuse_unread_options(args: &Args) -> Result<(), ArgError> {
+    let command = args.spec();
+    // The raw value of `--key` if the line gives it; "" for a flag.
+    let given = |key: &str| {
+        let declared = command.options().any(|o| o.name == key);
+        declared
+            .then(|| args.get(key).or(args.flag(key).then_some("")))
+            .flatten()
+    };
+    let sweep = command.name == "sweep";
+    let live = command.name == "serve" && args.value::<String>("executor") == "live";
+    let faulted =
+        given("fault-rate").is_some() || (sweep && args.value::<String>("param") == "fault-rate");
+    let rate = if sweep {
+        "--param fault-rate (no other sweep injects faults)"
+    } else {
+        "--fault-rate (without it no probe fails)"
+    };
+    let rate_or_live = if command.name == "serve" {
+        "--fault-rate or --executor live (without either no probe fails)"
+    } else {
+        rate
+    };
+    let workload: Vec<&str> = WORKLOAD.iter().chain(REPS).map(|o| o.name).collect();
+    #[rustfmt::skip]
+    let rules: [(&[&str], bool, &str); 7] = [
+        (&["targets", "probe-timeout-ms"], live,
+            "--executor live (the replay executor probes no target)"),
+        (&["fault-rate", "fault-model", "fault-recover", "fault-seed"], !live,
+            "no --executor live (live probes take no fault model)"),
+        (&["fault-model", "fault-recover", "fault-seed"], faulted, rate),
+        (&["fault-free", "retry", "retry-quota"], faulted || live, rate_or_live),
+        (&["churn-alpha", "churn-delay", "churn-budget-changes", "churn-seed"],
+            given("churn-arrivals").is_some() || given("churn-cancels").is_some(),
+            "--churn-arrivals or --churn-cancels (without either there is no churn)"),
+        (&["fsync", "snapshot-every"], given("journal-dir").is_some() || given("recover").is_some(),
+            "--journal-dir or --recover (there is no journal to sync or snapshot)"),
+        (&workload, given("workload-spec").is_none(),
+            "no --workload-spec (the spec carries the workload and its repetitions)"),
+    ];
+    for (keys, read, expected) in rules {
+        if read {
+            continue;
+        }
+        if let Some((key, value)) = keys.iter().find_map(|&k| given(k).map(|v| (k, v))) {
+            return Err(ArgError::BadValue {
+                key: key.to_string(),
+                value: value.to_string(),
+                expected: expected.to_string(),
+            });
+        }
+    }
+    Ok(())
 }
 
 fn roster_table(title: &str, aggregates: &[PolicyAggregate]) -> Table {
@@ -457,24 +528,38 @@ fn write_trace(
     Ok(total)
 }
 
-/// Materializes the experiment of a `--workload-spec <file>` run: read the
-/// file, parse the declarative [`WorkloadSpec`], materialize. Every failure
-/// is a diagnostic string for exit code 2 — never a panic.
-fn experiment_from_spec_file(path: &str) -> Result<Experiment, String> {
+/// Reads the declarative [`WorkloadSpec`] of a `--workload-spec <file>`
+/// run. Every failure is a diagnostic string for exit code 2 — never a
+/// panic.
+fn workload_spec_from_file(path: &str) -> Result<WorkloadSpec, String> {
     let raw = std::fs::read_to_string(path)
         .map_err(|e| format!("cannot read workload spec {path}: {e}"))?;
-    let spec = WorkloadSpec::from_json(&raw).map_err(|e| e.to_string())?;
-    Experiment::materialize_spec(&spec).map_err(|e| e.to_string())
+    WorkloadSpec::from_json(&raw).map_err(|e| e.to_string())
 }
 
 fn cmd_run(args: &Args) -> Result<i32, ArgError> {
+    refuse_unread_options(args)?;
+    let spec = match args
+        .get("workload-spec")
+        .map(workload_spec_from_file)
+        .transpose()
+    {
+        Ok(spec) => spec,
+        Err(msg) => {
+            eprintln!("error: {msg}");
+            return Ok(2);
+        }
+    };
     let fault = fault_from(args);
-    let churn = churn_from(args);
-    let exp = match args.get("workload-spec") {
-        Some(path) => match experiment_from_spec_file(path) {
+    let churn = churn_from(
+        args,
+        spec.map_or_else(|| args.value("horizon"), |s| s.horizon),
+    )?;
+    let exp = match spec {
+        Some(spec) => match Experiment::materialize_spec(&spec) {
             Ok(exp) => exp,
-            Err(msg) => {
-                eprintln!("error: {msg}");
+            Err(e) => {
+                eprintln!("error: {e}");
                 return Ok(2);
             }
         },
@@ -563,6 +648,7 @@ fn cmd_run(args: &Args) -> Result<i32, ArgError> {
 }
 
 fn cmd_sweep(args: &Args) -> Result<i32, ArgError> {
+    refuse_unread_options(args)?;
     let param: String = args.value("param");
     let base = config_from(args, args.value("reps"))?;
     let specs = [
@@ -734,47 +820,13 @@ struct ServeSummary {
     io_errors: Vec<String>,
 }
 
-/// Refuses a `serve` option that the chosen executor or the journal would
-/// ignore. Only options given on the line count, not declared defaults.
-fn check_serve_combinations(args: &Args) -> Result<(), ArgError> {
-    let live = args.value::<String>("executor") == "live";
-    let journaled = args.get("journal-dir").is_some() || args.get("recover").is_some();
-    const LIVE: &str = "--executor live (the replay executor probes no target)";
-    const REPLAY: &str = "no --executor live (live probes take no fault model)";
-    const JOURNAL: &str = "--journal-dir or --recover (there is no journal to sync or snapshot)";
-    #[rustfmt::skip]
-    let rules = [
-        ("targets", live, LIVE),
-        ("probe-timeout-ms", live, LIVE),
-        ("fault-rate", !live, REPLAY),
-        ("fault-model", !live, REPLAY),
-        ("fault-recover", !live, REPLAY),
-        ("fault-seed", !live, REPLAY),
-        ("fsync", journaled, JOURNAL),
-        ("snapshot-every", journaled, JOURNAL),
-    ];
-    for (key, allowed, expected) in rules {
-        match args.get(key) {
-            Some(value) if !allowed => {
-                return Err(ArgError::BadValue {
-                    key: key.to_string(),
-                    value: value.to_string(),
-                    expected: expected.to_string(),
-                })
-            }
-            _ => {}
-        }
-    }
-    Ok(())
-}
-
 fn cmd_serve(args: &Args) -> Result<i32, ArgError> {
-    check_serve_combinations(args)?;
+    refuse_unread_options(args)?;
     // The daemon monitors repetition 0, which does not depend on the
     // repetition count: each repetition's seed is forked by its index.
     let cfg = config_from(args, 1)?;
     let fault = fault_from(args);
-    let churn = churn_from(args);
+    let churn = churn_from(args, cfg.horizon)?;
     // Without a fault model the retry flags still shape how executor
     // failures (e.g. live probe timeouts) are charged and retried.
     let fault_config = match fault {
@@ -1184,6 +1236,21 @@ mod tests {
             "--listen", "127.0.0.1:0", "--resources", "20", "--horizon", "50", "--profiles", "3",
             "--executor", "live", "--targets", "127.0.0.1:9",
         ];
+        // A `--workload-spec` line: the spec carries the workload.
+        let mut spec = WorkloadSpec::paper_baseline();
+        spec.resources = 20;
+        spec.horizon = 50;
+        spec.profiles = 3;
+        spec.repetitions = 1;
+        let spec_path = std::env::temp_dir().join(format!(
+            "webmon_cli_unread_options_{}.json",
+            std::process::id()
+        ));
+        std::fs::write(&spec_path, spec.to_json()).unwrap();
+        let spec_line = ["--workload-spec", spec_path.to_str().unwrap()];
+        const NO_RATE: &str = "expected --fault-rate (";
+        const NO_SWEPT_RATE: &str = "expected --param fault-rate (";
+        const NO_CHURN: &str = "expected --churn-arrivals or --churn-cancels (";
         // (command, offending options, the rest of the line, what the error names)
         #[rustfmt::skip]
         let rows: &[(&str, &[&str], &[&str], &str)] = &[
@@ -1211,6 +1278,32 @@ mod tests {
             ("serve", &["--fault-seed", "7"], &LIVE, "--fault-seed"),
             ("serve", &["--fsync", "os"], &SERVE, "--fsync"),
             ("serve", &["--snapshot-every", "5"], &SERVE, "--snapshot-every"),
+            // Options the line gives but the command does not read.
+            ("run", &["--fault-model", "burst"], &RUN, NO_RATE),
+            ("run", &["--fault-recover", "0.6"], &RUN, NO_RATE),
+            ("run", &["--fault-seed", "5"], &RUN, NO_RATE),
+            ("serve", &["--fault-model", "burst", "--fault-seed", "5", "--retry", "backoff"], &SERVE,
+                "--fault-model burst: expected --fault-rate ("),
+            ("serve", &["--fault-seed", "5"], &SERVE, NO_RATE),
+            ("run", &["--retry", "backoff", "--fault-free"], &RUN, "--fault-free"),
+            ("run", &["--retry", "backoff"], &RUN, NO_RATE),
+            ("run", &["--retry-quota", "2"], &RUN, NO_RATE),
+            ("serve", &["--retry", "backoff"], &SERVE, "expected --fault-rate or --executor live"),
+            ("sweep", &["--retry", "backoff", "--param", "budget"], &RUN, NO_SWEPT_RATE),
+            ("sweep", &["--fault-seed", "5"], &RUN, NO_SWEPT_RATE),
+            ("run", &["--churn-seed", "5", "--churn-budget-changes", "3"], &RUN, NO_CHURN),
+            ("run", &["--churn-alpha", "1.37"], &RUN, NO_CHURN),
+            ("run", &["--churn-delay", "2"], &RUN, NO_CHURN),
+            ("serve", &["--churn-seed", "5"], &SERVE, NO_CHURN),
+            ("run", &["--resources", "20"], &spec_line, "--resources 20: expected no --workload-spec"),
+            ("run", &["--fixed-rank"], &spec_line, "--fixed-rank"),
+            ("run", &["--reps", "1"], &spec_line, "--reps 1: expected no --workload-spec"),
+            // One budget change more than the 50-chronon horizon, given or
+            // carried by the spec.
+            ("run", &["--churn-arrivals", "0.5", "--churn-budget-changes", "51"], &RUN,
+                "--churn-budget-changes 51: expected at most the horizon, 50"),
+            ("run", &["--churn-arrivals", "0.5", "--churn-budget-changes", "51"], &spec_line,
+                "--churn-budget-changes 51: expected at most the horizon, 50"),
         ];
         for &(command, offending, rest, named) in rows {
             let mut argv = vec![command];
@@ -1223,6 +1316,7 @@ mod tests {
                 Ok(code) => panic!("{argv:?} ran (exit {code}) instead of being rejected"),
             }
         }
+        std::fs::remove_file(&spec_path).ok();
         // A dangling value option at the end of the line.
         let mut argv = vec!["run"];
         argv.extend_from_slice(&RUN);
@@ -1382,33 +1476,42 @@ mod tests {
 
     #[test]
     fn churn_is_off_without_a_rate() {
-        assert_eq!(churn_from(&parse(&["run"])), None);
+        assert_eq!(churn_from(&parse(&["run"]), 1000), Ok(None));
         // Secondary churn knobs alone do not enable churn.
-        assert_eq!(churn_from(&parse(&["run", "--churn-alpha", "1.0"])), None);
+        assert_eq!(
+            churn_from(&parse(&["run", "--churn-alpha", "1.0"]), 1000),
+            Ok(None)
+        );
     }
 
     #[test]
     fn churn_flags_build_the_spec() {
-        let c = churn_from(&parse(&["run", "--churn-arrivals", "0.3"])).unwrap();
+        let c = churn_from(&parse(&["run", "--churn-arrivals", "0.3"]), 1000)
+            .unwrap()
+            .unwrap();
         assert_eq!(c.config.arrival_rate, 0.3);
         assert_eq!(c.config.cancel_rate, 0.0);
         assert_eq!(c.seed, 0xC0DE);
 
-        let c = churn_from(&parse(&[
-            "run",
-            "--churn-arrivals",
-            "0.2",
-            "--churn-cancels",
-            "0.1",
-            "--churn-alpha",
-            "1.37",
-            "--churn-delay",
-            "9",
-            "--churn-budget-changes",
-            "3",
-            "--churn-seed",
-            "17",
-        ]))
+        let c = churn_from(
+            &parse(&[
+                "run",
+                "--churn-arrivals",
+                "0.2",
+                "--churn-cancels",
+                "0.1",
+                "--churn-alpha",
+                "1.37",
+                "--churn-delay",
+                "9",
+                "--churn-budget-changes",
+                "3",
+                "--churn-seed",
+                "17",
+            ]),
+            1000,
+        )
+        .unwrap()
         .unwrap();
         assert_eq!(c.config.arrival_rate, 0.2);
         assert_eq!(c.config.cancel_rate, 0.1);
@@ -1463,13 +1566,11 @@ mod tests {
             );
         }
         // A valid exponent still builds the spec.
-        let c = churn_from(&parse(&[
-            "run",
-            "--churn-arrivals",
-            "0.1",
-            "--churn-alpha",
-            "1.37",
-        ]))
+        let c = churn_from(
+            &parse(&["run", "--churn-arrivals", "0.1", "--churn-alpha", "1.37"]),
+            1000,
+        )
+        .unwrap()
         .unwrap();
         assert_eq!(c.config.resource_alpha, 1.37);
     }

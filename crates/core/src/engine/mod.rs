@@ -39,12 +39,17 @@
 //! opens and removed at the exact transition that kills them (capture,
 //! expiry, shed, parent resolution, cancellation), expiries visit only the
 //! windows closing at the current chronon, and the default
-//! [`SelectionStrategy::Incremental`] selects through engine-owned heaps
-//! kept across phases and chronons. Per-chronon cost is proportional to
-//! the work actually done that chronon — insertions, probes, captures,
-//! expiries — not to the size of the whole pool or profile.
-//! [`SelectionStrategy::Scan`], an O(pool) scan per probe, is the reference
-//! every identity test compares `Incremental` against.
+//! [`SelectionStrategy::Incremental`] selects through engine-owned heaps,
+//! O(log pool) per pick. Per-chronon index and selection work is
+//! proportional to the work actually done that chronon — insertions,
+//! probes, captures, expiries — not to the size of the whole pool or
+//! profile, except for scoring: a policy whose scores read the chronon's
+//! context ([`ScoreDynamics::Reseeded`](crate::policy::ScoreDynamics))
+//! has its live pool scored once per chronon, while a state-keyed one
+//! (MRSF) keeps its heaps across chronons and scores only new windows and
+//! the siblings of captures. [`SelectionStrategy::Scan`], an O(pool) scan
+//! per probe, is the reference every identity test compares `Incremental`
+//! against.
 //!
 //! **Parallelism.** The loop is serial: one run is one thread. Parallel
 //! speedup comes from running independent runs — repetitions, grid

@@ -19,10 +19,6 @@ use crate::stats::{CeiOutcome, RunStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// Min-heap entries for the reseeded heap selector:
-/// `Reverse((score, cei id, ei index))`.
-type ScoreHeap = BinaryHeap<Reverse<(i64, u32, u16)>>;
-
 /// A [`KeyedQueue`] copy: `(score, cei id, ei index, capture count)`, the
 /// last being the parent CEI's capture count when the copy was scored.
 type KeyedCopy = (i64, u32, u16, u16);
@@ -33,25 +29,23 @@ pub enum SelectionStrategy {
     /// Fresh linear scan per probe — the reference implementation; scores
     /// are always current.
     Scan,
-    /// The default; its data structure follows the policy's
-    /// [`ScoreDynamics`]:
+    /// The default: a min-heap of scored copies per selection group,
+    /// `O(log N)` per pick, kept on engine-owned storage. How often it
+    /// scores follows the policy's [`ScoreDynamics`]:
     ///
-    /// * `Reseeded` — a lazy binary heap per phase (the paper's Appendix-B
-    ///   suggestion) on engine-owned storage: each phase seeds one reused
-    ///   heap buffer from the candidate index at current scores, a popped
-    ///   entry whose score went stale is re-pushed at its current score,
-    ///   and a capture re-pushes the touched CEI's live siblings, with zero
-    ///   allocation on the hot path — `O(log N)` per probe instead of
-    ///   `O(N)`.
-    /// * `StateKeyed` — one persistent queue per selection group, kept
-    ///   across chronons: a chronon scores only the windows that open and
-    ///   the siblings of captured EIs, not the whole live pool. Queued
-    ///   copies whose entry died or whose score went stale are dropped on
-    ///   pop, and the queue is rebuilt from the pool once they outnumber
-    ///   the live entries, and on resume.
+    /// * `Reseeded` — the queue is rebuilt from the pool once per chronon,
+    ///   right after the chronon's windows open: one scoring pass and a
+    ///   heapify, with no allocation on the hot path.
+    /// * `StateKeyed` — the queue is kept across chronons: a chronon scores
+    ///   only the windows that open, not the whole live pool, and the queue
+    ///   is rebuilt from the pool once dead and stale copies outnumber the
+    ///   live entries, and on resume.
     ///
-    /// Either way the schedule, event stream and `RunMetrics` are those of
-    /// [`Scan`](SelectionStrategy::Scan).
+    /// Either way a capture re-scores the rest of the captured CEI, and a
+    /// queued copy whose entry died or whose score went stale is dropped on
+    /// pop without a policy call. The schedule, event stream and
+    /// `RunMetrics` are those of [`Scan`](SelectionStrategy::Scan); a
+    /// policy without [`Policy::stable_scores`] always selects by `Scan`.
     #[default]
     Incremental,
 }
@@ -478,250 +472,128 @@ impl Pool<'_> {
 }
 
 /// How `probeEIs` finds the minimum-score candidate. Chosen once per run
-/// from the configured [`SelectionStrategy`] and the policy's
-/// [`ScoreDynamics`]; the phases drive it through a fixed set of hooks.
+/// from the configured [`SelectionStrategy`] and the policy; the phases
+/// drive it through a fixed set of hooks.
 struct Selector {
-    kind: SelectorKind,
-    /// The phase being selected; `None` between phases.
-    phase: Option<Phase>,
+    /// The candidate queue; `None` under [`SelectionStrategy::Scan`] (a
+    /// fresh argmin per pick).
+    queue: Option<KeyedQueue>,
     /// Selection steps so far ([`RunResult::selection_steps`]).
     steps: u64,
 }
 
-enum SelectorKind {
-    /// [`SelectionStrategy::Scan`]: a fresh argmin per pick.
-    Scan,
-    /// A lazy heap reseeded at every phase
-    /// ([`ScoreDynamics::Reseeded`] under `Incremental`).
-    Reseeded(ScoreHeap),
-    /// The persistent queue of [`ScoreDynamics::StateKeyed`] policies under
-    /// `Incremental`, and the copy it last picked.
-    Keyed(KeyedQueue, KeyedCopy),
-}
-
 impl Selector {
     fn new(config: EngineConfig, policy: &dyn Policy) -> Self {
-        // The heap selectors re-score a popped entry and re-push it when the
-        // stored score went stale; that loop only terminates for policies
-        // whose score is a pure function of the visible state. A policy with
-        // hidden mutable state ([`Policy::stable_scores`] `== false`, e.g.
-        // the `Random` baseline) is pinned to the always-correct `Scan`
-        // selector instead.
-        let kind = match (config.selection, policy.score_dynamics()) {
-            _ if !policy.stable_scores() => SelectorKind::Scan,
-            (SelectionStrategy::Scan, _) => SelectorKind::Scan,
-            (SelectionStrategy::Incremental, ScoreDynamics::StateKeyed) => SelectorKind::Keyed(
-                KeyedQueue::new(if config.preemptive { 1 } else { 2 }),
-                (0, 0, 0, 0),
-            ),
-            (SelectionStrategy::Incremental, ScoreDynamics::Reseeded) => {
-                SelectorKind::Reseeded(BinaryHeap::new())
-            }
-        };
-        Selector {
-            kind,
-            phase: None,
-            steps: 0,
-        }
+        // A policy with hidden mutable state ([`Policy::stable_scores`]
+        // `== false`, e.g. the `Random` baseline) draws according to how
+        // often it is called, and only `Scan` calls it as often as `Scan`.
+        let queue = (config.selection == SelectionStrategy::Incremental && policy.stable_scores())
+            .then(|| KeyedQueue::new(!config.preemptive, policy.score_dynamics()));
+        Selector { queue, steps: 0 }
     }
 
-    /// The windows in `opened` just joined the pool: the keyed queue scores
-    /// each, unless its garbage outgrew the pool and it rebuilds instead.
+    /// The windows in `opened` just joined the pool, and the chronon's
+    /// policy context is set. A reseeded policy's scores may read that
+    /// context, so the queue is rebuilt from the pool; a state-keyed queue
+    /// scores each opened window, unless its garbage outgrew the pool and
+    /// it rebuilds instead.
     fn windows_opened(&mut self, pool: &Pool<'_>, opened: &[PoolEntry]) {
-        if let SelectorKind::Keyed(queue, _) = &mut self.kind {
-            if queue.needs_rebuild(pool.index.live()) {
-                queue.rebuild(pool);
-            } else {
-                for &e in opened {
-                    queue.push_live(pool, e);
-                }
+        let Some(queue) = &mut self.queue else {
+            return;
+        };
+        if queue.dynamics == ScoreDynamics::Reseeded || queue.needs_rebuild(pool.index.live()) {
+            queue.rebuild(pool);
+        } else {
+            for &e in opened {
+                queue.push_live(pool, e);
             }
         }
     }
 
     /// CEI `id`'s scores or group changed — a capture, a registration, or
     /// a first capture filing it into cands⁺ — so its live entries need
-    /// copies at their current (never higher) scores; stale copies are
-    /// skipped on pop. The keyed queue files them into the CEI's own group
-    /// whatever phase is running. The reseeded heap refreshes only during a
-    /// phase, and only entries on resources not yet probed: the next phase
-    /// reseeds it anyway.
+    /// copies at their current scores, filed into the CEI's own group
+    /// whatever phase is running; stale copies are skipped on pop.
     fn cei_touched(&mut self, pool: &Pool<'_>, id: CeiId) {
-        match &mut self.kind {
-            SelectorKind::Scan => {}
-            SelectorKind::Reseeded(heap) => {
-                let Some(phase) = self.phase else {
-                    return;
-                };
-                // Walk the CEI's own EIs; the liveness flag restricts the
-                // refresh to entries actually in the pool (an EI whose
-                // window has not opened yet must not enter selection).
-                for (idx, ei) in pool.instance.cei(id).eis.iter().enumerate() {
-                    let e = PoolEntry {
-                        cei: id,
-                        ei_idx: idx as u16,
-                    };
-                    if !pool.index.is_live(e) || pool.probed_now[ei.resource.index()] {
-                        continue;
-                    }
-                    if let Some(score) = pool.score(e, phase) {
-                        heap.push(Reverse((score, e.cei.0, e.ei_idx)));
-                    }
-                }
-            }
-            SelectorKind::Keyed(queue, _) => queue.push_cei(pool, id),
+        if let Some(queue) = &mut self.queue {
+            queue.push_cei(pool, id);
         }
     }
 
-    /// Starts selecting for `phase`. The reseeded heap seeds once per phase
-    /// with current scores: sibling captures can *lower* MRSF / M-EDF
-    /// scores, and a lazily validated heap never re-prioritizes buried
-    /// entries on its own, so captures refresh the touched CEIs.
-    fn begin_phase(&mut self, pool: &Pool<'_>, phase: Phase) {
-        self.phase = Some(phase);
-        if let SelectorKind::Reseeded(heap) = &mut self.kind {
-            heap.clear();
-            for r in 0..pool.instance.n_resources as usize {
-                for &e in pool.index.entries(r) {
-                    if !pool.index.is_live(e) {
-                        continue;
-                    }
-                    if let Some(score) = pool.score(e, phase) {
-                        heap.push(Reverse((score, e.cei.0, e.ei_idx)));
-                    }
-                }
-            }
-        }
-    }
-
-    /// The current phase's minimum-score candidate that is selectable now
-    /// and costs at most `remaining_budget`; every selector picks what
-    /// [`Pool::argmin`] would.
-    fn pick(&mut self, pool: &Pool<'_>, remaining_budget: u32) -> Option<PoolEntry> {
-        let phase = self.phase?;
-        match &mut self.kind {
-            SelectorKind::Scan => {
+    /// `phase`'s minimum-score candidate that is selectable now and costs
+    /// at most `remaining_budget`: the one [`Pool::argmin`] picks.
+    fn pick(&mut self, pool: &Pool<'_>, phase: Phase, remaining_budget: u32) -> Option<PoolEntry> {
+        match &mut self.queue {
+            Some(queue) => queue.pop(pool, phase.group(), remaining_budget, &mut self.steps),
+            None => {
                 self.steps += 1;
                 pool.argmin(phase, remaining_budget)
             }
-            SelectorKind::Reseeded(heap) => {
-                pop_current(heap, pool, phase, remaining_budget, &mut self.steps)
-            }
-            SelectorKind::Keyed(queue, picked) => {
-                *picked = queue.pop(pool, phase.group(), remaining_budget, &mut self.steps)?;
-                Some(PoolEntry {
-                    cei: CeiId(picked.1),
-                    ei_idx: picked.2,
-                })
-            }
         }
     }
 
-    /// Returns the last pick `e`, whose probe failed: it is still live at
-    /// the same score. Both heaps consumed it on pop, so each re-queues it
-    /// — for this chronon if its resource is still selectable, so every
-    /// selector keeps `Scan`'s schedule; the keyed queue keeps a
-    /// `blocked` one for the next.
-    fn put_back(&mut self, pool: &Pool<'_>, e: PoolEntry, blocked: bool) {
-        let Some(phase) = self.phase else {
-            return;
-        };
-        match &mut self.kind {
-            SelectorKind::Scan => {}
-            SelectorKind::Reseeded(heap) => {
-                if blocked {
-                    return;
-                }
-                if let Some(score) = pool.score(e, phase) {
-                    heap.push(Reverse((score, e.cei.0, e.ei_idx)));
-                }
-            }
-            SelectorKind::Keyed(queue, picked) => queue.put_back(phase.group(), *picked, blocked),
+    /// Returns `phase`'s last pick, whose probe failed: it is still live
+    /// at the same score. The queue consumed it on pop, so it re-queues it
+    /// — for this chronon if its resource is still selectable, so the
+    /// schedule stays `Scan`'s; a `blocked` one for the next.
+    fn put_back(&mut self, phase: Phase, blocked: bool) {
+        if let Some(queue) = &mut self.queue {
+            queue.put_back(phase.group(), blocked);
         }
     }
 
-    /// Ends the chronon's selection: copies the keyed queue skipped rejoin
-    /// their heaps.
+    /// Ends the chronon's selection: copies the queue skipped rejoin their
+    /// heaps.
     fn end_chronon(&mut self, pool: &Pool<'_>) {
-        self.phase = None;
-        if let SelectorKind::Keyed(queue, _) = &mut self.kind {
+        if let Some(queue) = &mut self.queue {
             queue.requeue_skipped(pool);
         }
     }
 
-    /// Rebuilds the keyed queue from the pool (on resume: the queue is not
-    /// part of a snapshot).
+    /// Rebuilds the queue from the pool (on resume: the queue is not part
+    /// of a snapshot).
     fn rebuild(&mut self, pool: &Pool<'_>) {
-        if let SelectorKind::Keyed(queue, _) = &mut self.kind {
+        if let Some(queue) = &mut self.queue {
             queue.rebuild(pool);
         }
     }
 }
 
-/// Pops the minimum-score selectable candidate from the reseeded heap,
-/// re-pushing entries whose stored score went stale (a sibling capture this
-/// chronon changed it). Tie ordering matches [`Pool::argmin`]. Each pop
-/// counts as one selection step.
-fn pop_current(
-    heap: &mut ScoreHeap,
-    pool: &Pool<'_>,
-    phase: Phase,
-    remaining_budget: u32,
-    steps: &mut u64,
-) -> Option<PoolEntry> {
-    while let Some(Reverse((stored, cei, ei_idx))) = heap.pop() {
-        *steps += 1;
-        let e = PoolEntry {
-            cei: CeiId(cei),
-            ei_idx,
-        };
-        let resource = pool.resource(e);
-        if pool.probed_now[resource.index()] {
-            continue; // captured earlier this chronon
-        }
-        if pool.blocked[resource.index()] {
-            continue; // down, backing off, or out of retry quota
-        }
-        let Some(current) = pool.score(e, phase) else {
-            continue; // no longer live
-        };
-        if current != stored {
-            heap.push(Reverse((current, cei, ei_idx)));
-            continue; // stale score: reinsert at its true priority
-        }
-        if pool.instance.costs.of(resource) > remaining_budget {
-            continue; // unaffordable for the rest of this chronon
-        }
-        return Some(e);
-    }
-    None
-}
-
-/// The persistent candidate queue of [`ScoreDynamics::StateKeyed`] policies
-/// under [`SelectionStrategy::Incremental`].
+/// The candidate queue of [`SelectionStrategy::Incremental`].
 ///
-/// A state-keyed score changes only when a sibling EI is captured, so the
-/// queue keeps one min-heap per selection group across chronons — `[pool]`
-/// in P mode; `[cands⁺, new]` in NP mode, in phase order — and scores an
-/// entry only when its score is new: its window opens (or a registration
-/// brings it in open), or a sibling capture re-scores the rest of its CEI
-/// into the CEI's own group, whatever phase is running. A CEI's first
-/// capture re-files its live entries into cands⁺ at the chronon's end, and
-/// a failed probe or an entry skipped this chronon (blocked or
-/// unaffordable) is pushed back. Every copy carries its CEI's capture count
-/// when scored, so a pop drops dead, stale and wrong-group copies without
-/// calling the policy.
+/// Within a chronon, everything a stable policy can read is frozen except
+/// the parent CEI's capture state: the clock, the chronon-start occupancy
+/// and the update flags are set once the chronon's windows have opened,
+/// and the NP groups move only at the chronon's end. So the queue keeps
+/// one min-heap of scored copies per selection group — `[pool]` in P mode;
+/// `[cands⁺, new]` in NP mode, in phase order — and scores an entry only
+/// when its score may be new: once per chronon for every live entry of a
+/// [`ScoreDynamics::Reseeded`] policy (a rebuild), and for a
+/// [`ScoreDynamics::StateKeyed`] one, whose scores read no context, when
+/// its window opens (or a registration brings it in open). Either way a
+/// sibling capture re-scores the rest of its CEI into the CEI's own group,
+/// whatever phase is running; a CEI's first capture re-files its live
+/// entries into cands⁺ at the chronon's end; and a failed probe or an
+/// entry skipped this chronon (blocked or unaffordable) is pushed back.
+/// Every copy carries its CEI's capture count when scored, so a pop drops
+/// dead, stale and wrong-group copies without calling the policy.
 ///
 /// **Invariant.** Every live entry has a copy whose key is its current
 /// `(score, cei, ei_idx)` in its group's heap — or, once popped and skipped
 /// this chronon, in `skipped`. The first current, selectable pop is
 /// therefore the [`Pool::argmin`] pick under the same tie-break, and
 /// schedules match `Scan`'s. The queue is not part of a snapshot: a resume
-/// rebuilds it from the restored pool, and so does a chronon whose heaps
-/// hold more garbage than the pool has live entries.
+/// rebuilds it from the restored pool, and so does a state-keyed chronon
+/// whose heaps hold more garbage than the pool has live entries.
 struct KeyedQueue {
-    /// One min-heap per selection group.
-    heaps: Vec<BinaryHeap<Reverse<KeyedCopy>>>,
+    /// One min-heap per selection group; the second stays empty in P mode.
+    heaps: [BinaryHeap<Reverse<KeyedCopy>>; 2],
+    /// Whether the NP groups split the pool (P mode: one group).
+    split: bool,
+    /// Rebuilt every chronon (`Reseeded`) or kept across chronons.
+    dynamics: ScoreDynamics,
+    /// The copy of the entry [`pop`](Self::pop) returned last.
+    picked: KeyedCopy,
     /// Copies popped but skipped this chronon, with their group; they
     /// rejoin the heaps at the chronon's end.
     skipped: Vec<(usize, KeyedCopy)>,
@@ -732,9 +604,12 @@ impl KeyedQueue {
     /// they are rebuilt.
     const SLACK: usize = 4096;
 
-    fn new(groups: usize) -> Self {
+    fn new(split: bool, dynamics: ScoreDynamics) -> Self {
         KeyedQueue {
-            heaps: (0..groups).map(|_| BinaryHeap::new()).collect(),
+            heaps: Default::default(),
+            split,
+            dynamics,
+            picked: (0, 0, 0, 0),
             skipped: Vec::new(),
         }
     }
@@ -742,7 +617,7 @@ impl KeyedQueue {
     /// The group of a CEI's entries: 0 in P mode; in NP mode 0 for cands⁺
     /// and 1 for CEIs not started yet.
     fn group(&self, pool: &Pool<'_>, cei: CeiId) -> usize {
-        usize::from(self.heaps.len() > 1 && !pool.started[cei.index()])
+        usize::from(self.split && !pool.started[cei.index()])
     }
 
     /// Whether `copy` in `group` still keys a live entry at its current
@@ -790,22 +665,26 @@ impl KeyedQueue {
     }
 
     /// Pops `group`'s minimum current copy whose resource is selectable
-    /// now, dropping dead, stale and wrong-group copies and setting aside
-    /// blocked or unaffordable ones until the chronon's end. Each pop
-    /// counts as one selection step.
+    /// now and returns its entry, dropping dead, stale and wrong-group
+    /// copies and setting aside blocked or unaffordable ones until the
+    /// chronon's end. Each pop counts as one selection step.
     fn pop(
         &mut self,
         pool: &Pool<'_>,
         group: usize,
         remaining_budget: u32,
         steps: &mut u64,
-    ) -> Option<KeyedCopy> {
+    ) -> Option<PoolEntry> {
         while let Some(Reverse(copy)) = self.heaps[group].pop() {
             *steps += 1;
             if !self.is_current(pool, group, copy) {
                 continue;
             }
-            let resource = pool.instance.cei(CeiId(copy.1)).eis[copy.2 as usize].resource;
+            let e = PoolEntry {
+                cei: CeiId(copy.1),
+                ei_idx: copy.2,
+            };
+            let resource = pool.resource(e);
             if pool.blocked[resource.index()] || pool.instance.costs.of(resource) > remaining_budget
             {
                 // Blocks and the remaining budget only tighten within a
@@ -813,19 +692,20 @@ impl KeyedQueue {
                 self.skipped.push((group, copy));
                 continue;
             }
-            return Some(copy);
+            self.picked = copy;
+            return Some(e);
         }
         None
     }
 
-    /// Returns a selected copy whose probe failed: its entry is still live
+    /// Returns the last pick, whose probe failed: its entry is still live
     /// at the same score, and selectable again this chronon unless its
     /// resource is now `blocked`.
-    fn put_back(&mut self, group: usize, copy: KeyedCopy, blocked: bool) {
+    fn put_back(&mut self, group: usize, blocked: bool) {
         if blocked {
-            self.skipped.push((group, copy));
+            self.skipped.push((group, self.picked));
         } else {
-            self.heaps[group].push(Reverse(copy));
+            self.heaps[group].push(Reverse(self.picked));
         }
     }
 
@@ -849,18 +729,16 @@ impl KeyedQueue {
     }
 
     /// Rebuilds every heap from the pool, one current copy per live entry,
-    /// reusing the heaps' storage. Runs on resume, and at a chronon
-    /// boundary (when `skipped` is empty) once garbage outgrows the pool.
+    /// reusing the heaps' storage: no allocation once it has grown. Runs
+    /// at a chronon boundary (when `skipped` is empty) — every chronon for
+    /// a reseeded policy, once garbage outgrows the pool for a state-keyed
+    /// one — and on resume.
     fn rebuild(&mut self, pool: &Pool<'_>) {
-        let mut groups: Vec<Vec<Reverse<KeyedCopy>>> = self
-            .heaps
-            .iter_mut()
-            .map(|heap| {
-                let mut copies = std::mem::take(heap).into_vec();
-                copies.clear();
-                copies
-            })
-            .collect();
+        let mut groups = std::mem::take(&mut self.heaps).map(|heap| {
+            let mut copies = heap.into_vec();
+            copies.clear();
+            copies
+        });
         for r in 0..pool.instance.n_resources as usize {
             for &e in pool.index.entries(r) {
                 if let Some(copy) = Self::copy_of(pool, e) {
@@ -868,7 +746,7 @@ impl KeyedQueue {
                 }
             }
         }
-        self.heaps = groups.into_iter().map(BinaryHeap::from).collect();
+        self.heaps = groups.map(BinaryHeap::from);
     }
 }
 
@@ -1367,9 +1245,8 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
         };
         let mut used: u32 = 0;
         for &phase in phases {
-            self.selector.begin_phase(&self.pool, phase);
             while used < budget {
-                let Some(best) = self.selector.pick(&self.pool, budget - used) else {
+                let Some(best) = self.selector.pick(&self.pool, phase, budget - used) else {
                     break;
                 };
                 let resource = self.pool.resource(best);
@@ -1379,7 +1256,7 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
                 // recorded as issued.
                 if self.fault_on && !self.attempt(resource, cost, &mut used) {
                     let blocked = self.pool.blocked[resource.index()];
-                    self.selector.put_back(&self.pool, best, blocked);
+                    self.selector.put_back(phase, blocked);
                     continue;
                 }
                 self.probe(best, resource, cost);
@@ -2758,10 +2635,10 @@ mod tests {
     }
 
     #[test]
-    fn state_keyed_policies_skip_the_per_phase_reseed() {
+    fn state_keyed_policies_skip_the_per_chronon_rebuild() {
         // A wrapper that hides the policy's dynamics falls back to the
-        // reseeded path: the keyed path must score under half as often,
-        // with the identical schedule.
+        // per-chronon rebuild: the keyed path must score under half as
+        // often, with the identical schedule.
         let inst = long_window_instance(300, 3, 20);
         for config in [EngineConfig::preemptive(), EngineConfig::non_preemptive()] {
             let keyed = Counting::new(&Mrsf, true);

@@ -107,12 +107,11 @@ pub trait Policy: Sync {
     fn score(&self, ctx: &PolicyContext<'_>, cand: &Candidate<'_>) -> i64;
 
     /// Whether `score` is a pure function of `(ctx, cand)` — `true` for
-    /// every paper policy. The heap-based selection strategies detect stale
-    /// heap entries by re-scoring on pop and re-pushing on mismatch, which
-    /// only terminates if an unchanged candidate re-scores to the same
-    /// value; a policy drawing from hidden mutable state (e.g. the `Random`
-    /// baseline) breaks that contract, so the engine falls back to the
-    /// always-correct `Scan` selector when this returns `false`.
+    /// every paper policy. The default `Incremental` selector scores a
+    /// candidate far less often than `Scan` does. A policy drawing from
+    /// hidden mutable state (e.g. the `Random` baseline) draws according to
+    /// how often it is called, so only `Scan` reproduces `Scan`'s schedule:
+    /// the engine selects by `Scan` when this returns `false`.
     fn stable_scores(&self) -> bool {
         true
     }
@@ -129,8 +128,11 @@ pub trait Policy: Sync {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ScoreDynamics {
     /// Scores may depend on anything a candidate or [`PolicyContext`]
-    /// exposes — the clock, resource occupancy, update flags — so the
-    /// selector re-scores every live candidate in every selection phase.
+    /// exposes — the clock, resource occupancy, update flags. Within a
+    /// chronon all of these are frozen once its windows have opened, and
+    /// only the parent CEI's capture state changes: so the selector
+    /// re-scores every live candidate once per chronon, and a candidate
+    /// again after each sibling capture.
     Reseeded,
     /// The score reads only the candidate's static fields and its parent
     /// CEI's capture state (`captured` / `n_captured`), never the
