@@ -393,12 +393,14 @@ fn refuse_unread_options(args: &Args) -> Result<(), ArgError> {
     };
     let workload: Vec<&str> = WORKLOAD.iter().chain(REPS).map(|o| o.name).collect();
     #[rustfmt::skip]
-    let rules: [(&[&str], bool, &str); 7] = [
+    let rules: [(&[&str], bool, &str); 8] = [
         (&["targets", "probe-timeout-ms"], live,
             "--executor live (the replay executor probes no target)"),
         (&["fault-rate", "fault-model", "fault-recover", "fault-seed"], !live,
             "no --executor live (live probes take no fault model)"),
         (&["fault-model", "fault-recover", "fault-seed"], faulted, rate),
+        (&["fault-recover"], given("fault-model") == Some("burst"),
+            "--fault-model burst (only the burst model recovers)"),
         (&["fault-free", "retry", "retry-quota"], faulted || live, rate_or_live),
         (&["churn-alpha", "churn-delay", "churn-budget-changes", "churn-seed"],
             given("churn-arrivals").is_some() || given("churn-cancels").is_some(),
@@ -1251,6 +1253,7 @@ mod tests {
         const NO_RATE: &str = "expected --fault-rate (";
         const NO_SWEPT_RATE: &str = "expected --param fault-rate (";
         const NO_CHURN: &str = "expected --churn-arrivals or --churn-cancels (";
+        const NO_BURST: &str = "--fault-recover 0.6: expected --fault-model burst (";
         // (command, offending options, the rest of the line, what the error names)
         #[rustfmt::skip]
         let rows: &[(&str, &[&str], &[&str], &str)] = &[
@@ -1285,6 +1288,10 @@ mod tests {
             ("serve", &["--fault-model", "burst", "--fault-seed", "5", "--retry", "backoff"], &SERVE,
                 "--fault-model burst: expected --fault-rate ("),
             ("serve", &["--fault-seed", "5"], &SERVE, NO_RATE),
+            ("run", &["--fault-rate", "0.3", "--fault-recover", "0.6"], &RUN, NO_BURST),
+            ("run", &["--fault-rate", "0.3", "--fault-model", "iid", "--fault-recover", "0.6"],
+                &RUN, NO_BURST),
+            ("serve", &["--fault-rate", "0.3", "--fault-recover", "0.6"], &SERVE, NO_BURST),
             ("run", &["--retry", "backoff", "--fault-free"], &RUN, "--fault-free"),
             ("run", &["--retry", "backoff"], &RUN, NO_RATE),
             ("run", &["--retry-quota", "2"], &RUN, NO_RATE),

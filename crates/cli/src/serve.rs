@@ -4,7 +4,8 @@
 //! One engine run is one daemon lifetime. [`Daemon::run_with`] runs the
 //! engine on the calling thread against any
 //! [`FaultModel`] — a seeded model, or a live prober — with one
-//! `OnlineEngine::run_driven_resumable` call, fresh or recovered; a
+//! `OnlineEngine::run_driven_resumable` call, fresh or recovered; when it
+//! journals, a writer thread ([`JournalThread`]) appends the journal; a
 //! background accept thread serves a line protocol on the listening socket:
 //!
 //! ```text
@@ -32,9 +33,9 @@
 //! [`JsonlTraceObserver`](webmon_core::obs::JsonlTraceObserver) uses —
 //! into one block per chronon. When the chronon ends the block is written
 //! to the `--trace-out` file (which starts at event zero) and to every
-//! attached socket (whose stream starts at its first post-attach chronon);
-//! when the next chronon starts the same block becomes the chronon's
-//! journal frame. The daemon's trace file is therefore byte-identical to
+//! attached socket (whose stream starts at its first post-attach chronon),
+//! and then handed to the journal's writer thread as the chronon's frame.
+//! The daemon's trace file is therefore byte-identical to
 //! the simulator's for the same case, which `tests/tests/serve.rs` and
 //! CI's `serve-smoke` job enforce.
 //!
@@ -43,6 +44,14 @@
 //! cannot take the whole block — its kernel send buffer is full, or the
 //! peer is gone — is shut down and counted in
 //! [`DaemonOutcome::dropped_subscribers`]; its stream may end mid-line.
+//!
+//! **Neither does the disk.** The engine thread hands each frame, and at
+//! each snapshot boundary a flat image of its state, to the journal writer
+//! thread ([`JournalQueue`]), which encodes, writes and fsyncs them. Under a
+//! pacing clock the hand-off never waits: if the writer falls too far
+//! behind, the journal stops as on a write error, and the run goes on.
+//! Live mutations are still journaled on their client threads before they
+//! are acknowledged.
 
 use serde_json::Value;
 use std::io::{self, BufRead, BufReader, BufWriter, Read, Write};
@@ -59,7 +68,9 @@ use webmon_core::fault::{FaultConfig, FaultModel};
 use webmon_core::model::{CeiId, Chronon, Instance};
 use webmon_core::obs::{Event, MetricsObserver, Observer, RunMetrics, Tee};
 use webmon_core::policy::Policy;
-use webmon_core::serve::journal::{scan_journal, JournalSink, JournalWriter, SharedJournal};
+use webmon_core::serve::journal::{
+    scan_journal, JournalQueue, JournalSink, JournalThread, JournalWriter, SharedJournal,
+};
 use webmon_core::serve::{
     session_fingerprint, Clock, ClockRelease, DaemonSource, JournalConfig, JournalError,
     LiveMutationQueue, NoSnapshots, Paced, Recovery, SnapshotSink,
@@ -445,57 +456,41 @@ fn accept_loop(listener: TcpListener, ctl: Arc<Control>) {
 /// The engine-side event fan-out. Every event is encoded once, by
 /// [`Event::write_jsonl`], into the current chronon's block:
 ///
-/// * at `ChrononEnd { t }` the block goes to the `--trace-out` file in one
-///   write and to every subscriber in one nonblocking write each;
-/// * at `ChrononStart { t + 1 }` — after the clock's pacing wait — pending
+/// * at `ChrononStart { t }` — after the clock's pacing wait — pending
 ///   sockets are promoted, so every stream begins at a chronon boundary;
-///   then the block is appended as chronon `t`'s journal frame and cleared.
+/// * at `ChrononEnd { t }` the block goes to the `--trace-out` file in one
+///   write and to every subscriber in one nonblocking write each, and then
+///   to the journal writer thread as chronon `t`'s frame, swapped for an
+///   empty block. The frame's drain mark is final by then: the next drain
+///   comes after `ChrononStart { t + 1 }`.
 ///
-/// The last chronon's frame is appended by [`end_frame`](Self::end_frame)
-/// after the run. Write failures are recorded, never propagated into the
-/// engine.
+/// Write failures are recorded, never propagated into the engine.
 struct EventHub {
     block: String,
-    /// The chronon whose events `block` holds.
-    chronon: Option<Chronon>,
     trace: Option<TraceSink>,
     subscribers: Subscribers,
-    journal: Option<SharedJournal>,
+    journal: Option<JournalQueue>,
     /// The live queue whose drain high-water mark each frame records.
     live: LiveMutationQueue,
     events_written: u64,
 }
 
-impl EventHub {
-    /// Appends the held chronon's block as its journal frame, then clears
-    /// the block. Called at `ChrononStart { t + 1 }`, the drain mark covers
-    /// exactly the drains through chronon `t`: the engine emits the start
-    /// event before it drains.
-    fn end_frame(&mut self) {
-        if let (Some(t), Some(core)) = (self.chronon.take(), &self.journal) {
-            let drained = self.live.drained_seq();
-            core.lock()
-                .expect("journal lock poisoned by a panicked client thread")
-                .frame(t, drained, &self.block);
-        }
-        self.block.clear();
-    }
-}
-
 impl Observer for EventHub {
     fn on_event(&mut self, event: Event) {
-        if let Event::ChrononStart { t, .. } = event {
+        if let Event::ChrononStart { .. } = event {
             self.subscribers.promote();
-            self.end_frame();
-            self.chronon = Some(t);
         }
         event.write_jsonl(&mut self.block);
         self.events_written += 1;
-        if let Event::ChrononEnd { .. } = event {
+        if let Event::ChrononEnd { t, .. } = event {
             if let Some(trace) = &mut self.trace {
                 trace.write(self.block.as_bytes());
             }
             self.subscribers.send(self.block.as_bytes());
+            if let Some(journal) = &self.journal {
+                journal.frame(t, self.live.drained_seq(), &mut self.block);
+            }
+            self.block.clear();
         }
     }
 }
@@ -719,9 +714,32 @@ impl Daemon {
         let live = plan.live_queue();
 
         let clock = make_clock(plan.first_live_chronon());
+        let trace = match &opts.trace_out {
+            Some(path) => Some(TraceSink::create(path)?),
+            None => None,
+        };
+        self.listener.set_nonblocking(true)?;
+        let listener = self.listener.try_clone()?;
+
+        // Nothing fails from here until the threads are joined. The journal
+        // writer thread appends everything the engine hands it; the engine
+        // never waits for it while a clock paces the run (see
+        // `JournalQueue`).
+        let writer = journal
+            .as_ref()
+            .map(|core| JournalThread::spawn(Arc::clone(core)));
+        let queue = writer.as_ref().map(JournalThread::queue);
         let pending: Arc<Mutex<Vec<TcpStream>>> = Arc::new(Mutex::new(Vec::new()));
         let mut hooks = std::mem::take(&mut self.hooks);
         hooks.push(clock.release_handle());
+        if let Some(queue) = &queue {
+            if !clock.paces() {
+                queue.set_unpaced();
+            }
+            // `shutdown` releases the clock: the engine free-runs from then.
+            let queue = queue.clone();
+            hooks.push(Arc::new(move || queue.set_unpaced()));
+        }
         let ctl = Arc::new(Control {
             live: live.clone(),
             stop: Arc::clone(&self.stop),
@@ -730,23 +748,16 @@ impl Daemon {
             n_ceis: session.instance.ceis.len(),
             journal: journal.clone(),
         });
-        self.listener.set_nonblocking(true)?;
         let accept = {
-            let listener = self.listener.try_clone()?;
             let ctl = Arc::clone(&ctl);
             thread::spawn(move || accept_loop(listener, ctl))
         };
 
-        let trace = match &opts.trace_out {
-            Some(path) => Some(TraceSink::create(path)?),
-            None => None,
-        };
         let mut hub = EventHub {
             block: String::new(),
-            chronon: None,
             trace,
             subscribers: Subscribers::new(pending),
-            journal: journal.clone(),
+            journal: queue.clone(),
             live: live.clone(),
             events_written: plan.prefix_events.len() as u64,
         };
@@ -763,9 +774,9 @@ impl Daemon {
             metrics.on_event(event);
         }
 
-        let mut sink: Box<dyn SnapshotSink> = match (&journal, &opts.journal) {
-            (Some(core), Some(jc)) => Box::new(JournalSink::new(
-                Arc::clone(core),
+        let mut sink: Box<dyn SnapshotSink> = match (queue, &opts.journal) {
+            (Some(queue), Some(jc)) => Box::new(JournalSink::new(
+                queue,
                 jc.snapshot_every,
                 plan.replay_until,
             )),
@@ -787,18 +798,15 @@ impl Daemon {
         };
 
         // Horizon reached (or shutdown already free-ran us here): stop the
-        // protocol side and join every thread.
+        // protocol side and join every thread — the client threads before
+        // the writer, so no live mutation is appended after its final
+        // flush.
         ctl.shutdown();
         accept.join().ok();
-        hub.end_frame();
         let mut io_errors = hub.trace.take().map_or_else(Vec::new, TraceSink::finish);
         let write_errors = io_errors.len() as u64;
-        if let Some(core) = &journal {
-            let mut core = core
-                .lock()
-                .expect("journal lock poisoned by a panicked client thread");
-            core.finish();
-            io_errors.extend(core.errors().iter().cloned());
+        if let Some(writer) = writer {
+            io_errors.extend(writer.finish());
         }
         // Replay consumed the journal differently than the recording (the
         // fingerprint is a hash, not the inputs themselves): the recovery

@@ -24,7 +24,7 @@
 //! and expired-uncaptured flags in two flat arrays, with per-CEI counts of
 //! each. It is stored flat, not per CEI, so scoring a candidate reads it
 //! without a pointer chase, releasing a CEI allocates nothing, and a
-//! snapshot encodes a CEI's flags straight from a slice. A CEI's flags
+//! snapshot copies all of them with two `memcpy`s. A CEI's flags
 //! start false and change only while it is `Active` (a CEI becomes active
 //! at most once), and the engine reads them only while it is `Active`.
 //!
@@ -132,9 +132,16 @@ impl CandidateIndex {
     }
 
     /// CEI `id`'s expired-uncaptured flags, parallel to its EIs.
-    #[inline]
+    #[cfg(test)]
     pub(crate) fn expired_flags(&self, id: CeiId) -> &[bool] {
         &self.expired[self.eis_of(id)]
+    }
+
+    /// The flat captured and expired flags over every global EI id, and
+    /// the per-CEI prefix sums that slice them: what a snapshot image
+    /// copies.
+    pub(crate) fn flag_arrays(&self) -> (&[bool], &[bool], &[u32]) {
+        (&self.captured, &self.expired, &self.ei_base)
     }
 
     /// `true` if the EI is neither captured nor expired.

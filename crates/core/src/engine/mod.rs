@@ -73,4 +73,5 @@ mod mutation;
 mod runner;
 
 pub use mutation::{Mutation, MutationQueue, MutationSource, ScriptedMutations};
+pub(crate) use runner::Status;
 pub use runner::{EngineConfig, OnlineEngine, RunInputs, RunResult, SelectionStrategy};

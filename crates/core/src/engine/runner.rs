@@ -13,11 +13,16 @@ use crate::model::{CeiId, Chronon, Instance, ResourceId, Schedule};
 use crate::obs::{Event, NoopObserver, Observer};
 use crate::policy::{Candidate, CeiView, Policy, PolicyContext, ResourceStats, ScoreDynamics};
 use crate::serve::snapshot::{
-    CeiState, CeiStateRef, EngineSnapshot, NoSnapshots, SnapshotMismatch, SnapshotRef, SnapshotSink,
+    CeiState, EngineSnapshot, NoSnapshots, SnapshotImage, SnapshotMismatch, SnapshotSink,
 };
 use crate::stats::{CeiOutcome, RunStats};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Numbers the runs of this process, so a snapshot image knows which run's
+/// schedule rows it already holds (`0` is no run).
+static RUNS: AtomicU64 = AtomicU64::new(1);
 
 /// A [`KeyedQueue`] copy: `(score, cei id, ei index, capture count)`, the
 /// last being the parent CEI's capture count when the copy was scored.
@@ -156,8 +161,8 @@ pub struct RunInputs<'a, F, M, O> {
 
 /// Lifecycle of a CEI inside the engine. Which of an active CEI's EIs are
 /// captured or expired lives in the candidate index's flat flags.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Status {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Status {
     /// Release chronon not reached yet.
     NotArrived,
     /// Released; its capture flags are tracked.
@@ -168,6 +173,19 @@ enum Status {
     Failed,
     /// Cancelled mid-run through the mutation API; never resolves.
     Cancelled,
+}
+
+impl Status {
+    /// The outcome of a CEI in this status that resolved at `at`, if it
+    /// resolved.
+    pub(crate) fn outcome(self, at: Chronon) -> CeiOutcome {
+        match self {
+            Status::NotArrived | Status::Active => CeiOutcome::Pending,
+            Status::Captured => CeiOutcome::Captured { at },
+            Status::Failed => CeiOutcome::Failed { at },
+            Status::Cancelled => CeiOutcome::Cancelled { at },
+        }
+    }
 }
 
 /// How a live CEI resolves: its terminal status, outcome and event.
@@ -313,11 +331,11 @@ impl OnlineEngine {
     }
 
     /// [`run_driven`](Self::run_driven) with crash-recovery hooks: the
-    /// engine offers `snapshots` every chronon boundary, encodes the ones
-    /// it wants straight from its run state (the bytes of
-    /// [`EngineSnapshot::encode`]), and `resume` restores a previously
-    /// captured snapshot so the loop starts at its boundary chronon
-    /// instead of 0.
+    /// engine offers `snapshots` every chronon boundary, copies its state
+    /// into a [`SnapshotImage`] at the ones it wants (whose encoding is
+    /// the bytes of [`EngineSnapshot::encode`]), and `resume` restores a
+    /// previously captured snapshot so the loop starts at its boundary
+    /// chronon instead of 0.
     ///
     /// Identity contract (pinned by `tests/tests/recovery.rs`): capturing a
     /// snapshot at boundary `S` during a run and replaying
@@ -510,13 +528,26 @@ impl Selector {
         }
     }
 
-    /// CEI `id`'s scores or group changed — a capture, a registration, or
-    /// a first capture filing it into cands⁺ — so its live entries need
-    /// copies at their current scores, filed into the CEI's own group
-    /// whatever phase is running; stale copies are skipped on pop.
+    /// CEI `id`'s scores changed mid-selection — a capture — so its live
+    /// entries need copies at their current scores, filed into the CEI's
+    /// own group whatever phase is running; stale copies are skipped on
+    /// pop.
     fn cei_touched(&mut self, pool: &Pool<'_>, id: CeiId) {
         if let Some(queue) = &mut self.queue {
             queue.push_cei(pool, id);
+        }
+    }
+
+    /// CEI `id`'s scores or group changed between two chronons' selections
+    /// — a registration, or a first capture filing it into cands⁺. A queue
+    /// kept across chronons takes copies as for
+    /// [`cei_touched`](Self::cei_touched); a reseeded one is rebuilt from
+    /// the pool when the next chronon's windows open, before its first pop,
+    /// so it takes none.
+    fn cei_changed_between_chronons(&mut self, pool: &Pool<'_>, id: CeiId) {
+        match &mut self.queue {
+            Some(queue) if queue.dynamics == ScoreDynamics::StateKeyed => queue.push_cei(pool, id),
+            _ => {}
         }
     }
 
@@ -572,15 +603,19 @@ impl Selector {
 /// [`ScoreDynamics::StateKeyed`] one, whose scores read no context, when
 /// its window opens (or a registration brings it in open). Either way a
 /// sibling capture re-scores the rest of its CEI into the CEI's own group,
-/// whatever phase is running; a CEI's first capture re-files its live
-/// entries into cands⁺ at the chronon's end; and a failed probe or an
-/// entry skipped this chronon (blocked or unaffordable) is pushed back.
-/// Every copy carries its CEI's capture count when scored, so a pop drops
-/// dead, stale and wrong-group copies without calling the policy.
+/// whatever phase is running, and a failed probe is pushed back. Between
+/// chronons a state-keyed queue also re-files a CEI's live entries into
+/// cands⁺ after its first capture, and takes back the entries skipped
+/// this chronon (blocked or unaffordable); a reseeded one does neither,
+/// since its next rebuild would discard them unread. Every copy carries
+/// its CEI's capture count when scored, so a pop drops dead, stale and
+/// wrong-group copies without calling the policy.
 ///
-/// **Invariant.** Every live entry has a copy whose key is its current
-/// `(score, cei, ei_idx)` in its group's heap — or, once popped and skipped
-/// this chronon, in `skipped`. The first current, selectable pop is
+/// **Invariant.** Whenever the queue is popped (for a reseeded policy: from
+/// each rebuild to the chronon's end), every live entry has a copy whose
+/// key is its current `(score, cei, ei_idx)` in its group's heap — or,
+/// once popped and skipped this chronon, in `skipped`. The first current,
+/// selectable pop is
 /// therefore the [`Pool::argmin`] pick under the same tie-break, and
 /// schedules match `Scan`'s. The queue is not part of a snapshot: a resume
 /// rebuilds it from the restored pool, and so does a state-keyed chronon
@@ -710,8 +745,13 @@ impl KeyedQueue {
     }
 
     /// End of chronon: skipped copies that are still current rejoin their
-    /// heaps.
+    /// heaps — unless the queue is reseeded, and the next chronon's rebuild
+    /// would throw them away unread.
     fn requeue_skipped(&mut self, pool: &Pool<'_>) {
+        if self.dynamics == ScoreDynamics::Reseeded {
+            self.skipped.clear();
+            return;
+        }
         let mut skipped = std::mem::take(&mut self.skipped);
         for (group, copy) in skipped.drain(..) {
             if self.is_current(pool, group, copy) {
@@ -753,7 +793,7 @@ impl KeyedQueue {
 /// Algorithm 1's run state: everything that crosses a chronon boundary,
 /// plus the scratch a chronon reuses. Built fresh ([`new`](Self::new)) or
 /// from a boundary snapshot ([`restore`](Self::restore), the inverse of
-/// [`encode_snapshot`](Self::encode_snapshot));
+/// [`capture`](Self::capture));
 /// [`chronon`](Self::chronon) runs one chronon as a fixed sequence of
 /// phase methods.
 struct EngineState<'a, F, M, O> {
@@ -778,7 +818,9 @@ struct EngineState<'a, F, M, O> {
     /// never expires inside the epoch.
     starts: Vec<Vec<PoolEntry>>,
     ends: Vec<Vec<PoolEntry>>,
-    outcomes: Vec<CeiOutcome>,
+    /// The chronon each resolved CEI resolved at: with its status, its
+    /// outcome ([`Status::outcome`]).
+    resolved_at: Vec<Chronon>,
     schedule: Schedule,
     /// `probes_available` accumulates the effective per-chronon budget:
     /// equal to `budget.total_over(horizon)` on unmutated runs, and
@@ -808,6 +850,8 @@ struct EngineState<'a, F, M, O> {
     touched: Vec<CeiId>,
     resolved: Vec<CeiId>,
     walk: Vec<PoolEntry>,
+    /// This run's number ([`RUNS`]).
+    run: u64,
 }
 
 impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O> {
@@ -871,7 +915,7 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
             observer,
             starts,
             ends,
-            outcomes: vec![CeiOutcome::Pending; n_ceis],
+            resolved_at: vec![0; n_ceis],
             schedule: Schedule::new(instance.n_resources, instance.epoch),
             stats: RunStats {
                 n_ceis: n_ceis as u64,
@@ -890,6 +934,7 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
             touched: Vec::new(),
             resolved: Vec::new(),
             walk: Vec::new(),
+            run: RUNS.fetch_add(1, Ordering::Relaxed),
         }
     }
 
@@ -930,7 +975,10 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
             }
         }
         pool.now = snapshot.at;
-        state.outcomes.copy_from_slice(&snapshot.outcomes);
+        // Validated: each outcome agrees with its CEI's state.
+        for (resolved_at, outcome) in state.resolved_at.iter_mut().zip(&snapshot.outcomes) {
+            *resolved_at = outcome.at().unwrap_or(0);
+        }
         state.stats = snapshot.stats.clone();
         state.schedule = snapshot.schedule.clone();
         state.budget_override = snapshot.budget_override;
@@ -951,46 +999,54 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
         Ok(state)
     }
 
-    /// Encodes the boundary state of chronon `at` into `out` — the bytes
-    /// [`EngineSnapshot::encode`] writes for the snapshot the state would
-    /// build — straight from the run state: the candidate index goes out
-    /// as live entries in per-resource list order (the order shared
-    /// captures fire in), each list counted by its live count.
-    fn encode_snapshot(&self, at: Chronon, out: &mut Vec<u8>) {
-        let index = &self.pool.index;
-        SnapshotRef {
-            at,
-            status: self.pool.status.iter().enumerate().map(|(i, s)| {
-                let id = CeiId(i as u32);
-                match s {
-                    Status::NotArrived => CeiStateRef::NotArrived,
-                    Status::Active => CeiStateRef::Active {
-                        captured: index.captured_flags(id),
-                        expired: index.expired_flags(id),
-                    },
-                    Status::Captured => CeiStateRef::Captured,
-                    Status::Failed => CeiStateRef::Failed,
-                    Status::Cancelled => CeiStateRef::Cancelled,
-                }
-            }),
-            outcomes: &self.outcomes,
-            stats: &self.stats,
-            schedule: &self.schedule,
-            budget_override: self.budget_override,
-            pending_budget: self.pending_budget,
-            announced: &self.announced,
-            consec_failures: &self.consec_failures,
-            next_attempt_at: &self.next_attempt_at,
-            index: (0..self.pool.instance.n_resources as usize).map(|r| {
-                let live = index.entries(r).iter().filter(|e| index.is_live(**e));
-                (index.live_on(r) as usize, live.map(|e| (e.cei.0, e.ei_idx)))
-            }),
+    /// Copies the boundary state of chronon `at` into `image` — the state
+    /// [`SnapshotImage::encode`] turns into the bytes
+    /// [`EngineSnapshot::encode`] writes for the snapshot this state would
+    /// build. Everything is a plain copy into the image's own storage but
+    /// the candidate lists, whose live entries go out in list order (the
+    /// order shared captures fire in). An image this run filled before
+    /// keeps its schedule rows and CEI offsets, and takes only the rows
+    /// since its last boundary.
+    fn capture(&self, at: Chronon, image: &mut SnapshotImage) {
+        fn copy<T: Copy>(to: &mut Vec<T>, from: &[T]) {
+            to.clear();
+            to.extend_from_slice(from);
         }
-        .encode(out);
+        let index = &self.pool.index;
+        let (captured, expired, ei_base) = index.flag_arrays();
+        if image.run == self.run {
+            debug_assert!(image.at <= at, "boundaries only move forward");
+            image.schedule.copy_rows(&self.schedule, image.at..at);
+        } else {
+            image.run = self.run;
+            image.schedule.clone_from(&self.schedule);
+            copy(&mut image.ei_base, ei_base);
+        }
+        image.at = at;
+        copy(&mut image.status, &self.pool.status);
+        copy(&mut image.captured, captured);
+        copy(&mut image.expired, expired);
+        copy(&mut image.resolved_at, &self.resolved_at);
+        image.stats.clone_from(&self.stats);
+        image.budget_override = self.budget_override;
+        image.pending_budget = self.pending_budget;
+        copy(&mut image.announced, &self.announced);
+        copy(&mut image.consec_failures, &self.consec_failures);
+        copy(&mut image.next_attempt_at, &self.next_attempt_at);
+        image.counts.clear();
+        image.entries.clear();
+        for r in 0..self.pool.instance.n_resources as usize {
+            let listed = image.entries.len();
+            let live = index.entries(r).iter().filter(|e| index.is_live(**e));
+            image.entries.extend(live.map(|e| (e.cei.0, e.ei_idx)));
+            let count = (image.entries.len() - listed) as u32;
+            debug_assert_eq!(count, index.live_on(r), "resource {r}'s live count");
+            image.counts.push(count);
+        }
     }
 
     /// The boundary state of chronon `at` as an [`EngineSnapshot`]: the
-    /// reference [`encode_snapshot`](Self::encode_snapshot) must match.
+    /// reference a [`capture`](Self::capture)d image's encoding must match.
     #[cfg(test)]
     fn snapshot(&self, at: Chronon) -> EngineSnapshot {
         let index = &self.pool.index;
@@ -1012,7 +1068,7 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
                     Status::Cancelled => CeiState::Cancelled,
                 })
                 .collect(),
-            outcomes: self.outcomes.clone(),
+            outcomes: self.outcomes(),
             stats: self.stats.clone(),
             schedule: self.schedule.clone(),
             budget_override: self.budget_override,
@@ -1034,18 +1090,17 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
     }
 
     /// Runs every remaining chronon, offering `snapshots` each boundary,
-    /// and returns the run's result. Wanted snapshots are encoded into one
-    /// buffer reused for the whole run (or swapped with the sink's).
+    /// and returns the run's result. Wanted snapshots are captured into one
+    /// image reused for the whole run (or swapped with the sink's).
     fn run(mut self, snapshots: &mut dyn SnapshotSink) -> RunResult {
-        let mut encoded = Vec::new();
+        let mut image = SnapshotImage::default();
         for t in self.pool.now..self.pool.instance.epoch.len() {
             // Offer the boundary state before any of chronon t's work —
             // including the pending-budget promotion, which is chronon t's
             // first action and must replay after a restore.
             if snapshots.wants(t) {
-                encoded.clear();
-                self.encode_snapshot(t, &mut encoded);
-                snapshots.accept(t, &mut encoded);
+                self.capture(t, &mut image);
+                snapshots.accept(&mut image);
             }
             self.chronon(t);
         }
@@ -1138,7 +1193,7 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
             self.resolve(id, Resolution::Expired);
         } else {
             self.pool.status[id.index()] = Status::Active;
-            self.selector.cei_touched(&self.pool, id);
+            self.selector.cei_changed_between_chronons(&self.pool, id);
         }
     }
 
@@ -1524,7 +1579,7 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
         self.selector.end_chronon(&self.pool);
         for &id in &self.captured_now {
             if !std::mem::replace(&mut self.pool.started[id.index()], true) {
-                self.selector.cei_touched(&self.pool, id);
+                self.selector.cei_changed_between_chronons(&self.pool, id);
             }
         }
         self.captured_now.clear();
@@ -1574,7 +1629,7 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
             ),
         };
         self.pool.status[id.index()] = status;
-        self.outcomes[id.index()] = outcome;
+        self.resolved_at[id.index()] = at;
         self.stats
             .record_outcome_of(self.pool.instance.cei(id), outcome);
         if how == Resolution::Shed {
@@ -1582,6 +1637,12 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
         }
         self.observer.on_event(event);
         self.pool.index.remove_cei(self.pool.instance, id);
+    }
+
+    /// Every CEI's outcome so far.
+    fn outcomes(&self) -> Vec<CeiOutcome> {
+        let resolved = self.pool.status.iter().zip(&self.resolved_at);
+        resolved.map(|(status, &at)| status.outcome(at)).collect()
     }
 
     /// Ends the run. Any CEI still unresolved at epoch end is recorded as
@@ -1596,9 +1657,9 @@ impl<'a, F: FaultModel, M: MutationSource, O: Observer> EngineState<'a, F, M, O>
             }
         }
         RunResult {
+            outcomes: self.outcomes(),
             schedule: self.schedule,
             stats: self.stats,
-            outcomes: self.outcomes,
             selection_steps: self.selector.steps,
         }
     }
@@ -2753,12 +2814,13 @@ mod tests {
     }
 
     /// At every boundary of faultless, faulted and churned runs, in P and
-    /// NP mode, with and without probe sharing, the engine's in-place
-    /// snapshot encoding is byte for byte the reference builder's
-    /// `EngineSnapshot::encode`, and a state restored from those bytes
-    /// encodes them again.
+    /// NP mode, with and without probe sharing, a captured snapshot image
+    /// encodes to the reference builder's `EngineSnapshot::encode` byte for
+    /// byte — two images taking turns, as a swapping sink hands them back —
+    /// and a state restored from those bytes captures them again, into an
+    /// image another run filled.
     #[test]
-    fn in_place_snapshot_encoding_matches_the_reference_at_every_boundary() {
+    fn snapshot_image_encoding_matches_the_reference_at_every_boundary() {
         use crate::fault::{Backoff, IidFaults};
 
         let inst = snapshot_grid_instance();
@@ -2798,12 +2860,15 @@ mod tests {
                         mutations: &mut mutations,
                         observer: &mut observer,
                     });
+                    let mut images: [SnapshotImage; 2] = Default::default();
                     let (mut encoded, mut reference, mut again) =
                         (Vec::new(), Vec::new(), Vec::new());
                     for t in 0..horizon {
+                        let turn = t as usize % 2;
+                        state.capture(t, &mut images[turn]);
                         encoded.clear();
                         reference.clear();
-                        state.encode_snapshot(t, &mut encoded);
+                        images[turn].encode(&mut encoded);
                         state.snapshot(t).encode(&mut reference);
                         assert!(encoded == reference, "{label}: boundary {t}");
 
@@ -2823,8 +2888,10 @@ mod tests {
                             &snap,
                         )
                         .unwrap_or_else(|e| panic!("{label}: {e}"));
+                        let mut foreign = images[1 - turn].clone();
+                        restored.capture(t, &mut foreign);
                         again.clear();
-                        restored.encode_snapshot(t, &mut again);
+                        foreign.encode(&mut again);
                         assert!(again == encoded, "{label}: restored at {t}");
 
                         state.chronon(t);

@@ -110,6 +110,19 @@ impl Schedule {
         }
     }
 
+    /// Makes this schedule's chronons `rows` those of `from`, a schedule of
+    /// the same shape, reusing their storage.
+    pub(crate) fn copy_rows(&mut self, from: &Schedule, rows: std::ops::Range<Chronon>) {
+        debug_assert_eq!(
+            (self.n_resources, self.probes.len()),
+            (from.n_resources, from.probes.len())
+        );
+        let rows = rows.start as usize..rows.end as usize;
+        for (row, source) in self.probes[rows.clone()].iter_mut().zip(&from.probes[rows]) {
+            row.clone_from(source);
+        }
+    }
+
     /// Merges another schedule into this one (union of probes).
     ///
     /// # Panics

@@ -31,6 +31,13 @@ pub trait Clock {
 
     /// A handle that releases this clock from any thread.
     fn release_handle(&self) -> ClockRelease;
+
+    /// Whether the clock gives chronons a time to begin at all: `false`
+    /// only for [`FreeClock`]. Work an unpaced engine hands off may wait
+    /// for room, since no chronon deadline depends on it.
+    fn paces(&self) -> bool {
+        true
+    }
 }
 
 /// Forwarding impl so boxed clocks (`Box<dyn Clock + Send>`) plug into
@@ -41,6 +48,9 @@ impl<C: Clock + ?Sized> Clock for Box<C> {
     }
     fn release_handle(&self) -> ClockRelease {
         (**self).release_handle()
+    }
+    fn paces(&self) -> bool {
+        (**self).paces()
     }
 }
 
@@ -55,6 +65,9 @@ impl Clock for FreeClock {
     }
     fn release_handle(&self) -> ClockRelease {
         Arc::new(|| {})
+    }
+    fn paces(&self) -> bool {
+        false
     }
 }
 
@@ -240,6 +253,7 @@ mod tests {
             assert!(c.wait_until(t));
         }
         (c.release_handle())(); // no-op, must not panic
+        assert!(!c.paces() && WallClock::new(5).paces() && ManualClock::new().0.paces());
     }
 
     #[test]

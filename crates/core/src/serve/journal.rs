@@ -17,31 +17,42 @@
 //!   which subsumes every nondeterministic input: probe outcomes
 //!   (`ProbeIssued`/`ProbeFailed` in attempt order), outage transitions
 //!   (`ResourceDown`/`ResourceUp`), and applied mutations
-//!   (`CeiRegistered`/`CeiCancelled`/`BudgetReconfigured` in drain order).
-//!   The daemon's event hub appends frame `t` from the block it already
-//!   encoded for the trace and its subscribers ([`JournalWriter::frame`]),
-//!   when chronon `t + 1` starts (after the run, for the last chronon);
+//!   (`CeiRegistered`/`CeiCancelled`/`BudgetReconfigured` in drain order);
 //! * **snapshot** records (kind 3) interleave periodically so the engine
 //!   resumes `O(chronons since snapshot)` instead of replaying from
 //!   chronon 0. Their payload is the compact binary encoding of an
 //!   [`EngineSnapshot`] (the bytes of [`EngineSnapshot::encode`]; the
-//!   format is in the [`snapshot`](super::snapshot) module docs), which
-//!   the engine encodes on its own thread straight from its run state,
-//!   outside the writer's lock. [`JournalSink`] hands the bytes to the
-//!   writer by swapping buffers under the lock — O(1), so live-mutation
-//!   acks, which share it, never wait on an encoding or a copy — and
-//!   [`JournalWriter::frame`] appends the stashed snapshot right after the
-//!   frame it follows, so record order is decided here alone: the
+//!   format is in the [`snapshot`](super::snapshot) module docs). The
 //!   snapshot at boundary `t` follows the frame of chronon `t - 1`;
 //! * **live-mutation** records (kind 4, JSON) are written *before* the
 //!   registration API acknowledges a submission, so an acknowledged
 //!   mutation survives a crash even if no frame drained it yet.
 //!
+//! The engine thread never encodes, writes or fsyncs the journal. The
+//! daemon's event hub hands each chronon's block to the journal's writer
+//! thread ([`JournalThread`]) when the chronon ends — the block it already
+//! encoded for the trace and its subscribers — and [`JournalSink`] hands
+//! over a [`SnapshotImage`] at each snapshot boundary: the boundary state,
+//! copied flat. Both go through one FIFO queue ([`JournalQueue`]), so the
+//! writer appends them in the order the engine reached them. The writer
+//! encodes the images, and appends and commits whatever is queued as one
+//! batch under the journal lock; live-mutation acks take the same lock on
+//! their client threads. A paced engine never waits for the writer: a
+//! hand-off that does not fit the queue stops the journal (an unpaced
+//! engine, with no chronon deadline to keep, waits for room instead).
+//!
 //! Whether an append is fsynced is decided in one place for every record
-//! kind: `FsyncPolicy::syncs`, under the run's [`FsyncPolicy`]. The first
-//! append that fails — a write, flush or fsync error — stops the journal
-//! at its last complete record ([`JournalWriter`] has the details), so a
-//! full disk never leaves a partial record with valid ones after it.
+//! kind: `FsyncPolicy::syncs`, under the run's [`FsyncPolicy`]; a batch
+//! is fsynced once if any of its records must be. The first append that
+//! fails — a write, flush or fsync error — stops the journal at its last
+//! complete record ([`JournalWriter`] has the details), so a full disk
+//! never leaves a partial record with valid ones after it.
+//!
+//! **Loss window.** A `kill -9` loses the chronons still queued for the
+//! writer — normally none, or the one just handed over — under every
+//! policy, and nothing the writer already appended (the OS holds it).
+//! Recovery re-executes them, as it re-executes the chronon the crash
+//! interrupted.
 //!
 //! Records ride the checksummed framing of [`webmon_streams::record`]: a
 //! crash mid-append leaves a torn tail that the scanner detects (truncated
@@ -68,17 +79,19 @@
 //! [`webmon_streams::record`]: ../../../webmon_streams/record/index.html
 
 use super::driver::LiveMutationQueue;
-use super::snapshot::{EngineSnapshot, SnapshotMismatch, SnapshotSink};
+use super::snapshot::{EngineSnapshot, SnapshotImage, SnapshotMismatch, SnapshotSink};
 use crate::engine::{Mutation, MutationSource};
 use crate::fault::FaultModel;
 use crate::model::{CeiId, Chronon, ResourceId};
 use crate::obs::{replay_events, Event};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use webmon_streams::record::{parse_record, write_record, RecordError};
 
 /// Journal format version; bumped on any incompatible record change.
@@ -96,16 +109,23 @@ const KIND_SNAPSHOT: u8 = 3;
 const KIND_LIVE_MUTATION: u8 = 4;
 
 /// When journal appends reach the disk platter, not just the page cache.
+///
+/// Frames reach the file on the journal's writer thread, in batches: a
+/// `kill -9` also loses the chronons still queued for it (normally none,
+/// or the one just handed over), whatever the policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FsyncPolicy {
-    /// `fsync` after every chronon frame — at most one chronon of history
-    /// is lost to a power failure; slowest.
+    /// `fsync` every batch of frames the writer appends — one fsync per
+    /// chronon while the writer keeps up, and one for everything queued
+    /// when it falls behind (group commit). A power failure loses at most
+    /// the batch being written and what is still queued; slowest.
     EveryChronon,
-    /// `fsync` after every `N` frames — bounded loss window, amortized
-    /// cost.
+    /// `fsync` once `N` frames are unsynced — bounded loss window,
+    /// amortized cost.
     EveryN(u32),
     /// Flush to the OS page cache only — a process crash (`kill -9`) loses
-    /// nothing, a power failure may lose the cached suffix; fastest.
+    /// only what is still queued for the writer, a power failure also the
+    /// cached suffix; fastest.
     Os,
 }
 
@@ -336,11 +356,16 @@ impl JournalFile for File {
 const RECORD_OVERHEAD: u64 = 9;
 
 /// The append side of the journal: one writer shared (behind a mutex) by
-/// the daemon's event hub (frames), the snapshot sink, and the registration
-/// API's journal-before-ack path.
+/// the daemon's journal writer thread ([`JournalThread`]: frames and
+/// snapshots) and the registration API's journal-before-ack path.
+///
+/// Records are *written* into the file's buffer and then *committed*: one
+/// flush, plus one fsync if a record written since the last commit must be
+/// durable ([`FsyncPolicy`]). The public appends commit each record; the
+/// writer thread commits a whole batch of frames and snapshots at once.
 ///
 /// The journal **stops at its first failed append**. A write, flush or
-/// fsync error truncates the file back to the end of the last complete
+/// fsync error truncates the file back to the end of the last committed
 /// record — written, flushed, and synced where the policy syncs — and
 /// nothing is appended after that: a partial record followed by valid ones
 /// would make a scan refuse the journal as corrupt, or drop acknowledged
@@ -360,23 +385,24 @@ pub struct JournalWriter {
     path: PathBuf,
     fsync: FsyncPolicy,
     frames_since_sync: u32,
-    /// Byte length of the complete records: where a failed append
+    /// Byte length of the committed records: where a failed append
     /// truncates the file.
     end: u64,
-    /// The chronon whose frame comes next: where the journal stops if an
-    /// append fails now.
+    /// Bytes written since the last commit, and whether one of their
+    /// records must be fsynced.
+    written: u64,
+    sync_due: bool,
+    /// The chronon whose frame comes next among the committed records:
+    /// where the journal stops if an append fails now.
     next_chronon: Chronon,
+    /// [`next_chronon`](Self::next_chronon) once the written records
+    /// commit.
+    written_next: Chronon,
     /// Why and where the journal stopped.
     stopped: Option<JournalError>,
     /// Frames and snapshots at chronons `<= suppress_until` are already on
     /// disk (a recovery replaying them) and are skipped.
     suppress_until: Option<Chronon>,
-    /// The boundary of the snapshot [`JournalSink`] stashed in `snapshot`;
-    /// [`frame`](Self::frame) appends it after the preceding chronon's
-    /// frame.
-    pending_snapshot: Option<Chronon>,
-    /// The stashed snapshot's encoding, swapped in from the engine's buffer.
-    snapshot: Vec<u8>,
 }
 
 impl JournalWriter {
@@ -464,69 +490,95 @@ impl JournalWriter {
         suppress_until: Option<Chronon>,
         end: u64,
     ) -> Self {
+        let next_chronon = suppress_until.map_or(0, |u| u + 1);
         JournalWriter {
             file: Some(BufWriter::new(file)),
             path: path.to_path_buf(),
             fsync,
             frames_since_sync: 0,
             end,
-            next_chronon: suppress_until.map_or(0, |u| u + 1),
+            written: 0,
+            sync_due: false,
+            next_chronon,
+            written_next: next_chronon,
             stopped: None,
             suppress_until,
-            pending_snapshot: None,
-            snapshot: Vec::new(),
         }
     }
 
-    /// Appends one record of `kind` with the payload `payload`'s pieces
-    /// join to, flushes it, and fsyncs it if the policy says `what` must be
-    /// durable. A failure stops the journal and returns
-    /// [`JournalError::Stopped`]; so does every append after the stop.
-    fn append(&mut self, what: Append, kind: u8, payload: &[&[u8]]) -> Result<(), JournalError> {
+    /// The error of an append after the stop.
+    fn stopped_error(&self) -> JournalError {
+        self.stopped
+            .clone()
+            .expect("a journal without a file stopped")
+    }
+
+    /// Writes one record of `kind` with the payload `payload`'s pieces join
+    /// to into the file's buffer; [`commit`](Self::commit) completes it. A
+    /// failure stops the journal and returns [`JournalError::Stopped`]; so
+    /// does every append after the stop.
+    fn write(&mut self, what: Append, kind: u8, payload: &[&[u8]]) -> Result<(), JournalError> {
         let Some(file) = &mut self.file else {
-            return Err(self
-                .stopped
-                .clone()
-                .expect("a journal without a file stopped"));
+            return Err(self.stopped_error());
         };
         if what == Append::Frame {
             self.frames_since_sync += 1;
         }
-        let len = RECORD_OVERHEAD + payload.iter().map(|p| p.len() as u64).sum::<u64>();
-        let written = write_record(file, kind, payload, &self.path).map_err(JournalError::from);
-        match written.and_then(|()| self.sync(what)) {
+        self.sync_due |= self.fsync.syncs(what, self.frames_since_sync);
+        match write_record(file, kind, payload, &self.path) {
             Ok(()) => {
-                self.end += len;
+                self.written +=
+                    RECORD_OVERHEAD + payload.iter().map(|p| p.len() as u64).sum::<u64>();
                 Ok(())
             }
-            Err(e) => Err(self.stop(e)),
+            Err(e) => Err(self.stop(JournalError::from(e).to_string())),
         }
     }
 
-    /// Flushes to the OS, then fsyncs if the policy says `what` must be
-    /// durable.
-    fn sync(&mut self, what: Append) -> Result<(), JournalError> {
-        let io = |detail: String| JournalError::Io {
-            path: self.path.display().to_string(),
-            detail,
+    /// Completes the records written since the last commit: flushes them
+    /// to the OS, then fsyncs once if one of them must be durable. A
+    /// failure stops the journal at the last committed record.
+    fn commit(&mut self) -> Result<(), JournalError> {
+        let Some(file) = &mut self.file else {
+            return Err(self.stopped_error());
         };
-        let file = self.file.as_mut().expect("only a running journal syncs");
-        file.flush().map_err(|e| io(format!("flush: {e}")))?;
-        if self.fsync.syncs(what, self.frames_since_sync) {
+        let mut synced = file.flush().map_err(|e| format!("flush: {e}"));
+        if synced.is_ok() && self.sync_due {
             self.frames_since_sync = 0;
-            file.get_mut()
+            synced = file
+                .get_mut()
                 .sync_data()
-                .map_err(|e| io(format!("fsync: {e}")))?;
+                .map_err(|e| format!("fsync: {e}"));
         }
-        Ok(())
+        match synced {
+            Ok(()) => {
+                self.end += std::mem::take(&mut self.written);
+                self.sync_due = false;
+                self.next_chronon = self.written_next;
+                Ok(())
+            }
+            Err(detail) => Err(self.stop(
+                JournalError::Io {
+                    path: self.path.display().to_string(),
+                    detail,
+                }
+                .to_string(),
+            )),
+        }
     }
 
-    /// Stops the journal after the failed append `cause`: the bytes still
-    /// buffered are dropped, the file is truncated to the end of the last
-    /// complete record, and nothing is appended again. Returns the
-    /// [`JournalError::Stopped`] every later append gets.
-    fn stop(&mut self, cause: JournalError) -> JournalError {
-        let mut cause = cause.to_string();
+    /// Writes one record and commits it.
+    fn append(&mut self, what: Append, kind: u8, payload: &[&[u8]]) -> Result<(), JournalError> {
+        self.write(what, kind, payload)?;
+        self.commit()
+    }
+
+    /// Stops the journal for `cause`, unless it stopped already: the bytes
+    /// written since the last commit are dropped, the file is truncated to
+    /// the end of the last committed record, and nothing is appended
+    /// again. Returns the [`JournalError::Stopped`] every later append
+    /// gets.
+    fn stop(&mut self, mut cause: String) -> JournalError {
         if let Some(file) = self.file.take() {
             let (mut file, _unwritten) = file.into_parts();
             if let Err(e) = file.set_len(self.end) {
@@ -535,13 +587,12 @@ impl JournalWriter {
                     self.end
                 );
             }
+            self.stopped = Some(JournalError::Stopped {
+                at: self.next_chronon,
+                cause,
+            });
         }
-        let stopped = JournalError::Stopped {
-            at: self.next_chronon,
-            cause,
-        };
-        self.stopped = Some(stopped.clone());
-        stopped
+        self.stopped_error()
     }
 
     /// Whether records at chronon `t` are already on disk (see
@@ -550,12 +601,9 @@ impl JournalWriter {
         self.suppress_until.is_some_and(|u| t <= u)
     }
 
-    /// Appends a chronon frame — the chronon, the live-mutation drain
-    /// high-water mark, and the chronon's JSONL event block — followed by
-    /// the snapshot [`JournalSink`] stashed for the next boundary, if any.
-    /// Call it once per chronon, in order, before the next chronon's work.
-    /// A failure stops the journal (see [`errors`](Self::errors)).
-    pub fn frame(&mut self, t: Chronon, drained_seq: u64, lines: &str) {
+    /// Writes chronon `t`'s frame, uncommitted (see
+    /// [`frame`](Self::frame)).
+    fn write_frame(&mut self, t: Chronon, drained_seq: u64, lines: &str) {
         if !self.suppressed(t) {
             let payload: [&[u8]; 3] = [
                 &t.to_le_bytes(),
@@ -563,14 +611,28 @@ impl JournalWriter {
                 lines.as_bytes(),
             ];
             // The error is kept as the stop reason.
-            let _ = self.append(Append::Frame, KIND_FRAME, &payload);
+            let _ = self.write(Append::Frame, KIND_FRAME, &payload);
         }
-        self.next_chronon = t + 1;
-        if let Some(at) = self.pending_snapshot.take() {
-            let encoded = std::mem::take(&mut self.snapshot);
-            self.write_snapshot(at, &encoded);
-            self.snapshot = encoded;
+        self.written_next = t + 1;
+    }
+
+    /// Writes the snapshot at boundary `at`, already encoded, uncommitted.
+    fn write_snapshot(&mut self, at: Chronon, encoded: &[u8]) {
+        if !self.suppressed(at) {
+            // The error is kept as the stop reason.
+            let _ = self.write(Append::Snapshot, KIND_SNAPSHOT, &[encoded]);
         }
+    }
+
+    /// Appends a chronon frame — the chronon, the live-mutation drain
+    /// high-water mark, and the chronon's JSONL event block. Call it once
+    /// per chronon, in order; the snapshot at boundary `t + 1`, if any,
+    /// follows it. A failure stops the journal (see
+    /// [`errors`](Self::errors)).
+    pub fn frame(&mut self, t: Chronon, drained_seq: u64, lines: &str) {
+        self.write_frame(t, drained_seq, lines);
+        // The error is kept as the stop reason.
+        let _ = self.commit();
     }
 
     /// Appends an engine snapshot. A failure stops the journal; the lost
@@ -579,22 +641,8 @@ impl JournalWriter {
         let mut encoded = Vec::new();
         snap.encode(&mut encoded);
         self.write_snapshot(snap.at, &encoded);
-    }
-
-    /// Appends the snapshot at boundary `at`, already encoded.
-    fn write_snapshot(&mut self, at: Chronon, encoded: &[u8]) {
-        if !self.suppressed(at) {
-            // The error is kept as the stop reason.
-            let _ = self.append(Append::Snapshot, KIND_SNAPSHOT, &[encoded]);
-        }
-    }
-
-    /// Stashes the encoded snapshot of boundary `at` for the next
-    /// [`frame`](Self::frame) to append, by swapping buffers with
-    /// `encoded`: O(1), whatever the snapshot's size.
-    fn stash_snapshot(&mut self, at: Chronon, encoded: &mut Vec<u8>) {
-        std::mem::swap(&mut self.snapshot, encoded);
-        self.pending_snapshot = Some(at);
+        // The error is kept as the stop reason.
+        let _ = self.commit();
     }
 
     /// Durably appends an accepted live mutation *before* it is
@@ -613,9 +661,9 @@ impl JournalWriter {
     /// Flushes and syncs the final suffix. A failure stops the journal.
     pub fn finish(&mut self) {
         if self.file.is_some() {
-            if let Err(e) = self.sync(Append::Finish) {
-                self.stop(e);
-            }
+            self.sync_due |= self.fsync.syncs(Append::Finish, self.frames_since_sync);
+            // The error is kept as the stop reason.
+            let _ = self.commit();
         }
     }
 
@@ -629,25 +677,386 @@ impl JournalWriter {
 /// A shared handle to one [`JournalWriter`].
 pub type SharedJournal = Arc<Mutex<JournalWriter>>;
 
+/// The most bytes the engine may have handed the writer thread that the
+/// writer has not appended yet: a frame weighs its event block, a snapshot
+/// image its arrays ([`SnapshotImage`]). At the serve-scale shape
+/// (`--profiles 600 --horizon 1000 --budget 2 --lambda 66.7`, ~38k CEIs)
+/// that is ~30 images or ~7,000 frames: at a 3 ms chronon, a writer stuck
+/// ~20 s on one fsync. A whole journaled test-suite run hands over less
+/// than 1 MB.
+const HANDOFF_BYTES: usize = 16 << 20;
+
+/// A frame's fixed fields: the chronon and the drain mark.
+const FRAME_FIXED: usize = 12;
+
+const POISONED: &str = "journal hand-off lock poisoned by a panicked thread";
+const JOURNAL_POISONED: &str = "journal lock poisoned by a panicked client thread";
+
+/// What the engine hands the writer thread, in record order.
+#[derive(Debug)]
+enum Handoff {
+    /// Chronon `t`'s frame.
+    Frame {
+        t: Chronon,
+        drained_seq: u64,
+        lines: String,
+    },
+    /// The image of a snapshot boundary, for the writer to encode.
+    Snapshot(Box<SnapshotImage>),
+}
+
+impl Handoff {
+    fn bytes(&self) -> usize {
+        match self {
+            Handoff::Frame { lines, .. } => FRAME_FIXED + lines.len(),
+            Handoff::Snapshot(image) => image.bytes(),
+        }
+    }
+}
+
+/// The hand-off queue between the engine and the writer thread, and the
+/// buffers the writer returns for reuse.
+#[derive(Debug, Default)]
+struct Queue {
+    items: VecDeque<Handoff>,
+    /// The bytes of the items handed over and not appended yet.
+    bytes: usize,
+    spare_lines: Vec<String>,
+    // Boxed as in `Handoff`: an image moves between the queue and here
+    // without a new allocation.
+    #[allow(clippy::vec_box)]
+    spare_images: Vec<Box<SnapshotImage>>,
+    /// No more hand-offs are taken: the run ended, a hand-off did not fit,
+    /// or the journal stopped.
+    closed: bool,
+    /// Why a hand-off did not fit; the journal stops right after what was
+    /// handed over before it.
+    overflow: Option<String>,
+    /// The engine is not paced: a hand-off that does not fit waits for
+    /// room instead.
+    unpaced: bool,
+}
+
+#[derive(Debug, Default)]
+struct Handoffs {
+    queue: Mutex<Queue>,
+    /// Wakes the writer: work arrived, or the queue closed.
+    work: Condvar,
+    /// Wakes an unpaced engine waiting for room.
+    room: Condvar,
+}
+
+impl Handoffs {
+    fn lock(&self) -> MutexGuard<'_, Queue> {
+        self.queue.lock().expect(POISONED)
+    }
+
+    /// Takes no more hand-offs. Also called from `Drop`, so it never
+    /// panics: setting one flag leaves a poisoned queue as valid as before.
+    fn close(&self) {
+        let mut q = self.queue.lock().unwrap_or_else(PoisonError::into_inner);
+        q.closed = true;
+        drop(q);
+        self.work.notify_one();
+        self.room.notify_all();
+    }
+}
+
+/// The engine's end of the journal writer thread ([`JournalThread`]): the
+/// daemon's event hub hands over each chronon's frame, and [`JournalSink`]
+/// each snapshot image. A hand-off is a buffer swap under a short lock
+/// that the writer holds only to take or return buffers — never during
+/// encoding or I/O — so the engine neither encodes, writes nor fsyncs the
+/// journal, nor takes the journal lock the registration API shares.
+///
+/// The queue holds at most 16 MiB (`HANDOFF_BYTES`). A paced engine never
+/// waits for the writer: a hand-off that does not fit closes the queue,
+/// and the writer stops the journal right after what it already holds, as
+/// on a write error. An unpaced engine ([`set_unpaced`](Self::set_unpaced)) has
+/// no chronon deadline to keep, so its hand-off waits for room instead.
+/// Clones share the queue.
+#[derive(Debug, Clone)]
+pub struct JournalQueue {
+    shared: Arc<Handoffs>,
+}
+
+impl JournalQueue {
+    /// Queues what `make` builds from the queue's spare buffers, weighing
+    /// `bytes`, unless the queue is closed or the hand-off does not fit.
+    fn hand_off(&self, bytes: usize, make: impl FnOnce(&mut Queue) -> Handoff) -> bool {
+        let mut q = self.shared.lock();
+        loop {
+            if q.closed {
+                return false;
+            }
+            if q.bytes == 0 || q.bytes + bytes <= HANDOFF_BYTES {
+                break;
+            }
+            if !q.unpaced {
+                q.overflow = Some(format!(
+                    "the writer thread fell behind: {} bytes queued, {bytes} more handed \
+                     over, {HANDOFF_BYTES} fit",
+                    q.bytes
+                ));
+                q.closed = true;
+                self.shared.work.notify_one();
+                return false;
+            }
+            q = self.shared.room.wait(q).expect(POISONED);
+        }
+        let item = make(&mut q);
+        q.bytes += bytes;
+        q.items.push_back(item);
+        self.shared.work.notify_one();
+        true
+    }
+
+    /// Hands over chronon `t`'s frame — the drain mark after its drain and
+    /// its event block — and leaves `lines` empty, swapped for a spare
+    /// block. Returns whether the writer took it: not once the journal
+    /// stopped, nor if it does not fit, which stops the journal at `t`.
+    pub fn frame(&self, t: Chronon, drained_seq: u64, lines: &mut String) -> bool {
+        let taken = self.hand_off(FRAME_FIXED + lines.len(), |q| {
+            let spare = q.spare_lines.pop().unwrap_or_default();
+            Handoff::Frame {
+                t,
+                drained_seq,
+                lines: std::mem::replace(lines, spare),
+            }
+        });
+        if !taken {
+            lines.clear();
+        }
+        taken
+    }
+
+    /// Hands over the image of a snapshot boundary, swapping in a spare
+    /// image; it follows the frame handed over last. Returns whether the
+    /// writer took it (see [`frame`](Self::frame)).
+    pub fn snapshot(&self, image: &mut SnapshotImage) -> bool {
+        self.hand_off(image.bytes(), |q| {
+            let mut spare = q.spare_images.pop().unwrap_or_default();
+            std::mem::swap(&mut *spare, image);
+            Handoff::Snapshot(spare)
+        })
+    }
+
+    /// Whether hand-offs are still taken.
+    pub fn is_open(&self) -> bool {
+        !self.shared.lock().closed
+    }
+
+    /// The engine runs unpaced from now on — a free clock, or one released
+    /// by `shutdown` — so a hand-off that does not fit waits for room
+    /// rather than stop the journal.
+    pub fn set_unpaced(&self) {
+        self.shared.lock().unpaced = true;
+    }
+}
+
+/// The journal's writer thread: it appends, in arrival order, everything
+/// the engine hands over through its [`JournalQueue`].
+///
+/// The writer blocks until something is queued, then takes everything
+/// queued. It encodes the batch's snapshot images outside the journal
+/// lock ([`SnapshotImage::encode`]), then takes the lock and appends the
+/// batch's records with one flush and at most one fsync — group commit
+/// for frames ([`FsyncPolicy::EveryChronon`] fsyncs once per batch) —
+/// and returns the blocks and images to the queue for the engine to reuse,
+/// so a warm run allocates nothing per chronon. Live mutations keep
+/// appending on their client threads under the same lock. On Linux the
+/// writer runs as a `SCHED_BATCH` thread, so waking it never preempts the
+/// engine mid-chronon.
+///
+/// A failed append stops the journal ([`JournalWriter`]) and closes the
+/// queue; so does a hand-off that did not fit, right after the records
+/// handed over before it. Either way the run goes on to its horizon.
+/// [`finish`](Self::finish) closes the queue and joins the writer once it
+/// has appended everything and flushed the final suffix.
+#[derive(Debug)]
+pub struct JournalThread {
+    shared: Arc<Handoffs>,
+    journal: SharedJournal,
+    thread: Option<JoinHandle<()>>,
+}
+
+impl JournalThread {
+    /// Spawns the writer thread over `journal`.
+    pub fn spawn(journal: SharedJournal) -> Self {
+        let shared = Arc::new(Handoffs::default());
+        let thread = {
+            let (shared, journal) = (Arc::clone(&shared), Arc::clone(&journal));
+            std::thread::spawn(move || {
+                run_as_batch_thread();
+                write_loop(&shared, &journal);
+            })
+        };
+        JournalThread {
+            shared,
+            journal,
+            thread: Some(thread),
+        }
+    }
+
+    /// The engine's end of the writer's queue.
+    pub fn queue(&self) -> JournalQueue {
+        JournalQueue {
+            shared: Arc::clone(&self.shared),
+        }
+    }
+
+    /// Closes the queue, joins the writer once it has appended everything
+    /// handed over and flushed the journal, and returns why the journal
+    /// stopped, naming the chronon, if it did
+    /// ([`JournalWriter::errors`]).
+    pub fn finish(mut self) -> Vec<String> {
+        let mut errors = self.join();
+        errors.extend(self.journal.lock().expect(JOURNAL_POISONED).errors());
+        errors
+    }
+
+    fn join(&mut self) -> Vec<String> {
+        self.shared.close();
+        match self.thread.take().map(JoinHandle::join) {
+            Some(Err(_)) => vec!["the journal writer thread panicked".to_string()],
+            _ => Vec::new(),
+        }
+    }
+}
+
+impl Drop for JournalThread {
+    fn drop(&mut self) {
+        self.join();
+    }
+}
+
+/// Makes the calling thread a batch thread (Linux `SCHED_BATCH`): its
+/// wake-ups never preempt a running thread, and it keeps its fair share of
+/// the CPU otherwise. The engine wakes the writer at every hand-off; as a
+/// normal thread, the writer woken onto the engine's CPU could take it
+/// for a whole snapshot encode (~0.5 ms at the serve-live scale) before
+/// the chronon ends. Elsewhere, or if the call fails, nothing changes.
+#[cfg(target_os = "linux")]
+fn run_as_batch_thread() {
+    #[repr(C)]
+    struct SchedParam {
+        sched_priority: i32,
+    }
+    extern "C" {
+        fn sched_setscheduler(pid: i32, policy: i32, param: *const SchedParam) -> i32;
+    }
+    const SCHED_BATCH: i32 = 3;
+    let param = SchedParam { sched_priority: 0 };
+    // SAFETY: pid 0 is the calling thread, and the call only reads `param`,
+    // which outlives it. Lowering a thread's own policy to `SCHED_BATCH`
+    // needs no privilege; a failure leaves the thread as it was.
+    unsafe {
+        sched_setscheduler(0, SCHED_BATCH, &param);
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn run_as_batch_thread() {}
+
+/// The writer thread's loop; see [`JournalThread`].
+fn write_loop(shared: &Handoffs, journal: &Mutex<JournalWriter>) {
+    let mut batch = VecDeque::new();
+    let mut encoded: Vec<Vec<u8>> = Vec::new();
+    loop {
+        let mut q = shared.lock();
+        while q.items.is_empty() && !q.closed {
+            q = shared.work.wait(q).expect(POISONED);
+        }
+        if q.items.is_empty() {
+            let overflow = q.overflow.take();
+            drop(q);
+            let mut journal = journal.lock().expect(JOURNAL_POISONED);
+            if let Some(cause) = overflow {
+                journal.stop(cause);
+            }
+            journal.finish();
+            return;
+        }
+        std::mem::swap(&mut q.items, &mut batch);
+        drop(q);
+
+        let images = batch.iter().filter_map(|item| match item {
+            Handoff::Snapshot(image) => Some(image),
+            Handoff::Frame { .. } => None,
+        });
+        for (i, image) in images.enumerate() {
+            if i == encoded.len() {
+                encoded.push(Vec::new());
+            }
+            encoded[i].clear();
+            image.encode(&mut encoded[i]);
+        }
+        let stopped = {
+            let mut journal = journal.lock().expect(JOURNAL_POISONED);
+            let mut encoded = encoded.iter();
+            for item in &batch {
+                match item {
+                    Handoff::Frame {
+                        t,
+                        drained_seq,
+                        lines,
+                    } => journal.write_frame(*t, *drained_seq, lines),
+                    Handoff::Snapshot(image) => {
+                        let bytes = encoded.next().expect("every image was encoded");
+                        journal.write_snapshot(image.at, bytes);
+                    }
+                }
+            }
+            journal.commit().is_err()
+        };
+
+        let mut q = shared.lock();
+        for item in batch.drain(..) {
+            q.bytes -= item.bytes();
+            match item {
+                Handoff::Frame { mut lines, .. } => {
+                    lines.clear();
+                    q.spare_lines.push(lines);
+                }
+                Handoff::Snapshot(image) => q.spare_images.push(image),
+            }
+        }
+        q.closed |= stopped;
+        shared.room.notify_all();
+    }
+}
+
 /// The snapshot side of the journal: requests a snapshot every `every`
-/// chronons and stashes the engine's encoding on the shared writer, whose
-/// next [`frame`](JournalWriter::frame) appends it in record order.
+/// chronons and hands the engine's image over to the writer thread, which
+/// appends it after the frame of the chronon before its boundary.
+///
+/// It also requests the run's first boundary, before the clock paces
+/// anything, without journaling it: that capture and a copy of it fault in
+/// the memory of the two images the engine and the writer trade, so no
+/// paced chronon pays for a first touch.
 #[derive(Debug)]
 pub struct JournalSink {
-    core: SharedJournal,
+    queue: JournalQueue,
     every: u32,
     suppress_until: Option<Chronon>,
+    /// Whether the images are warm (or no snapshot is ever taken).
+    warm: bool,
+    /// Whether the boundary [`wants`](SnapshotSink::wants) was asked about
+    /// last is journaled.
+    journals: bool,
 }
 
 impl JournalSink {
     /// A sink snapshotting every `every` chronons (`0` disables);
     /// boundaries at or below `suppress_until` are already journaled and
     /// skipped.
-    pub fn new(core: SharedJournal, every: u32, suppress_until: Option<Chronon>) -> Self {
+    pub fn new(queue: JournalQueue, every: u32, suppress_until: Option<Chronon>) -> Self {
         JournalSink {
-            core,
+            queue,
             every,
             suppress_until,
+            warm: every == 0,
+            journals: false,
         }
     }
 }
@@ -659,15 +1068,22 @@ impl SnapshotSink for JournalSink {
         #[allow(clippy::manual_is_multiple_of, clippy::nonminimal_bool)]
         let boundary = self.every > 0 && t > 0 && t % self.every == 0;
         let suppressed = self.suppress_until.is_some_and(|u| t <= u);
-        boundary && !suppressed
+        // A stopped journal takes no snapshot: skip the copy.
+        self.journals = boundary && !suppressed && self.queue.is_open();
+        self.journals || !self.warm
     }
-    fn accept(&mut self, at: Chronon, encoded: &mut Vec<u8>) {
-        // The engine encoded outside the lock, which live-mutation acks
-        // share; under it the bytes only change hands.
-        self.core
-            .lock()
-            .expect("journal lock poisoned by a panicked client thread")
-            .stash_snapshot(at, encoded);
+    fn accept(&mut self, image: &mut SnapshotImage) {
+        if !self.warm {
+            self.warm = true;
+            self.queue
+                .shared
+                .lock()
+                .spare_images
+                .push(Box::new(image.clone()));
+        }
+        if self.journals {
+            self.queue.snapshot(image);
+        }
     }
 }
 
@@ -734,6 +1150,11 @@ pub fn scan_journal(path: &Path) -> Result<JournalScan, JournalError> {
         path: path.display().to_string(),
         detail: e.to_string(),
     })?;
+    scan_bytes(&buf)
+}
+
+/// [`scan_journal`] over a journal's bytes.
+fn scan_bytes(buf: &[u8]) -> Result<JournalScan, JournalError> {
     let mut offset = 0usize;
     let mut header: Option<HeaderRecord> = None;
     let mut scan = JournalScan {
@@ -745,7 +1166,7 @@ pub fn scan_journal(path: &Path) -> Result<JournalScan, JournalError> {
         valid_len: 0,
     };
     loop {
-        let rec = match parse_record(&buf, offset) {
+        let rec = match parse_record(buf, offset) {
             Ok(None) => break,
             Ok(Some(rec)) => rec,
             Err(err) => {
@@ -1587,11 +2008,11 @@ mod tests {
         }
     }
 
-    /// A journaled session on `file`: header, frame 0, live mutation 1, a
-    /// stashed snapshot appended after frame 1, live mutation 2, frame 2,
-    /// then frames 3-4, another stashed snapshot and one direct snapshot,
-    /// and live mutation 3. Returns the writer, the file length after each
-    /// of those ten steps, and the sequence numbers acknowledged.
+    /// A journaled session on `file`: header, frame 0, live mutation 1,
+    /// frame 1 and the snapshot after it, live mutation 2, frame 2, then
+    /// frames 3-4, the snapshot after frame 4 and another one, and live
+    /// mutation 3. Returns the writer, the file length after each of those
+    /// ten steps, and the sequence numbers acknowledged.
     fn scripted_session(file: &ScriptedFile) -> (JournalWriter, Vec<usize>, Vec<u64>) {
         let mut w = JournalWriter::start(
             Box::new(file.clone()),
@@ -1609,17 +2030,12 @@ mod tests {
                 acked.push(seq);
             }
         };
-        let snapshot = |w: &mut JournalWriter, at: Chronon| {
-            let mut encoded = Vec::new();
-            tiny_snapshot(at).encode(&mut encoded);
-            w.stash_snapshot(at, &mut encoded);
-        };
         w.frame(0, 0, &sample_lines(0));
         marks.push(file.len());
         ack(&mut w, 1);
         marks.push(file.len());
-        snapshot(&mut w, 1);
         w.frame(1, 1, &sample_lines(1));
+        w.snapshot(&tiny_snapshot(1));
         marks.push(file.len());
         ack(&mut w, 2);
         marks.push(file.len());
@@ -1627,8 +2043,8 @@ mod tests {
         marks.push(file.len());
         w.frame(3, 2, &sample_lines(3));
         marks.push(file.len());
-        snapshot(&mut w, 4);
         w.frame(4, 2, &sample_lines(4));
+        w.snapshot(&tiny_snapshot(4));
         marks.push(file.len());
         w.snapshot(&tiny_snapshot(5));
         marks.push(file.len());
@@ -1696,27 +2112,37 @@ mod tests {
         }
     }
 
-    /// The sink only stashes a snapshot; the next frame appends it right
-    /// after itself, so record order is decided by the writer alone.
+    /// Through the writer thread's queue, a snapshot image lands right
+    /// after the frame handed over before it, encoded as
+    /// `EngineSnapshot::encode` encodes it; the engine gets a spare image
+    /// and an empty block back at once.
     #[test]
-    fn stashed_snapshot_lands_right_after_the_next_frame() {
-        let path = temp_journal("stash");
+    fn a_handed_over_snapshot_lands_right_after_the_frame_before_it() {
+        let path = temp_journal("handoff");
         let core: SharedJournal = Arc::new(Mutex::new(
             JournalWriter::create(&path, FsyncPolicy::Os, "fp").unwrap(),
         ));
-        let mut sink = JournalSink::new(Arc::clone(&core), 1, None);
-        assert!(sink.wants(1));
         let header_len = std::fs::metadata(&path).unwrap().len();
-        let mut encoded = Vec::new();
-        tiny_snapshot(1).encode(&mut encoded);
-        sink.accept(1, &mut encoded);
-        assert!(encoded.is_empty(), "the sink swapped in its empty buffer");
-        assert_eq!(std::fs::metadata(&path).unwrap().len(), header_len);
-        core.lock().unwrap().frame(0, 0, &sample_lines(0));
-        core.lock().unwrap().frame(1, 0, &sample_lines(1));
-        core.lock().unwrap().finish();
+        let writer = JournalThread::spawn(Arc::clone(&core));
+        let mut sink = JournalSink::new(writer.queue(), 1, None);
+        // The run's first boundary is a warm-up capture, never journaled.
+        assert!(sink.wants(0));
+        let mut image = SnapshotImage::of(&tiny_snapshot(0));
+        sink.accept(&mut image);
+        let mut block = sample_lines(0);
+        assert!(writer.queue().frame(0, 0, &mut block));
+        assert!(block.is_empty(), "the hub got an empty block back");
+        assert!(sink.wants(1));
+        let mut image = SnapshotImage::of(&tiny_snapshot(1));
+        sink.accept(&mut image);
+        assert_eq!(image.at(), 0, "the sink swapped in the warmed image");
+        let mut block = sample_lines(1);
+        assert!(writer.queue().frame(1, 0, &mut block));
+        assert!(writer.finish().is_empty());
+
         let scan = scan_journal(&path).unwrap();
         assert_eq!(scan.snapshots, vec![tiny_snapshot(1)]);
+        assert_eq!(scan.frames.len(), 2);
         assert_eq!(scan.frames[0].offset as u64, header_len);
         let snapshot_record = scan.frames[1].offset - scan.frames[0].end;
         let mut encoded = Vec::new();
@@ -1729,6 +2155,255 @@ mod tests {
             "only the snapshot sits between"
         );
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A journal file whose fsyncs block, once armed, until the test
+    /// releases them.
+    #[derive(Debug, Clone)]
+    struct StallingFile {
+        inner: ScriptedFile,
+        gate: Arc<(Mutex<(bool, bool)>, std::sync::Condvar)>,
+    }
+
+    impl StallingFile {
+        fn set(&self, armed: bool, released: bool) {
+            let (state, cv) = &*self.gate;
+            *state.lock().unwrap() = (armed, released);
+            cv.notify_all();
+        }
+    }
+
+    impl Write for StallingFile {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.inner.write(buf)
+        }
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl JournalFile for StallingFile {
+        fn sync_data(&mut self) -> io::Result<()> {
+            let (state, cv) = &*self.gate;
+            let mut state = state.lock().unwrap();
+            while state.0 && !state.1 {
+                state = cv.wait(state).unwrap();
+            }
+            Ok(())
+        }
+        fn set_len(&mut self, len: u64) -> io::Result<()> {
+            self.inner.set_len(len)
+        }
+    }
+
+    /// A writer stuck in an fsync never holds up a paced engine: its queue
+    /// fills, and the first frame that does not fit is refused at once,
+    /// as is everything after it. Once the fsync returns, the journal
+    /// holds exactly the frames handed over before the refusal, scans with
+    /// no torn tail, names the refused chronon, and refuses a later live
+    /// mutation. An unpaced engine waits for room instead.
+    #[test]
+    fn a_stalled_writer_stops_the_journal_at_the_first_frame_not_handed_over() {
+        let horizon = 40;
+        // A megabyte per frame: the queue fills within the run.
+        let block = "x".repeat(1 << 20);
+        for unpaced in [false, true] {
+            let file = StallingFile {
+                inner: ScriptedFile::new(None),
+                gate: Default::default(),
+            };
+            let start = JournalWriter::start(
+                Box::new(file.clone()),
+                Path::new("stalling.journal"),
+                FsyncPolicy::EveryChronon,
+                "fp",
+            );
+            let core: SharedJournal = Arc::new(Mutex::new(start.unwrap()));
+            file.set(true, false);
+            let writer = JournalThread::spawn(Arc::clone(&core));
+            let queue = writer.queue();
+            let taken: Vec<bool> = if unpaced {
+                queue.set_unpaced();
+                // The engine waits for room: release the fsyncs meanwhile.
+                // Release the fsyncs once the engine waits: the queue
+                // has no room for one more frame.
+                let release = {
+                    let (file, queue) = (file.clone(), queue.clone());
+                    std::thread::spawn(move || {
+                        while queue.shared.lock().bytes + (1 << 20) <= HANDOFF_BYTES {
+                            std::thread::yield_now();
+                        }
+                        file.set(true, true);
+                    })
+                };
+                let taken = (0..horizon)
+                    .map(|t| queue.frame(t, 0, &mut block.clone()))
+                    .collect();
+                release.join().unwrap();
+                taken
+            } else {
+                let started = std::time::Instant::now();
+                let taken = (0..horizon)
+                    .map(|t| queue.frame(t, 0, &mut block.clone()))
+                    .collect();
+                assert!(
+                    started.elapsed() < std::time::Duration::from_secs(5),
+                    "the hand-offs waited for the stalled writer"
+                );
+                file.set(true, true);
+                taken
+            };
+            let errors = writer.finish();
+            let bytes = file.inner.bytes.lock().unwrap().clone();
+            let path = temp_journal("stalled");
+            std::fs::write(&path, &bytes).unwrap();
+            let scan = scan_journal(&path).unwrap();
+            assert!(scan.torn_tail.is_none(), "{:?}", scan.torn_tail);
+            std::fs::remove_file(&path).ok();
+            if unpaced {
+                assert!(taken.iter().all(|&t| t), "an unpaced hand-off waits");
+                assert!(errors.is_empty(), "{errors:?}");
+                assert_eq!(scan.frames.len(), horizon as usize);
+                continue;
+            }
+            let refused = taken.iter().position(|&t| !t).expect("the queue filled");
+            assert!(refused > 1, "frames fit before the stall filled the queue");
+            assert!(taken[refused..].iter().all(|&t| !t), "{taken:?}");
+            assert_eq!(scan.frames.len(), refused, "{errors:?}");
+            assert_eq!(errors.len(), 1, "{errors:?}");
+            assert!(
+                errors[0].contains(&format!("journal stopped at chronon {refused}:")),
+                "{errors:?}"
+            );
+            assert!(errors[0].contains("fell behind"), "{errors:?}");
+            let late = core
+                .lock()
+                .unwrap()
+                .live_mutation(1, Mutation::SetBudget { budget: 1 });
+            assert!(matches!(late, Err(JournalError::Stopped { at, .. }) if at == refused as u32));
+        }
+    }
+
+    /// A small real journal: header, three frames of probe, outage and
+    /// mutation events, one live record, and a snapshot after frames 0
+    /// and 2. Returns its bytes and its records' `(offset, end)` extents.
+    fn small_journal() -> (Vec<u8>, Vec<(usize, usize)>) {
+        let file = ScriptedFile::new(None);
+        let path = Path::new("small.journal");
+        let mut w =
+            JournalWriter::start(Box::new(file.clone()), path, FsyncPolicy::Os, "fp").unwrap();
+        for t in 0..3 {
+            let resource = ResourceId(t);
+            let lines = jsonl(&[
+                Event::ChrononStart { t, budget: 2 },
+                Event::CeiRegistered {
+                    cei: CeiId(t),
+                    at: t,
+                },
+                Event::ResourceDown {
+                    t,
+                    resource,
+                    until: t + 2,
+                },
+                Event::ProbeFailed {
+                    t,
+                    resource,
+                    cost: 1,
+                    attempt: 0,
+                    charged: true,
+                },
+                Event::ProbeRetried {
+                    t,
+                    resource,
+                    attempt: 1,
+                },
+                Event::ProbeIssued {
+                    t,
+                    resource,
+                    cost: 1,
+                    shared_eis: 2,
+                },
+                Event::ChrononEnd {
+                    t,
+                    spent: 2,
+                    budget: 2,
+                },
+            ]);
+            w.frame(t, u64::from(t), &lines);
+            if t == 1 {
+                w.live_mutation(2, Mutation::Cancel { cei: CeiId(1) })
+                    .unwrap();
+            }
+            if t % 2 == 0 {
+                w.snapshot(&tiny_snapshot(t + 1));
+            }
+        }
+        w.finish();
+        let bytes = file.bytes.lock().unwrap().clone();
+        let mut extents = Vec::new();
+        let mut offset = 0;
+        while let Some(rec) = parse_record(&bytes, offset).unwrap() {
+            extents.push((rec.offset, rec.end));
+            offset = rec.end;
+        }
+        (bytes, extents)
+    }
+
+    /// Scans `bytes` and plans a recovery from them: a structured result
+    /// either way, never a panic. Returns whether both succeeded.
+    fn scan_and_plan(bytes: &[u8]) -> bool {
+        scan_bytes(bytes)
+            .and_then(|scan| Recovery::plan(&scan))
+            .is_ok()
+    }
+
+    /// Every truncation, a sample of single-byte flips, and records whose
+    /// payload was damaged and then re-checksummed — so the header, frame,
+    /// live-record and snapshot parsers all see bad input — scan and plan
+    /// to an `Ok` or an `Err`, never a panic.
+    #[test]
+    fn damaged_journals_never_panic() {
+        let (bytes, extents) = small_journal();
+        assert_eq!(extents.len(), 7, "header, 3 frames, 1 live, 2 snapshots");
+        let scan = scan_bytes(&bytes).unwrap();
+        assert_eq!((scan.frames.len(), scan.snapshots.len()), (3, 2));
+        assert_eq!(scan.live.len(), 1);
+        assert!(scan_and_plan(&bytes));
+
+        for cut in 0..bytes.len() {
+            scan_and_plan(&bytes[..cut]);
+        }
+        let mut flipped = bytes.clone();
+        for i in (0..bytes.len()).step_by(3) {
+            for mask in [0x01, 0x80, 0xFF] {
+                flipped[i] ^= mask;
+                scan_and_plan(&flipped);
+                flipped[i] ^= mask;
+            }
+        }
+        let (mut ok, mut failed) = (0, 0);
+        for &(offset, end) in &extents {
+            let kind = bytes[offset + 4];
+            let payload = &bytes[offset + 5..end - 4];
+            for i in 0..payload.len() {
+                for mask in [0x01, 0x20, 0xFF] {
+                    let mut damaged = payload.to_vec();
+                    damaged[i] ^= mask;
+                    let mut journal = bytes[..offset].to_vec();
+                    write_record(&mut journal, kind, &[&damaged], Path::new("damaged")).unwrap();
+                    journal.extend_from_slice(&bytes[end..]);
+                    if scan_and_plan(&journal) {
+                        ok += 1;
+                    } else {
+                        failed += 1;
+                    }
+                }
+            }
+        }
+        assert!(
+            ok > 0 && failed > 0,
+            "{ok} damaged journals planned, {failed} refused"
+        );
     }
 
     #[test]

@@ -59,6 +59,6 @@ pub use journal::{
     Recovery,
 };
 pub use snapshot::{
-    CaptureAt, CeiState, EngineSnapshot, NoSnapshots, SnapshotDecodeError, SnapshotMismatch,
-    SnapshotSink,
+    CaptureAt, CeiState, EngineSnapshot, NoSnapshots, SnapshotDecodeError, SnapshotImage,
+    SnapshotMismatch, SnapshotSink,
 };

@@ -1,8 +1,11 @@
 //! Engine-state snapshots: everything the online engine carries across a
 //! chronon boundary, and the compact binary codec the journal stores them
-//! in, so a crashed daemon can resume mid-run. A running engine encodes
-//! its snapshots in place, on its own thread; [`EngineSnapshot`] is the
-//! decode, validate and restore side.
+//! in, so a crashed daemon can resume mid-run. A running engine copies its
+//! boundary state into a flat [`SnapshotImage`] — plain copies into reused
+//! storage, the only part of a snapshot its thread pays for — and hands it
+//! to a [`SnapshotSink`]; a daemon's journal encodes the image on its
+//! writer thread. [`EngineSnapshot`] is the decode, validate and restore
+//! side.
 //!
 //! A snapshot is captured at the *top* of the chronon loop — after chronon
 //! `at - 1` completed, before any of chronon `at`'s work (including the
@@ -29,9 +32,9 @@
 //! record (`JOURNAL_VERSION` 3); [`EngineSnapshot::decode`] reads it back.
 //! One function owns the layout and takes the fields borrowed
 //! (`SnapshotRef::encode`): `EngineSnapshot::encode` lends it its own
-//! fields, and a running engine lends it its live state, so the engine's
-//! snapshots are encoded in place, into a reused buffer, without building
-//! an `EngineSnapshot` first.
+//! fields, and [`SnapshotImage::encode`] the image's, so an engine's
+//! snapshot is encoded without building an `EngineSnapshot` first, on
+//! whichever thread holds the image.
 //!
 //! Fields follow in struct order, little-endian: `u32` for chronons, ids and
 //! counts, `u16` for EI indexes, `u64` for counters, `f64` as its IEEE bits.
@@ -59,6 +62,7 @@
 //!
 //! [`Event::EiCaptured`]: crate::obs::Event::EiCaptured
 
+use crate::engine::Status;
 use crate::model::{Chronon, Epoch, Instance, ResourceId, Schedule};
 use crate::stats::{CeiOutcome, RunStats, SizeBucket};
 use std::collections::BTreeMap;
@@ -111,14 +115,15 @@ pub(crate) enum CeiStateRef<'a> {
 }
 
 /// Every field of a snapshot, borrowed from wherever it lives — an
-/// [`EngineSnapshot`], or a running engine's state — for the one function
-/// that owns the byte layout, [`encode`](Self::encode). `status` yields one
-/// state per CEI; `index` yields one resource list each: its entry count
-/// and its entries `(cei, ei_idx)` in list order.
-pub(crate) struct SnapshotRef<'a, S, L> {
+/// [`EngineSnapshot`], or a [`SnapshotImage`] of a running engine's state —
+/// for the one function that owns the byte layout,
+/// [`encode`](Self::encode). `status` yields one state per CEI, `outcomes`
+/// one outcome per CEI; `index` yields one resource list each: its entry
+/// count and its entries `(cei, ei_idx)` in list order.
+pub(crate) struct SnapshotRef<'a, S, O, L> {
     pub(crate) at: Chronon,
     pub(crate) status: S,
-    pub(crate) outcomes: &'a [CeiOutcome],
+    pub(crate) outcomes: O,
     pub(crate) stats: &'a RunStats,
     pub(crate) schedule: &'a Schedule,
     pub(crate) budget_override: Option<u32>,
@@ -129,9 +134,10 @@ pub(crate) struct SnapshotRef<'a, S, L> {
     pub(crate) index: L,
 }
 
-impl<'a, S, L, E> SnapshotRef<'a, S, L>
+impl<'a, S, O, L, E> SnapshotRef<'a, S, O, L>
 where
     S: ExactSizeIterator<Item = CeiStateRef<'a>>,
+    O: ExactSizeIterator<Item = CeiOutcome>,
     L: ExactSizeIterator<Item = (usize, E)>,
     E: Iterator<Item = (u32, u16)>,
 {
@@ -173,7 +179,7 @@ where
             }
         }
         w.len(outcomes.len());
-        for &outcome in outcomes {
+        for outcome in outcomes {
             let (tag, at) = match outcome {
                 CeiOutcome::Pending => (0, None),
                 CeiOutcome::Captured { at } => (1, Some(at)),
@@ -379,6 +385,21 @@ impl EngineSnapshot {
                 }
             }
         }
+        // A CEI resolves exactly when its outcome is recorded.
+        for (i, (state, outcome)) in self.status.iter().zip(&self.outcomes).enumerate() {
+            let resolved = !matches!(state, CeiState::NotArrived | CeiState::Active { .. });
+            let agrees = match outcome {
+                CeiOutcome::Pending => !resolved,
+                CeiOutcome::Captured { .. } => *state == CeiState::Captured,
+                CeiOutcome::Failed { .. } => *state == CeiState::Failed,
+                CeiOutcome::Cancelled { .. } => *state == CeiState::Cancelled,
+            };
+            if !agrees {
+                return Err(format!(
+                    "CEI {i}'s outcome {outcome:?} disagrees with its state"
+                ));
+            }
+        }
         Ok(())
     }
 
@@ -403,7 +424,7 @@ impl EngineSnapshot {
         SnapshotRef {
             at: *at,
             status: status.iter().map(CeiState::borrowed),
-            outcomes,
+            outcomes: outcomes.iter().copied(),
             stats,
             schedule,
             budget_override: *budget_override,
@@ -791,19 +812,183 @@ impl<'a> Reader<'a> {
     }
 }
 
+/// A running engine's boundary state, copied flat: what a snapshot costs
+/// the engine thread. The engine fills an image with plain copies of its
+/// run state into storage the image keeps from its last use (no encoding,
+/// no allocation once warm), and [`encode`](Self::encode) — on whatever
+/// thread holds the image, the journal's writer thread in a daemon —
+/// writes the bytes [`EngineSnapshot::encode`] writes for the snapshot the
+/// engine would build at that boundary.
+///
+/// An image holds the per-CEI lifecycle states; the candidate index's flat
+/// captured and expired flags over every EI, with the per-CEI offsets into
+/// them (static for a run, so copied once per image and run); the outcomes,
+/// stats and the schedule rows before the boundary (an image reused in one
+/// run copies only the rows it lacks); the fault bookkeeping; and every
+/// resource list's live entries in list order, with their counts.
+#[derive(Debug, Clone)]
+pub struct SnapshotImage {
+    /// The boundary chronon.
+    pub(crate) at: Chronon,
+    /// The run that filled the image (`0`: none yet).
+    pub(crate) run: u64,
+    pub(crate) status: Vec<Status>,
+    /// Per global EI id; CEI `c`'s EIs are `ei_base[c]..ei_base[c + 1]`.
+    pub(crate) captured: Vec<bool>,
+    pub(crate) expired: Vec<bool>,
+    pub(crate) ei_base: Vec<u32>,
+    /// The chronon each resolved CEI resolved at; with its status, its
+    /// outcome.
+    pub(crate) resolved_at: Vec<Chronon>,
+    pub(crate) stats: RunStats,
+    /// The run's schedule, through chronon `at - 1`.
+    pub(crate) schedule: Schedule,
+    pub(crate) budget_override: Option<u32>,
+    pub(crate) pending_budget: Option<u32>,
+    pub(crate) announced: Vec<Option<Chronon>>,
+    pub(crate) consec_failures: Vec<u32>,
+    pub(crate) next_attempt_at: Vec<Chronon>,
+    /// Live entries per resource list, then every list's live entries
+    /// `(cei, ei_idx)`, list after list, each in list order.
+    pub(crate) counts: Vec<u32>,
+    pub(crate) entries: Vec<(u32, u16)>,
+}
+
+impl Default for SnapshotImage {
+    fn default() -> Self {
+        SnapshotImage {
+            at: 0,
+            run: 0,
+            status: Vec::new(),
+            captured: Vec::new(),
+            expired: Vec::new(),
+            ei_base: vec![0],
+            resolved_at: Vec::new(),
+            stats: RunStats::default(),
+            schedule: Schedule::new(0, Epoch::new(1)),
+            budget_override: None,
+            pending_budget: None,
+            announced: Vec::new(),
+            consec_failures: Vec::new(),
+            next_attempt_at: Vec::new(),
+            counts: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl SnapshotImage {
+    /// The boundary chronon the image was captured at.
+    pub fn at(&self) -> Chronon {
+        self.at
+    }
+
+    /// The bytes the image's arrays hold: what it weighs in a queue.
+    pub(crate) fn bytes(&self) -> usize {
+        use std::mem::size_of_val;
+        size_of_val(&self.status[..])
+            + size_of_val(&self.captured[..])
+            + size_of_val(&self.expired[..])
+            + size_of_val(&self.ei_base[..])
+            + size_of_val(&self.resolved_at[..])
+            + size_of_val(&self.announced[..])
+            + size_of_val(&self.consec_failures[..])
+            + size_of_val(&self.next_attempt_at[..])
+            + size_of_val(&self.counts[..])
+            + size_of_val(&self.entries[..])
+    }
+
+    /// Appends the encoding of the snapshot the image describes: the bytes
+    /// of [`EngineSnapshot::encode`].
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let flags = |eis: &[u32]| eis[0] as usize..eis[1] as usize;
+        let mut listed = 0;
+        SnapshotRef {
+            at: self.at,
+            status: self.status.iter().zip(self.ei_base.windows(2)).map(
+                |(status, eis)| match status {
+                    Status::NotArrived => CeiStateRef::NotArrived,
+                    Status::Active => CeiStateRef::Active {
+                        captured: &self.captured[flags(eis)],
+                        expired: &self.expired[flags(eis)],
+                    },
+                    Status::Captured => CeiStateRef::Captured,
+                    Status::Failed => CeiStateRef::Failed,
+                    Status::Cancelled => CeiStateRef::Cancelled,
+                },
+            ),
+            outcomes: (self.status.iter().zip(&self.resolved_at))
+                .map(|(status, &at)| status.outcome(at)),
+            stats: &self.stats,
+            schedule: &self.schedule,
+            budget_override: self.budget_override,
+            pending_budget: self.pending_budget,
+            announced: &self.announced,
+            consec_failures: &self.consec_failures,
+            next_attempt_at: &self.next_attempt_at,
+            index: self.counts.iter().map(|&count| {
+                let list = &self.entries[listed..listed + count as usize];
+                listed += count as usize;
+                (list.len(), list.iter().copied())
+            }),
+        }
+        .encode(out);
+    }
+}
+
+#[cfg(test)]
+impl SnapshotImage {
+    /// The image of `snap`, as if an engine in its state had filled it: its
+    /// outcomes must agree with its states, as [`EngineSnapshot::validate`]
+    /// requires, and a CEI that is not active gets no flags.
+    pub(crate) fn of(snap: &EngineSnapshot) -> Self {
+        let mut image = SnapshotImage {
+            at: snap.at,
+            stats: snap.stats.clone(),
+            schedule: snap.schedule.clone(),
+            budget_override: snap.budget_override,
+            pending_budget: snap.pending_budget,
+            announced: snap.announced.clone(),
+            consec_failures: snap.consec_failures.clone(),
+            next_attempt_at: snap.next_attempt_at.clone(),
+            ..SnapshotImage::default()
+        };
+        for state in &snap.status {
+            image.status.push(match state {
+                CeiState::NotArrived => Status::NotArrived,
+                CeiState::Active { captured, expired } => {
+                    image.captured.extend_from_slice(captured);
+                    image.expired.extend_from_slice(expired);
+                    Status::Active
+                }
+                CeiState::Captured => Status::Captured,
+                CeiState::Failed => Status::Failed,
+                CeiState::Cancelled => Status::Cancelled,
+            });
+            image.ei_base.push(image.captured.len() as u32);
+        }
+        image.resolved_at = snap.outcomes.iter().map(|o| o.at().unwrap_or(0)).collect();
+        for list in &snap.index {
+            image.counts.push(list.len() as u32);
+            image.entries.extend_from_slice(list);
+        }
+        image
+    }
+}
+
 /// Receives engine snapshots at chronon boundaries.
 ///
 /// The engine asks [`wants`](Self::wants) at the top of every chronon and
-/// encodes its state only on `true`; a sink that always declines costs one
-/// virtual call per chronon.
+/// copies its state into an image only on `true`; a sink that always
+/// declines costs one virtual call per chronon.
 pub trait SnapshotSink {
     /// Whether a snapshot at the boundary of chronon `t` should be taken.
     fn wants(&mut self, t: Chronon) -> bool;
-    /// Receives the snapshot of boundary `at` that a `wants(at) == true`
-    /// requested, as the bytes of [`EngineSnapshot::encode`]. A sink keeps
-    /// them by swapping `encoded` with a buffer of its own: the engine
-    /// clears whatever buffer it gets back before it encodes into it again.
-    fn accept(&mut self, at: Chronon, encoded: &mut Vec<u8>);
+    /// Receives the image of the boundary a `wants(t) == true` requested.
+    /// A sink keeps it by swapping `image` with an image of its own — a
+    /// default one, or one this run handed it before: the engine overwrites
+    /// whatever image it gets back before it hands it over again.
+    fn accept(&mut self, image: &mut SnapshotImage);
 }
 
 /// The no-op sink: never requests a snapshot.
@@ -814,12 +999,12 @@ impl SnapshotSink for NoSnapshots {
     fn wants(&mut self, _t: Chronon) -> bool {
         false
     }
-    fn accept(&mut self, _at: Chronon, _encoded: &mut Vec<u8>) {}
+    fn accept(&mut self, _image: &mut SnapshotImage) {}
 }
 
 /// A sink that captures every requested boundary into memory — the building
-/// block tests use to snapshot at an exact chronon. It decodes the bytes
-/// the engine encodes, the same bytes a journal stores.
+/// block tests use to snapshot at an exact chronon. It encodes each image
+/// and decodes the bytes, the same bytes a journal stores.
 #[derive(Debug, Clone, Default)]
 pub struct CaptureAt {
     /// The boundaries to capture.
@@ -842,8 +1027,10 @@ impl SnapshotSink for CaptureAt {
     fn wants(&mut self, t: Chronon) -> bool {
         self.at.contains(&t)
     }
-    fn accept(&mut self, _at: Chronon, encoded: &mut Vec<u8>) {
-        let snapshot = EngineSnapshot::decode(encoded).expect("the engine's encoding decodes");
+    fn accept(&mut self, image: &mut SnapshotImage) {
+        let mut encoded = Vec::new();
+        image.encode(&mut encoded);
+        let snapshot = EngineSnapshot::decode(&encoded).expect("the engine's encoding decodes");
         self.taken.push(snapshot);
     }
 }
@@ -959,6 +1146,30 @@ mod tests {
         empty.consec_failures.clear();
         empty.schedule = Schedule::new(0, Epoch::new(1));
         roundtrip(&empty);
+    }
+
+    #[test]
+    fn an_image_encodes_the_snapshot_it_describes() {
+        // An image holds one outcome per CEI, the one its state implies.
+        let mut snap = sample();
+        snap.outcomes = snap
+            .status
+            .iter()
+            .map(|state| match state {
+                CeiState::NotArrived | CeiState::Active { .. } => CeiOutcome::Pending,
+                CeiState::Captured => CeiOutcome::Captured { at: 0 },
+                CeiState::Failed => CeiOutcome::Failed { at: 5 },
+                CeiState::Cancelled => CeiOutcome::Cancelled { at: u32::MAX },
+            })
+            .collect();
+        let (mut want, mut got) = (Vec::new(), Vec::new());
+        snap.encode(&mut want);
+        SnapshotImage::of(&snap).encode(&mut got);
+        assert_eq!(got, want);
+        // A default image is the empty snapshot at boundary 0.
+        got.clear();
+        SnapshotImage::default().encode(&mut got);
+        assert_eq!(EngineSnapshot::decode(&got).unwrap().status, vec![]);
     }
 
     #[test]
@@ -1099,7 +1310,7 @@ mod tests {
         );
 
         type Corruption = (&'static str, fn(&mut EngineSnapshot));
-        let broken: [Corruption; 9] = [
+        let broken: [Corruption; 10] = [
             ("CEI states", |s| s.status.push(CeiState::NotArrived)),
             ("resource lists", |s| s.index.push(Vec::new())),
             ("past the horizon", |s| s.at = 10),
@@ -1108,6 +1319,9 @@ mod tests {
             ("another resource", |s| s.index[1].push((2, 0))),
             ("listed twice", |s| s.index[2].push((1, 0))),
             ("inactive CEI", |s| s.status[1] = CeiState::Failed),
+            ("disagrees with its state", |s| {
+                s.outcomes[1] = CeiOutcome::Captured { at: 1 };
+            }),
             ("both captured and expired", |s| {
                 for state in &mut s.status {
                     if let CeiState::Active { captured, expired } = state {

@@ -38,6 +38,16 @@ impl CeiOutcome {
     pub fn is_captured(self) -> bool {
         matches!(self, CeiOutcome::Captured { .. })
     }
+
+    /// The chronon the CEI resolved at; `None` while pending.
+    pub(crate) fn at(self) -> Option<Chronon> {
+        match self {
+            CeiOutcome::Captured { at }
+            | CeiOutcome::Failed { at }
+            | CeiOutcome::Cancelled { at } => Some(at),
+            CeiOutcome::Pending => None,
+        }
+    }
 }
 
 /// Aggregate statistics of one monitoring run.

@@ -386,6 +386,53 @@ fn completed_journal(case: &Case) -> (Vec<u8>, webmon_core::serve::journal::Jour
     (bytes, scan)
 }
 
+/// The journal writer thread appends what the engine hands it, in arrival
+/// order, and nothing else decides the bytes: a fresh run's frames
+/// concatenate to its trace file, its snapshots sit at every boundary of
+/// the cadence, and two runs of one session — free clock, a snapshot every
+/// chronon and every 3 — write byte-identical journals.
+#[test]
+fn journals_hold_the_trace_and_repeat_byte_for_byte() {
+    let instance = resume_grid_instance(7);
+    let churn = ChurnConfig::new(0.4, 0.3).with_reconfigurations(2);
+    let queue = overlay(&instance, &churn, &SimRng::new(0xC0DE));
+    let horizon = instance.epoch.len();
+    for snapshot_every in [1, SNAPSHOT_EVERY] {
+        let case = Case {
+            fault: Some(iid_with_backoff(0.3, 5)),
+            queue: queue.clone(),
+            snapshot_every,
+            ..Case::faultless(
+                format!("snapshot every {snapshot_every}"),
+                instance.clone(),
+                || Box::new(Mrsf),
+                EngineConfig::non_preemptive(),
+            )
+        };
+        let journals: Vec<Vec<u8>> = (0..2)
+            .map(|_| {
+                let dir = temp_dir("repeat");
+                let (_, _, trace) = daemon_journaled(&case, &dir, false);
+                let scan = scan_journal(&dir.join(JOURNAL_FILE)).unwrap();
+                let frames: String = scan.frames.iter().map(|f| f.lines.as_str()).collect();
+                assert!(frames.as_bytes() == trace, "{}: frames ≠ trace", case.label);
+                let boundaries: Vec<Chronon> = scan.snapshots.iter().map(|s| s.at).collect();
+                let expected: Vec<Chronon> =
+                    (1..horizon).filter(|t| t % snapshot_every == 0).collect();
+                assert_eq!(boundaries, expected, "{}", case.label);
+                let bytes = std::fs::read(dir.join(JOURNAL_FILE)).unwrap();
+                std::fs::remove_dir_all(&dir).ok();
+                bytes
+            })
+            .collect();
+        assert!(
+            journals[0] == journals[1],
+            "{}: journals differ",
+            case.label
+        );
+    }
+}
+
 /// A crash before the first chronon completed leaves a header-only
 /// journal; recovery is simply a full fresh run — still byte-identical.
 #[test]
